@@ -42,6 +42,7 @@ from .fixtures import (
     expansion_golden,
     fixture,
     reducing_combination,
+    system_names,
     system_table,
 )
 from .kp import VarietyPresentation, kp_apply
@@ -426,20 +427,9 @@ def _stated_instances():
     ]
 
 
-_SYSTEM_NAMES = (
-    "sys2d-1",
-    "sys2d-2",
-    "sys2d-3",
-    "sys2d-4",
-    "sys2d-5-zeta0",
-    "sys2d-5-zeta1",
-    "sys2d-5-zeta2",
-)
-
-
 def section_thm71() -> SectionReport:
     claims = []
-    for name in _SYSTEM_NAMES:
+    for name in system_names():
         table = system_table(name)
         ok_lts, _ = check_lts(table)
         claims.append(Claim(f"{name}: defining identities hold on all basis tuples", ok_lts))
@@ -483,7 +473,7 @@ def section_thm73_deg5() -> SectionReport:
 
 def section_sec8() -> SectionReport:
     claims = []
-    for name in _SYSTEM_NAMES:
+    for name in system_names():
         env = build_envelope(system_table(name))
         claims.append(
             Claim(f"{name}: envelope table is byte-identical to the transcription",
@@ -544,18 +534,12 @@ def replay(section: str) -> SectionReport:
     return SECTIONS[section]()
 
 
-def replay_many(sections: Iterable[str], parallel: bool = False) -> list[SectionReport]:
+def replay_many(sections: Iterable[str]) -> list[SectionReport]:
     names = list(sections)
     for name in names:
         if name not in SECTIONS:
             raise KeyError(f"unknown section {name!r}")
-    if not parallel:
-        return [SECTIONS[name]() for name in names]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(4, len(names) or 1)) as pool:
-        futures = [pool.submit(SECTIONS[name]) for name in names]
-        return [f.result() for f in futures]
+    return [SECTIONS[name]() for name in names]
 
 
 def report_text(reports: Iterable[SectionReport]) -> str:

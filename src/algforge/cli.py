@@ -202,13 +202,10 @@ def cmd_envelope(args) -> int:
 
 def cmd_classify2d(args) -> int:
     if args.verify_known:
-        from .fixtures import envelope_golden, system_table
+        from .fixtures import envelope_golden, system_names, system_table
 
         failures = 0
-        for name in (
-            "sys2d-1", "sys2d-2", "sys2d-3", "sys2d-4",
-            "sys2d-5-zeta0", "sys2d-5-zeta1", "sys2d-5-zeta2",
-        ):
+        for name in system_names():
             table = system_table(name)
             ok, _ = check_lts(table)
             env = build_envelope(table)
@@ -217,14 +214,19 @@ def cmd_classify2d(args) -> int:
             print(f"{'PASS' if golden_ok else 'FAIL'}  {name}: envelope table matches transcription")
             failures += (0 if ok else 1) + (0 if golden_ok else 1)
         return 0 if failures == 0 else 1
-    if args.search_fp:
+    if args.search_fp is not None:
         qs = lts_equations(2)
         free = [n.strip() for n in (args.mask or "").split(",") if n.strip()]
         fixed = {}
         for item in (args.fixed or "").split(","):
             if item.strip():
                 name, _, val = item.partition("=")
-                fixed[name.strip()] = int(val)
+                try:
+                    fixed[name.strip()] = int(val)
+                except ValueError:
+                    raise AlgebraError(
+                        f"--fixed expects name=integer pairs, got {item.strip()!r}"
+                    ) from None
         solutions = search_fp(qs, args.search_fp, free, fixed)
         print(f"{len(solutions)} solutions over F_{args.search_fp} "
               f"with free coordinates {','.join(free)}")
@@ -238,7 +240,7 @@ def cmd_classify2d(args) -> int:
 def cmd_replay(args) -> int:
     sections = list(SECTIONS) if args.section == "all" else [args.section]
     try:
-        reports = replay_many(sections, parallel=args.parallel)
+        reports = replay_many(sections)
     except KeyError as exc:
         print(str(exc.args[0]), file=sys.stderr)
         return 2
@@ -312,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("replay", help="rerun a scenario and report PASS/FAIL per claim")
     p.add_argument("section", choices=sorted(SECTIONS) + ["all"])
     p.add_argument("--json", action="store_true")
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(fn=cmd_replay)
 
     p = sub.add_parser("fixtures", help="list the named fixture identities")

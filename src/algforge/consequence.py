@@ -70,7 +70,7 @@ def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomia
                     pools = [build(di) for di in split]
                     for combo in itertools.product(*pools):
                         out.append(Monomial.apply(op, combo))
-        out = [_renumber(s) for s in out]
+        out = [shape_of(s) for s in out]
         uniq = {s.shape_key(): s for s in out}
         memo[d] = sorted(uniq.values(), key=lambda s: s.shape_key())
         return memo[d]
@@ -92,17 +92,6 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def _renumber(shape: Monomial) -> Monomial:
-    counter = itertools.count()
-
-    def walk(m: Monomial) -> Monomial:
-        if m.is_leaf:
-            return Monomial.leaf(Variable(f"p{next(counter)}"))
-        return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
-
-    return walk(shape)
-
-
 def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
     """Assign letters to a shape's leaves in left-to-right order."""
     it = iter(letters)
@@ -113,6 +102,11 @@ def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
         return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
 
     return walk(shape)
+
+
+def shape_of(m: Monomial) -> Monomial:
+    """The tree of ``m`` with its leaves renamed p0, p1, ... left to right."""
+    return instantiate_shape(m, [Variable(f"p{i}") for i in range(m.degree)])
 
 
 class MonomialBasis:
@@ -148,10 +142,6 @@ class MonomialBasis:
 
     def polynomial(self, vec: Mapping[int, Fraction]) -> Polynomial:
         return Polynomial({self.monomials[i]: c for i, c in vec.items()})
-
-
-def enumerate_basis(signature, degree, variables) -> MonomialBasis:
-    return MonomialBasis(signature, degree, variables)
 
 
 def _canonical_relabel(identity: Identity, variables: Sequence[Variable]) -> Polynomial:
@@ -246,13 +236,7 @@ class SpanCertificate:
 
     def combination(self):
         """Re-expand the certificate; equals the target when sound."""
-        total = None
-        for tag, c in self.coefficients.items():
-            part = self.generators[tag].scale(c)
-            total = part if total is None else total + part
-        if total is None:
-            total = self.target - self.target
-        return total
+        return type(self.target).linear_image(self.coefficients, self.generators.__getitem__)
 
     def verify(self) -> bool:
         return self.combination() == self.target
@@ -382,31 +366,29 @@ def sets_equivalent(
     return EquivalenceResult(forward, backward)
 
 
-def _generic_sort_key(key):
-    sk = getattr(key, "sort_key", None)
-    return sk() if callable(sk) else key
-
-
 def kernel_of_expansion(
     basis: MonomialBasis, expand: Callable[[Monomial], object]
 ) -> list[Polynomial]:
     """Basis of {p : expand(p) = 0}, expand acting linearly via basis monomials.
 
     ``expand`` maps a basis monomial to any object with a ``terms`` mapping
-    (polynomial-like in another space).  The kernel basis is returned in
-    reduced echelon form, one polynomial per free coordinate.
+    (polynomial-like in another space).  The images are fed column by column
+    into one elimination table; a column whose image reduces to zero depends
+    uniquely on the earlier pivot columns, and that dependency is its kernel
+    vector.  The kernel basis is therefore in reduced echelon form: one
+    polynomial per free column, with coefficient 1 there and 0 at every other
+    free column.
     """
-    images = [expand(m) for m in basis.monomials]
-    keys = sorted({k for img in images for k in img.terms}, key=_generic_sort_key)
-    key_index = {k: i for i, k in enumerate(keys)}
-    rows = [[Fraction(0)] * len(basis) for _ in keys]
-    for j, img in enumerate(images):
-        for k, c in img.terms.items():
-            rows[key_index[k]][j] = Fraction(c)
-    from .linalg import nullspace
-
-    vectors = nullspace(rows, len(basis))
+    rows: dict[Hashable, int] = {}
+    table = PivotTable(track_combos=True)
     out = []
-    for v in vectors:
-        out.append(Polynomial({basis.monomials[i]: c for i, c in enumerate(v) if c}))
+    for j, m in enumerate(basis.monomials):
+        vec = {rows.setdefault(k, len(rows)): Fraction(c) for k, c in expand(m).terms.items()}
+        dependent, combo, _ = table.membership(vec)
+        if not dependent:
+            table.add(vec, j)
+            continue
+        kernel = {i: -c for i, c in combo.items()}
+        kernel[j] = Fraction(1)
+        out.append(basis.polynomial(dict(sorted(kernel.items()))))
     return out

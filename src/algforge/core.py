@@ -7,6 +7,12 @@ polynomial is the empty map, and no arithmetic routine ever stores a zero
 coefficient.  All values are immutable after construction and every
 operation here is a pure function, so results can be shared freely.
 
+``LinComb`` is that sparse combination over any hashable key, and the one
+arithmetic of the package: ``Polynomial`` here, the tensor words of
+``leibniz``, the straightened words of ``rightcomm`` and the symbolic
+structure constants of ``systems`` are its subclasses, and ``linalg``'s
+elimination vectors grow through the same ``accumulate``.
+
 Monomials are totally ordered: first by tree shape (leaf before operation
 node, then by operation symbol, then by child shapes left to right), and
 then by the left-to-right sequence of leaf variables.  Sorting by this key
@@ -19,7 +25,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
 class AlgebraError(Exception):
@@ -223,81 +229,189 @@ class Monomial:
         return f"{self.op.display()}({args})"
 
 
-PolyLike = Union["Polynomial", Monomial, Variable]
+def format_monomial(m: Monomial) -> str:
+    """A monomial in the expression grammar, e.g. ``br(a, br(b, c, d), e)``."""
+    if m.is_leaf:
+        return m.var.name
+    args = ", ".join(format_monomial(c) for c in m.children)
+    return f"{m.op.display()}({args})"
 
 
-def _as_polynomial(x: PolyLike) -> "Polynomial":
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, Monomial):
-        return Polynomial({x: Fraction(1)})
-    if isinstance(x, Variable):
-        return Polynomial({Monomial.leaf(x): Fraction(1)})
-    raise AlgebraError(f"cannot interpret {x!r} as a polynomial")
+def accumulate(terms: dict, pairs: Iterable[tuple], scale=None) -> dict:
+    """Add each (key, c) pair, times ``scale`` when given, into ``terms`` in
+    place, dropping every sum that cancels; returns ``terms``.
+
+    This is the one accumulation loop of the sparse layer: combinations and
+    the elimination table's vectors and combos all grow through it.
+    """
+    if scale is None:
+        for k, c in pairs:
+            s = terms.get(k, 0) + c
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+    else:
+        for k, c in pairs:
+            s = terms.get(k, 0) + scale * c
+            if s:
+                terms[k] = s
+            else:
+                terms.pop(k, None)
+    return terms
 
 
-class Polynomial:
-    """A canonical Fraction-linear combination of monomials."""
+class LinComb:
+    """A finite Fraction-linear combination of hashable keys.
+
+    ``terms`` maps each key to its nonzero Fraction coefficient; the zero
+    combination is the empty map.  Values are immutable once built: only
+    code that has just made a combination, and not yet handed it out, grows
+    its ``terms`` with ``accumulate``.  A subclass says what its keys are:
+    ``_key`` makes a caller's key canonical, ``_order`` sorts keys,
+    ``_render_key`` prints one, and ``_coerce`` names the other values that
+    stand for a combination.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        canon: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping | None = None):
+        self.terms = {}
         if terms:
-            for m, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    canon[m] = c
-        self.terms = canon
+            key = self._key
+            accumulate(self.terms, ((key(k), Fraction(c)) for k, c in terms.items()))
+
+    @classmethod
+    def _from_terms(cls, terms: dict):
+        """Wrap a dict that is already canonical: canonical keys, no zeros."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        return out
+
+    @classmethod
+    def zero(cls):
+        return cls._from_terms({})
+
+    @classmethod
+    def linear_image(cls, terms: Mapping, image: Callable):
+        """The sum of ``c * image(k)`` over the (k, c) items of ``terms``,
+        where each ``image(k)`` is a combination of this class."""
+        out: dict = {}
+        for k, c in terms.items():
+            accumulate(out, image(k).terms.items(), c)
+        return cls._from_terms(out)
 
     @staticmethod
-    def zero() -> "Polynomial":
-        return Polynomial()
+    def _key(key):
+        return key
+
+    @staticmethod
+    def _order(key):
+        return key
+
+    @classmethod
+    def _coerce(cls, x):
+        """The combination that ``x`` stands for, or None."""
+        return x if isinstance(x, cls) else None
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        return sorted(self.terms.items(), key=lambda mc: mc[0].sort_key())
+    def sorted_terms(self) -> list[tuple]:
+        order = self._order
+        return sorted(self.terms.items(), key=lambda kc: order(kc[0]))
 
-    def __add__(self, other: PolyLike) -> "Polynomial":
-        other = _as_polynomial(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        p = Polynomial.__new__(Polynomial)
-        p.terms = out
-        return p
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._from_terms(accumulate(dict(self.terms), other.terms.items()))
 
-    def __sub__(self, other: PolyLike) -> "Polynomial":
-        return self + (-_as_polynomial(other))
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._from_terms(accumulate(dict(self.terms), other.terms.items(), -1))
 
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1)
+    def __neg__(self):
+        return self._from_terms({k: -c for k, c in self.terms.items()})
 
-    def scale(self, c) -> "Polynomial":
+    def scale(self, c):
         c = Fraction(c)
         if not c:
-            return Polynomial()
-        p = Polynomial.__new__(Polynomial)
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
-
-    def __rmul__(self, c) -> "Polynomial":
-        return self.scale(c)
+            return self.zero()
+        return self._from_terms({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (Monomial, Variable)):
-            other = _as_polynomial(other)
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        other = self._coerce(other)
+        return other is not None and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
+
+    def normalized(self):
+        """Scale to integer, coprime coefficients with positive leading term."""
+        if not self.terms:
+            return self
+        denom = 1
+        for c in self.terms.values():
+            denom = denom * c.denominator // gcd(denom, c.denominator)
+        g = 0
+        for c in self.terms.values():
+            g = gcd(g, int(c * denom))
+        scale = Fraction(denom, g)
+        if self.terms[min(self.terms, key=self._order)] < 0:
+            scale = -scale
+        return self.scale(scale)
+
+    def _render_term(self, key, c: Fraction) -> str:
+        """One term without its sign: the coefficient unless it is 1, then the key."""
+        return ("" if abs(c) == 1 else f"{abs(c)}*") + self._render_key(key)
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for k, c in self.sorted_terms():
+            body = self._render_term(k, c)
+            if parts:
+                parts.append(("- " if c < 0 else "+ ") + body)
+            else:
+                parts.append(("-" if c < 0 else "") + body)
+        return " ".join(parts)
+
+
+PolyLike = Union["Polynomial", Monomial, Variable]
+
+
+def _as_polynomial(x: PolyLike) -> "Polynomial":
+    p = Polynomial._coerce(x)
+    if p is None:
+        raise AlgebraError(f"cannot interpret {x!r} as a polynomial")
+    return p
+
+
+class Polynomial(LinComb):
+    """A canonical Fraction-linear combination of monomials."""
+
+    __slots__ = ()
+
+    _order = staticmethod(Monomial.sort_key)
+    _render_key = staticmethod(format_monomial)
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, Polynomial):
+            return x
+        if isinstance(x, Variable):
+            x = Monomial.leaf(x)
+        if isinstance(x, Monomial):
+            return Polynomial._from_terms({x: Fraction(1)})
+        return None
+
+    def __rmul__(self, c) -> "Polynomial":
+        return self.scale(c)
 
     def variables(self) -> tuple[Variable, ...]:
         names = sorted({n for m in self.terms for n in m.leaf_names()})
@@ -331,15 +445,7 @@ class Polynomial:
 
     def map_monomials(self, image) -> "Polynomial":
         """Linear extension of a map Monomial -> Polynomial."""
-        out = Polynomial()
-        for m, c in self.terms.items():
-            out = out + image(m).scale(c)
-        return out
-
-    def __repr__(self) -> str:
-        from .parsing import format_polynomial
-
-        return format_polynomial(self)
+        return Polynomial.linear_image(self.terms, image)
 
 
 def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
@@ -354,17 +460,9 @@ def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
             for m2, c2 in p.terms.items():
                 nxt.append((ms + [m2], c * c2))
         combos = nxt
-    terms: dict[Monomial, Fraction] = {}
-    for ms, c in combos:
-        m = Monomial.apply(op, ms)
-        s = terms.get(m, 0) + c
-        if s:
-            terms[m] = s
-        else:
-            terms.pop(m, None)
-    out = Polynomial.__new__(Polynomial)
-    out.terms = terms
-    return out
+    return Polynomial._from_terms(
+        accumulate({}, ((Monomial.apply(op, ms), c) for ms, c in combos))
+    )
 
 
 class Identity:
@@ -427,17 +525,9 @@ def relabel(p: Polynomial, mapping: Mapping[Variable, Variable]) -> Polynomial:
             return Monomial.leaf(byname.get(m.var.name, m.var))
         return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
 
-    terms: dict[Monomial, Fraction] = {}
-    for m, c in p.terms.items():
-        m2 = walk(m)
-        s = terms.get(m2, 0) + c
-        if s:
-            terms[m2] = s
-        else:
-            terms.pop(m2, None)
-    out = Polynomial.__new__(Polynomial)
-    out.terms = terms
-    return out
+    return Polynomial._from_terms(
+        accumulate({}, ((walk(m), c) for m, c in p.terms.items()))
+    )
 
 
 def substitute(
@@ -491,27 +581,13 @@ def rename_ops(p: Polynomial, mapping: Mapping[OpSymbol, OpSymbol]) -> Polynomia
             mapping.get(m.op, m.op), tuple(walk(c) for c in m.children)
         )
 
-    out = Polynomial.__new__(Polynomial)
-    out.terms = {walk(m): c for m, c in p.terms.items()}
-    return out
+    return Polynomial._from_terms(
+        accumulate({}, ((walk(m), c) for m, c in p.terms.items()))
+    )
 
 
-def normalize_scalar(p: Polynomial) -> Polynomial:
-    """Scale to integer, coprime coefficients with positive leading term."""
-    if p.is_zero:
-        return p
-    denom_lcm = 1
-    for c in p.terms.values():
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
-    nums = [c * denom_lcm for c in p.terms.values()]
-    g = 0
-    for n in nums:
-        g = gcd(g, int(n))
-    scale = Fraction(denom_lcm, g)
-    lead = min(p.terms, key=lambda m: m.sort_key())
-    if p.terms[lead] < 0:
-        scale = -scale
-    return p.scale(scale)
+# the public name of ``normalized`` for polynomials
+normalize_scalar = LinComb.normalized
 
 
 def _fresh_names(base: str, count: int, taken: set[str]) -> list[str]:
@@ -555,16 +631,14 @@ def polarize(identity: Identity) -> Identity:
             continue
         fresh = [Variable(n) for n in _fresh_names(v.name, k, taken)]
         out_vars.extend(fresh)
-        acc = Polynomial.zero()
+        acc: dict[Monomial, Fraction] = {}
         for r in range(k + 1):
             sign = Fraction(-1) ** (k - r)
             for subset in itertools.combinations(fresh, r):
-                val = Polynomial.zero()
-                for w in subset:
-                    val = val + w
-                acc = acc + substitute(work, {v: val}, check=False).scale(sign)
-        work = acc
-    return Identity(normalize_scalar(work), out_vars, identity.signature, identity.name)
+                val = Polynomial({Monomial.leaf(w): 1 for w in subset})
+                accumulate(acc, substitute(work, {v: val}, check=False).terms.items(), sign)
+        work = Polynomial._from_terms(acc)
+    return Identity(work.normalized(), out_vars, identity.signature, identity.name)
 
 
 class RewriteRule:

@@ -18,36 +18,32 @@ expanded through the iterated product <x,y,z> -> (x.y).z.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .core import (
     AlgebraError,
     Identity,
+    LinComb,
     Monomial,
     Polynomial,
     VariableClash,
+    accumulate,
 )
 
 Word = tuple[str, ...]
 
 
-class TensorPolynomial:
+class TensorPolynomial(LinComb):
     """Canonical Fraction-linear combination of tensor words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[Word, Fraction] | None = None):
-        canon: dict[Word, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    canon[tuple(w)] = c
-        self.terms = canon
+    _key = staticmethod(tuple)
+    _render_key = staticmethod("".join)
 
     @staticmethod
-    def zero() -> "TensorPolynomial":
-        return TensorPolynomial()
+    def _order(w: Word) -> tuple:
+        return (len(w), w)
 
     @staticmethod
     def word(letters: Union[str, Iterable[str]]) -> "TensorPolynomial":
@@ -58,80 +54,17 @@ class TensorPolynomial:
             raise AlgebraError("words must be nonempty")
         return TensorPolynomial({w: Fraction(1)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[Word, Fraction]]:
-        return sorted(self.terms.items(), key=lambda wc: (len(wc[0]), wc[0]))
-
-    def __add__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        p = TensorPolynomial.__new__(TensorPolynomial)
-        p.terms = out
-        return p
-
-    def __sub__(self, other: "TensorPolynomial") -> "TensorPolynomial":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "TensorPolynomial":
-        return self.scale(-1)
-
-    def scale(self, c) -> "TensorPolynomial":
-        c = Fraction(c)
-        if not c:
-            return TensorPolynomial()
-        p = TensorPolynomial.__new__(TensorPolynomial)
-        p.terms = {w: v * c for w, v in self.terms.items()}
-        return p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def letters(self) -> set[str]:
         return {x for w in self.terms for x in w}
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            body = ("" if abs(c) == 1 else f"{abs(c)}*") + "".join(w)
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
 
 
 def _word_product(w: Word, v: Word) -> dict[Word, Fraction]:
     if len(v) == 1:
         return {w + v: Fraction(1)}
     head, last = v[:-1], v[-1:]
-    out: dict[Word, Fraction] = {}
-    for u, c in _word_product(w, head).items():
-        key = u + last
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            del out[key]
-    for u, c in _word_product(w + last, head).items():
-        s = out.get(u, 0) - c
-        if s:
-            out[u] = s
-        else:
-            del out[u]
-    return out
+    # appending a letter is injective, so the first part needs no merging
+    out = {u + last: c for u, c in _word_product(w, head).items()}
+    return accumulate(out, _word_product(w + last, head).items(), -1)
 
 
 def free_product(
@@ -147,24 +80,14 @@ def free_product(
     terms: dict[Word, Fraction] = {}
     for wu, cu in u.terms.items():
         for wv, cv in v.terms.items():
-            for w, c in _word_product(wu, wv).items():
-                s = terms.get(w, 0) + cu * cv * c
-                if s:
-                    terms[w] = s
-                else:
-                    del terms[w]
-    out = TensorPolynomial.__new__(TensorPolynomial)
-    out.terms = terms
-    return out
+            accumulate(terms, _word_product(wu, wv).items(), cu * cv)
+    return TensorPolynomial._from_terms(terms)
 
 
 def expand_binary_tree(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a bracketing over one binary operation into word form."""
     if isinstance(m, Polynomial):
-        out = TensorPolynomial.zero()
-        for mono, c in m.terms.items():
-            out = out + expand_binary_tree(mono).scale(c)
-        return out
+        return TensorPolynomial.linear_image(m.terms, expand_binary_tree)
     if m.is_leaf:
         return TensorPolynomial.word((m.var.name,))
     if m.op.arity != 2:
@@ -178,10 +101,7 @@ def expand_binary_tree(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
 def expand_ternary(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a ternary bracketing via the iterated product <x,y,z> = (x.y).z."""
     if isinstance(m, Polynomial):
-        out = TensorPolynomial.zero()
-        for mono, c in m.terms.items():
-            out = out + expand_ternary(mono).scale(c)
-        return out
+        return TensorPolynomial.linear_image(m.terms, expand_ternary)
     if m.is_leaf:
         return TensorPolynomial.word((m.var.name,))
     if m.op.arity != 3:

@@ -1,48 +1,24 @@
 """Exact rational linear algebra on sparse integer-indexed vectors.
 
-Vectors are dicts mapping column index to a nonzero Fraction.  The central
-structure is an incremental forward-elimination table: generator vectors are
-fed in one at a time, each reduced against the pivots found so far
-(leftmost-column pivoting, first come first kept, no scaling tricks beyond
-normalizing each pivot's leading entry to 1).  The table can optionally
-track, for every pivot row, its expression as a combination of the original
-generators, which turns span membership into an explicit certificate.
-
-Dense reduced row echelon form and nullspace extraction are provided for
-kernel computations; everything is Fraction arithmetic end to end.
+Vectors are dicts mapping column index to a nonzero Fraction.  The one
+elimination engine is an incremental forward-elimination table: generator
+vectors are fed in one at a time, each reduced against the pivots found so
+far (leftmost-column pivoting, first come first kept, no scaling tricks
+beyond normalizing each pivot's leading entry to 1).  The table can
+optionally track, for every pivot row, its expression as a combination of
+the original generators, which turns span membership into an explicit
+certificate and a dependent generator into a kernel vector.  Everything is
+Fraction arithmetic end to end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable
+
+from .core import accumulate
 
 Vec = dict[int, Fraction]
-
-
-def vec_from_pairs(pairs: Iterable[tuple[int, Fraction]]) -> Vec:
-    out: Vec = {}
-    for k, c in pairs:
-        c = Fraction(c)
-        if c:
-            s = out.get(k, 0) + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
-
-
-def _axpy(dst: Vec, scalar: Fraction, src: Vec) -> None:
-    """dst += scalar * src, dropping zeros."""
-    if not scalar:
-        return
-    for k, c in src.items():
-        s = dst.get(k, 0) + scalar * c
-        if s:
-            dst[k] = s
-        else:
-            dst.pop(k, None)
 
 
 class PivotTable:
@@ -73,14 +49,9 @@ class PivotTable:
                 break
             pvec, pcombo = hit
             factor = work[lead]
-            _axpy(work, -factor, pvec)
+            accumulate(work, pvec.items(), -factor)
             if self.track and pcombo:
-                for tag, c in pcombo.items():
-                    s = combo.get(tag, 0) + factor * c
-                    if s:
-                        combo[tag] = s
-                    else:
-                        combo.pop(tag, None)
+                accumulate(combo, pcombo.items(), factor)
         return work, combo
 
     def add(self, vec: Vec, tag: Hashable = None) -> bool:
@@ -94,19 +65,9 @@ class PivotTable:
         pcombo: dict[Hashable, Fraction] | None = None
         if self.track:
             # vec = residual + sum(combo); residual = vec - sum(combo)
-            pcombo = {tag: scale}
-            for t, c in combo.items():
-                s = pcombo.get(t, 0) - scale * c
-                if s:
-                    pcombo[t] = s
-                else:
-                    pcombo.pop(t, None)
+            pcombo = accumulate({tag: scale}, combo.items(), -scale)
         self.pivots[lead] = (normal, pcombo)
         return True
-
-    def extend(self, tagged_vectors: Iterable[tuple[Hashable, Vec]]) -> None:
-        for tag, vec in tagged_vectors:
-            self.add(vec, tag)
 
     def membership(self, vec: Vec) -> tuple[bool, dict[Hashable, Fraction], int | None]:
         """Test span membership; returns (ok, combo, witness-column-or-None)."""
@@ -114,44 +75,3 @@ class PivotTable:
         if residual:
             return False, {}, min(residual)
         return True, combo, None
-
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a dense matrix; returns (rows, pivot columns)."""
-    mat = [list(map(Fraction, row)) for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivot_cols
-
-
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[list[Fraction]]:
-    """Basis of {v : rows . v = 0}, one vector per free column, echelon-ordered."""
-    red, pivot_cols = rref(rows)
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for f in free_cols:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, pc in enumerate(pivot_cols):
-            v[pc] = -red[r][f]
-        basis.append(v)
-    return basis

@@ -36,6 +36,7 @@ from .core import (
     OpSymbol,
     Polynomial,
     Variable,
+    accumulate,
     apply_op,
 )
 
@@ -124,23 +125,20 @@ class _Parser:
         if val != value:
             raise ParseError(f"expected {value!r}, found {val!r}", pos)
 
+    def take_sign(self):
+        """Consume an optional sign: -1 after '-', otherwise None (no scaling)."""
+        if self.peek()[1] in ("+", "-"):
+            return -1 if self.take()[1] == "-" else None
+        return None
+
     def parse_expr(self) -> Polynomial:
-        out = Polynomial.zero()
-        sign = Fraction(1)
-        kind, val, _ = self.peek()
-        if kind == "punct" and val in "+-":
-            self.take()
-            if val == "-":
-                sign = -sign
-        out = out + self.parse_term().scale(sign)
+        out: dict[Monomial, Fraction] = {}
+        sign = self.take_sign()
         while True:
-            kind, val, _ = self.peek()
-            if kind == "punct" and val in "+-":
-                self.take()
-                sign = Fraction(1) if val == "+" else Fraction(-1)
-                out = out + self.parse_term().scale(sign)
-            else:
-                return out
+            accumulate(out, self.parse_term().terms.items(), sign)
+            if self.peek()[1] not in ("+", "-"):
+                return Polynomial._from_terms(out)
+            sign = self.take_sign()
 
     def parse_term(self) -> Polynomial:
         kind, val, pos = self.peek()
@@ -206,29 +204,9 @@ def parse(text: str, signature: Signature | Sequence[OpSymbol] = ()) -> Polynomi
     return out
 
 
-def _format_coeff(c: Fraction) -> str:
-    a = abs(c)
-    return "" if a == 1 else f"{a}*"
-
-
-def format_monomial(m: Monomial) -> str:
-    if m.is_leaf:
-        return m.var.name
-    args = ", ".join(format_monomial(c) for c in m.children)
-    return f"{m.op.display()}({args})"
-
-
 def format_polynomial(p: Polynomial) -> str:
-    if p.is_zero:
-        return "0"
-    parts: list[str] = []
-    for m, c in p.sorted_terms():
-        body = _format_coeff(c) + format_monomial(m)
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+    """The grammar's text for ``p``, which ``parse`` reads back."""
+    return repr(p)
 
 
 _DECL = re.compile(
@@ -353,7 +331,7 @@ def parse_product(text: str, op: OpSymbol, *, starred: bool | None = None) -> Mo
 
 def parse_signed_products(text: str, op: OpSymbol) -> Polynomial:
     """Read a signed sum of compact products, e.g. ``-(((ac)b)e)d + ...``."""
-    out = Polynomial.zero()
+    pairs = []
     chunks = re.findall(r"([+-]?)\s*([^+-]+)", text)
     for sign, body in chunks:
         body = body.strip()
@@ -364,5 +342,5 @@ def parse_signed_products(text: str, op: OpSymbol) -> Polynomial:
         if cm:
             coeff *= Fraction(cm.group(1))
             body = cm.group(2)
-        out = out + Polynomial({parse_product(body, op): coeff})
-    return out
+        pairs.append((parse_product(body, op), coeff))
+    return Polynomial._from_terms(accumulate({}, pairs))

@@ -26,18 +26,20 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 from .core import (
     AlgebraError,
     Identity,
+    LinComb,
     Monomial,
     OpSymbol,
     Polynomial,
     Variable,
+    accumulate,
     apply_op,
 )
-from .consequence import SpanChecker, iter_lifted
+from .consequence import SpanChecker, instantiate_shape, iter_lifted, shape_of
 
 MAX_DEGREE = 5
 
@@ -104,34 +106,12 @@ def canonical_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
     letters = [Variable(f"p{i}") for i in range(degree)]
     canons = set()
     for shape in _binary_shapes(op, degree):
-        lettered = _assign(shape, letters)
+        lettered = instantiate_shape(shape, letters)
         best = min(_orbit(lettered), key=lambda t: (_shape_rc_key(t), t.leaf_names()))
-        canons.add(_erase(best))
+        canons.add(shape_of(best))
     ordered = sorted(canons, key=_shape_rc_key)
     _TYPES_CACHE[cache_key] = ordered
     return ordered
-
-
-def _assign(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
-    it = iter(letters)
-
-    def walk(m):
-        if m.is_leaf:
-            return Monomial.leaf(next(it))
-        return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
-
-    return walk(shape)
-
-
-def _erase(m: Monomial) -> Monomial:
-    counter = itertools.count()
-
-    def walk(node):
-        if node.is_leaf:
-            return Monomial.leaf(Variable(f"p{next(counter)}"))
-        return Monomial.apply(node.op, tuple(walk(c) for c in node.children))
-
-    return walk(m)
 
 
 class RCWord:
@@ -151,7 +131,7 @@ class RCWord:
 
     def monomial(self) -> Monomial:
         shape = canonical_shapes(self.op, self.degree)[self.type_index - 1]
-        return _assign(shape, [Variable(x) for x in self.letters])
+        return instantiate_shape(shape, [Variable(x) for x in self.letters])
 
     def render(self) -> str:
         def walk(m: Monomial) -> str:
@@ -183,74 +163,13 @@ class RCWord:
         return self.render()
 
 
-class RCPolynomial:
+class RCPolynomial(LinComb):
     """Canonical Fraction-linear combination of straightened words."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[RCWord, Fraction] | None = None):
-        canon: dict[RCWord, Fraction] = {}
-        if terms:
-            for w, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    canon[w] = c
-        self.terms = canon
-
-    @staticmethod
-    def zero() -> "RCPolynomial":
-        return RCPolynomial()
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self) -> list[tuple[RCWord, Fraction]]:
-        return sorted(self.terms.items(), key=lambda wc: wc[0].sort_key())
-
-    def __add__(self, other: "RCPolynomial") -> "RCPolynomial":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                del out[w]
-        p = RCPolynomial.__new__(RCPolynomial)
-        p.terms = out
-        return p
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "RCPolynomial":
-        c = Fraction(c)
-        if not c:
-            return RCPolynomial()
-        p = RCPolynomial.__new__(RCPolynomial)
-        p.terms = {w: v * c for w, v in self.terms.items()}
-        return p
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RCPolynomial) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __repr__(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for w, c in self.sorted_terms():
-            body = ("" if abs(c) == 1 else f"{abs(c)}*") + w.render()
-            if not parts:
-                parts.append(("-" if c < 0 else "") + body)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + body)
-        return " ".join(parts)
+    _order = staticmethod(RCWord.sort_key)
+    _render_key = staticmethod(RCWord.render)
 
 
 _STRAIGHTEN_CACHE: dict[Monomial, RCWord] = {}
@@ -286,17 +205,9 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
     """Straighten every term, aggregating and cancelling coefficients."""
     if isinstance(p, Monomial):
         p = Polynomial({p: Fraction(1)})
-    terms: dict[RCWord, Fraction] = {}
-    for m, c in p.terms.items():
-        w = rc_straighten(m)
-        s = terms.get(w, 0) + c
-        if s:
-            terms[w] = s
-        else:
-            del terms[w]
-    out = RCPolynomial.__new__(RCPolynomial)
-    out.terms = terms
-    return out
+    return RCPolynomial._from_terms(
+        accumulate({}, ((rc_straighten(m), c) for m, c in p.terms.items()))
+    )
 
 
 def permuted_associator_image(m: Monomial, product: OpSymbol) -> Polynomial:
@@ -318,10 +229,9 @@ def permuted_associator_expand(
     if product is None:
         product = OpSymbol("mul", 2)
     p = identity.lhs if isinstance(identity, Identity) else identity
-    out = Polynomial.zero()
-    for m, c in p.terms.items():
-        out = out + permuted_associator_image(m, product).scale(c)
-    return rc_expand(out)
+    return rc_expand(
+        Polynomial.linear_image(p.terms, lambda m: permuted_associator_image(m, product))
+    )
 
 
 class RCBasis:
@@ -337,7 +247,7 @@ class RCBasis:
         seen: set[RCWord] = set()
         for shape in canonical_shapes(op, degree):
             for perm in itertools.permutations(sorted(variables)):
-                seen.add(rc_straighten(_assign(shape, perm)))
+                seen.add(rc_straighten(instantiate_shape(shape, perm)))
         self.monomials: list[RCWord] = sorted(seen, key=lambda w: w.sort_key())
         self.index = {w: i for i, w in enumerate(self.monomials)}
 
@@ -360,7 +270,7 @@ def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
     """Number of same-shape members in a generic orbit of this type."""
     shape = canonical_shapes(op, degree)[type_index - 1]
     letters = [Variable(chr(ord("a") + i)) for i in range(degree)]
-    lettered = _assign(shape, letters)
+    lettered = instantiate_shape(shape, letters)
     skey = _shape_rc_key(shape)
     return sum(1 for t in _orbit(lettered) if _shape_rc_key(t) == skey)
 

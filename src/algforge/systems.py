@@ -18,14 +18,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import AlgebraError, Identity, Monomial, Polynomial, Variable
+from .core import AlgebraError, Identity, LinComb, Monomial, Polynomial, Variable, accumulate
 from .parsing import Signature, format_polynomial, parse
 
 
-class SymPoly:
+class SymPoly(LinComb):
     """A small exact multivariate polynomial: monomial tuple -> Fraction.
 
     Monomials are sorted tuples of symbol names, so the ring is commutative;
@@ -33,21 +34,21 @@ class SymPoly:
     Fraction and int scalars.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        canon: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
-                if c:
-                    key = tuple(sorted(mono))
-                    s = canon.get(key, 0) + c
-                    if s:
-                        canon[key] = s
-                    else:
-                        del canon[key]
-        self.terms = canon
+    _render_key = staticmethod("*".join)
+
+    @staticmethod
+    def _key(mono) -> tuple:
+        return tuple(sorted(mono))
+
+    @classmethod
+    def _coerce(cls, x):
+        if isinstance(x, SymPoly):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return SymPoly.const(x)
+        return None
 
     @staticmethod
     def symbol(name: str) -> "SymPoly":
@@ -57,77 +58,27 @@ class SymPoly:
     def const(c) -> "SymPoly":
         return SymPoly({(): Fraction(c)})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def _coerce(self, other) -> "SymPoly":
-        if isinstance(other, SymPoly):
-            return other
-        return SymPoly.const(other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, 0) + c
-            if s:
-                out[m] = s
-            else:
-                del out[m]
-        p = SymPoly.__new__(SymPoly)
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + self._coerce(other).scale(-1)
+    __radd__ = LinComb.__add__
 
     def __rsub__(self, other):
-        return self._coerce(other) + self.scale(-1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c) -> "SymPoly":
-        c = Fraction(c)
-        if not c:
-            return SymPoly()
-        p = SymPoly.__new__(SymPoly)
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        return p
+        return -self + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
-        out: dict[tuple, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                key = tuple(sorted(m1 + m2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        p = SymPoly.__new__(SymPoly)
-        p.terms = out
-        return p
+        if other is None:
+            return NotImplemented
+        return SymPoly._from_terms(accumulate({}, (
+            (tuple(sorted(m1 + m2)), c1 * c2)
+            for m1, c1 in self.terms.items()
+            for m2, c2 in other.terms.items()
+        )))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymPoly.const(other)
-        return isinstance(other, SymPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+    __rmul__ = __mul__
 
     def degree(self) -> int:
         return max((len(m) for m in self.terms), default=0)
@@ -140,17 +91,15 @@ class SymPoly:
 
     def substitute(self, values: Mapping[str, object]):
         """Replace symbols by Fractions or SymPolys; returns SymPoly."""
-        out = SymPoly()
-        for mono, c in self.terms.items():
-            acc = SymPoly.const(c)
+
+        def value(mono: tuple) -> "SymPoly":
+            acc = SymPoly.const(1)
             for s in mono:
                 v = values.get(s)
-                factor = SymPoly.symbol(s) if v is None else (
-                    v if isinstance(v, SymPoly) else SymPoly.const(v)
-                )
-                acc = acc * factor
-            out = out + acc
-        return out
+                acc = acc * (SymPoly.symbol(s) if v is None else v)
+            return acc
+
+        return SymPoly.linear_image(self.terms, value)
 
     def evaluate_mod(self, values: Mapping[str, int], p: int) -> int:
         total = 0
@@ -163,35 +112,8 @@ class SymPoly:
             total = (total + term) % p
         return total % p
 
-    def normalized(self) -> "SymPoly":
-        """Primitive integer coefficients, first monomial positive."""
-        if self.is_zero:
-            return self
-        from math import gcd
-
-        denom = 1
-        for c in self.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        g = 0
-        for c in self.terms.values():
-            g = gcd(g, int(c * denom))
-        scale = Fraction(denom, g)
-        lead = min(self.terms)
-        if self.terms[lead] < 0:
-            scale = -scale
-        return self.scale(scale)
-
-    def __repr__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            body = "*".join(m) if m else "1"
-            if abs(c) != 1 or not m:
-                body = f"{abs(c)}*{body}" if m else f"{abs(c)}"
-            parts.append(("- " if c < 0 else "+ ") + body)
-        joined = " ".join(parts)
-        return joined[2:] if joined.startswith("+ ") else "-" + joined[2:]
+    def _render_term(self, mono: tuple, c: Fraction) -> str:
+        return super()._render_term(mono, c) if mono else str(abs(c))
 
 
 Scalar = Union[Fraction, SymPoly]
@@ -666,6 +588,8 @@ def search_fp(
             raise AlgebraError(f"unknown coordinate {name!r}")
     if p ** len(free) > limit:
         raise AlgebraError(f"mask too large: {p}^{len(free)} candidates")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise AlgebraError(f"F_p needs a prime p, got {p}")
     base = {name: 0 for name in system.unknowns}
     for name, val in (fixed or {}).items():
         if name not in unknown_set:

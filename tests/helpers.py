@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from algforge.linalg import rref
+from algforge.linalg import PivotTable
 from algforge.systems import BinaryAlgebra
 
 
@@ -31,15 +31,23 @@ def full_2x2_matrices() -> BinaryAlgebra:
     return BinaryAlgebra(4, names, prod)
 
 
+def _table(mat) -> PivotTable:
+    table = PivotTable(track_combos=True)
+    for i, row in enumerate(mat):
+        table.add({j: Fraction(x) for j, x in enumerate(row) if x}, i)
+    return table
+
+
 def invert(mat):
     n = len(mat)
-    aug = [
-        list(row) + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(mat)
-    ]
-    red, pivots = rref(aug)
-    assert pivots == list(range(n))
-    return [row[n:] for row in red]
+    table = _table(mat)
+    assert table.rank == n
+    # row j of the inverse expresses the unit vector e_j in the rows of mat
+    inverse = []
+    for j in range(n):
+        _, combo, _ = table.membership({j: Fraction(1)})
+        inverse.append([combo.get(i, Fraction(0)) for i in range(n)])
+    return inverse
 
 
 def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
@@ -47,8 +55,7 @@ def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
     n = algebra.dim
     while True:
         mat = [[Fraction(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        _, pivots = rref(mat)
-        if len(pivots) == n:
+        if _table(mat).rank == n:
             break
     inv = invert(mat)
     new = [[None] * n for _ in range(n)]

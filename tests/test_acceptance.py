@@ -12,7 +12,8 @@ from algforge.checks import replay
 from algforge.core import variables
 from algforge.fixtures import BINARY, system_table
 from algforge.leibniz import TensorPolynomial, free_product
-from algforge.rightcomm import _binary_shapes, _orbit, rc_straighten, _assign
+from algforge.consequence import instantiate_shape as _assign
+from algforge.rightcomm import _binary_shapes, _orbit, rc_straighten
 from algforge.systems import build_envelope, check_leibniz, check_lts, from_associative, lie_triple_check
 
 import helpers

@@ -155,6 +155,19 @@ def test_classify2d(capsys):
     assert "a122=2, a222=2" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--search-fp", "4", "--mask", "a122,a222"],
+    ["--search-fp", "-3", "--mask", "a122,a222"],
+    ["--search-fp", "0", "--mask", "a122,a222"],
+    ["--search-fp", "3", "--mask", "a122,a222", "--fixed", "a111=x"],
+])
+def test_classify2d_bad_search_input_is_a_one_line_error(argv, capsys):
+    assert main(["classify2d", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_replay_exit_codes_and_determinism(capsys):
     assert main(["replay", "ex2.4"]) == 0
     first = capsys.readouterr().out
@@ -186,14 +199,6 @@ def test_replay_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload[0]["section"] == "lem3.3"
     assert payload[0]["ok"] is True
-
-
-def test_replay_parallel_matches_sequential(capsys):
-    main(["replay", "ex2.5"])
-    seq = capsys.readouterr().out
-    main(["replay", "ex2.5", "--parallel"])
-    par = capsys.readouterr().out
-    assert seq == par
 
 
 def test_replay_unknown_section():

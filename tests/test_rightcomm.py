@@ -64,7 +64,7 @@ def test_symmetry_orders_and_canonical_count():
     assert len(basis) == 525
     # direct orbit enumeration over all lettered trees agrees
     letters = [Variable(c) for c in "abcde"]
-    from algforge.rightcomm import _assign
+    from algforge.consequence import instantiate_shape as _assign
 
     seen = set()
     for shape in _binary_shapes(BINARY, 5):
