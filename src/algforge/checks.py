@@ -41,7 +41,9 @@ from .fixtures import (
     envelope_golden,
     expansion_golden,
     fixture,
+    lifted_instance,
     reducing_combination,
+    stated_instances,
     system_names,
     system_table,
 )
@@ -388,43 +390,13 @@ def section_thm63() -> SectionReport:
     # restricting the generators to the eight stated instances recovers the
     # combination with unit coefficients
     basis = RCBasis(BINARY, 5, vs)
-    stated = _stated_instances()
-    chk8 = SpanChecker([(t, rc_expand(p)) for t, p in stated], basis, vectorize=basis.vector)
+    stated = stated_instances("lts-b")
+    chk8 = SpanChecker([(t, rc_expand(lifted_instance(t))) for t in stated], basis,
+                       vectorize=basis.vector)
     cert8 = chk8.check(gb)
-    signs = {
-        "rj(ce,b,d,a)": 1, "rj(de,b,c,a)": -1, "rj(b,c,e,a)*d": 1, "rj(b,d,e,a)*c": -1,
-        "ro(a,b,ce,d)": -1, "ro(a,b,de,c)": 1, "ro(a,b,c,e)*d": -1, "ro(a,b,d,e)*c": 1,
-    }
-    exact = cert8.ok and {t: int(c) for t, c in cert8.coefficients.items()} == signs
+    exact = cert8.ok and {t: int(c) for t, c in cert8.coefficients.items()} == stated
     claims.append(Claim("certificate over the eight stated instances has the stated signs", exact))
     return SectionReport("thm6.3", claims)
-
-
-def _stated_instances():
-    rj, ro = fixture("rj"), fixture("ro")
-
-    def inst(ident, *names):
-        vals = {}
-        for v, an in zip(ident.variables, names):
-            if len(an) == 1:
-                vals[v] = _leaf_poly(an)
-            else:
-                vals[v] = apply_op(BINARY, [_leaf_poly(an[0]), _leaf_poly(an[1])])
-        return substitute(ident.lhs, vals, check=False)
-
-    def rmul(p, n):
-        return apply_op(BINARY, [p, _leaf_poly(n)])
-
-    return [
-        ("rj(ce,b,d,a)", inst(rj, "ce", "b", "d", "a")),
-        ("rj(de,b,c,a)", inst(rj, "de", "b", "c", "a")),
-        ("rj(b,c,e,a)*d", rmul(inst(rj, "b", "c", "e", "a"), "d")),
-        ("rj(b,d,e,a)*c", rmul(inst(rj, "b", "d", "e", "a"), "c")),
-        ("ro(a,b,ce,d)", inst(ro, "a", "b", "ce", "d")),
-        ("ro(a,b,de,c)", inst(ro, "a", "b", "de", "c")),
-        ("ro(a,b,c,e)*d", rmul(inst(ro, "a", "b", "c", "e"), "d")),
-        ("ro(a,b,d,e)*c", rmul(inst(ro, "a", "b", "d", "e"), "c")),
-    ]
 
 
 def section_thm71() -> SectionReport:

@@ -330,6 +330,9 @@ def main(argv=None) -> int:
     except (AlgebraError, ParseError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input is nested too deeply", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -348,6 +348,12 @@ class LinComb:
         return other is not None and self.terms == other.terms
 
     def __hash__(self):
+        # a combination equal to a scalar (through ``_coerce``) hashes as it
+        if len(self.terms) <= 1:
+            c = next(iter(self.terms.values()), 0)
+            scalar = self._coerce(c)
+            if scalar is not None and scalar.terms == self.terms:
+                return hash(c)
         return hash(frozenset(self.terms.items()))
 
     def normalized(self):

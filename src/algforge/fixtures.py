@@ -9,11 +9,12 @@ are constructed here.  Lookup is case-insensitive and treats ``-`` and
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from importlib import resources
 
-from .core import Identity, OpSymbol, Polynomial, Variable, apply_op
-from .parsing import parse_file, parse_signed_products
+from .core import Identity, OpSymbol, Polynomial, Variable, apply_op, substitute
+from .parsing import parse_file, parse_product, parse_signed_products
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
 
@@ -188,49 +189,51 @@ def expansion_golden(which: str) -> RCPolynomial:
     return rc_expand(parse_signed_products(text, BINARY))
 
 
+# The stated lifted rj/ro instances, tagged as iter_lifted tags them, with the
+# signs of the combination that straightens to each expansion golden.
+_STATED_INSTANCES = {
+    "lts-b": {
+        "rj(ce,b,d,a)": 1, "rj(de,b,c,a)": -1, "rj(b,c,e,a)*d": 1, "rj(b,d,e,a)*c": -1,
+        "ro(a,b,ce,d)": -1, "ro(a,b,de,c)": 1, "ro(a,b,c,e)*d": -1, "ro(a,b,d,e)*c": 1,
+    },
+    "lts3": {
+        "c*rj(a,d,e,b)": 1, "c*rj(b,d,e,a)": -1, "ro(ce,a,b,d)": 1, "ro(ce,b,a,d)": -1,
+        "ro(c,a,de,b)": -1, "ro(c,b,de,a)": 1, "ro(c,a,b,e)*d": 1, "ro(c,b,a,e)*d": -1,
+    },
+}
+
+_LIFTED_TAG = re.compile(r"(?:(\w)\*)?(\w+)\(([\w,]+)\)(?:\*(\w))?")
+
+
+def stated_instances(which: str) -> dict[str, int]:
+    """Tag -> sign of the stated instances for 'lts-b' or 'lts3'."""
+    if _norm(which) not in _STATED_INSTANCES:
+        raise KeyError(f"no reducing combination for {which!r}")
+    return dict(_STATED_INSTANCES[_norm(which)])
+
+
+def lifted_instance(tag: str) -> Polynomial:
+    """The lifted instance an iter_lifted tag names: ``rj(ce,b,d,a)`` puts the
+    product ce for the first variable of rj; ``ro(a,b,c,e)*d`` and
+    ``c*rj(a,d,e,b)`` multiply a relabeled instance by a variable."""
+    match = _LIFTED_TAG.fullmatch(tag)
+    if match is None:
+        raise KeyError(f"not a lifted-instance tag: {tag!r}")
+    left, name, args, right = match.groups()
+    ident = fixture(name)
+    values = {v: parse_product(a, BINARY) for v, a in zip(ident.variables, args.split(","))}
+    inst = substitute(ident.lhs, values, check=False)
+    if left:
+        inst = apply_op(BINARY, [parse_product(left, BINARY), inst])
+    if right:
+        inst = apply_op(BINARY, [inst, parse_product(right, BINARY)])
+    return inst
+
+
 def reducing_combination(which: str) -> Polynomial:
     """The explicit lifted RJ/RO combination that straightens to the
     corresponding expansion golden."""
-    from .core import Monomial, substitute
-
-    rj = fixture("rj")
-    ro = fixture("ro")
-    a, b, c, d, e = (Variable(n) for n in "abcde")
-    La, Lb, Lc, Ld, Le = (
-        Polynomial({Monomial.leaf(v): Fraction(1)}) for v in (a, b, c, d, e)
-    )
-
-    def prod(u, v):
-        return apply_op(BINARY, [u, v])
-
-    def inst(ident, *args):
-        return substitute(ident.lhs, dict(zip(ident.variables, args)), check=False)
-
-    ce = prod(Lc, Le)
-    de = prod(Ld, Le)
-    if _norm(which) == "lts-b":
-        return (
-            inst(rj, ce, Lb, Ld, La)
-            - inst(rj, de, Lb, Lc, La)
-            + prod(inst(rj, Lb, Lc, Le, La), Ld)
-            - prod(inst(rj, Lb, Ld, Le, La), Lc)
-            - inst(ro, La, Lb, ce, Ld)
-            + inst(ro, La, Lb, de, Lc)
-            - prod(inst(ro, La, Lb, Lc, Le), Ld)
-            + prod(inst(ro, La, Lb, Ld, Le), Lc)
-        )
-    if _norm(which) == "lts3":
-        return (
-            prod(Lc, inst(rj, La, Ld, Le, Lb))
-            - prod(Lc, inst(rj, Lb, Ld, Le, La))
-            + inst(ro, ce, La, Lb, Ld)
-            - inst(ro, ce, Lb, La, Ld)
-            - inst(ro, Lc, La, de, Lb)
-            + inst(ro, Lc, Lb, de, La)
-            + prod(inst(ro, Lc, La, Lb, Le), Ld)
-            - prod(inst(ro, Lc, Lb, La, Le), Ld)
-        )
-    raise KeyError(f"no reducing combination for {which!r}")
+    return Polynomial.linear_image(stated_instances(which), lifted_instance)
 
 
 _SYSTEM_FILES = {

@@ -1,11 +1,13 @@
 """Finite-dimensional ternary systems, their checks, and Leibniz envelopes.
 
-A ternary system is a multiplication table <e_i, e_j, e_k> = sum_l c[i][j][k][l] e_l
-over named basis elements with exact rational (or symbolic) entries.  The
-module evaluates identity fixtures on all basis tuples, builds the enveloping
-binary algebra of dimension n(n+1) on the basis e_1..e_n followed by the
-pairs e_i e_j (row-major), and renders multiplication tables in an aligned
-text layout with "." for zero entries.
+Ternary systems <e_i, e_j, e_k> = sum_l c[i][j][k][l] e_l and binary algebras
+e_i e_j = sum_l c[i][j][l] e_l are structure-constant tables over named basis
+elements with exact rational (or symbolic) entries, sharing one base class.
+One loop (``evaluations``) evaluates identities on all basis tuples: it checks
+the defining identities and the one-product law, and builds the ternary
+products <<a,b>,c> and abc - bac - cab + cba of a binary algebra.  The
+enveloping binary algebra has dimension n(n+1), on the basis e_1..e_n followed
+by the pairs e_i e_j (row-major); tables render aligned, "." for zero entries.
 
 For the 2-dimensional classification work the defining identities can also
 be imposed symbolically: the 16 structure coefficients a_ijk (coefficient of
@@ -22,8 +24,9 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
-from .core import AlgebraError, Identity, LinComb, Monomial, Polynomial, Variable, accumulate
-from .parsing import Signature, format_polynomial, parse
+from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
+from .core import accumulate
+from .parsing import Signature, format_polynomial, parse, parse_signed_products
 
 
 class SymPoly(LinComb):
@@ -80,9 +83,6 @@ class SymPoly(LinComb):
 
     __rmul__ = __mul__
 
-    def degree(self) -> int:
-        return max((len(m) for m in self.terms), default=0)
-
     def is_homogeneous(self, d: int) -> bool:
         return all(len(m) == d for m in self.terms)
 
@@ -119,10 +119,6 @@ class SymPoly(LinComb):
 Scalar = Union[Fraction, SymPoly]
 
 
-def _zero() -> Fraction:
-    return Fraction(0)
-
-
 def _parse_vector(text: str, basis: Sequence[str]) -> list[Fraction]:
     """Parse a linear combination of basis names into a coordinate vector."""
     poly = parse(text, Signature())
@@ -157,8 +153,24 @@ def _format_vector(vec: Sequence[Scalar], basis: Sequence[str]) -> str:
     return "".join(parts) if parts else "."
 
 
-class TernaryTable:
-    """Structure constants of a ternary system over a named basis."""
+def _at(nested, index: Sequence[int]):
+    """The entry ``nested[i][j]...`` at a tuple of indices."""
+    for i in index:
+        nested = nested[i]
+    return nested
+
+
+def _grid(dim: int, depth: int, cell, prefix: tuple = ()):
+    """``depth`` levels of nested lists of length ``dim``; leaves are cell(index)."""
+    if depth == 0:
+        return cell(prefix)
+    return [_grid(dim, depth - 1, cell, prefix + (i,)) for i in range(dim)]
+
+
+class StructureTable:
+    """Structure constants of one multilinear product over a named basis: the
+    product of basis elements i, j, ... is sum_l c[i][j]...[l] e_l.  A subclass
+    sets ``arity``, its JSON key ``json_key`` and ``multiply`` on vectors."""
 
     def __init__(self, dim: int, basis: Sequence[str], constants):
         if dim < 1:
@@ -168,55 +180,74 @@ class TernaryTable:
             raise AlgebraError("basis size must equal dimension")
         self.dim = dim
         self.basis = basis
-        # constants: dense c[i][j][k] = coefficient vector, or sparse mapping
+        # constants: dense nested lists of coefficient vectors, or a sparse
+        # mapping from index tuples to vectors with omitted entries zero
         if isinstance(constants, Mapping):
-            table = [
-                [[[_zero()] * dim for _ in range(dim)] for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            for (i, j, k), vec in constants.items():
-                table[i][j][k] = list(vec)
-            self.c = table
+            if not set(constants) <= set(itertools.product(range(dim), repeat=self.arity)):
+                raise AlgebraError("structure-constant index out of range")
+            zero = [Fraction(0)] * dim
+            self.c = _grid(dim, self.arity, lambda idx: list(constants.get(idx, zero)))
         else:
-            self.c = [
-                [[list(constants[i][j][k]) for k in range(dim)] for j in range(dim)]
-                for i in range(dim)
-            ]
+            self.c = _grid(dim, self.arity, lambda idx: list(_at(constants, idx)))
 
-    @staticmethod
-    def from_json(obj: Union[str, Mapping]) -> "TernaryTable":
-        """Schema: {"dim": n, "basis": [...], "triple": {"x,y,x": "y", ...}};
-        omitted entries are zero, values are linear combinations of basis names."""
+    @classmethod
+    def from_json(cls, obj: Union[str, Mapping]):
+        """Schema: {"dim": n, "basis": [...], KEY: {"x,y,...": "y", ...}} with
+        KEY "triple" or "product"; omitted entries are zero, values are linear
+        combinations of basis names."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         dim = int(obj["dim"])
         basis = list(obj.get("basis") or [f"e{i+1}" for i in range(dim)])
         pos = {name: i for i, name in enumerate(basis)}
         sparse = {}
-        for key, value in (obj.get("triple") or {}).items():
+        for key, value in (obj.get(cls.json_key) or {}).items():
             names = [s.strip() for s in key.split(",")]
-            if len(names) != 3 or any(n not in pos for n in names):
-                raise AlgebraError(f"bad triple key {key!r}")
-            idx = tuple(pos[n] for n in names)
-            sparse[idx] = _parse_vector(value, basis)
-        return TernaryTable(dim, basis, sparse)
+            if len(names) != cls.arity or any(n not in pos for n in names):
+                raise AlgebraError(f"bad {cls.json_key} key {key!r}")
+            sparse[tuple(pos[n] for n in names)] = _parse_vector(value, basis)
+        return cls(dim, basis, sparse)
 
     def to_json(self) -> dict:
-        triple = {}
-        for i, j, k in itertools.product(range(self.dim), repeat=3):
-            vec = self.c[i][j][k]
+        entries = {}
+        for idx in itertools.product(range(self.dim), repeat=self.arity):
+            vec = _at(self.c, idx)
             if any(vec):
-                key = f"{self.basis[i]},{self.basis[j]},{self.basis[k]}"
                 poly = Polynomial(
                     {Monomial.leaf(Variable(self.basis[l])): c for l, c in enumerate(vec) if c}
                 )
-                triple[key] = format_polynomial(poly)
-        return {"dim": self.dim, "basis": list(self.basis), "triple": triple}
+                entries[",".join(self.basis[i] for i in idx)] = format_polynomial(poly)
+        return {"dim": self.dim, "basis": list(self.basis), self.json_key: entries}
 
     def basis_vector(self, i: int) -> list[Fraction]:
         vec = [Fraction(0)] * self.dim
         vec[i] = Fraction(1)
         return vec
+
+    def evaluate(self, identity: Identity, assignment: Mapping[str, Sequence[Scalar]]):
+        """Evaluate an identity's polynomial on vector arguments."""
+        multiply, arity = self.multiply, self.arity
+
+        def mono(m: Monomial):
+            if m.is_leaf:
+                return assignment[m.var.name]
+            if m.op.arity != arity:
+                raise AlgebraError(f"arity-{arity} table evaluates arity-{arity} identities only")
+            return multiply(*(mono(c) for c in m.children))
+
+        out: list[Scalar] = [Fraction(0)] * self.dim
+        for m, coeff in identity.lhs.terms.items():
+            for l, x in enumerate(mono(m)):
+                if x:
+                    out[l] = out[l] + coeff * x
+        return out
+
+
+class TernaryTable(StructureTable):
+    """Structure constants <e_i, e_j, e_k> = sum_l c[i][j][k][l] e_l."""
+
+    arity = 3
+    json_key = "triple"
 
     def triple(self, u: Sequence[Scalar], v: Sequence[Scalar], w: Sequence[Scalar]):
         out: list[Scalar] = [Fraction(0)] * self.dim
@@ -237,48 +268,60 @@ class TernaryTable:
                             out[l] = out[l] + factor * cl
         return out
 
-    def evaluate(self, identity: Identity, assignment: Mapping[str, Sequence[Scalar]]):
-        """Evaluate an identity's polynomial on vector arguments."""
-        ternary_eval = self.triple
+    multiply = triple
 
-        def mono(m: Monomial):
-            if m.is_leaf:
-                return assignment[m.var.name]
-            if m.op.arity != 3:
-                raise AlgebraError("ternary table evaluates ternary identities")
-            x, y, z = (mono(c) for c in m.children)
-            return ternary_eval(x, y, z)
 
-        out: list[Scalar] = [Fraction(0)] * self.dim
-        for m, coeff in identity.lhs.terms.items():
-            vec = mono(m)
-            for l in range(self.dim):
-                if vec[l]:
-                    out[l] = out[l] + coeff * vec[l]
+class BinaryAlgebra(StructureTable):
+    """A binary multiplication table e_i e_j = sum_l c[i][j][l] e_l."""
+
+    arity = 2
+    json_key = "product"
+
+    def product(self, u, v):
+        out = [Fraction(0)] * self.dim
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                factor = ui * vj
+                for l, cl in enumerate(self.c[i][j]):
+                    if cl:
+                        out[l] = out[l] + factor * cl
         return out
 
+    multiply = product
 
-def _is_zero_vector(vec) -> bool:
-    return all(not x for x in vec)
+    def render_table(self) -> str:
+        entries = [[_format_vector(vec, self.basis) for vec in row] for row in self.c]
+        return render_grid(self.basis, entries)
+
+
+def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int | None = None):
+    """Yield (identity, basis tuple, value) for each identity on every tuple
+    drawn from the first ``dim`` basis elements (default all), one entry per
+    variable: tuple lengths ascending, then tuples in lexicographic order, then
+    identities in the given order."""
+    dim = table.dim if dim is None else dim
+    for size in sorted({len(ident.variables) for ident in identities}):
+        same = [ident for ident in identities if len(ident.variables) == size]
+        for tup in itertools.product(range(dim), repeat=size):
+            vectors = [table.basis_vector(i) for i in tup]
+            for ident in same:
+                assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
+                yield ident, tup, table.evaluate(ident, assign)
 
 
 def check_identities(
-    table: TernaryTable, identities: Sequence[Identity]
+    table: StructureTable, identities: Sequence[Identity]
 ) -> tuple[bool, list[tuple[str, tuple[int, ...]]]]:
     """Evaluate identities on every basis tuple; violations sorted by tuple."""
-    violations = []
-    degrees = {ident.degree for ident in identities}
-    for tup_len in sorted(degrees):
-        for tup in itertools.product(range(table.dim), repeat=tup_len):
-            vectors = [table.basis_vector(i) for i in tup]
-            for ident in identities:
-                if ident.degree != tup_len:
-                    continue
-                assign = {
-                    v.name: vec for v, vec in zip(ident.variables, vectors)
-                }
-                if not _is_zero_vector(table.evaluate(ident, assign)):
-                    violations.append((ident.name or "identity", tup))
+    violations = [
+        (ident.name or "identity", tup)
+        for ident, tup, value in evaluations(table, identities)
+        if any(value)
+    ]
     return (not violations), violations
 
 
@@ -293,82 +336,7 @@ def lie_triple_check(table: TernaryTable):
     """Do the three classical ternary identities hold on all basis tuples?"""
     from .fixtures import FIXTURES
 
-    ok, violations = check_identities(
-        table, [FIXTURES["l1"], FIXTURES["l2"], FIXTURES["l3"]]
-    )
-    return ok, violations
-
-
-class BinaryAlgebra:
-    """A binary multiplication table over a named basis."""
-
-    def __init__(self, dim: int, basis: Sequence[str], product):
-        basis = list(basis)
-        if len(basis) != dim:
-            raise AlgebraError("basis size must equal dimension")
-        self.dim = dim
-        self.basis = basis
-        if isinstance(product, Mapping):
-            table = [
-                [[Fraction(0)] * dim for _ in range(dim)] for _ in range(dim)
-            ]
-            for (i, j), vec in product.items():
-                table[i][j] = list(vec)
-            self.m = table
-        else:
-            self.m = [[list(product[i][j]) for j in range(dim)] for i in range(dim)]
-
-    @staticmethod
-    def from_json(obj: Union[str, Mapping]) -> "BinaryAlgebra":
-        if isinstance(obj, str):
-            obj = json.loads(obj)
-        dim = int(obj["dim"])
-        basis = list(obj.get("basis") or [f"e{i+1}" for i in range(dim)])
-        pos = {name: i for i, name in enumerate(basis)}
-        sparse = {}
-        for key, value in (obj.get("product") or {}).items():
-            names = [s.strip() for s in key.split(",")]
-            if len(names) != 2 or any(n not in pos for n in names):
-                raise AlgebraError(f"bad product key {key!r}")
-            sparse[(pos[names[0]], pos[names[1]])] = _parse_vector(value, basis)
-        return BinaryAlgebra(dim, basis, sparse)
-
-    def to_json(self) -> dict:
-        product = {}
-        for i, j in itertools.product(range(self.dim), repeat=2):
-            vec = self.m[i][j]
-            if any(vec):
-                poly = Polynomial(
-                    {Monomial.leaf(Variable(self.basis[l])): c for l, c in enumerate(vec) if c}
-                )
-                product[f"{self.basis[i]},{self.basis[j]}"] = format_polynomial(poly)
-        return {"dim": self.dim, "basis": list(self.basis), "product": product}
-
-    def basis_vector(self, i: int) -> list[Fraction]:
-        vec = [Fraction(0)] * self.dim
-        vec[i] = Fraction(1)
-        return vec
-
-    def product(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                factor = ui * vj
-                for l, cl in enumerate(self.m[i][j]):
-                    if cl:
-                        out[l] = out[l] + factor * cl
-        return out
-
-    def render_table(self) -> str:
-        entries = [
-            [_format_vector(self.m[i][j], self.basis) for j in range(self.dim)]
-            for i in range(self.dim)
-        ]
-        return render_grid(self.basis, entries)
+    return check_identities(table, [FIXTURES["l1"], FIXTURES["l2"], FIXTURES["l3"]])
 
 
 def render_grid(basis: Sequence[str], entries: Sequence[Sequence[str]]) -> str:
@@ -399,106 +367,70 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
     Products: a.b = ab, (ab).c = <a,b,c>, a.(bc) = <a,b,c> - <a,c,b>,
     (ab).(cd) = <a,b,c> d - <a,b,d> c, extended bilinearly.
     """
-    n = table.dim
+    n, c = table.dim, table.c
     dim = n * (n + 1)
-    basis = list(table.basis)
-    pair_index = {}
-    for i in range(n):
-        for j in range(n):
-            pair_index[(i, j)] = len(basis)
-            basis.append(_pair_name(table.basis, i, j))
+    pairs = list(itertools.product(range(n), repeat=2))
+    pair = {ij: n + t for t, ij in enumerate(pairs)}
+    basis = list(table.basis) + [_pair_name(table.basis, i, j) for i, j in pairs]
 
-    def zero():
-        return [Fraction(0)] * dim
+    def vector(terms) -> list[Fraction]:
+        """The sum of x e_t over the (t, x) pairs."""
+        vec = [Fraction(0)] * dim
+        for t, x in terms:
+            if x:  # most slots take one term: store it without adding it to zero
+                vec[t] = vec[t] + x if vec[t] else x
+        return vec
 
-    product = [[zero() for _ in range(dim)] for _ in range(dim)]
-
-    def embed_t(vec_t):
-        out = zero()
-        for l, c in enumerate(vec_t):
-            out[l] = out[l] + c
-        return out
-
-    for i in range(n):
-        for j in range(n):
-            # e_i . e_j = pair(i, j)
-            vec = zero()
-            vec[pair_index[(i, j)]] = Fraction(1)
-            product[i][j] = vec
-    for i in range(n):
-        for j, k in itertools.product(range(n), repeat=2):
-            # e_i . pair(j,k) = <i,j,k> - <i,k,j>
-            diff = [
-                table.c[i][j][k][l] - table.c[i][k][j][l] for l in range(n)
-            ]
-            product[i][pair_index[(j, k)]] = embed_t(diff)
-            # pair(j,k) . e_i = <j,k,i>
-            product[pair_index[(j, k)]][i] = embed_t(table.c[j][k][i])
-    for i, j in itertools.product(range(n), repeat=2):
-        for k, l in itertools.product(range(n), repeat=2):
-            # pair(i,j) . pair(k,l) = <i,j,k> l - <i,j,l> k
-            vec = zero()
-            for m_, c in enumerate(table.c[i][j][k]):
-                if c:
-                    vec[pair_index[(m_, l)]] += c
-            for m_, c in enumerate(table.c[i][j][l]):
-                if c:
-                    vec[pair_index[(m_, k)]] -= c
-            product[pair_index[(i, j)]][pair_index[(k, l)]] = vec
+    product = {}
+    for i, j in pairs:
+        product[i, j] = vector([(pair[i, j], Fraction(1))])
+    for i, (j, k) in itertools.product(range(n), pairs):
+        product[i, pair[j, k]] = vector((l, c[i][j][k][l] - c[i][k][j][l]) for l in range(n))
+        product[pair[j, k], i] = vector(enumerate(c[j][k][i]))
+    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
+        product[pair[i, j], pair[k, l]] = vector(
+            [(pair[m, l], x) for m, x in enumerate(c[i][j][k])]
+            + [(pair[m, k], -x) for m, x in enumerate(c[i][j][l]) if x]
+        )
     return BinaryAlgebra(dim, basis, product)
 
 
 def check_leibniz(algebra: BinaryAlgebra):
     """Check <<a,b>,c> = <<a,c>,b> + <a,<b,c>> on all basis triples."""
-    violations = []
-    for i, j, k in itertools.product(range(algebra.dim), repeat=3):
-        a = algebra.basis_vector(i)
-        b = algebra.basis_vector(j)
-        c = algebra.basis_vector(k)
-        lhs = algebra.product(algebra.product(a, b), c)
-        rhs1 = algebra.product(algebra.product(a, c), b)
-        rhs2 = algebra.product(a, algebra.product(b, c))
-        if any(lhs[l] - rhs1[l] - rhs2[l] for l in range(algebra.dim)):
-            violations.append((i, j, k))
-    return (not violations), violations
+    from .fixtures import FIXTURES
+
+    _, violations = check_identities(algebra, [FIXTURES["leibniz"]])
+    return (not violations), [tup for _, tup in violations]
+
+
+# Ternary products built from a binary one: the iterated bracket <<a,b>,c>,
+# and abc - bac - cab + cba in an associative algebra.
+_MUL = OpSymbol("mul", 2)
+_ITERATED_BRACKET = Identity(parse_signed_products("(ab)c", _MUL))
+_ASSOCIATIVE_TRIPLE = Identity(parse_signed_products("(ab)c - (ba)c - (ca)b + (cb)a", _MUL))
+
+
+def _induced_table(algebra: BinaryAlgebra, dim: int, template: Identity) -> TernaryTable:
+    """The ternary product ``template`` on the first ``dim`` basis elements,
+    which must be closed under it."""
+    sparse = {}
+    for _, tup, vec in evaluations(algebra, [template], dim):
+        if any(vec[dim:]):
+            raise AlgebraError("subspace is not closed under the iterated bracket")
+        if any(vec[:dim]):
+            sparse[tup] = vec[:dim]
+    return TernaryTable(dim, algebra.basis[:dim], sparse)
 
 
 def iterated_bracket_table(algebra: BinaryAlgebra, dim: int) -> TernaryTable:
     """The ternary system <<a,b>,c> restricted to the first ``dim`` basis
     coordinates (they must be closed under the iterated bracket)."""
-    sparse = {}
-    for i, j, k in itertools.product(range(dim), repeat=3):
-        vec = algebra.product(
-            algebra.product(algebra.basis_vector(i), algebra.basis_vector(j)),
-            algebra.basis_vector(k),
-        )
-        if any(vec[dim:]):
-            raise AlgebraError("subspace is not closed under the iterated bracket")
-        if any(vec[:dim]):
-            sparse[(i, j, k)] = vec[:dim]
-    return TernaryTable(dim, algebra.basis[:dim], sparse)
+    return _induced_table(algebra, dim, _ITERATED_BRACKET)
 
 
 def from_associative(mult: BinaryAlgebra) -> TernaryTable:
     """The ternary system abc - bac - cab + cba inside an associative algebra."""
-    sparse = {}
-    n = mult.dim
-    for i, j, k in itertools.product(range(n), repeat=3):
-        a, b, c = (mult.basis_vector(t) for t in (i, j, k))
-
-        def triple3(x, y, z):
-            return mult.product(mult.product(x, y), z)
-
-        vec = [
-            triple3(a, b, c)[l]
-            - triple3(b, a, c)[l]
-            - triple3(c, a, b)[l]
-            + triple3(c, b, a)[l]
-            for l in range(n)
-        ]
-        if any(vec):
-            sparse[(i, j, k)] = vec
-    return TernaryTable(n, mult.basis, sparse)
+    return _induced_table(mult, mult.dim, _ASSOCIATIVE_TRIPLE)
 
 
 class QuadraticSystem:
@@ -522,26 +454,16 @@ def symbolic_table(n: int = 2) -> TernaryTable:
     """Structure constants with one symbol per coefficient: a_ijk and b_ijk
     for n = 2 (coefficient of x and y), c{i}{j}{k}_{l} in general."""
     basis = ["x", "y", "z"][:n] if n <= 3 else [f"e{i+1}" for i in range(n)]
-    table = TernaryTable(n, basis, {})
-    dense = []
-    for i in range(n):
-        plane = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                vec = []
-                for l in range(n):
-                    if n == 2:
-                        letter = "a" if l == 0 else "b"
-                        name = f"{letter}{i+1}{j+1}{k+1}"
-                    else:
-                        name = f"c{i+1}{j+1}{k+1}_{l+1}"
-                    vec.append(SymPoly.symbol(name))
-                row.append(vec)
-            plane.append(row)
-        dense.append(plane)
-    table.c = dense
-    return table
+
+    def name(i: int, j: int, k: int, l: int) -> str:
+        if n == 2:
+            return f"{'ab'[l]}{i+1}{j+1}{k+1}"
+        return f"c{i+1}{j+1}{k+1}_{l+1}"
+
+    return TernaryTable(n, basis, {
+        idx: [SymPoly.symbol(name(*idx, l)) for l in range(n)]
+        for idx in itertools.product(range(n), repeat=3)
+    })
 
 
 def lts_equations(n: int = 2) -> QuadraticSystem:
@@ -550,16 +472,14 @@ def lts_equations(n: int = 2) -> QuadraticSystem:
 
     table = symbolic_table(n)
     unknowns = sorted(
-        {s for i in range(n) for j in range(n) for k in range(n)
-         for l in range(n) for s in table.c[i][j][k][l].symbols()}
+        {s for idx in itertools.product(range(n), repeat=3)
+         for coord in _at(table.c, idx) for s in coord.symbols()}
     )
     seen: set = set()
     equations: list[SymPoly] = []
+    # identity by identity: one pass over both would interleave the equations
     for ident in (FIXTURES["lts-a"], FIXTURES["lts-b"]):
-        for tup in itertools.product(range(n), repeat=5):
-            vectors = [table.basis_vector(i) for i in tup]
-            assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
-            out = table.evaluate(ident, assign)
+        for _, _, out in evaluations(table, [ident]):
             for coord in out:
                 if isinstance(coord, SymPoly) and not coord.is_zero:
                     norm = coord.normalized()
@@ -570,30 +490,34 @@ def lts_equations(n: int = 2) -> QuadraticSystem:
     return QuadraticSystem(unknowns, equations)
 
 
+# The most F_p candidates one search may enumerate: at up to about 50 us
+# each, 10**6 of them take under a minute.
+SEARCH_LIMIT = 10**6
+
+
 def search_fp(
     system: QuadraticSystem,
     p: int,
     free: Sequence[str],
     fixed: Mapping[str, int] | None = None,
-    limit: int = 10**8,
 ) -> list[dict[str, int]]:
     """All solutions over F_p with the given free coordinates; other unknowns
-    take their ``fixed`` value (default 0).  No isomorphism reduction."""
+    take their ``fixed`` value (default 0).  No isomorphism reduction; at
+    most ``SEARCH_LIMIT`` candidates."""
     free = list(free)
     if not free:
         raise AlgebraError("empty mask: no free coordinates to search")
+    fixed = fixed or {}
     unknown_set = set(system.unknowns)
-    for name in free:
+    for name in [*free, *fixed]:
         if name not in unknown_set:
             raise AlgebraError(f"unknown coordinate {name!r}")
-    if p ** len(free) > limit:
+    if p ** len(free) > SEARCH_LIMIT:
         raise AlgebraError(f"mask too large: {p}^{len(free)} candidates")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise AlgebraError(f"F_p needs a prime p, got {p}")
     base = {name: 0 for name in system.unknowns}
-    for name, val in (fixed or {}).items():
-        if name not in unknown_set:
-            raise AlgebraError(f"unknown coordinate {name!r}")
+    for name, val in fixed.items():
         base[name] = val % p
     solutions = []
     for combo in itertools.product(range(p), repeat=len(free)):

@@ -160,9 +160,27 @@ def test_classify2d(capsys):
     ["--search-fp", "-3", "--mask", "a122,a222"],
     ["--search-fp", "0", "--mask", "a122,a222"],
     ["--search-fp", "3", "--mask", "a122,a222", "--fixed", "a111=x"],
+    # 3^13 candidates, over the search bound
+    ["--search-fp", "3", "--mask",
+     "a111,a112,a121,a122,a211,a212,a221,a222,b111,b112,b121,b122,b211"],
 ])
 def test_classify2d_bad_search_input_is_a_one_line_error(argv, capsys):
     assert main(["classify2d", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_deeply_nested_input_is_a_one_line_error(tmp_path, capsys):
+    expr = "a"
+    for _ in range(1500):
+        expr = f"br({expr},b,c)"
+    target = tmp_path / "deep.txt"
+    target.write_text(f"op br/3\n{expr}\n")
+    gens = tmp_path / "gens.txt"
+    gens.write_text("op br/3\nbr(a,b,c)\n")
+    code = main(["span", "--target", str(target), "--gens", str(gens), "--degree", "3"])
+    assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

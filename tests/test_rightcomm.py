@@ -4,12 +4,15 @@ import itertools
 
 import pytest
 
+from algforge.consequence import iter_lifted
 from algforge.core import Polynomial, Variable, variables
 from algforge.fixtures import (
     BINARY,
     expansion_golden,
     fixture,
+    lifted_instance,
     reducing_combination,
+    stated_instances,
 )
 from algforge.parsing import parse_product
 from algforge.rightcomm import (
@@ -130,6 +133,21 @@ def test_expansion_term_order_matches_type_then_lex():
 def test_stated_combinations_straighten_to_expansions():
     assert rc_expand(reducing_combination("lts-b")) == expansion_golden("lts-b")
     assert rc_expand(reducing_combination("lts3")) == expansion_golden("lts3")
+
+
+def test_stated_instances_are_the_lifted_instances_of_their_tags():
+    lifted = {}
+    for name in ("rj", "ro"):
+        lifted.update(iter_lifted(fixture(name), 5, V5))
+    for which in ("lts-b", "lts3"):
+        stated = stated_instances(which)
+        assert len(stated) == 8 and set(stated.values()) == {1, -1}
+        for tag in stated:
+            assert lifted_instance(tag) == lifted[tag], tag
+    with pytest.raises(KeyError):
+        lifted_instance("rj(a,b")
+    with pytest.raises(KeyError):
+        stated_instances("lts1")
 
 
 def test_jordan_reduction_certificates():

@@ -56,6 +56,13 @@ def test_json_rejects_bad_keys_and_values():
         )
 
 
+def test_sparse_constants_outside_the_basis_are_rejected():
+    with pytest.raises(AlgebraError):
+        TernaryTable(2, ["x", "y"], {(0, 0, 2): [Fraction(1), Fraction(0)]})
+    with pytest.raises(AlgebraError):
+        BinaryAlgebra(2, ["x", "y"], {(0, 1, 1): [Fraction(1), Fraction(0)]})
+
+
 def test_check_lts_fixtures():
     for name in ALL_SYSTEMS:
         ok, violations = check_lts(system_table(name))
@@ -182,6 +189,68 @@ def test_perturbed_non_system_fails_envelope_law_on_degree5_triples():
     )
 
 
+def _reference_check_leibniz(algebra):
+    """The law check written out with explicit product chains."""
+    violations = []
+    for i, j, k in itertools.product(range(algebra.dim), repeat=3):
+        a = algebra.basis_vector(i)
+        b = algebra.basis_vector(j)
+        c = algebra.basis_vector(k)
+        lhs = algebra.product(algebra.product(a, b), c)
+        rhs1 = algebra.product(algebra.product(a, c), b)
+        rhs2 = algebra.product(a, algebra.product(b, c))
+        if any(lhs[l] - rhs1[l] - rhs2[l] for l in range(algebra.dim)):
+            violations.append((i, j, k))
+    return (not violations), violations
+
+
+def test_check_leibniz_matches_explicit_product_chains():
+    perturbed = system_table("sys2d-1")
+    c = [[[list(vec) for vec in plane] for plane in row] for row in perturbed.c]
+    c[0][0][1][1] += Fraction(1)
+    tables = [system_table(name) for name in ALL_SYSTEMS]
+    tables += [TernaryTable(2, ["x", "y"], c), from_associative(helpers.upper_triangular_2x2())]
+    tables.append(TernaryTable(2, ["x", "y"], {}))
+    for table in tables:
+        env = build_envelope(table)
+        assert check_leibniz(env) == _reference_check_leibniz(env)
+    # the sample covers both outcomes: only the zero table's envelope passes
+    assert {check_leibniz(build_envelope(t))[0] for t in tables} == {True, False}
+
+
+def test_binary_algebra_json_roundtrip():
+    for algebra in (helpers.upper_triangular_2x2(), build_envelope(system_table("sys2d-2"))):
+        payload = algebra.to_json()
+        assert set(payload) == {"dim", "basis", "product"}
+        again = BinaryAlgebra.from_json(json.dumps(payload))
+        assert again.c == algebra.c and again.basis == algebra.basis
+    with pytest.raises(AlgebraError):
+        BinaryAlgebra.from_json('{"dim": 2, "basis": ["x","y"], "product": {"x,y,x": "x"}}')
+
+
+def test_lts_equations_are_listed_identity_by_identity():
+    # the first identity's equations come first, each in tuple order
+    table = symbolic_table(2)
+    expected, seen = [], set()
+    for ident in (fixture("lts-a"), fixture("lts-b")):
+        for tup in itertools.product(range(2), repeat=5):
+            assign = {v.name: table.basis_vector(i) for v, i in zip(ident.variables, tup)}
+            for coord in table.evaluate(ident, assign):
+                if coord and coord.normalized() not in seen:
+                    seen.add(coord.normalized())
+                    expected.append(coord.normalized())
+    equations = lts_equations(2).equations
+    assert len(equations) == 128
+    assert [repr(eq) for eq in equations] == [repr(eq) for eq in expected]
+
+
+@pytest.mark.parametrize("value", [0, 3, Fraction(-1, 2)])
+def test_constant_sympoly_hashes_as_its_value(value):
+    const = SymPoly.const(value)
+    assert const == value and hash(const) == hash(value)
+    assert const in {value} and value in {const}
+
+
 def test_associator_construction_gives_systems():
     table = from_associative(helpers.upper_triangular_2x2())
     lie_ok, _ = lie_triple_check(table)
@@ -290,7 +359,7 @@ def test_search_fp_error_paths():
     with pytest.raises(AlgebraError):
         search_fp(qs, 3, [])
     with pytest.raises(AlgebraError):
-        search_fp(qs, 101, qs.unknowns[:8], limit=10**6)
+        search_fp(qs, 101, qs.unknowns[:8])
     with pytest.raises(AlgebraError):
         search_fp(qs, 3, ["nope"])
 
@@ -299,6 +368,17 @@ def test_check_identities_multi_degree():
     table = system_table("sys2d-1")
     ok, _ = check_identities(table, [fixture("l1"), fixture("lts-b")])
     assert ok
+
+
+def test_check_identities_assigns_each_variable_once():
+    # the right Jordan identity has degree 4 in two variables: one violation
+    # per failing pair of basis elements, not one per degree-4 tuple
+    algebra = BinaryAlgebra(2, ["x", "y"], {(0, 0): [Fraction(0), Fraction(1)],
+                                            (0, 1): [Fraction(1), Fraction(1)],
+                                            (1, 0): [Fraction(1), Fraction(0)]})
+    ok, violations = check_identities(algebra, [fixture("jordan-right")])
+    assert not ok
+    assert violations == [("jordan-right", (0, 0)), ("jordan-right", (0, 1))]
 
 
 def test_render_table_layout_stable():
