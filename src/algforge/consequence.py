@@ -29,6 +29,7 @@ from .core import (
     Polynomial,
     Variable,
     apply_op,
+    fold,
     relabel,
     substitute,
 )
@@ -95,13 +96,7 @@ def _compositions(total: int, parts: int):
 def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
     """Assign letters to a shape's leaves in left-to-right order."""
     it = iter(letters)
-
-    def walk(m: Monomial) -> Monomial:
-        if m.is_leaf:
-            return Monomial.leaf(next(it))
-        return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
-
-    return walk(shape)
+    return fold(shape, lambda _: Monomial.leaf(next(it)), Monomial.apply)
 
 
 def shape_of(m: Monomial) -> Monomial:
@@ -279,13 +274,12 @@ def _tagged(generators) -> list[tuple[Hashable, object]]:
 class SpanChecker:
     """A reusable elimination table for one generator set in one basis."""
 
-    def __init__(self, generators, basis, *, vectorize=None):
+    def __init__(self, generators, basis):
         self.basis = basis
-        self.vectorize = vectorize or basis.vector
         self.generators: dict[Hashable, object] = {}
         self.table = PivotTable(track_combos=True)
         for tag, g in _tagged(generators):
-            vec = self.vectorize(g)
+            vec = basis.vector(g)
             if not vec:
                 continue
             if tag in self.generators:
@@ -300,7 +294,7 @@ class SpanChecker:
         return self.table.rank
 
     def check(self, target) -> SpanCertificate | NotInSpan:
-        ok, combo, witness = self.table.membership(self.vectorize(target))
+        ok, combo, witness = self.table.membership(self.basis.vector(target))
         if not ok:
             return NotInSpan(self.basis.monomials[witness])
         return SpanCertificate(combo, self.generators, target)
@@ -384,9 +378,9 @@ def kernel_of_expansion(
     out = []
     for j, m in enumerate(basis.monomials):
         vec = {rows.setdefault(k, len(rows)): Fraction(c) for k, c in expand(m).terms.items()}
-        dependent, combo, _ = table.membership(vec)
-        if not dependent:
-            table.add(vec, j)
+        residual, combo = table.reduce(vec)
+        if residual:
+            table.store(residual, combo, j)
             continue
         kernel = {i: -c for i, c in combo.items()}
         kernel[j] = Fraction(1)

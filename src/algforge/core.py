@@ -223,18 +223,26 @@ class Monomial:
         return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
-        if self.is_leaf:
-            return self.var.name
-        args = ",".join(repr(c) for c in self.children)
-        return f"{self.op.display()}({args})"
+        return fold(self, lambda v: v.name, lambda op, args: f"{op.display()}({','.join(args)})")
+
+
+def fold(m: Monomial, leaf: Callable, node: Callable):
+    """The homomorphic image of a tree: ``leaf(var)`` at a leaf and
+    ``node(op, images)`` at an operation node, where ``images`` lists the
+    children's images left to right.
+
+    Every map that reads a tree into another structure (renaming,
+    substitution, rewriting, the free expansions, straightening, evaluation
+    in a table) is one such fold.
+    """
+    if m.op is None:
+        return leaf(m.var)
+    return node(m.op, [fold(c, leaf, node) for c in m.children])
 
 
 def format_monomial(m: Monomial) -> str:
     """A monomial in the expression grammar, e.g. ``br(a, br(b, c, d), e)``."""
-    if m.is_leaf:
-        return m.var.name
-    args = ", ".join(format_monomial(c) for c in m.children)
-    return f"{m.op.display()}({args})"
+    return fold(m, lambda v: v.name, lambda op, args: f"{op.display()}({', '.join(args)})")
 
 
 def accumulate(terms: dict, pairs: Iterable[tuple], scale=None) -> dict:
@@ -449,10 +457,6 @@ class Polynomial(LinComb):
                 return False
         return True
 
-    def map_monomials(self, image) -> "Polynomial":
-        """Linear extension of a map Monomial -> Polynomial."""
-        return Polynomial.linear_image(self.terms, image)
-
 
 def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
     """Apply ``op`` multilinearly to polynomial arguments."""
@@ -526,13 +530,11 @@ def relabel(p: Polynomial, mapping: Mapping[Variable, Variable]) -> Polynomial:
     """Rename variables structurally (no expansion)."""
     byname = {v.name: w for v, w in mapping.items()}
 
-    def walk(m: Monomial) -> Monomial:
-        if m.is_leaf:
-            return Monomial.leaf(byname.get(m.var.name, m.var))
-        return Monomial.apply(m.op, tuple(walk(c) for c in m.children))
+    def leaf(v: Variable) -> Monomial:
+        return Monomial.leaf(byname.get(v.name, v))
 
     return Polynomial._from_terms(
-        accumulate({}, ((walk(m), c) for m, c in p.terms.items()))
+        accumulate({}, ((fold(m, leaf, Monomial.apply), c) for m, c in p.terms.items()))
     )
 
 
@@ -565,13 +567,11 @@ def substitute(
                     )
                 seen[w.name] = name
 
-    def image(m: Monomial) -> Polynomial:
-        if m.is_leaf:
-            val = values.get(m.var.name)
-            return val if val is not None else _as_polynomial(m)
-        return apply_op(m.op, [image(c) for c in m.children])
+    def leaf(v: Variable) -> Polynomial:
+        val = values.get(v.name)
+        return val if val is not None else _as_polynomial(v)
 
-    return p.map_monomials(image)
+    return Polynomial.linear_image(p.terms, lambda m: fold(m, leaf, apply_op))
 
 
 def rename_ops(p: Polynomial, mapping: Mapping[OpSymbol, OpSymbol]) -> Polynomial:
@@ -580,15 +580,11 @@ def rename_ops(p: Polynomial, mapping: Mapping[OpSymbol, OpSymbol]) -> Polynomia
         if old.arity != new.arity:
             raise ArityError(f"cannot rename {old.display()} to {new.display()}")
 
-    def walk(m: Monomial) -> Monomial:
-        if m.is_leaf:
-            return m
-        return Monomial.apply(
-            mapping.get(m.op, m.op), tuple(walk(c) for c in m.children)
-        )
+    def node(op: OpSymbol, children: list) -> Monomial:
+        return Monomial.apply(mapping.get(op, op), children)
 
     return Polynomial._from_terms(
-        accumulate({}, ((walk(m), c) for m, c in p.terms.items()))
+        accumulate({}, ((fold(m, Monomial.leaf, node), c) for m, c in p.terms.items()))
     )
 
 
@@ -705,17 +701,14 @@ def apply_rules(p: Polynomial, rules: Sequence[RewriteRule]) -> Polynomial:
     rulemap = {r.op: r for r in rules}
     eliminated = set(rulemap)
 
-    def image(m: Monomial) -> Polynomial:
-        if m.is_leaf:
-            return _as_polynomial(m)
-        args = [image(c) for c in m.children]
-        rule = rulemap.get(m.op)
+    def node(op: OpSymbol, args: list) -> Polynomial:
+        rule = rulemap.get(op)
         if rule is not None:
             return rule.expand(args)
-        return apply_op(m.op, args)
+        return apply_op(op, args)
 
     for _ in range(len(rules) + 1):
-        p = p.map_monomials(image)
+        p = Polynomial.linear_image(p.terms, lambda m: fold(m, _as_polynomial, node))
         if not (p.signature() & eliminated):
             return p
     raise CyclicRules("rewrite rules do not terminate")

@@ -18,6 +18,7 @@ expanded through the iterated product <x,y,z> -> (x.y).z.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Union
 
 from .core import (
@@ -25,9 +26,11 @@ from .core import (
     Identity,
     LinComb,
     Monomial,
+    OpSymbol,
     Polynomial,
     VariableClash,
     accumulate,
+    fold,
 )
 
 Word = tuple[str, ...]
@@ -84,32 +87,28 @@ def free_product(
     return TensorPolynomial._from_terms(terms)
 
 
+def _expand(m: Union[Monomial, Polynomial], arity: int, kind: str) -> TensorPolynomial:
+    """Read brackets of one arity into word form, each bracket the
+    left-normalized product of its arguments."""
+    if isinstance(m, Polynomial):
+        return TensorPolynomial.linear_image(m.terms, lambda t: _expand(t, arity, kind))
+
+    def node(op: OpSymbol, args: list) -> TensorPolynomial:
+        if op.arity != arity:
+            raise AlgebraError(f"{op.display()} is not {kind}")
+        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
+
+    return fold(m, lambda v: TensorPolynomial.word((v.name,)), node)
+
+
 def expand_binary_tree(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a bracketing over one binary operation into word form."""
-    if isinstance(m, Polynomial):
-        return TensorPolynomial.linear_image(m.terms, expand_binary_tree)
-    if m.is_leaf:
-        return TensorPolynomial.word((m.var.name,))
-    if m.op.arity != 2:
-        raise AlgebraError(f"{m.op.display()} is not binary")
-    left, right = m.children
-    return free_product(
-        expand_binary_tree(left), expand_binary_tree(right), check_disjoint=False
-    )
+    return _expand(m, 2, "binary")
 
 
 def expand_ternary(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a ternary bracketing via the iterated product <x,y,z> = (x.y).z."""
-    if isinstance(m, Polynomial):
-        return TensorPolynomial.linear_image(m.terms, expand_ternary)
-    if m.is_leaf:
-        return TensorPolynomial.word((m.var.name,))
-    if m.op.arity != 3:
-        raise AlgebraError(f"{m.op.display()} is not ternary")
-    x, y, z = (expand_ternary(c) for c in m.children)
-    return free_product(
-        free_product(x, y, check_disjoint=False), z, check_disjoint=False
-    )
+    return _expand(m, 3, "ternary")
 
 
 def holds_in_free(identity: Identity) -> bool:

@@ -59,6 +59,11 @@ class PivotTable:
         residual, combo = self.reduce(vec)
         if not residual:
             return False
+        self.store(residual, combo, tag)
+        return True
+
+    def store(self, residual: Vec, combo: dict[Hashable, Fraction], tag: Hashable = None) -> None:
+        """Keep a nonzero ``reduce`` result of generator ``tag`` as a new pivot."""
         lead = min(residual)
         scale = Fraction(1) / residual[lead]
         normal = {k: c * scale for k, c in residual.items()}
@@ -67,7 +72,6 @@ class PivotTable:
             # vec = residual + sum(combo); residual = vec - sum(combo)
             pcombo = accumulate({tag: scale}, combo.items(), -scale)
         self.pivots[lead] = (normal, pcombo)
-        return True
 
     def membership(self, vec: Vec) -> tuple[bool, dict[Hashable, Fraction], int | None]:
         """Test span membership; returns (ok, combo, witness-column-or-None)."""

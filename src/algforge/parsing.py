@@ -157,6 +157,8 @@ class _Parser:
                 if den == 0:
                     raise ParseError("zero denominator", pos)
             coeff = Fraction(num, den)
+            if not coeff and self.peek()[1] != "*":
+                return Polynomial.zero()  # the printed form of the zero polynomial
             self.expect("*")
         return self.parse_monomial().scale(coeff)
 

@@ -1,32 +1,38 @@
 """The free right-commutative algebra in multilinear degrees up to 5.
 
 Right commutativity x(uv) = x(vu) lets the right factor of any product be
-reordered.  On planar binary trees it acts by swapping the children of any
-node that is itself the right child of a product; closing a monomial under
-all such swaps gives a finite orbit of equal monomials, generally spanning
-several association shapes.  Each orbit keeps one canonical member: least
-association type first, then lexicographically least letter sequence.
+reordered.  On planar binary trees it swaps the children of any node that
+is itself the right child of a product.  Every product inside a right
+factor can swap too: swap its parent, then it, then the parent back.  Only
+the left spine (the root, its left child, that child's left child, ...)
+never changes.  So the orbit of a monomial, its set of equal monomials, is
+every independent choice of order at the products off the left spine.
+Each orbit keeps one canonical member, its least: least association type
+first, then lexicographically least letter sequence.  It is built bottom
+up, keeping at each product off the spine the smaller of its two orders.
 
-Association types per degree are derived, not hard-coded: all binary shapes
-are closed under the swap moves, each orbit class keeps its least shape, and
-the surviving shapes are numbered in shape order.  In degree 5 this yields
-the familiar nine types, ordered
+Association types per degree are derived, not hard-coded: a binary shape
+is a type when it is its own least form, and the types are numbered in
+shape order.  In degree 5 this yields the familiar nine types, ordered
 
     1 (((ab)c)d)e   2 ((a(bc))d)e   3 ((ab)(cd))e   4 (a((bc)d))e
     5 ((ab)c)(de)   6 (a(bc))(de)   7 (ab)((cd)e)   8 a(((bc)d)e)
     9 a((bc)(de))
 
 where the shape order compares, recursively, the degree of the right factor
-and then the two factors' keys.  Orbit closure also fixes each type's
-symmetry count (type 6 has 4 equal forms, type 9 has 8), which the counting
-tests validate against brute enumeration.
+and then the two factors' keys.  A type's symmetry count, the number of
+equal forms of its shape in one orbit, doubles at each product off the
+spine whose two factors have the same shape (type 6 has 4 equal forms,
+type 9 has 8); the tests check the least forms and the counts against a
+brute-force orbit closure.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cache
+from typing import NamedTuple, Sequence, Union
 
 from .core import (
     AlgebraError,
@@ -38,8 +44,9 @@ from .core import (
     Variable,
     accumulate,
     apply_op,
+    fold,
 )
-from .consequence import SpanChecker, instantiate_shape, iter_lifted, shape_of
+from .consequence import SpanChecker, enumerate_shapes, instantiate_shape, iter_lifted
 
 MAX_DEGREE = 5
 
@@ -48,83 +55,71 @@ class DegreeTooLarge(AlgebraError):
     """Straightening is only defined through degree 5."""
 
 
-def _shape_rc_key(m: Monomial) -> tuple:
-    if m.is_leaf:
-        return ()
-    left, right = m.children
-    return (right.degree, _shape_rc_key(left), _shape_rc_key(right))
+def _join(left: tuple, right: tuple) -> tuple:
+    """The (shape key, letters) form of the product of two such forms."""
+    (kl, ll), (kr, lr) = left, right
+    return (len(lr), kl, kr), ll + lr
 
 
-def _rc_moves(m: Monomial):
-    """Single right-commutativity swaps applicable anywhere in the tree."""
-    if m.is_leaf:
-        return
-    left, right = m.children
-    if not right.is_leaf:
-        ru, rv = right.children
-        yield Monomial.apply(m.op, (left, Monomial.apply(right.op, (rv, ru))))
-    for i, child in enumerate(m.children):
-        for moved in _rc_moves(child):
-            new_children = list(m.children)
-            new_children[i] = moved
-            yield Monomial.apply(m.op, new_children)
+def _least_form(m: Monomial) -> tuple:
+    """(shape key, letters) of the least member of the orbit of ``m``.
+
+    The left spine stays as it stands; each right factor on it is folded to
+    its least form, keeping at every product the smaller of its two orders.
+    Any operation other than the root's raises ``AlgebraError``.
+    """
+    op = m.op
+
+    def leaf(v: Variable) -> tuple:
+        return (), (v.name,)
+
+    def node(o: OpSymbol, kids: list) -> tuple:
+        if o != op:
+            raise AlgebraError(
+                f"straightening needs one operation, found {o.display()} in {op.display()}"
+            )
+        left, right = kids
+        return min(_join(left, right), _join(right, left))
+
+    rights = []
+    while not m.is_leaf and m.op == op:
+        m, right = m.children
+        rights.append(right)
+    form = fold(m, leaf, node)  # a leaf, or another operation, which raises
+    for right in reversed(rights):
+        form = _join(form, fold(right, leaf, node))
+    return form
 
 
-def _orbit(m: Monomial) -> set[Monomial]:
-    seen = {m}
-    frontier = [m]
-    while frontier:
-        node = frontier.pop()
-        for nxt in _rc_moves(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
-def _binary_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
-    if degree == 1:
-        return [Monomial.leaf(Variable("p0"))]
-    out = []
-    for d_left in range(1, degree):
-        for left in _binary_shapes(op, d_left):
-            for right in _binary_shapes(op, degree - d_left):
-                out.append(Monomial.apply(op, (left, right)))
-    return out
-
-
-_TYPES_CACHE: dict[tuple, list[Monomial]] = {}
+@cache
+def _types(op: OpSymbol, degree: int) -> tuple[list[Monomial], dict[tuple, int]]:
+    """The association types of one operation and degree, and the type index
+    of each type's shape key; built once per (operation, degree)."""
+    if op.arity != 2:
+        raise AlgebraError("right commutativity concerns binary operations")
+    least = {}
+    for shape in enumerate_shapes([op], degree):
+        key, letters = _least_form(shape)
+        # every swap moves a letter, so a type is a shape that keeps its letters
+        if letters == shape.leaf_names():
+            least[key] = shape
+    keys = sorted(least)
+    return [least[k] for k in keys], {k: i for i, k in enumerate(keys, start=1)}
 
 
 def canonical_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
-    """Association types of the degree: least shape of each orbit class."""
-    if op.arity != 2:
-        raise AlgebraError("right commutativity concerns binary operations")
-    cache_key = (op.name, op.arity, op.variant, degree)
-    if cache_key in _TYPES_CACHE:
-        return _TYPES_CACHE[cache_key]
-    letters = [Variable(f"p{i}") for i in range(degree)]
-    canons = set()
-    for shape in _binary_shapes(op, degree):
-        lettered = instantiate_shape(shape, letters)
-        best = min(_orbit(lettered), key=lambda t: (_shape_rc_key(t), t.leaf_names()))
-        canons.add(shape_of(best))
-    ordered = sorted(canons, key=_shape_rc_key)
-    _TYPES_CACHE[cache_key] = ordered
-    return ordered
+    """Association types of the degree: the shapes that are their own least
+    form, in shape order."""
+    return _types(op, degree)[0]
 
 
-class RCWord:
+class RCWord(NamedTuple):
     """A canonical monomial: association type index plus letter sequence."""
 
-    __slots__ = ("op", "degree", "type_index", "letters", "_hash")
-
-    def __init__(self, op: OpSymbol, degree: int, type_index: int, letters):
-        self.op = op
-        self.degree = degree
-        self.type_index = type_index
-        self.letters = tuple(letters)
-        self._hash = hash((op, degree, type_index, self.letters))
+    op: OpSymbol
+    degree: int
+    type_index: int
+    letters: tuple[str, ...]
 
     def sort_key(self) -> tuple:
         return (self.degree, self.type_index, self.letters)
@@ -134,30 +129,8 @@ class RCWord:
         return instantiate_shape(shape, [Variable(x) for x in self.letters])
 
     def render(self) -> str:
-        def walk(m: Monomial) -> str:
-            if m.is_leaf:
-                return m.var.name
-            left, right = m.children
-            return f"({walk(left)}{walk(right)})"
-
-        body = walk(self.monomial())
+        body = fold(self.monomial(), lambda v: v.name, lambda _, args: f"({args[0]}{args[1]})")
         return body[1:-1] if self.degree > 1 else body
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RCWord)
-            and self._hash == other._hash
-            and self.op == other.op
-            and self.degree == other.degree
-            and self.type_index == other.type_index
-            and self.letters == other.letters
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other: "RCWord") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __repr__(self) -> str:
         return self.render()
@@ -172,33 +145,15 @@ class RCPolynomial(LinComb):
     _render_key = staticmethod(RCWord.render)
 
 
-_STRAIGHTEN_CACHE: dict[Monomial, RCWord] = {}
-
-
 def rc_straighten(m: Monomial) -> RCWord:
-    """Canonical orbit representative of a monomial of degree at most 5."""
+    """The least member of the orbit of a monomial of degree at most 5."""
     if m.degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {m.degree} exceeds {MAX_DEGREE}")
-    cached = _STRAIGHTEN_CACHE.get(m)
-    if cached is not None:
-        return cached
-    if m.is_leaf:
-        word = RCWord(OpSymbol("_leaf", 2), 1, 1, m.leaf_names())
-        _STRAIGHTEN_CACHE[m] = word
-        return word
-    op = m.op
+    op = OpSymbol("_leaf", 2) if m.is_leaf else m.op
     if op.arity != 2:
         raise AlgebraError("straightening requires a binary operation")
-    best = min(_orbit(m), key=lambda t: (_shape_rc_key(t), t.leaf_names()))
-    shapes = canonical_shapes(op, m.degree)
-    skey = _shape_rc_key(best)
-    type_index = next(
-        i + 1 for i, s in enumerate(shapes) if _shape_rc_key(s) == skey
-    )
-    word = RCWord(op, m.degree, type_index, best.leaf_names())
-    for member in _orbit(m):
-        _STRAIGHTEN_CACHE[member] = word
-    return word
+    key, letters = _least_form(m)
+    return RCWord(op, m.degree, _types(op, m.degree)[1][key], letters)
 
 
 def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
@@ -212,14 +167,16 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
 
 def permuted_associator_image(m: Monomial, product: OpSymbol) -> Polynomial:
     """Rewrite a ternary tree through <x,y,z> -> (x,z,y) = (xz)y - x(zy)."""
-    if m.is_leaf:
-        return Polynomial({m: Fraction(1)})
-    if m.op.arity != 3:
-        raise AlgebraError(f"{m.op.display()} is not ternary")
-    x, y, z = (permuted_associator_image(c, product) for c in m.children)
-    xz = apply_op(product, [x, z])
-    zy = apply_op(product, [z, y])
-    return apply_op(product, [xz, y]) - apply_op(product, [x, zy])
+
+    def node(op: OpSymbol, args: list) -> Polynomial:
+        if op.arity != 3:
+            raise AlgebraError(f"{op.display()} is not ternary")
+        x, y, z = args
+        xz = apply_op(product, [x, z])
+        zy = apply_op(product, [z, y])
+        return apply_op(product, [xz, y]) - apply_op(product, [x, zy])
+
+    return fold(m, Polynomial._coerce, node)
 
 
 def permuted_associator_expand(
@@ -267,12 +224,16 @@ class RCBasis:
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
-    """Number of same-shape members in a generic orbit of this type."""
+    """Number of same-shape members in a generic orbit of this type: 2 to
+    the number of products off the left spine whose factors share a shape."""
+
+    def node(op: OpSymbol, kids: list) -> tuple:
+        # (shape, count as it stands on the spine, count off the spine)
+        (kl, l_spine, l_off), (kr, _, r_off) = kids
+        return (kl, kr), l_spine + r_off, l_off + r_off + (kl == kr)
+
     shape = canonical_shapes(op, degree)[type_index - 1]
-    letters = [Variable(chr(ord("a") + i)) for i in range(degree)]
-    lettered = instantiate_shape(shape, letters)
-    skey = _shape_rc_key(shape)
-    return sum(1 for t in _orbit(lettered) if _shape_rc_key(t) == skey)
+    return 2 ** fold(shape, lambda _: ((), 0, 0), node)[1]
 
 
 def build_jordan_checker(
@@ -287,7 +248,7 @@ def build_jordan_checker(
             rc = rc_expand(poly)
             if not rc.is_zero:
                 tagged.append((tag, rc))
-    return SpanChecker(tagged, basis, vectorize=basis.vector)
+    return SpanChecker(tagged, basis)
 
 
 def jordan_reduces(

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
-from .core import accumulate
+from .core import accumulate, fold
 from .parsing import Signature, format_polynomial, parse, parse_signed_products
 
 
@@ -228,16 +228,17 @@ class StructureTable:
         """Evaluate an identity's polynomial on vector arguments."""
         multiply, arity = self.multiply, self.arity
 
-        def mono(m: Monomial):
-            if m.is_leaf:
-                return assignment[m.var.name]
-            if m.op.arity != arity:
+        def leaf(v: Variable):
+            return assignment[v.name]
+
+        def node(op: OpSymbol, args: list):
+            if op.arity != arity:
                 raise AlgebraError(f"arity-{arity} table evaluates arity-{arity} identities only")
-            return multiply(*(mono(c) for c in m.children))
+            return multiply(*args)
 
         out: list[Scalar] = [Fraction(0)] * self.dim
         for m, coeff in identity.lhs.terms.items():
-            for l, x in enumerate(mono(m)):
+            for l, x in enumerate(fold(m, leaf, node)):
                 if x:
                     out[l] = out[l] + coeff * x
         return out

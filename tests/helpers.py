@@ -1,7 +1,9 @@
-"""Shared test utilities: small associative algebras and basis changes."""
+"""Shared test utilities: small associative algebras, basis changes and the
+brute-force right-commutativity orbit."""
 
 from fractions import Fraction
 
+from algforge.core import Monomial
 from algforge.linalg import PivotTable
 from algforge.systems import BinaryAlgebra
 
@@ -66,3 +68,35 @@ def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
                 sum(w[k] * inv[k][t] for k in range(n)) for t in range(n)
             ]
     return BinaryAlgebra(n, algebra.basis, new)
+
+
+
+def _rc_moves(m: Monomial):
+    """Single right-commutativity swaps applicable anywhere in the tree."""
+    if m.is_leaf:
+        return
+    left, right = m.children
+    if not right.is_leaf:
+        yield Monomial.apply(m.op, (left, Monomial.apply(right.op, right.children[::-1])))
+    for i, child in enumerate(m.children):
+        for moved in _rc_moves(child):
+            yield Monomial.apply(m.op, m.children[:i] + (moved,) + m.children[i + 1:])
+
+
+def rc_orbit(m: Monomial) -> set[Monomial]:
+    """The right-commutativity orbit of ``m`` by brute-force closure under
+    single swaps: the oracle for the straightening normal form."""
+    seen, frontier = {m}, [m]
+    while frontier:
+        for nxt in _rc_moves(frontier.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+def rc_order(m: Monomial) -> tuple:
+    """Straightening order: shape (right factor's degree, then the factors), then letters."""
+    def shape(t):
+        return () if t.is_leaf else (t.children[1].degree, shape(t.children[0]), shape(t.children[1]))
+    return shape(m), m.leaf_names()

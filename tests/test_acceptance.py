@@ -12,11 +12,12 @@ from algforge.checks import replay
 from algforge.core import variables
 from algforge.fixtures import BINARY, system_table
 from algforge.leibniz import TensorPolynomial, free_product
-from algforge.consequence import instantiate_shape as _assign
-from algforge.rightcomm import _binary_shapes, _orbit, rc_straighten
+from algforge.consequence import enumerate_shapes, instantiate_shape as _assign
+from algforge.rightcomm import rc_straighten
 from algforge.systems import build_envelope, check_leibniz, check_lts, from_associative, lie_triple_check
 
 import helpers
+from helpers import rc_orbit as _orbit
 
 
 class criterion:
@@ -136,7 +137,7 @@ def test_criterion_10_property_suites():
         # straightening is constant on orbits, over all degree-5 shapes
         letters5 = variables("abcde")
         seen = set()
-        for shape in _binary_shapes(BINARY, 5):
+        for shape in enumerate_shapes([BINARY], 5):
             for perm in itertools.permutations(letters5):
                 m = _assign(shape, perm)
                 word = rc_straighten(m)

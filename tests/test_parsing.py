@@ -1,8 +1,11 @@
 """Expression grammar: parsing, formatting, files, compact products."""
 
-import pytest
+from fractions import Fraction
 
-from algforge.core import ArityError, Identity
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from algforge.core import ArityError, Identity, Monomial, Polynomial, Variable, format_monomial
 from algforge.fixtures import BINARY, FIXTURES, TERNARY, data_text, _IDENTITY_FILES
 from algforge.parsing import (
     ParseError,
@@ -126,3 +129,25 @@ def test_every_fixture_parses_and_is_canonical():
     for name, ident in FIXTURES.items():
         assert isinstance(ident, Identity)
         assert not ident.lhs.is_zero, name
+
+
+LEAF = st.sampled_from(["a", "b", "c", "x1", "y2"]).map(lambda n: Monomial.leaf(Variable(n)))
+TREES = st.recursive(
+    LEAF,
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda args: Monomial.apply(BINARY, args)),
+        st.tuples(sub, sub, sub).map(lambda args: Monomial.apply(TERNARY, args)),
+    ),
+    max_leaves=8,
+)
+COEFFS = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(TREES, COEFFS, max_size=5))
+@example(terms={})  # the zero polynomial prints as "0"
+def test_format_then_parse_is_the_identity(terms):
+    p = Polynomial(terms)
+    assert parse(format_polynomial(p), [BINARY, TERNARY]) == p
+    for m in p.terms:
+        assert repr(m) == format_monomial(m).replace(", ", ",")

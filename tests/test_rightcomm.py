@@ -4,22 +4,21 @@ import itertools
 
 import pytest
 
-from algforge.consequence import iter_lifted
-from algforge.core import Polynomial, Variable, variables
+from algforge.consequence import enumerate_shapes, instantiate_shape, iter_lifted, shape_of
+from algforge.core import AlgebraError, OpSymbol, Polynomial, Variable, variables
 from algforge.fixtures import (
     BINARY,
+    TERNARY,
     expansion_golden,
     fixture,
     lifted_instance,
     reducing_combination,
     stated_instances,
 )
-from algforge.parsing import parse_product
+from algforge.parsing import parse, parse_product
 from algforge.rightcomm import (
     DegreeTooLarge,
     RCBasis,
-    _binary_shapes,
-    _orbit,
     build_jordan_checker,
     canonical_shapes,
     jordan_reduces,
@@ -28,6 +27,8 @@ from algforge.rightcomm import (
     rc_straighten,
     symmetry_order,
 )
+
+from helpers import rc_orbit as _orbit, rc_order
 
 V5 = variables("abcde")
 
@@ -70,7 +71,7 @@ def test_symmetry_orders_and_canonical_count():
     from algforge.consequence import instantiate_shape as _assign
 
     seen = set()
-    for shape in _binary_shapes(BINARY, 5):
+    for shape in enumerate_shapes([BINARY], 5):
         for perm in itertools.permutations(letters):
             seen.add(rc_straighten(_assign(shape, perm)))
     assert len(seen) == 525
@@ -93,6 +94,31 @@ def test_straighten_idempotent_and_orbit_constant():
         for member in _orbit(m):
             assert rc_straighten(member) == word
         assert rc_straighten(word.monomial()) == word
+
+
+def test_normal_form_is_the_least_orbit_member_in_degrees_1_to_5():
+    for degree in range(1, 6):
+        letters = variables("abcde"[:degree])
+        for shape in enumerate_shapes([BINARY], degree):
+            for perm in itertools.permutations(letters):
+                m = instantiate_shape(shape, perm)
+                assert rc_straighten(m).monomial() == min(_orbit(m), key=rc_order), m
+
+
+def test_symmetry_order_counts_the_same_shape_orbit_members():
+    for degree in range(2, 6):
+        letters = variables("abcde"[:degree])
+        for t, shape in enumerate(canonical_shapes(BINARY, degree), start=1):
+            orbit = _orbit(instantiate_shape(shape, letters))
+            same_shape = sum(1 for m in orbit if shape_of(m) == shape)
+            assert symmetry_order(BINARY, degree, t) == same_shape, (degree, t)
+
+
+@pytest.mark.parametrize("text", ["mul(a, add(b, c)) - mul(a, mul(b, c))", "mul(br(a, b, c), d)"])
+def test_straightening_rejects_a_second_operation(text):
+    p = parse(text, [BINARY, TERNARY, OpSymbol("add", 2)])
+    with pytest.raises(AlgebraError):
+        rc_expand(p)
 
 
 def test_degree_cap():

@@ -1,0 +1,87 @@
+"""Print one line per pinned output: the command, its exit code and the
+sha256 of its stdout.
+
+The pinned outputs are the CLI runs and demos whose bytes must not change
+when the library is refactored.  Run the script once against each source
+tree and diff the two listings:
+
+    python tools/pinned_outputs.py --pythonpath src > after.txt
+    python tools/pinned_outputs.py --pythonpath ../old/src --demos ../old/demos > before.txt
+    diff before.txt after.txt
+
+Each command runs in a fresh interpreter with ``PYTHONPATH`` set to the
+given source directory.  The structure-constant files for ``envelope`` and
+``verify`` are written with ``to_json`` by the library under test, into a
+temporary directory whose path is left out of the printed command.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+CLI = [
+    ["replay", "all"],
+    ["replay", "all", "--json"],
+    ["jordan", "--check", "lts-a,lts-b,lts1,lts2,lts3", "--emit-certificate"],
+    ["classify2d", "--verify-known"],
+    ["classify2d", "--search-fp", "3", "--mask", "a122,a222"],
+    ["free-expand", "--expr", "(a*(b*c))*d"],
+    ["free-expand", "--expr", "(ab)(c(de))"],
+]
+SYSTEMS = ("sys2d-1", "sys2d-2")
+PER_SYSTEM = [
+    ["envelope", "--emit", "table", "--check-leibniz"],
+    ["envelope", "--emit", "json"],
+    ["verify"],
+]
+WRITE_SYSTEM = (
+    "import json, sys\n"
+    "from algforge.fixtures import system_table\n"
+    "json.dump(system_table(sys.argv[1]).to_json(), open(sys.argv[2], 'w'))\n"
+)
+
+
+def run(argv: list[str], env: dict) -> tuple[int, str]:
+    proc = subprocess.run(argv, env=env, capture_output=True, cwd=ROOT)
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pythonpath", default=str(ROOT / "src"),
+                        help="source directory holding the algforge package")
+    parser.add_argument("--demos", default=str(ROOT / "demos"),
+                        help="directory of demo scripts to run")
+    args = parser.parse_args()
+    env = dict(os.environ, PYTHONPATH=str(Path(args.pythonpath).resolve()))
+    forge = [sys.executable, "-m", "algforge.cli"]
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = [(" ".join(["forge"] + c), forge + c) for c in CLI]
+        for name in SYSTEMS:
+            path = str(Path(tmp) / f"{name}.json")
+            code, _ = run([sys.executable, "-c", WRITE_SYSTEM, name, path], env)
+            if code:
+                raise SystemExit(f"could not write {name} with to_json")
+            for c in PER_SYSTEM:
+                label = " ".join(["forge"] + c + ["--system", f"{name}.json"])
+                jobs.append((label, forge + c + ["--system", path]))
+        for demo in sorted(Path(args.demos).glob("*.py")):
+            jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
+        for label, argv in jobs:
+            code, digest = run(argv, env)
+            lines.append(f"{label}\texit={code}\tsha256={digest}")
+    print("\n".join(lines))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
