@@ -139,13 +139,6 @@ class MonomialBasis:
         return Polynomial({self.monomials[i]: c for i, c in vec.items()})
 
 
-def _canonical_relabel(identity: Identity, variables: Sequence[Variable]) -> Polynomial:
-    mapping = dict(zip(identity.variables, variables))
-    if len(identity.variables) != len(variables):
-        raise DimensionMismatch("variable count mismatch")
-    return relabel(identity.lhs, mapping)
-
-
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
     """Yield (tag, polynomial) for every bijective variable relabeling."""
     variables = tuple(variables)
@@ -158,11 +151,6 @@ def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
         mapping = dict(zip(identity.variables, perm))
         tag = f"{label}({','.join(v.name for v in perm)})"
         yield tag, relabel(identity.lhs, mapping)
-
-
-def same_degree_instances(identity: Identity, variables) -> list[Polynomial]:
-    """All degree-preserving instances: one per bijective relabeling."""
-    return [p for _, p in iter_relabelings(identity, variables)]
 
 
 def iter_lifted(identity: Identity, target_degree: int, variables):
@@ -208,10 +196,6 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
             fpoly = Polynomial({Monomial.leaf(f): Fraction(1)})
             yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
             yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
-
-
-def lifted_instances(identity: Identity, target_degree: int, variables) -> list[Polynomial]:
-    return [p for _, p in iter_lifted(identity, target_degree, variables)]
 
 
 class SpanCertificate:
@@ -352,11 +336,11 @@ def sets_equivalent(
     forward = {}
     for idx, ident in enumerate(a):
         key = ident.name or f"a{idx}"
-        forward[key] = checker_b.check(_canonical_relabel(ident, variables))
+        forward[key] = checker_b.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
     backward = {}
     for idx, ident in enumerate(b):
         key = ident.name or f"b{idx}"
-        backward[key] = checker_a.check(_canonical_relabel(ident, variables))
+        backward[key] = checker_a.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
     return EquivalenceResult(forward, backward)
 
 

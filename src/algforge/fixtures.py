@@ -4,17 +4,20 @@ Fixture names are stable API.  Identity fixtures are loaded from the text
 files under ``data/`` (so every fixture exercises the expression grammar);
 the operator-form identities and the transcribed straightened expansions
 are constructed here.  Lookup is case-insensitive and treats ``-`` and
-``_`` alike.
+``_`` alike.  The transcribed expansions and the lifted-instance tags of
+the stated RJ/RO combinations are grammar text in compact-product mode;
+a tag such as ``ro(a,b,c,e)*d`` applies RJ or RO as a 4-ary operation.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 
-from .core import Identity, OpSymbol, Polynomial, Variable, apply_op, substitute
-from .parsing import parse_file, parse_product, parse_signed_products
+from .core import AlgebraError, Identity, Monomial, OpSymbol, Polynomial, RewriteRule, Variable
+from .core import apply_op, apply_rules
+from .parsing import parse, parse_file
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
 
@@ -73,8 +76,6 @@ def _left_op(x, a, b) -> Polynomial:
 
 
 def _operator_identities() -> dict[str, Identity]:
-    from .core import Monomial
-
     a, b, c, d, e = (
         Polynomial({Monomial.leaf(Variable(n)): Fraction(1)}) for n in "abcde"
     )
@@ -130,8 +131,6 @@ def fixture_names() -> list[str]:
 # The two elimination relations as rewrite rules: the second variant flips
 # its first two arguments, the third is a difference of reversals.
 def elimination_rules() -> list:
-    from .core import Monomial, RewriteRule
-
     x, y, z = (Variable(n) for n in "xyz")
     br1 = TERNARY.with_variant(1)
     lx, ly, lz = (Monomial.leaf(v) for v in (x, y, z))
@@ -155,8 +154,6 @@ def elimination_rules() -> list:
 
 def binary_elimination_rule():
     """For the binary transform: the second variant is the negated flip."""
-    from .core import Monomial, RewriteRule
-
     x, y = Variable("x"), Variable("y")
     m1 = BINARY.with_variant(1)
     return RewriteRule(
@@ -186,7 +183,7 @@ _EXPANSION_3_TEXT = """
 def expansion_golden(which: str) -> RCPolynomial:
     """The transcribed straightened expansion for 'lts-b' or 'lts3'."""
     text = {"lts-b": _EXPANSION_B_TEXT, "lts3": _EXPANSION_3_TEXT}[_norm(which)]
-    return rc_expand(parse_signed_products(text, BINARY))
+    return rc_expand(parse(text, product=BINARY))
 
 
 # The stated lifted rj/ro instances, tagged as iter_lifted tags them, with the
@@ -202,9 +199,6 @@ _STATED_INSTANCES = {
     },
 }
 
-_LIFTED_TAG = re.compile(r"(?:(\w)\*)?(\w+)\(([\w,]+)\)(?:\*(\w))?")
-
-
 def stated_instances(which: str) -> dict[str, int]:
     """Tag -> sign of the stated instances for 'lts-b' or 'lts3'."""
     if _norm(which) not in _STATED_INSTANCES:
@@ -212,22 +206,23 @@ def stated_instances(which: str) -> dict[str, int]:
     return dict(_STATED_INSTANCES[_norm(which)])
 
 
+@cache
+def _lifting_rules() -> tuple[RewriteRule, ...]:
+    """RJ and RO as operations whose application is the identity's lhs."""
+    idents = [fixture(name) for name in ("rj", "ro")]
+    return tuple(RewriteRule(OpSymbol(i.name, len(i.variables)), i.variables, i.lhs) for i in idents)
+
+
 def lifted_instance(tag: str) -> Polynomial:
     """The lifted instance an iter_lifted tag names: ``rj(ce,b,d,a)`` puts the
     product ce for the first variable of rj; ``ro(a,b,c,e)*d`` and
     ``c*rj(a,d,e,b)`` multiply a relabeled instance by a variable."""
-    match = _LIFTED_TAG.fullmatch(tag)
-    if match is None:
-        raise KeyError(f"not a lifted-instance tag: {tag!r}")
-    left, name, args, right = match.groups()
-    ident = fixture(name)
-    values = {v: parse_product(a, BINARY) for v, a in zip(ident.variables, args.split(","))}
-    inst = substitute(ident.lhs, values, check=False)
-    if left:
-        inst = apply_op(BINARY, [parse_product(left, BINARY), inst])
-    if right:
-        inst = apply_op(BINARY, [inst, parse_product(right, BINARY)])
-    return inst
+    rules = _lifting_rules()
+    try:
+        tree = parse(tag, [r.op for r in rules], product=BINARY)
+    except AlgebraError as err:
+        raise KeyError(f"not a lifted-instance tag: {tag!r}") from err
+    return apply_rules(tree, rules)
 
 
 def reducing_combination(which: str) -> Polynomial:

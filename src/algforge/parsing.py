@@ -16,16 +16,24 @@ operation iff it was declared; everything else is a variable.  Declarations::
 ``format_polynomial`` inverts ``parse``: parsing its output reproduces the
 polynomial, and parse-then-format canonicalizes arbitrary input text.
 
-``parse_product`` reads compact bracketings of single products, either
-juxtaposed single letters like ``(((ab)c)d)e`` or starred names like
-``(a*(b*c))*d``; it is used for free-algebra expansion input and for the
-transcribed expansion tables.
+Compact products: ``parse(text, product=mul)`` reads each monomial as a
+product over the binary operation ``mul``, the paper's notation for
+straightened words like ``-(((ac)b)e)d + 2*(a(bc))e``.  Signs, coefficients
+and the printed ``0`` are those of the grammar above.  The factors of each
+term, after its coefficient, are chosen by one rule: if the term's product
+contains a ``*``, factors are whole names joined by ``*`` (``(a*(b*c))*d``,
+``x1*y2``); otherwise they are juxtaposed single letters (``ab(cd)`` is
+``((ab)(cd))``).  Either way products fold left to right, a parenthesis
+opens a nested product, and a declared operation name followed by ``(`` is
+an application whose arguments are expressions, as in ``ro(a,b,ce,d)*c``.
+``parse_product`` reads a single product with coefficient 1.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .core import (
@@ -107,10 +115,11 @@ class Signature:
 
 
 class _Parser:
-    def __init__(self, text: str, signature: Signature):
+    def __init__(self, text: str, signature: Signature, product: OpSymbol | None = None):
         self.tokens = _tokenize(text)
         self.i = 0
         self.sig = signature
+        self.product = product
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
@@ -160,7 +169,9 @@ class _Parser:
             if not coeff and self.peek()[1] != "*":
                 return Polynomial.zero()  # the printed form of the zero polynomial
             self.expect("*")
-        return self.parse_monomial().scale(coeff)
+        if self.product is None:
+            return self.parse_monomial().scale(coeff)
+        return self.parse_product(self.term_has_star()).scale(coeff)
 
     def parse_monomial(self) -> Polynomial:
         kind, val, pos = self.take()
@@ -190,15 +201,65 @@ class _Parser:
             raise ParseError(f"operation {val!r} used without arguments", pos)
         return Polynomial({Monomial.leaf(Variable(val)): Fraction(1)})
 
+    def term_has_star(self) -> bool:
+        """Whether the product from here to the end of its term contains '*'."""
+        depth = 0
+        for _, val, _ in self.tokens[self.i:]:
+            if val == "*":
+                return True
+            if val == "(":
+                depth += 1
+            elif val == ")":
+                if not depth:
+                    return False
+                depth -= 1
+            elif not depth and val in ("+", "-", ","):
+                return False
+        return False
+
+    def parse_product(self, starred: bool) -> Polynomial:
+        """Factors joined by '*' or juxtaposed, folded left to right."""
+        factors = self.parse_factors(starred)
+        while True:
+            kind, val, _ = self.peek()
+            if starred and val == "*":
+                self.take()
+            elif starred or not (kind == "name" or val == "("):
+                return reduce(lambda x, y: apply_op(self.product, (x, y)), factors)
+            factors += self.parse_factors(starred)
+
+    def parse_factors(self, starred: bool) -> list[Polynomial]:
+        kind, val, pos = self.peek()
+        if val == "(":
+            self.take()
+            node = self.parse_product(starred)
+            self.expect(")")
+            return [node]
+        if starred or kind != "name" or val in self.sig:
+            return [self.parse_monomial()]
+        self.take()
+        for k, ch in enumerate(val):
+            if not ch.isalpha():
+                raise ParseError(f"expected letter, found {ch!r}", pos + k)
+        return [Polynomial({Monomial.leaf(Variable(ch)): Fraction(1)}) for ch in val]
+
     def finished(self) -> bool:
         return self.i >= len(self.tokens)
 
 
-def parse(text: str, signature: Signature | Sequence[OpSymbol] = ()) -> Polynomial:
-    """Parse one expression against a signature of declared operations."""
+def parse(
+    text: str,
+    signature: Signature | Sequence[OpSymbol] = (),
+    *,
+    product: OpSymbol | None = None,
+) -> Polynomial:
+    """Parse one expression against a signature of declared operations;
+    with a binary ``product``, monomials are compact products over it."""
+    if product is not None and product.arity != 2:
+        raise ArityError("compact products require a binary operation")
     if not isinstance(signature, Signature):
         signature = Signature(signature)
-    p = _Parser(text, signature)
+    p = _Parser(text, signature, product)
     out = p.parse_expr()
     if not p.finished():
         _, val, pos = p.peek()
@@ -265,84 +326,9 @@ def format_file(signature: Signature, identities: Sequence[Identity]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_product(text: str, op: OpSymbol, *, starred: bool | None = None) -> Monomial:
-    """Parse a compact product over one binary operation.
-
-    ``starred=None`` autodetects: with ``*`` present, names may be long and
-    products are written ``x*y`` (left-associative); without it, factors are
-    single-letter variables juxtaposed, e.g. ``(((ab)c)d)e``.
-    """
-    if op.arity != 2:
-        raise ArityError("compact products require a binary operation")
-    if starred is None:
-        starred = "*" in text
-    text = text.strip()
-    pos = 0
-
-    def skip_ws():
-        nonlocal pos
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-
-    def factor() -> Monomial:
-        nonlocal pos
-        skip_ws()
-        if pos >= len(text):
-            raise ParseError("unexpected end of product", pos)
-        ch = text[pos]
-        if ch == "(":
-            pos += 1
-            node = product()
-            skip_ws()
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("unbalanced parenthesis", pos)
-            pos += 1
-            return node
-        if starred:
-            m = re.match(r"[A-Za-z_][A-Za-z0-9_]*", text[pos:])
-            if not m:
-                raise ParseError(f"expected name, found {ch!r}", pos)
-            pos += m.end()
-            return Monomial.leaf(Variable(m.group(0)))
-        if not ch.isalpha():
-            raise ParseError(f"expected letter, found {ch!r}", pos)
-        pos += 1
-        return Monomial.leaf(Variable(ch))
-
-    def product() -> Monomial:
-        nonlocal pos
-        node = factor()
-        while True:
-            skip_ws()
-            if pos < len(text) and text[pos] == "*":
-                if not starred:
-                    raise ParseError("unexpected '*'", pos)
-                pos += 1
-                node = Monomial.apply(op, (node, factor()))
-            elif not starred and pos < len(text) and (text[pos] == "(" or text[pos].isalpha()):
-                node = Monomial.apply(op, (node, factor()))
-            else:
-                return node
-
-    node = product()
-    skip_ws()
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos]!r}", pos)
-    return node
-
-
-def parse_signed_products(text: str, op: OpSymbol) -> Polynomial:
-    """Read a signed sum of compact products, e.g. ``-(((ac)b)e)d + ...``."""
-    pairs = []
-    chunks = re.findall(r"([+-]?)\s*([^+-]+)", text)
-    for sign, body in chunks:
-        body = body.strip()
-        if not body:
-            continue
-        coeff = Fraction(-1) if sign == "-" else Fraction(1)
-        cm = re.match(r"^(\d+(?:/\d+)?)\s*\*?\s*(.*)$", body)
-        if cm:
-            coeff *= Fraction(cm.group(1))
-            body = cm.group(2)
-        pairs.append((parse_product(body, op), coeff))
-    return Polynomial._from_terms(accumulate({}, pairs))
+def parse_product(text: str, op: OpSymbol) -> Monomial:
+    """Parse a single compact product over ``op`` with coefficient 1."""
+    terms = list(parse(text, product=op).terms.items())
+    if len(terms) != 1 or terms[0][1] != 1:
+        raise ParseError(f"expected a single product, found {text.strip()!r}")
+    return terms[0][0]

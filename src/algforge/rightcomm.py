@@ -249,22 +249,3 @@ def build_jordan_checker(
             if not rc.is_zero:
                 tagged.append((tag, rc))
     return SpanChecker(tagged, basis)
-
-
-def jordan_reduces(
-    target: Union[RCPolynomial, Polynomial],
-    rj: Identity,
-    ro: Identity,
-    variables: Sequence[Variable],
-    product: OpSymbol | None = None,
-    checker: SpanChecker | None = None,
-):
-    """Membership of a straightened degree-5 polynomial in the span of the
-    lifted, straightened RJ and RO instances; certificate or witness."""
-    if product is None:
-        product = OpSymbol("mul", 2)
-    if checker is None:
-        checker = build_jordan_checker(rj, ro, variables, product)
-    if isinstance(target, Polynomial):
-        target = rc_expand(target)
-    return checker.check(target)

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
 from .core import accumulate, fold
-from .parsing import Signature, format_polynomial, parse, parse_signed_products
+from .parsing import Signature, format_polynomial, parse
 
 
 class SymPoly(LinComb):
@@ -407,8 +407,8 @@ def check_leibniz(algebra: BinaryAlgebra):
 # Ternary products built from a binary one: the iterated bracket <<a,b>,c>,
 # and abc - bac - cab + cba in an associative algebra.
 _MUL = OpSymbol("mul", 2)
-_ITERATED_BRACKET = Identity(parse_signed_products("(ab)c", _MUL))
-_ASSOCIATIVE_TRIPLE = Identity(parse_signed_products("(ab)c - (ba)c - (ca)b + (cb)a", _MUL))
+_ITERATED_BRACKET = Identity(parse("(ab)c", product=_MUL))
+_ASSOCIATIVE_TRIPLE = Identity(parse("(ab)c - (ba)c - (ca)b + (cb)a", product=_MUL))
 
 
 def _induced_table(algebra: BinaryAlgebra, dim: int, template: Identity) -> TernaryTable:

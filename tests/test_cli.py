@@ -87,6 +87,14 @@ def test_free_expand(capsys):
     assert capsys.readouterr().out.strip() == "abcd - abdc"
 
 
+@pytest.mark.parametrize("expr", ["((ab)", "(ab))", "a1", "ab - ba", "2*ab"])
+def test_free_expand_bad_input_is_a_one_line_error(expr, capsys):
+    assert main(["free-expand", "--expr", expr]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_free_check(tmp_path, capsys):
     path = tmp_path / "lts.txt"
     path.write_text(data_text("identities/triple-systems.txt"))

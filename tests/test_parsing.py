@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algforge.core import ArityError, Identity, Monomial, Polynomial, Variable, format_monomial
+from algforge.core import ArityError, Identity, Monomial, Polynomial, Variable, fold, format_monomial
 from algforge.fixtures import BINARY, FIXTURES, TERNARY, data_text, _IDENTITY_FILES
 from algforge.parsing import (
     ParseError,
@@ -15,8 +15,8 @@ from algforge.parsing import (
     parse,
     parse_file,
     parse_product,
-    parse_signed_products,
 )
+from algforge.rightcomm import RCPolynomial, rc_expand, rc_straighten
 
 
 SIG = Signature([TERNARY])
@@ -113,6 +113,10 @@ def test_parse_product_juxtaposed_and_starred():
     m2 = parse_product("(a*(b*c))*d", BINARY)
     assert m2.leaf_names() == ("a", "b", "c", "d")
     assert m2.children[1].is_leaf
+    m3 = parse_product("x1*y2", BINARY)
+    assert m3 == Monomial.apply(BINARY, [Monomial.leaf(Variable(n)) for n in ("x1", "y2")])
+    m4 = parse_product("ab(cd)", BINARY)
+    assert m4 == parse_product("((ab)(cd))", BINARY) == parse_product("(a*b)*(c*d)", BINARY)
     with pytest.raises(ParseError):
         parse_product("((ab)", BINARY)
     with pytest.raises(ParseError):
@@ -120,8 +124,21 @@ def test_parse_product_juxtaposed_and_starred():
 
 
 def test_parse_signed_products():
-    p = parse_signed_products("-(((ac)b)e)d + 2*(a(bc))e", BINARY)
+    p = parse("-(((ac)b)e)d + 2*(a(bc))e", product=BINARY)
     assert sorted(p.terms.values()) == [-1, 2]
+
+
+@pytest.mark.parametrize("text", ["(ab)c - + (ba)c", "(ab)c -", "--(ab)c"])
+def test_signed_products_reject_stray_signs(text):
+    with pytest.raises(ParseError):
+        parse(text, product=BINARY)
+
+
+def test_signed_product_error_position_counts_from_the_whole_text():
+    text = "(ab)c - (ba)c + (c1)a"
+    with pytest.raises(ParseError) as err:
+        parse(text, product=BINARY)
+    assert err.value.pos == text.index("1")
 
 
 def test_every_fixture_parses_and_is_canonical():
@@ -151,3 +168,35 @@ def test_format_then_parse_is_the_identity(terms):
     assert parse(format_polynomial(p), [BINARY, TERNARY]) == p
     for m in p.terms:
         assert repr(m) == format_monomial(m).replace(", ", ",")
+
+
+def _binary_trees(names, max_leaves):
+    """Trees over ``mul`` whose leaves are drawn from ``names``."""
+    return st.recursive(
+        st.sampled_from(names).map(lambda n: Monomial.leaf(Variable(n))),
+        lambda sub: st.tuples(sub, sub).map(lambda args: Monomial.apply(BINARY, args)),
+        max_leaves=max_leaves,
+    )
+
+
+WORDS = _binary_trees("abcde", 5).map(rc_straighten)
+
+
+@settings(max_examples=60, deadline=None)
+@given(terms=st.dictionaries(WORDS, COEFFS, max_size=5))
+@example(terms={})
+def test_compact_print_then_parse_is_the_identity(terms):
+    p = RCPolynomial(terms)
+    assert rc_expand(parse(repr(p), product=BINARY)) == p
+
+
+# a lone name has no '*' and reads as juxtaposed letters, so print products only
+NAMED = _binary_trees(["x1", "y2", "ab", "foo"], 4)
+NAMED_PRODUCTS = st.tuples(NAMED, NAMED).map(lambda args: Monomial.apply(BINARY, args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=NAMED_PRODUCTS)
+def test_starred_print_then_parse_product_is_the_identity(tree):
+    text = fold(tree, lambda v: v.name, lambda _, args: f"({args[0]}*{args[1]})")
+    assert parse_product(text, BINARY) == tree

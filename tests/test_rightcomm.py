@@ -21,7 +21,6 @@ from algforge.rightcomm import (
     RCBasis,
     build_jordan_checker,
     canonical_shapes,
-    jordan_reduces,
     permuted_associator_expand,
     rc_expand,
     rc_straighten,
@@ -179,17 +178,10 @@ def test_stated_instances_are_the_lifted_instances_of_their_tags():
 def test_jordan_reduction_certificates():
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
     for name in ("lts-b", "lts3"):
-        cert = jordan_reduces(expansion_golden(name), fixture("rj"), fixture("ro"), V5, BINARY, checker)
+        cert = checker.check(expansion_golden(name))
         assert cert.ok and cert.verify()
     for name in ("lts-a", "lts-b"):
-        cert = jordan_reduces(
-            permuted_associator_expand(fixture(name)),
-            fixture("rj"),
-            fixture("ro"),
-            V5,
-            BINARY,
-            checker,
-        )
+        cert = checker.check(permuted_associator_expand(fixture(name)))
         assert cert.ok and cert.verify()
 
 

@@ -35,6 +35,7 @@ CLI = [
     ["classify2d", "--search-fp", "3", "--mask", "a122,a222"],
     ["free-expand", "--expr", "(a*(b*c))*d"],
     ["free-expand", "--expr", "(ab)(c(de))"],
+    ["free-expand", "--expr", "(x1*y2)*z"],
 ]
 SYSTEMS = ("sys2d-1", "sys2d-2")
 PER_SYSTEM = [
