@@ -261,7 +261,7 @@ class SpanChecker:
     def __init__(self, generators, basis):
         self.basis = basis
         self.generators: dict[Hashable, object] = {}
-        self.table = PivotTable(track_combos=True)
+        self.table = PivotTable()
         for tag, g in _tagged(generators):
             vec = basis.vector(g)
             if not vec:
@@ -358,7 +358,7 @@ def kernel_of_expansion(
     free column.
     """
     rows: dict[Hashable, int] = {}
-    table = PivotTable(track_combos=True)
+    table = PivotTable()
     out = []
     for j, m in enumerate(basis.monomials):
         vec = {rows.setdefault(k, len(rows)): Fraction(c) for k, c in expand(m).terms.items()}

@@ -4,10 +4,10 @@ Vectors are dicts mapping column index to a nonzero Fraction.  The one
 elimination engine is an incremental forward-elimination table: generator
 vectors are fed in one at a time, each reduced against the pivots found so
 far (leftmost-column pivoting, first come first kept, no scaling tricks
-beyond normalizing each pivot's leading entry to 1).  The table can
-optionally track, for every pivot row, its expression as a combination of
-the original generators, which turns span membership into an explicit
-certificate and a dependent generator into a kernel vector.  Everything is
+beyond normalizing each pivot's leading entry to 1).  The table tracks, for
+every pivot row, its expression as a combination of the original
+generators, which turns span membership into an explicit certificate and a
+dependent generator into a kernel vector.  Everything is
 Fraction arithmetic end to end.
 """
 
@@ -22,12 +22,11 @@ Vec = dict[int, Fraction]
 
 
 class PivotTable:
-    """Incremental forward elimination with optional certificate tracking."""
+    """Incremental forward elimination with certificate tracking."""
 
-    def __init__(self, track_combos: bool = False):
-        self.track = track_combos
+    def __init__(self):
         # lead column -> (vector with vec[lead] == 1, combo over generator tags)
-        self.pivots: dict[int, tuple[Vec, dict[Hashable, Fraction] | None]] = {}
+        self.pivots: dict[int, tuple[Vec, dict[Hashable, Fraction]]] = {}
 
     @property
     def rank(self) -> int:
@@ -36,9 +35,9 @@ class PivotTable:
     def reduce(self, vec: Vec) -> tuple[Vec, dict[Hashable, Fraction]]:
         """Return (residual, combo) with vec = residual + sum(combo * pivot-origin).
 
-        The combo is expressed over the tags of previously added generators
-        (empty unless combo tracking is on).  Successive leading columns of
-        the work vector strictly increase, so the loop terminates.
+        The combo is expressed over the tags of previously added generators.
+        Successive leading columns of the work vector strictly increase, so
+        the loop terminates.
         """
         work = dict(vec)
         combo: dict[Hashable, Fraction] = {}
@@ -50,8 +49,7 @@ class PivotTable:
             pvec, pcombo = hit
             factor = work[lead]
             accumulate(work, pvec.items(), -factor)
-            if self.track and pcombo:
-                accumulate(combo, pcombo.items(), factor)
+            accumulate(combo, pcombo.items(), factor)
         return work, combo
 
     def add(self, vec: Vec, tag: Hashable = None) -> bool:
@@ -67,11 +65,8 @@ class PivotTable:
         lead = min(residual)
         scale = Fraction(1) / residual[lead]
         normal = {k: c * scale for k, c in residual.items()}
-        pcombo: dict[Hashable, Fraction] | None = None
-        if self.track:
-            # vec = residual + sum(combo); residual = vec - sum(combo)
-            pcombo = accumulate({tag: scale}, combo.items(), -scale)
-        self.pivots[lead] = (normal, pcombo)
+        # vec = residual + sum(combo); residual = vec - sum(combo)
+        self.pivots[lead] = (normal, accumulate({tag: scale}, combo.items(), -scale))
 
     def membership(self, vec: Vec) -> tuple[bool, dict[Hashable, Fraction], int | None]:
         """Test span membership; returns (ok, combo, witness-column-or-None)."""

@@ -114,15 +114,20 @@ class Signature:
         return name in self._by_name
 
 
+def _shown(val: str | None) -> str:
+    return "end of input" if val is None else repr(val)
+
+
 class _Parser:
     def __init__(self, text: str, signature: Signature, product: OpSymbol | None = None):
         self.tokens = _tokenize(text)
+        self.end = ("end", None, len(text))  # the token past the last one
         self.i = 0
         self.sig = signature
         self.product = product
 
     def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, None)
+        return self.tokens[self.i] if self.i < len(self.tokens) else self.end
 
     def take(self):
         tok = self.peek()
@@ -132,7 +137,7 @@ class _Parser:
     def expect(self, value: str):
         kind, val, pos = self.take()
         if val != value:
-            raise ParseError(f"expected {value!r}, found {val!r}", pos)
+            raise ParseError(f"expected {value!r}, found {_shown(val)}", pos)
 
     def take_sign(self):
         """Consume an optional sign: -1 after '-', otherwise None (no scaling)."""
@@ -176,7 +181,7 @@ class _Parser:
     def parse_monomial(self) -> Polynomial:
         kind, val, pos = self.take()
         if kind != "name":
-            raise ParseError(f"expected variable or operation, found {val!r}", pos)
+            raise ParseError(f"expected variable or operation, found {_shown(val)}", pos)
         nxt_kind, nxt_val, _ = self.peek()
         if nxt_kind == "punct" and nxt_val == "(":
             op = self.sig.lookup(val)
@@ -191,7 +196,7 @@ class _Parser:
                 elif v == ")":
                     break
                 else:
-                    raise ParseError(f"expected ',' or ')', found {v!r}", p)
+                    raise ParseError(f"expected ',' or ')', found {_shown(v)}", p)
             if len(args) != op.arity:
                 raise ArityError(
                     f"{op.display()} expects {op.arity} arguments, got {len(args)}"

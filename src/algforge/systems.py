@@ -1,13 +1,16 @@
 """Finite-dimensional ternary systems, their checks, and Leibniz envelopes.
 
-Ternary systems <e_i, e_j, e_k> = sum_l c[i][j][k][l] e_l and binary algebras
-e_i e_j = sum_l c[i][j][l] e_l are structure-constant tables over named basis
-elements with exact rational (or symbolic) entries, sharing one base class.
-One loop (``evaluations``) evaluates identities on all basis tuples: it checks
-the defining identities and the one-product law, and builds the ternary
-products <<a,b>,c> and abc - bac - cab + cba of a binary algebra.  The
-enveloping binary algebra has dimension n(n+1), on the basis e_1..e_n followed
-by the pairs e_i e_j (row-major); tables render aligned, "." for zero entries.
+Ternary systems <e_i, e_j, e_k> = c[i, j, k] and binary algebras
+e_i e_j = c[i, j] are structure-constant tables over named basis elements
+with exact rational (or symbolic) entries, sharing one base class.  A vector
+is a sparse dict from basis index to nonzero scalar ({} is zero), and ``c``
+maps index tuples to nonzero vectors; one multilinear loop
+(``StructureTable.multiply``) is the product for every arity.  One loop
+(``evaluations``) evaluates identities on all basis tuples: it checks the
+defining identities and the one-product law, and builds the ternary products
+<<a,b>,c> and abc - bac - cab + cba of a binary algebra.  The enveloping
+binary algebra has dimension n(n+1), on the basis e_1..e_n followed by the
+pairs e_i e_j (row-major); tables render aligned, "." for zero entries.
 
 For the 2-dimensional classification work the defining identities can also
 be imposed symbolically: the 16 structure coefficients a_ijk (coefficient of
@@ -21,7 +24,9 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
@@ -117,62 +122,45 @@ class SymPoly(LinComb):
 
 
 Scalar = Union[Fraction, SymPoly]
+Vector = dict[int, Scalar]  # basis index -> nonzero scalar; {} is zero
 
 
-def _parse_vector(text: str, basis: Sequence[str]) -> list[Fraction]:
-    """Parse a linear combination of basis names into a coordinate vector."""
+def _parse_vector(text: str, basis: Sequence[str]) -> Vector:
+    """Parse a linear combination of basis names into a sparse vector."""
     poly = parse(text, Signature())
-    vec = [Fraction(0)] * len(basis)
     pos = {name: i for i, name in enumerate(basis)}
+    vec = {}
     for m, c in poly.terms.items():
         if not m.is_leaf:
             raise AlgebraError(f"expected a linear combination of basis names: {text!r}")
         i = pos.get(m.var.name)
         if i is None:
             raise AlgebraError(f"unknown basis element {m.var.name!r}")
-        vec[i] += c
+        vec[i] = c
     return vec
 
 
-def _format_vector(vec: Sequence[Scalar], basis: Sequence[str]) -> str:
+def _format_vector(vec: Vector, basis: Sequence[str]) -> str:
     """Compact linear combination: '.', 'x', '-2*xy+2*yx', in basis order."""
     parts = []
-    for c, name in zip(vec, basis):
+    for l in sorted(vec):
+        c = vec[l]
         if isinstance(c, SymPoly):
             raise AlgebraError("cannot render symbolic entries")
-        if not c:
-            continue
-        if abs(c) == 1:
-            body = name
-        else:
-            body = f"{abs(c)}*{name}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("-" if c < 0 else "+") + body)
+        body = basis[l] if abs(c) == 1 else f"{abs(c)}*{basis[l]}"
+        parts.append(("-" if c < 0 else "+" if parts else "") + body)
     return "".join(parts) if parts else "."
-
-
-def _at(nested, index: Sequence[int]):
-    """The entry ``nested[i][j]...`` at a tuple of indices."""
-    for i in index:
-        nested = nested[i]
-    return nested
-
-
-def _grid(dim: int, depth: int, cell, prefix: tuple = ()):
-    """``depth`` levels of nested lists of length ``dim``; leaves are cell(index)."""
-    if depth == 0:
-        return cell(prefix)
-    return [_grid(dim, depth - 1, cell, prefix + (i,)) for i in range(dim)]
 
 
 class StructureTable:
     """Structure constants of one multilinear product over a named basis: the
-    product of basis elements i, j, ... is sum_l c[i][j]...[l] e_l.  A subclass
-    sets ``arity``, its JSON key ``json_key`` and ``multiply`` on vectors."""
+    product of basis elements i, j, ... is the vector c[i, j, ...].  A subclass
+    sets ``arity`` and its JSON key ``json_key``."""
 
-    def __init__(self, dim: int, basis: Sequence[str], constants):
+    def __init__(self, dim: int, basis: Sequence[str], constants: Mapping[tuple, object]):
+        """``constants`` maps index tuples to coefficient vectors, each a list
+        of ``dim`` scalars or a dict from basis index to scalar; omitted
+        entries are zero."""
         if dim < 1:
             raise AlgebraError("dimension must be at least 1")
         basis = list(basis)
@@ -180,15 +168,22 @@ class StructureTable:
             raise AlgebraError("basis size must equal dimension")
         self.dim = dim
         self.basis = basis
-        # constants: dense nested lists of coefficient vectors, or a sparse
-        # mapping from index tuples to vectors with omitted entries zero
-        if isinstance(constants, Mapping):
-            if not set(constants) <= set(itertools.product(range(dim), repeat=self.arity)):
-                raise AlgebraError("structure-constant index out of range")
-            zero = [Fraction(0)] * dim
-            self.c = _grid(dim, self.arity, lambda idx: list(constants.get(idx, zero)))
-        else:
-            self.c = _grid(dim, self.arity, lambda idx: list(_at(constants, idx)))
+        if not set(constants) <= set(itertools.product(range(dim), repeat=self.arity)):
+            raise AlgebraError("structure-constant index out of range")
+        cols = set(range(dim))
+        self.c: dict[tuple, Vector] = {}
+        for idx, vec in constants.items():
+            if isinstance(vec, dict):
+                if not vec.keys() <= cols:
+                    raise AlgebraError(f"coefficient index out of range at {idx}")
+                items = vec.items()
+            elif len(vec) != dim:
+                raise AlgebraError(f"coefficient vector at {idx} needs {dim} entries")
+            else:
+                items = enumerate(vec)
+            vec = {l: x for l, x in items if x}
+            if vec:
+                self.c[idx] = vec
 
     @classmethod
     def from_json(cls, obj: Union[str, Mapping]):
@@ -210,92 +205,63 @@ class StructureTable:
 
     def to_json(self) -> dict:
         entries = {}
-        for idx in itertools.product(range(self.dim), repeat=self.arity):
-            vec = _at(self.c, idx)
-            if any(vec):
-                poly = Polynomial(
-                    {Monomial.leaf(Variable(self.basis[l])): c for l, c in enumerate(vec) if c}
-                )
-                entries[",".join(self.basis[i] for i in idx)] = format_polynomial(poly)
+        for idx in sorted(self.c):
+            poly = Polynomial(
+                {Monomial.leaf(Variable(self.basis[l])): x for l, x in self.c[idx].items()}
+            )
+            entries[",".join(self.basis[i] for i in idx)] = format_polynomial(poly)
         return {"dim": self.dim, "basis": list(self.basis), self.json_key: entries}
 
-    def basis_vector(self, i: int) -> list[Fraction]:
-        vec = [Fraction(0)] * self.dim
-        vec[i] = Fraction(1)
-        return vec
+    def basis_vector(self, i: int) -> Vector:
+        return {i: Fraction(1)}
 
-    def evaluate(self, identity: Identity, assignment: Mapping[str, Sequence[Scalar]]):
+    def multiply(self, *vectors: Vector) -> Vector:
+        """The product of ``arity`` vectors, extended multilinearly."""
+        if len(vectors) != self.arity:
+            raise AlgebraError(f"arity-{self.arity} table multiplies {self.arity} vectors only")
+        c = self.c
+        out: Vector = {}
+        for terms in itertools.product(*(vec.items() for vec in vectors)):
+            idx, coeffs = zip(*terms)
+            cvec = c.get(idx)
+            if cvec:
+                accumulate(out, cvec.items(), reduce(operator.mul, coeffs))
+        return out
+
+    def evaluate(self, identity: Identity, assignment: Mapping[str, Vector]) -> Vector:
         """Evaluate an identity's polynomial on vector arguments."""
-        multiply, arity = self.multiply, self.arity
+        multiply = self.multiply
 
         def leaf(v: Variable):
             return assignment[v.name]
 
         def node(op: OpSymbol, args: list):
-            if op.arity != arity:
-                raise AlgebraError(f"arity-{arity} table evaluates arity-{arity} identities only")
             return multiply(*args)
 
-        out: list[Scalar] = [Fraction(0)] * self.dim
+        out: Vector = {}
         for m, coeff in identity.lhs.terms.items():
-            for l, x in enumerate(fold(m, leaf, node)):
-                if x:
-                    out[l] = out[l] + coeff * x
+            accumulate(out, fold(m, leaf, node).items(), coeff)
         return out
 
 
 class TernaryTable(StructureTable):
-    """Structure constants <e_i, e_j, e_k> = sum_l c[i][j][k][l] e_l."""
+    """Structure constants <e_i, e_j, e_k> = c[i, j, k]."""
 
     arity = 3
     json_key = "triple"
 
-    def triple(self, u: Sequence[Scalar], v: Sequence[Scalar], w: Sequence[Scalar]):
-        out: list[Scalar] = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                uv = ui * vj
-                for k, wk in enumerate(w):
-                    if not wk:
-                        continue
-                    factor = uv * wk
-                    cvec = self.c[i][j][k]
-                    for l, cl in enumerate(cvec):
-                        if cl:
-                            out[l] = out[l] + factor * cl
-        return out
-
-    multiply = triple
-
 
 class BinaryAlgebra(StructureTable):
-    """A binary multiplication table e_i e_j = sum_l c[i][j][l] e_l."""
+    """A binary multiplication table e_i e_j = c[i, j]."""
 
     arity = 2
     json_key = "product"
 
-    def product(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                factor = ui * vj
-                for l, cl in enumerate(self.c[i][j]):
-                    if cl:
-                        out[l] = out[l] + factor * cl
-        return out
-
-    multiply = product
-
     def render_table(self) -> str:
-        entries = [[_format_vector(vec, self.basis) for vec in row] for row in self.c]
+        entries = [
+            [_format_vector(self.c.get((i, j), {}), self.basis) for j in range(self.dim)]
+            for i in range(self.dim)
+        ]
         return render_grid(self.basis, entries)
 
 
@@ -321,7 +287,7 @@ def check_identities(
     violations = [
         (ident.name or "identity", tup)
         for ident, tup, value in evaluations(table, identities)
-        if any(value)
+        if value
     ]
     return (not violations), violations
 
@@ -369,31 +335,22 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
     (ab).(cd) = <a,b,c> d - <a,b,d> c, extended bilinearly.
     """
     n, c = table.dim, table.c
-    dim = n * (n + 1)
     pairs = list(itertools.product(range(n), repeat=2))
     pair = {ij: n + t for t, ij in enumerate(pairs)}
     basis = list(table.basis) + [_pair_name(table.basis, i, j) for i, j in pairs]
-
-    def vector(terms) -> list[Fraction]:
-        """The sum of x e_t over the (t, x) pairs."""
-        vec = [Fraction(0)] * dim
-        for t, x in terms:
-            if x:  # most slots take one term: store it without adding it to zero
-                vec[t] = vec[t] + x if vec[t] else x
-        return vec
-
-    product = {}
-    for i, j in pairs:
-        product[i, j] = vector([(pair[i, j], Fraction(1))])
+    zero: Vector = {}
+    product = {(i, j): {pair[i, j]: Fraction(1)} for i, j in pairs}
     for i, (j, k) in itertools.product(range(n), pairs):
-        product[i, pair[j, k]] = vector((l, c[i][j][k][l] - c[i][k][j][l]) for l in range(n))
-        product[pair[j, k], i] = vector(enumerate(c[j][k][i]))
+        ijk = dict(c.get((i, j, k), zero))
+        product[i, pair[j, k]] = accumulate(ijk, c.get((i, k, j), zero).items(), -1)
+        product[pair[j, k], i] = c.get((j, k, i), zero)
     for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        product[pair[i, j], pair[k, l]] = vector(
-            [(pair[m, l], x) for m, x in enumerate(c[i][j][k])]
-            + [(pair[m, k], -x) for m, x in enumerate(c[i][j][l]) if x]
-        )
-    return BinaryAlgebra(dim, basis, product)
+        if k != l:  # the two terms cancel when k == l
+            product[pair[i, j], pair[k, l]] = {
+                **{pair[m, l]: x for m, x in c.get((i, j, k), zero).items()},
+                **{pair[m, k]: -x for m, x in c.get((i, j, l), zero).items()},
+            }
+    return BinaryAlgebra(n * (n + 1), basis, product)
 
 
 def check_leibniz(algebra: BinaryAlgebra):
@@ -416,10 +373,9 @@ def _induced_table(algebra: BinaryAlgebra, dim: int, template: Identity) -> Tern
     which must be closed under it."""
     sparse = {}
     for _, tup, vec in evaluations(algebra, [template], dim):
-        if any(vec[dim:]):
+        if any(l >= dim for l in vec):
             raise AlgebraError("subspace is not closed under the iterated bracket")
-        if any(vec[:dim]):
-            sparse[tup] = vec[:dim]
+        sparse[tup] = vec
     return TernaryTable(dim, algebra.basis[:dim], sparse)
 
 
@@ -473,22 +429,17 @@ def lts_equations(n: int = 2) -> QuadraticSystem:
 
     table = symbolic_table(n)
     unknowns = sorted(
-        {s for idx in itertools.product(range(n), repeat=3)
-         for coord in _at(table.c, idx) for s in coord.symbols()}
+        {s for vec in table.c.values() for coord in vec.values() for s in coord.symbols()}
     )
-    seen: set = set()
-    equations: list[SymPoly] = []
-    # identity by identity: one pass over both would interleave the equations
-    for ident in (FIXTURES["lts-a"], FIXTURES["lts-b"]):
-        for _, _, out in evaluations(table, [ident]):
-            for coord in out:
-                if isinstance(coord, SymPoly) and not coord.is_zero:
-                    norm = coord.normalized()
-                    key = frozenset(norm.terms.items())
-                    if key not in seen:
-                        seen.add(key)
-                        equations.append(norm)
-    return QuadraticSystem(unknowns, equations)
+    # distinct normalized coordinates in first-seen order, coordinates in basis
+    # order; identity by identity: one pass over both would interleave them
+    equations = dict.fromkeys(
+        coord.normalized()
+        for ident in (FIXTURES["lts-a"], FIXTURES["lts-b"])
+        for _, _, out in evaluations(table, [ident])
+        for _, coord in sorted(out.items())
+    )
+    return QuadraticSystem(unknowns, list(equations))
 
 
 # The most F_p candidates one search may enumerate: at up to about 50 us

@@ -1,5 +1,6 @@
-"""Shared test utilities: small associative algebras, basis changes and the
-brute-force right-commutativity orbit."""
+"""Shared test utilities: small associative algebras, basis changes, the
+dense structure-table product loops and the brute-force right-commutativity
+orbit."""
 
 from fractions import Fraction
 
@@ -34,7 +35,7 @@ def full_2x2_matrices() -> BinaryAlgebra:
 
 
 def _table(mat) -> PivotTable:
-    table = PivotTable(track_combos=True)
+    table = PivotTable()
     for i, row in enumerate(mat):
         table.add({j: Fraction(x) for j, x in enumerate(row) if x}, i)
     return table
@@ -60,15 +61,61 @@ def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
         if _table(mat).rank == n:
             break
     inv = invert(mat)
-    new = [[None] * n for _ in range(n)]
+    rows = [dict(enumerate(row)) for row in mat]
+    new = {}
     for i in range(n):
         for j in range(n):
-            w = algebra.product(mat[i], mat[j])
-            new[i][j] = [
-                sum(w[k] * inv[k][t] for k in range(n)) for t in range(n)
-            ]
+            w = algebra.multiply(rows[i], rows[j])
+            new[i, j] = [sum(x * inv[k][t] for k, x in w.items()) for t in range(n)]
     return BinaryAlgebra(n, algebra.basis, new)
 
+
+def dense_grid(dim: int, arity: int, constants) -> list:
+    """Nested lists c[i][j]...[l] from a mapping of index tuples to sparse
+    vectors: the dense layout the reference loops below read."""
+    def grid(depth, prefix):
+        if depth == 0:
+            vec = constants.get(prefix, {})
+            return [Fraction(vec.get(l, 0)) for l in range(dim)]
+        return [grid(depth - 1, prefix + (i,)) for i in range(dim)]
+    return grid(arity, ())
+
+
+def reference_triple(c, dim, u, v, w):
+    """The dense ternary product loop: lists in, list out."""
+    out = [Fraction(0)] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            uv = ui * vj
+            for k, wk in enumerate(w):
+                if not wk:
+                    continue
+                factor = uv * wk
+                cvec = c[i][j][k]
+                for l, cl in enumerate(cvec):
+                    if cl:
+                        out[l] = out[l] + factor * cl
+    return out
+
+
+def reference_product(c, dim, u, v):
+    """The dense binary product loop: lists in, list out."""
+    out = [Fraction(0)] * dim
+    for i, ui in enumerate(u):
+        if not ui:
+            continue
+        for j, vj in enumerate(v):
+            if not vj:
+                continue
+            factor = ui * vj
+            for l, cl in enumerate(c[i][j]):
+                if cl:
+                    out[l] = out[l] + factor * cl
+    return out
 
 
 def _rc_moves(m: Monomial):

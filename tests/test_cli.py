@@ -95,6 +95,21 @@ def test_free_expand_bad_input_is_a_one_line_error(expr, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_input_ending_too_early_is_named_with_its_position(tmp_path, capsys):
+    assert main(["free-expand", "--expr", "((ab)"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected ')', found end of input (at position 5)\n"
+    path = tmp_path / "cut.txt"
+    path.write_text("op br/3\nx: br(a,b,c) +\n")
+    assert main(["free-check", "--identities", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: expected variable or operation, found end of input (at position 11)\n"
+    )
+
+
 def test_free_check(tmp_path, capsys):
     path = tmp_path / "lts.txt"
     path.write_text(data_text("identities/triple-systems.txt"))

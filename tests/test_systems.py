@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 
@@ -61,6 +62,58 @@ def test_sparse_constants_outside_the_basis_are_rejected():
         TernaryTable(2, ["x", "y"], {(0, 0, 2): [Fraction(1), Fraction(0)]})
     with pytest.raises(AlgebraError):
         BinaryAlgebra(2, ["x", "y"], {(0, 1, 1): [Fraction(1), Fraction(0)]})
+    # so are coefficient vectors that do not fit the dimension
+    for vec in ([1, 0, 1], [1], {2: 1}, {0: 1, -1: 1}):
+        with pytest.raises(AlgebraError):
+            TernaryTable(2, ["x", "y"], {(0, 0, 0): vec})
+        with pytest.raises(AlgebraError):
+            BinaryAlgebra(2, ["x", "y"], {(1, 0): vec})
+
+
+def test_multiply_takes_one_vector_per_factor():
+    table, algebra = system_table("sys2d-1"), helpers.upper_triangular_2x2()
+    with pytest.raises(AlgebraError):
+        table.multiply(table.basis_vector(0), table.basis_vector(1))
+    with pytest.raises(AlgebraError):
+        algebra.multiply(*[algebra.basis_vector(0)] * 3)
+    # an identity of the other arity fails the same way
+    with pytest.raises(AlgebraError):
+        check_identities(table, [fixture("leibniz")])
+
+
+COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def tables_and_factors(draw):
+    """A random table of arity 2 or 3 and dimension 1-4, the constants it was
+    built from, and one sparse vector per factor."""
+    cls = draw(st.sampled_from([BinaryAlgebra, TernaryTable]))
+    dim = draw(st.integers(1, 4))
+    cols = st.integers(0, dim - 1)
+    indices = st.tuples(*[cols] * cls.arity)
+    constants = draw(st.dictionaries(indices, st.dictionaries(cols, COEFFS), max_size=12))
+    # half the entries as dense lists, the other form the constructor takes
+    given_form = {
+        idx: [vec.get(l, 0) for l in range(dim)] if draw(st.booleans()) else vec
+        for idx, vec in constants.items()
+    }
+    table = cls(dim, [f"e{i + 1}" for i in range(dim)], given_form)
+    factors = [draw(st.dictionaries(cols, COEFFS)) for _ in range(cls.arity)]
+    return table, constants, factors
+
+
+@settings(max_examples=60, deadline=None)
+@given(tables_and_factors())
+def test_multiply_matches_the_dense_reference_loops(case):
+    table, constants, factors = case
+    n = table.dim
+    assert all(vec and all(vec.values()) for vec in table.c.values())
+    grid = helpers.dense_grid(n, table.arity, constants)
+    reference = helpers.reference_product if table.arity == 2 else helpers.reference_triple
+    dense = reference(grid, n, *([vec.get(l, 0) for l in range(n)] for vec in factors))
+    assert table.multiply(*factors) == {l: x for l, x in enumerate(dense) if x}
+    assert type(table).from_json(json.dumps(table.to_json())).c == table.c
 
 
 def test_check_lts_fixtures():
@@ -113,16 +166,13 @@ def test_envelope_entries_from_the_product_rules():
     assert names == ["x", "y", "xx", "xy", "yx", "yy"]
     x, xy = names.index("x"), names.index("xy")
     # x . xy = <x,x,y> - <x,y,x> = -y
-    vec = env1.product(env1.basis_vector(x), env1.basis_vector(xy))
-    assert vec == [Fraction(0), Fraction(-1), 0, 0, 0, 0] or vec[1] == -1
+    vec = env1.multiply(env1.basis_vector(x), env1.basis_vector(xy))
+    assert vec == {names.index("y"): Fraction(-1)}
     env2 = build_envelope(system_table("sys2d-2"))
     xy2 = env2.basis.index("xy")
-    vec2 = env2.product(env2.basis_vector(xy2), env2.basis_vector(xy2))
+    vec2 = env2.multiply(env2.basis_vector(xy2), env2.basis_vector(xy2))
     # (xy).(xy) = <x,y,x> y - <x,y,y> x = 2 xy + 2 yx
-    expected = [Fraction(0)] * 6
-    expected[env2.basis.index("xy")] = Fraction(2)
-    expected[env2.basis.index("yx")] = Fraction(2)
-    assert vec2 == expected
+    assert vec2 == {env2.basis.index("xy"): Fraction(2), env2.basis.index("yx"): Fraction(2)}
 
 
 def test_envelope_of_zero_system():
@@ -130,9 +180,9 @@ def test_envelope_of_zero_system():
     env = build_envelope(zero)
     assert env.dim == 6
     # degree-1 products give the pairs, everything else vanishes
-    assert env.product(env.basis_vector(0), env.basis_vector(1))[env.basis.index("xy")] == 1
+    assert env.multiply(env.basis_vector(0), env.basis_vector(1)) == {env.basis.index("xy"): 1}
     for i, j in itertools.product(range(2, 6), repeat=2):
-        assert not any(env.product(env.basis_vector(i), env.basis_vector(j)))
+        assert not env.multiply(env.basis_vector(i), env.basis_vector(j))
     ok, _ = check_leibniz(env)
     assert ok
 
@@ -171,11 +221,16 @@ def test_envelope_law_violations_are_the_mixed_degree_obstruction():
     assert all(t not in violations for t in itertools.product(range(2), repeat=3))
 
 
+def _perturbed_sys2d_1() -> TernaryTable:
+    """sys2d-1 with one structure constant, the y-coordinate of <x,x,y>, raised by 1."""
+    c = {idx: dict(vec) for idx, vec in system_table("sys2d-1").c.items()}
+    vec = c.setdefault((0, 0, 1), {})
+    vec[1] = vec.get(1, 0) + Fraction(1)
+    return TernaryTable(2, ["x", "y"], c)
+
+
 def test_perturbed_non_system_fails_envelope_law_on_degree5_triples():
-    table = system_table("sys2d-1")
-    c = [[[list(vec) for vec in plane] for plane in row] for row in table.c]
-    c[0][0][1][1] += Fraction(1)  # perturb one structure constant
-    bad = TernaryTable(2, ["x", "y"], c)
+    bad = _perturbed_sys2d_1()
     ok, _ = check_lts(bad)
     assert not ok
     env = build_envelope(bad)
@@ -190,26 +245,27 @@ def test_perturbed_non_system_fails_envelope_law_on_degree5_triples():
 
 
 def _reference_check_leibniz(algebra):
-    """The law check written out with explicit product chains."""
+    """The law check written out with explicit dense product chains."""
+    n = algebra.dim
+    grid = helpers.dense_grid(n, 2, algebra.c)
+
+    def product(u, v):
+        return helpers.reference_product(grid, n, u, v)
+
     violations = []
-    for i, j, k in itertools.product(range(algebra.dim), repeat=3):
-        a = algebra.basis_vector(i)
-        b = algebra.basis_vector(j)
-        c = algebra.basis_vector(k)
-        lhs = algebra.product(algebra.product(a, b), c)
-        rhs1 = algebra.product(algebra.product(a, c), b)
-        rhs2 = algebra.product(a, algebra.product(b, c))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        a, b, c = ([Fraction(int(t == s)) for t in range(n)] for s in (i, j, k))
+        lhs = product(product(a, b), c)
+        rhs1 = product(product(a, c), b)
+        rhs2 = product(a, product(b, c))
         if any(lhs[l] - rhs1[l] - rhs2[l] for l in range(algebra.dim)):
             violations.append((i, j, k))
     return (not violations), violations
 
 
 def test_check_leibniz_matches_explicit_product_chains():
-    perturbed = system_table("sys2d-1")
-    c = [[[list(vec) for vec in plane] for plane in row] for row in perturbed.c]
-    c[0][0][1][1] += Fraction(1)
     tables = [system_table(name) for name in ALL_SYSTEMS]
-    tables += [TernaryTable(2, ["x", "y"], c), from_associative(helpers.upper_triangular_2x2())]
+    tables += [_perturbed_sys2d_1(), from_associative(helpers.upper_triangular_2x2())]
     tables.append(TernaryTable(2, ["x", "y"], {}))
     for table in tables:
         env = build_envelope(table)
@@ -235,8 +291,8 @@ def test_lts_equations_are_listed_identity_by_identity():
     for ident in (fixture("lts-a"), fixture("lts-b")):
         for tup in itertools.product(range(2), repeat=5):
             assign = {v.name: table.basis_vector(i) for v, i in zip(ident.variables, tup)}
-            for coord in table.evaluate(ident, assign):
-                if coord and coord.normalized() not in seen:
+            for _, coord in sorted(table.evaluate(ident, assign).items()):
+                if coord.normalized() not in seen:
                     seen.add(coord.normalized())
                     expected.append(coord.normalized())
     equations = lts_equations(2).equations
@@ -297,26 +353,23 @@ def test_parametric_family_symbolic_coordinate_evaluation():
     for vec_name, coords in (("a", ("a1", "a2")), ("b", ("b1", "b2")),
                              ("c", ("c1", "c2")), ("d", ("d1", "d2")),
                              ("e", ("e1", "e2"))):
-        assign[vec_name] = [SymPoly.symbol(coords[0]), SymPoly.symbol(coords[1])]
-    family = TernaryTable(2, ["x", "y"], {})
-    family.c = [
-        [[[c.substitute(values) for c in vec] for vec in plane] for plane in row]
-        for row in table.c
-    ]
+        assign[vec_name] = {0: SymPoly.symbol(coords[0]), 1: SymPoly.symbol(coords[1])}
+    family = TernaryTable(2, ["x", "y"], {
+        idx: {l: x.substitute(values) for l, x in vec.items()} for idx, vec in table.c.items()
+    })
     # the second term of the five-variable identity evaluates to
     # zeta (a1 zeta + a2 (1 - zeta)) b2 c2 d2 e2 in the x coordinate
     lts_b = fixture("lts-b")
-    inner = family.triple(assign["a"], assign["b"], assign["c"])
-    outer = family.triple(inner, assign["d"], assign["e"])
+    inner = family.multiply(assign["a"], assign["b"], assign["c"])
+    outer = family.multiply(inner, assign["d"], assign["e"])
     expected_x = (
         SymPoly.symbol("a1") * z * z
         + SymPoly.symbol("a2") * z * (1 - z)
     ) * SymPoly.symbol("b2") * SymPoly.symbol("c2") * SymPoly.symbol("d2") * SymPoly.symbol("e2")
-    assert outer[0] == expected_x
-    assert not outer[1]
+    assert outer == {0: expected_x}
     # and the whole identity vanishes symbolically for every parameter
     out = family.evaluate(lts_b, {v.name: assign[v.name] for v in lts_b.variables})
-    assert all(not x for x in out)
+    assert not out
 
 
 def _fp_oracle(p, alpha122, alpha222):
@@ -333,7 +386,7 @@ def _fp_oracle(p, alpha122, alpha222):
             vectors = [table.basis_vector(i) for i in tup]
             assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
             out = table.evaluate(ident, assign)
-            if any(int(x) % p for x in out):
+            if any(int(x) % p for x in out.values()):
                 return False
     return True
 
