@@ -10,7 +10,6 @@ pure; report text is deterministic byte for byte.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Callable, Iterable
 
 from .core import (
@@ -104,7 +103,7 @@ def _vars(n: int) -> tuple[Variable, ...]:
 
 
 def _leaf_poly(name: str) -> Polynomial:
-    return Polynomial({Monomial.leaf(Variable(name)): Fraction(1)})
+    return Polynomial({Monomial.leaf(Variable(name)): 1})
 
 
 def _dialgebra_rename(p: Polynomial) -> Polynomial:
@@ -461,7 +460,7 @@ def section_sec8() -> SectionReport:
                         all(eq.is_homogeneous(2) for eq in qs.equations)))
     claims.append(Claim("zero assignment satisfies the quadratic system",
                         qs.is_satisfied({})))
-    sys4 = {"a122": Fraction(-1), "a222": Fraction(1)}
+    sys4 = {"a122": -1, "a222": 1}
     claims.append(Claim("the fourth system satisfies the quadratic system",
                         qs.is_satisfied(sys4)))
     from .systems import SymPoly

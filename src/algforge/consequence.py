@@ -7,7 +7,7 @@ polynomial "follows from" a set of identities at that degree exactly when it
 lies in the span of their instances: variable relabelings at equal degree,
 plus one-step liftings (substitute a product of two fresh variables for one
 variable, or multiply through by a fresh variable) when the degree grows by
-one.  Membership is decided by forward elimination over Fractions and every
+one.  Membership is decided by exact forward elimination and every
 positive answer carries a certificate that re-expands to the target.
 
 Instance tags are printed the way the combinations are usually written,
@@ -177,11 +177,11 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
             rest = [w for w in variables if w not in (x, y)]
             prod = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
             for assign in itertools.permutations(rest):
-                mapping: dict[Variable, Polynomial] = {v: Polynomial({prod: Fraction(1)})}
+                mapping: dict[Variable, Polynomial] = {v: Polynomial({prod: 1})}
                 args = [""] * len(src)
                 args[v_idx] = x.name + y.name
                 for w, val in zip(others, assign):
-                    mapping[w] = Polynomial({Monomial.leaf(val): Fraction(1)})
+                    mapping[w] = Polynomial({Monomial.leaf(val): 1})
                     args[src.index(w)] = val.name
                 tag = f"{label}({','.join(args)})"
                 yield tag, substitute(identity.lhs, mapping)
@@ -193,7 +193,7 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
             mapping = dict(zip(src, assign))
             inst = relabel(identity.lhs, mapping)
             args = ",".join(v.name for v in assign)
-            fpoly = Polynomial({Monomial.leaf(f): Fraction(1)})
+            fpoly = Polynomial({Monomial.leaf(f): 1})
             yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
             yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
 
@@ -361,12 +361,12 @@ def kernel_of_expansion(
     table = PivotTable()
     out = []
     for j, m in enumerate(basis.monomials):
-        vec = {rows.setdefault(k, len(rows)): Fraction(c) for k, c in expand(m).terms.items()}
+        vec = {rows.setdefault(k, len(rows)): c for k, c in expand(m).terms.items()}
         residual, combo = table.reduce(vec)
         if residual:
             table.store(residual, combo, j)
             continue
         kernel = {i: -c for i, c in combo.items()}
-        kernel[j] = Fraction(1)
+        kernel[j] = 1
         out.append(basis.polynomial(dict(sorted(kernel.items()))))
     return out

@@ -2,10 +2,13 @@
 
 A monomial is a planar operation tree: either a leaf holding a variable, or
 an operation symbol applied to a tuple of child monomials.  A polynomial is
-a finite map from monomials to nonzero Fraction coefficients; the zero
-polynomial is the empty map, and no arithmetic routine ever stores a zero
-coefficient.  All values are immutable after construction and every
-operation here is a pure function, so results can be shared freely.
+a finite map from monomials to nonzero coefficients, each an ``int`` or a
+``Fraction``; the zero polynomial is the empty map, and no arithmetic routine
+ever stores a zero coefficient.  A coefficient stays an ``int`` until a
+division (a pivot's normalisation, a rewrite rule's solve) makes it
+fractional, and is never a ``float``.  All values are immutable after
+construction and every operation here is a pure function, so results can be
+shared freely.
 
 ``LinComb`` is that sparse combination over any hashable key, and the one
 arithmetic of the package: ``Polynomial`` here, the tensor words of
@@ -245,6 +248,15 @@ def format_monomial(m: Monomial) -> str:
     return fold(m, lambda v: v.name, lambda op, args: f"{op.display()}({', '.join(args)})")
 
 
+def q(x):
+    """An exact scalar in its plainest type: the ``int`` a ``Fraction`` with
+    denominator 1 stands for, any other ``int`` or ``Fraction`` unchanged.
+    Anything else, a ``float`` above all, raises ``AlgebraError``."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator if x.denominator == 1 else x
+    raise AlgebraError(f"coefficient {x!r} is not an int or a Fraction")
+
+
 def accumulate(terms: dict, pairs: Iterable[tuple], scale=None) -> dict:
     """Add each (key, c) pair, times ``scale`` when given, into ``terms`` in
     place, dropping every sum that cancels; returns ``terms``.
@@ -270,13 +282,14 @@ def accumulate(terms: dict, pairs: Iterable[tuple], scale=None) -> dict:
 
 
 class LinComb:
-    """A finite Fraction-linear combination of hashable keys.
+    """A finite rational linear combination of hashable keys.
 
-    ``terms`` maps each key to its nonzero Fraction coefficient; the zero
-    combination is the empty map.  Values are immutable once built: only
-    code that has just made a combination, and not yet handed it out, grows
-    its ``terms`` with ``accumulate``.  A subclass says what its keys are:
-    ``_key`` makes a caller's key canonical, ``_order`` sorts keys,
+    ``terms`` maps each key to its nonzero ``int`` or ``Fraction``
+    coefficient (``q`` canonicalises what the constructor and ``scale`` are
+    given); the zero combination is the empty map.  Values are immutable once
+    built: only code that has just made a combination, and not yet handed it
+    out, grows its ``terms`` with ``accumulate``.  A subclass says what its
+    keys are: ``_key`` makes a caller's key canonical, ``_order`` sorts keys,
     ``_render_key`` prints one, and ``_coerce`` names the other values that
     stand for a combination.
     """
@@ -287,7 +300,7 @@ class LinComb:
         self.terms = {}
         if terms:
             key = self._key
-            accumulate(self.terms, ((key(k), Fraction(c)) for k, c in terms.items()))
+            accumulate(self.terms, ((key(k), q(c)) for k, c in terms.items()))
 
     @classmethod
     def _from_terms(cls, terms: dict):
@@ -346,10 +359,12 @@ class LinComb:
         return self._from_terms({k: -c for k, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = q(c)
         if not c:
             return self.zero()
-        return self._from_terms({k: v * c for k, v in self.terms.items()})
+        if c == 1:
+            return self
+        return self._from_terms({k: q(v * c) for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         other = self._coerce(other)
@@ -407,7 +422,8 @@ def _as_polynomial(x: PolyLike) -> "Polynomial":
 
 
 class Polynomial(LinComb):
-    """A canonical Fraction-linear combination of monomials."""
+    """A canonical combination of monomials with nonzero ``int`` or
+    ``Fraction`` coefficients."""
 
     __slots__ = ()
 
@@ -421,7 +437,7 @@ class Polynomial(LinComb):
         if isinstance(x, Variable):
             x = Monomial.leaf(x)
         if isinstance(x, Monomial):
-            return Polynomial._from_terms({x: Fraction(1)})
+            return Polynomial._from_terms({x: 1})
         return None
 
     def __rmul__(self, c) -> "Polynomial":
@@ -463,7 +479,7 @@ def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
     polys = [_as_polynomial(a) for a in args]
     if len(polys) != op.arity:
         raise ArityError(f"{op.display()} expects {op.arity} arguments")
-    combos: list[tuple[list[Monomial], Fraction]] = [([], Fraction(1))]
+    combos: list[tuple[list[Monomial], Fraction]] = [([], 1)]
     for p in polys:
         nxt = []
         for ms, c in combos:
@@ -635,7 +651,7 @@ def polarize(identity: Identity) -> Identity:
         out_vars.extend(fresh)
         acc: dict[Monomial, Fraction] = {}
         for r in range(k + 1):
-            sign = Fraction(-1) ** (k - r)
+            sign = (-1) ** (k - r)
             for subset in itertools.combinations(fresh, r):
                 val = Polynomial({Monomial.leaf(w): 1 for w in subset})
                 accumulate(acc, substitute(work, {v: val}, check=False).terms.items(), sign)

@@ -11,7 +11,6 @@ a tag such as ``ro(a,b,c,e)*d`` applies RJ or RO as a 4-ary operation.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from importlib import resources
 
@@ -77,7 +76,7 @@ def _left_op(x, a, b) -> Polynomial:
 
 def _operator_identities() -> dict[str, Identity]:
     a, b, c, d, e = (
-        Polynomial({Monomial.leaf(Variable(n)): Fraction(1)}) for n in "abcde"
+        Polynomial({Monomial.leaf(Variable(n)): 1}) for n in "abcde"
     )
     R, L = _right_op, _left_op
     op1 = (
@@ -137,15 +136,15 @@ def elimination_rules() -> list:
     rule2 = RewriteRule(
         TERNARY.with_variant(2),
         (x, y, z),
-        Polynomial({Monomial.apply(br1, (ly, lx, lz)): Fraction(-1)}),
+        Polynomial({Monomial.apply(br1, (ly, lx, lz)): -1}),
     )
     rule3 = RewriteRule(
         TERNARY.with_variant(3),
         (x, y, z),
         Polynomial(
             {
-                Monomial.apply(br1, (lz, ly, lx)): Fraction(1),
-                Monomial.apply(br1, (lz, lx, ly)): Fraction(-1),
+                Monomial.apply(br1, (lz, ly, lx)): 1,
+                Monomial.apply(br1, (lz, lx, ly)): -1,
             }
         ),
     )
@@ -159,7 +158,7 @@ def binary_elimination_rule():
     return RewriteRule(
         BINARY.with_variant(2),
         (x, y),
-        Polynomial({Monomial.apply(m1, (Monomial.leaf(y), Monomial.leaf(x))): Fraction(-1)}),
+        Polynomial({Monomial.apply(m1, (Monomial.leaf(y), Monomial.leaf(x))): -1}),
     )
 
 
@@ -254,16 +253,9 @@ def system_names() -> list[str]:
 
 
 def parametric_system(zeta) -> TernaryTable:
-    """The one-parameter family <x,y,y> = zeta x, <y,y,y> = (1 - zeta) x."""
-    zeta = Fraction(zeta)
-    return TernaryTable(
-        2,
-        ["x", "y"],
-        {
-            (0, 1, 1): [zeta, Fraction(0)],
-            (1, 1, 1): [1 - zeta, Fraction(0)],
-        },
-    )
+    """The one-parameter family <x,y,y> = zeta x, <y,y,y> = (1 - zeta) x,
+    for an ``int`` or ``Fraction`` zeta."""
+    return TernaryTable(2, ["x", "y"], {(0, 1, 1): [zeta, 0], (1, 1, 1): [1 - zeta, 0]})
 
 
 def envelope_golden(name: str) -> str:

@@ -37,7 +37,8 @@ Word = tuple[str, ...]
 
 
 class TensorPolynomial(LinComb):
-    """Canonical Fraction-linear combination of tensor words."""
+    """Canonical combination of tensor words with nonzero ``int`` or
+    ``Fraction`` coefficients."""
 
     __slots__ = ()
 
@@ -55,7 +56,7 @@ class TensorPolynomial(LinComb):
         w = tuple(letters)
         if not w:
             raise AlgebraError("words must be nonempty")
-        return TensorPolynomial({w: Fraction(1)})
+        return TensorPolynomial({w: 1})
 
     def letters(self) -> set[str]:
         return {x for w in self.terms for x in w}
@@ -63,7 +64,7 @@ class TensorPolynomial(LinComb):
 
 def _word_product(w: Word, v: Word) -> dict[Word, Fraction]:
     if len(v) == 1:
-        return {w + v: Fraction(1)}
+        return {w + v: 1}
     head, last = v[:-1], v[-1:]
     # appending a letter is injective, so the first part needs no merging
     out = {u + last: c for u, c in _word_product(w, head).items()}

@@ -1,14 +1,15 @@
 """Exact rational linear algebra on sparse integer-indexed vectors.
 
-Vectors are dicts mapping column index to a nonzero Fraction.  The one
-elimination engine is an incremental forward-elimination table: generator
-vectors are fed in one at a time, each reduced against the pivots found so
-far (leftmost-column pivoting, first come first kept, no scaling tricks
-beyond normalizing each pivot's leading entry to 1).  The table tracks, for
-every pivot row, its expression as a combination of the original
-generators, which turns span membership into an explicit certificate and a
-dependent generator into a kernel vector.  Everything is
-Fraction arithmetic end to end.
+Vectors are dicts mapping column index to a nonzero ``int`` or ``Fraction``.
+The one elimination engine is an incremental forward-elimination table:
+generator vectors are fed in one at a time, each reduced against the pivots
+found so far (leftmost-column pivoting, first come first kept, no scaling
+tricks beyond normalizing each pivot's leading entry to 1).  The table
+tracks, for every pivot row, its expression as a combination of the
+original generators, which turns span membership into an explicit
+certificate and a dependent generator into a kernel vector.  Arithmetic is exact end to end:
+integral entries stay ``int``, and only the normalisation of a pivot's
+leading entry divides, so only it makes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Hashable
 
-from .core import accumulate
+from .core import accumulate, q
 
-Vec = dict[int, Fraction]
+Vec = dict[int, int | Fraction]  # column index -> nonzero exact scalar
 
 
 class PivotTable:
@@ -63,8 +64,8 @@ class PivotTable:
     def store(self, residual: Vec, combo: dict[Hashable, Fraction], tag: Hashable = None) -> None:
         """Keep a nonzero ``reduce`` result of generator ``tag`` as a new pivot."""
         lead = min(residual)
-        scale = Fraction(1) / residual[lead]
-        normal = {k: c * scale for k, c in residual.items()}
+        scale = q(Fraction(1) / residual[lead])
+        normal = {k: q(c * scale) for k, c in residual.items()}
         # vec = residual + sum(combo); residual = vec - sum(combo)
         self.pivots[lead] = (normal, accumulate({tag: scale}, combo.items(), -scale))
 

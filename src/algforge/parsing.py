@@ -156,7 +156,7 @@ class _Parser:
 
     def parse_term(self) -> Polynomial:
         kind, val, pos = self.peek()
-        coeff = Fraction(1)
+        coeff = 1
         if kind == "int":
             self.take()
             num = int(val)
@@ -204,7 +204,7 @@ class _Parser:
             return apply_op(op, args)
         if val in self.sig:
             raise ParseError(f"operation {val!r} used without arguments", pos)
-        return Polynomial({Monomial.leaf(Variable(val)): Fraction(1)})
+        return Polynomial({Monomial.leaf(Variable(val)): 1})
 
     def term_has_star(self) -> bool:
         """Whether the product from here to the end of its term contains '*'."""
@@ -246,7 +246,7 @@ class _Parser:
         for k, ch in enumerate(val):
             if not ch.isalpha():
                 raise ParseError(f"expected letter, found {ch!r}", pos + k)
-        return [Polynomial({Monomial.leaf(Variable(ch)): Fraction(1)}) for ch in val]
+        return [Polynomial({Monomial.leaf(Variable(ch)): 1}) for ch in val]
 
     def finished(self) -> bool:
         return self.i >= len(self.tokens)

@@ -137,7 +137,8 @@ class RCWord(NamedTuple):
 
 
 class RCPolynomial(LinComb):
-    """Canonical Fraction-linear combination of straightened words."""
+    """Canonical combination of straightened words with nonzero ``int`` or
+    ``Fraction`` coefficients."""
 
     __slots__ = ()
 
@@ -159,7 +160,7 @@ def rc_straighten(m: Monomial) -> RCWord:
 def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
     """Straighten every term, aggregating and cancelling coefficients."""
     if isinstance(p, Monomial):
-        p = Polynomial({p: Fraction(1)})
+        p = Polynomial({p: 1})
     return RCPolynomial._from_terms(
         accumulate({}, ((rc_straighten(m), c) for m, c in p.terms.items()))
     )

@@ -1,16 +1,17 @@
 """Finite-dimensional ternary systems, their checks, and Leibniz envelopes.
 
 Ternary systems <e_i, e_j, e_k> = c[i, j, k] and binary algebras
-e_i e_j = c[i, j] are structure-constant tables over named basis elements
-with exact rational (or symbolic) entries, sharing one base class.  A vector
-is a sparse dict from basis index to nonzero scalar ({} is zero), and ``c``
-maps index tuples to nonzero vectors; one multilinear loop
-(``StructureTable.multiply``) is the product for every arity.  One loop
-(``evaluations``) evaluates identities on all basis tuples: it checks the
-defining identities and the one-product law, and builds the ternary products
-<<a,b>,c> and abc - bac - cab + cba of a binary algebra.  The enveloping
-binary algebra has dimension n(n+1), on the basis e_1..e_n followed by the
-pairs e_i e_j (row-major); tables render aligned, "." for zero entries.
+e_i e_j = c[i, j] are structure-constant tables over named, distinct basis
+elements with exact entries, sharing one base class: a scalar is an ``int``,
+a ``Fraction`` or a symbolic ``SymPoly``.  A vector is a sparse dict from
+basis index to nonzero scalar ({} is zero), and ``c`` maps index tuples to
+nonzero vectors; one multilinear loop (``StructureTable.multiply``) is the
+product for every arity.  One loop (``evaluations``) evaluates identities
+on all basis tuples: it checks the defining identities and the one-product
+law, and builds the ternary products <<a,b>,c> and abc - bac - cab + cba of
+a binary algebra.  The enveloping binary algebra has dimension n(n+1), on
+the basis e_1..e_n followed by the pairs e_i e_j (row-major); tables render
+aligned, "." for zero entries.
 
 For the 2-dimensional classification work the defining identities can also
 be imposed symbolically: the 16 structure coefficients a_ijk (coefficient of
@@ -30,12 +31,13 @@ from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
-from .core import accumulate, fold
+from .core import accumulate, fold, q
 from .parsing import Signature, format_polynomial, parse
 
 
 class SymPoly(LinComb):
-    """A small exact multivariate polynomial: monomial tuple -> Fraction.
+    """A small exact multivariate polynomial: monomial tuple -> nonzero
+    ``int`` or ``Fraction``.
 
     Monomials are sorted tuples of symbol names, so the ring is commutative;
     the empty tuple is the constant term.  Supports mixed arithmetic with
@@ -121,8 +123,24 @@ class SymPoly(LinComb):
         return super()._render_term(mono, c) if mono else str(abs(c))
 
 
-Scalar = Union[Fraction, SymPoly]
+Scalar = Union[int, Fraction, SymPoly]
 Vector = dict[int, Scalar]  # basis index -> nonzero scalar; {} is zero
+
+
+def _scalar(x) -> Scalar:
+    """A structure constant as stored: a ``SymPoly`` as it is, else ``q(x)``."""
+    return x if isinstance(x, SymPoly) else q(x)
+
+
+def _distinct_basis(dim: int, basis: Sequence[str]) -> list[str]:
+    """The basis names as a list: ``dim`` of them, no name twice."""
+    basis = list(basis)
+    if len(basis) != dim:
+        raise AlgebraError("basis size must equal dimension")
+    for i, name in enumerate(basis):
+        if name in basis[:i]:
+            raise AlgebraError(f"basis name {name!r} is repeated")
+    return basis
 
 
 def _parse_vector(text: str, basis: Sequence[str]) -> Vector:
@@ -160,14 +178,12 @@ class StructureTable:
     def __init__(self, dim: int, basis: Sequence[str], constants: Mapping[tuple, object]):
         """``constants`` maps index tuples to coefficient vectors, each a list
         of ``dim`` scalars or a dict from basis index to scalar; omitted
-        entries are zero."""
+        entries are zero.  A scalar is an ``int``, a ``Fraction`` or a
+        ``SymPoly``; an integral ``Fraction`` is stored as its ``int``."""
         if dim < 1:
             raise AlgebraError("dimension must be at least 1")
-        basis = list(basis)
-        if len(basis) != dim:
-            raise AlgebraError("basis size must equal dimension")
         self.dim = dim
-        self.basis = basis
+        self.basis = _distinct_basis(dim, basis)
         if not set(constants) <= set(itertools.product(range(dim), repeat=self.arity)):
             raise AlgebraError("structure-constant index out of range")
         cols = set(range(dim))
@@ -181,7 +197,7 @@ class StructureTable:
                 raise AlgebraError(f"coefficient vector at {idx} needs {dim} entries")
             else:
                 items = enumerate(vec)
-            vec = {l: x for l, x in items if x}
+            vec = {l: s for l, x in items if (s := _scalar(x))}
             if vec:
                 self.c[idx] = vec
 
@@ -189,7 +205,8 @@ class StructureTable:
     def from_json(cls, obj: Union[str, Mapping]):
         """Schema: {"dim": n, "basis": [...], KEY: {"x,y,...": "y", ...}} with
         KEY "triple" or "product"; omitted entries are zero, values are linear
-        combinations of basis names."""
+        combinations of basis names.  Basis names are distinct, and no two
+        keys name the same index tuple."""
         if isinstance(obj, str):
             obj = json.loads(obj)
         dim = int(obj["dim"])
@@ -200,7 +217,10 @@ class StructureTable:
             names = [s.strip() for s in key.split(",")]
             if len(names) != cls.arity or any(n not in pos for n in names):
                 raise AlgebraError(f"bad {cls.json_key} key {key!r}")
-            sparse[tuple(pos[n] for n in names)] = _parse_vector(value, basis)
+            idx = tuple(pos[n] for n in names)
+            if idx in sparse:
+                raise AlgebraError(f"{cls.json_key} key {key!r} repeats an earlier key")
+            sparse[idx] = _parse_vector(value, basis)
         return cls(dim, basis, sparse)
 
     def to_json(self) -> dict:
@@ -213,7 +233,7 @@ class StructureTable:
         return {"dim": self.dim, "basis": list(self.basis), self.json_key: entries}
 
     def basis_vector(self, i: int) -> Vector:
-        return {i: Fraction(1)}
+        return {i: 1}
 
     def multiply(self, *vectors: Vector) -> Vector:
         """The product of ``arity`` vectors, extended multilinearly."""
@@ -339,7 +359,7 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
     pair = {ij: n + t for t, ij in enumerate(pairs)}
     basis = list(table.basis) + [_pair_name(table.basis, i, j) for i, j in pairs]
     zero: Vector = {}
-    product = {(i, j): {pair[i, j]: Fraction(1)} for i, j in pairs}
+    product = {(i, j): {pair[i, j]: 1} for i, j in pairs}
     for i, (j, k) in itertools.product(range(n), pairs):
         ijk = dict(c.get((i, j, k), zero))
         product[i, pair[j, k]] = accumulate(ijk, c.get((i, k, j), zero).items(), -1)
@@ -399,7 +419,7 @@ class QuadraticSystem:
 
     def substitute(self, values: Mapping[str, object]) -> list[SymPoly]:
         """Evaluate every equation; unknowns not mentioned are zero."""
-        full = {u: Fraction(0) for u in self.unknowns}
+        full = {u: 0 for u in self.unknowns}
         full.update(values)
         return [eq.substitute(full) for eq in self.equations]
 

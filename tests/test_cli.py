@@ -169,6 +169,16 @@ def test_verify_rejects_non_system(tmp_path, capsys):
     assert "FAIL" in out and "violated" in out
 
 
+@pytest.mark.parametrize("command", [["verify"], ["envelope", "--emit", "table"]])
+def test_repeated_basis_names_are_a_one_line_error(command, tmp_path, capsys):
+    system = tmp_path / "repeated.json"
+    system.write_text('{"dim": 2, "basis": ["x", "x"], "triple": {"x,x,x": "x"}}')
+    assert main(command + ["--system", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: basis name 'x' is repeated\n"
+
+
 def test_classify2d(capsys):
     assert main(["classify2d", "--verify-known"]) == 0
     capsys.readouterr()

@@ -146,7 +146,7 @@ def test_polarize_right_jordan_gives_rj_up_to_scalar():
     left = rc_expand(rel)
     right = rc_expand(fixture("rj").lhs)
     word = next(iter(right.terms))
-    k = left.terms[word] / right.terms[word]
+    k = Fraction(left.terms[word]) / right.terms[word]
     assert k != 0
     assert left == right.scale(k)
 
@@ -157,7 +157,7 @@ def test_polarize_right_osborn_gives_ro_up_to_scalar():
     left = rc_expand(rel)
     right = rc_expand(fixture("ro").lhs)
     word = next(iter(right.terms))
-    k = left.terms[word] / right.terms[word]
+    k = Fraction(left.terms[word]) / right.terms[word]
     assert k != 0
     assert left == right.scale(k)
 

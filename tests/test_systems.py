@@ -55,6 +55,35 @@ def test_json_rejects_bad_keys_and_values():
         TernaryTable.from_json(
             '{"dim": 2, "basis": ["x","y"], "triple": {"x,y,x": "mul(x,y)"}}'
         )
+    # two spellings of one index tuple
+    with pytest.raises(AlgebraError, match="repeats"):
+        TernaryTable.from_json(
+            {"dim": 2, "basis": ["x", "y"], "triple": {"x,y,x": "x", "x, y, x": "y"}}
+        )
+    with pytest.raises(AlgebraError, match="repeats"):
+        BinaryAlgebra.from_json(
+            {"dim": 2, "basis": ["x", "y"], "product": {"x,y": "x", " x,y": "y"}}
+        )
+
+
+def test_repeated_basis_names_are_rejected():
+    with pytest.raises(AlgebraError, match="repeated"):
+        TernaryTable(2, ["x", "x"], {})
+    with pytest.raises(AlgebraError, match="repeated"):
+        BinaryAlgebra(3, ["p", "q", "p"], {})
+    with pytest.raises(AlgebraError, match="repeated"):
+        TernaryTable.from_json({"dim": 2, "basis": ["x", "x"], "triple": {"x,x,x": "x"}})
+
+
+def test_float_structure_constants_are_rejected():
+    for vec in ([0.5, 0], {0: 0.5}, [0.0, 1]):
+        with pytest.raises(AlgebraError):
+            TernaryTable(2, ["x", "y"], {(0, 0, 0): vec})
+        with pytest.raises(AlgebraError):
+            BinaryAlgebra(2, ["x", "y"], {(1, 0): vec})
+    # an integral Fraction is stored as its int, a fractional one as it is
+    table = TernaryTable(2, ["x", "y"], {(0, 0, 0): [Fraction(4, 2), Fraction(1, 3)]})
+    assert [type(x) for x in table.c[0, 0, 0].values()] == [int, Fraction]
 
 
 def test_sparse_constants_outside_the_basis_are_rejected():

@@ -37,9 +37,11 @@ CLI = [
     ["free-expand", "--expr", "(ab)(c(de))"],
     ["free-expand", "--expr", "(x1*y2)*z"],
 ]
-# two fixture systems, and the 3-dimensional system abc - bac - cab + cba of
-# the upper-triangular 2x2 matrices, whose envelope has 12 dimensions
-SYSTEMS = ("sys2d-1", "sys2d-2", "upper-2x2-assoc")
+# two fixture systems; the 3-dimensional system abc - bac - cab + cba of the
+# upper-triangular 2x2 matrices, whose envelope has 12 dimensions; and the
+# parametric family at zeta = 1/3, whose constants 1/3 and 2/3 pin the
+# printing of fractional coefficients
+SYSTEMS = ("sys2d-1", "sys2d-2", "upper-2x2-assoc", "sys2d-5-zeta-one-third")
 PER_SYSTEM = [
     ["envelope", "--emit", "table", "--check-leibniz"],
     ["envelope", "--emit", "json"],
@@ -48,12 +50,14 @@ PER_SYSTEM = [
 WRITE_SYSTEM = (
     "import json, sys\n"
     "from fractions import Fraction\n"
-    "from algforge.fixtures import system_table\n"
+    "from algforge.fixtures import parametric_system, system_table\n"
     "from algforge.systems import BinaryAlgebra, from_associative\n"
     "if sys.argv[1] == 'upper-2x2-assoc':\n"
     "    prod = {(0, 0): [1, 0, 0], (0, 1): [0, 1, 0], (1, 2): [0, 1, 0], (2, 2): [0, 0, 1]}\n"
     "    prod = {k: [Fraction(x) for x in v] for k, v in prod.items()}\n"
     "    table = from_associative(BinaryAlgebra(3, ['p', 'q', 'r'], prod))\n"
+    "elif sys.argv[1] == 'sys2d-5-zeta-one-third':\n"
+    "    table = parametric_system(Fraction(1, 3))\n"
     "else:\n"
     "    table = system_table(sys.argv[1])\n"
     "json.dump(table.to_json(), open(sys.argv[2], 'w'))\n"
