@@ -28,7 +28,7 @@ from .consequence import (
     MonomialBasis,
     SpanChecker,
     in_span,
-    iter_relabelings,
+    instances,
     kernel_of_expansion,
     sets_equivalent,
 )
@@ -183,7 +183,7 @@ def section_ex25() -> SectionReport:
     spec = substitute(leib.lhs, {Variable("b"): Variable("c")}, check=False)
     pol = polarize(Identity(spec, name="leibniz-squared"))
     basis = MonomialBasis([BINARY], 3, vs)
-    cert = in_span(ra.lhs, list(iter_relabelings(pol, vs)), basis)
+    cert = in_span(ra.lhs, list(instances([pol], vs)), basis)
     claims.append(
         Claim(
             "right anticommutativity lies in the span of the re-linearized square",
@@ -245,9 +245,8 @@ def section_thm32() -> SectionReport:
     claims.append(Claim("reduced set is equivalent to the four-identity set at degree 5", res.equivalent))
 
     basis = MonomialBasis([TERNARY], 5, vs)
-    gens = []
-    for n in ("inner2-skew", "inner2-cyclic", "inner3-skew", "inner3-cyclic", "lts3"):
-        gens.extend(iter_relabelings(fixture(n), vs))
+    names = ("inner2-skew", "inner2-cyclic", "inner3-skew", "inner3-cyclic", "lts3")
+    gens = list(instances([fixture(n) for n in names], vs))
     cert = in_span(fixture("derivation5-reduced").lhs, gens, basis)
     claims.append(
         Claim("the 16-term reduced identity is redundant, with certificate",
@@ -292,10 +291,7 @@ def section_lem33() -> SectionReport:
 def section_sec4() -> SectionReport:
     vs = _vars(5)
     basis = MonomialBasis([TERNARY], 5, vs)
-    gens = []
-    for n in ("lts-a", "lts-b"):
-        gens.extend(iter_relabelings(fixture(n), vs))
-    checker = SpanChecker(gens, basis)
+    checker = SpanChecker(list(instances([fixture("lts-a"), fixture("lts-b")], vs)), basis)
     claims = []
     for n in ("op1", "op2", "op3", "op4"):
         cert = checker.check(fixture(n).lhs)
@@ -420,9 +416,7 @@ def section_thm73_deg5() -> SectionReport:
     basis = MonomialBasis([TERNARY], 5, vs)
     claims = [Claim("ambient ternary degree-5 space has dimension 360", len(basis) == 360)]
     kernel = kernel_of_expansion(basis, expand_ternary)
-    gens = []
-    for n in ("lts-a", "lts-b"):
-        gens.extend(iter_relabelings(fixture(n), vs))
+    gens = list(instances([fixture("lts-a"), fixture("lts-b")], vs))
     checker = SpanChecker(gens, basis)
     claims.append(Claim("kernel of the word expansion has dimension 240", len(kernel) == 240))
     claims.append(Claim("span of the 240 instances has dimension 240", checker.rank == 240))

@@ -20,12 +20,7 @@ import sys
 from pathlib import Path
 
 from .core import AlgebraError, Polynomial
-from .consequence import (
-    MonomialBasis,
-    SpanChecker,
-    iter_lifted,
-    iter_relabelings,
-)
+from .consequence import MonomialBasis, SpanChecker, instances, sets_equivalent
 from .checks import SECTIONS, replay_many, report_json, report_text
 from .fixtures import BINARY, fixture, fixture_names
 from .leibniz import expand_binary_tree, expand_ternary
@@ -80,23 +75,14 @@ def cmd_span(args) -> int:
     target = targets[0]
     _, gens = _read_identities(args.gens)
     vs = _parse_vars(args.vars, args.degree)
-    signature = set(target.signature)
-    for g in gens:
-        signature |= g.signature
-    basis = MonomialBasis(signature, args.degree, vs)
-    tagged = []
+    basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
     for idx, g in enumerate(gens):
-        named = g if g.name else g.renamed(f"g{idx}")
-        if g.degree == args.degree:
-            tagged.extend(iter_relabelings(named, vs))
-        elif args.lift and g.degree + 1 == args.degree:
-            tagged.extend(iter_lifted(named, args.degree, vs))
-        else:
+        if g.degree != args.degree and not (args.lift and g.degree + 1 == args.degree):
             raise AlgebraError(
-                f"generator {named.name} has degree {g.degree}; "
+                f"generator {g.name or f'g{idx}'} has degree {g.degree}; "
                 f"pass --lift for a one-degree gap"
             )
-    cert = SpanChecker(tagged, basis).check(target.lhs)
+    cert = SpanChecker(list(instances(gens, vs)), basis).check(target.lhs)
     if cert.ok:
         print(f"IN SPAN: {target.name or 'target'} ({len(cert.coefficients)} certificate terms)")
         for line in cert.lines():
@@ -107,8 +93,6 @@ def cmd_span(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    from .consequence import sets_equivalent
-
     _, set_a = _read_identities(args.a)
     _, set_b = _read_identities(args.b)
     vs = _parse_vars(args.vars, args.degree)

@@ -4,11 +4,12 @@ The multilinear component of a signature at degree d over d named variables
 is a finite-dimensional rational vector space whose basis is every
 association shape filled with every permutation of the variables.  A
 polynomial "follows from" a set of identities at that degree exactly when it
-lies in the span of their instances: variable relabelings at equal degree,
-plus one-step liftings (substitute a product of two fresh variables for one
-variable, or multiply through by a fresh variable) when the degree grows by
-one.  Membership is decided by exact forward elimination and every
-positive answer carries a certificate that re-expands to the target.
+lies in the span of their instances, which ``instances`` yields: variable
+relabelings at equal degree, and one-step liftings (substitute a product of
+two fresh variables for one variable, or multiply through by a fresh
+variable) when the degree grows by one.  Membership is decided by exact
+forward elimination and every positive answer carries a certificate that
+re-expands to the target.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .core import (
@@ -51,37 +53,30 @@ class UnsupportedLift(AlgebraError):
 def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomial]:
     """All association shapes of the given degree, as trees over placeholder
     leaves ``p0..p{d-1}`` numbered left to right, sorted by shape order."""
-    ops = sorted(set(signature))
+    ops = tuple(sorted(set(signature)))
     if degree < 1:
         raise DegreeNotExpressible(f"degree must be >= 1, got {degree}")
-    memo: dict[int, list[Monomial]] = {}
-
-    def build(d: int) -> list[Monomial]:
-        if d in memo:
-            return memo[d]
-        out: list[Monomial] = []
-        if d == 1:
-            out.append(Monomial.leaf(Variable("p0")))
-        else:
-            for op in ops:
-                k = op.arity
-                if k < 2 and d > 1:
-                    continue
-                for split in _compositions(d, k):
-                    pools = [build(di) for di in split]
-                    for combo in itertools.product(*pools):
-                        out.append(Monomial.apply(op, combo))
-        out = [shape_of(s) for s in out]
-        uniq = {s.shape_key(): s for s in out}
-        memo[d] = sorted(uniq.values(), key=lambda s: s.shape_key())
-        return memo[d]
-
-    shapes = build(degree)
+    shapes = _shapes(ops, degree)
     if not shapes:
         raise DegreeNotExpressible(
             f"no monomials of degree {degree} over {[o.display() for o in ops]}"
         )
-    return shapes
+    return list(shapes)
+
+
+@cache
+def _shapes(ops: tuple[OpSymbol, ...], d: int) -> tuple[Monomial, ...]:
+    """The shapes of degree ``d``, built once per (operations, degree)."""
+    if d == 1:
+        return (Monomial.leaf(Variable("p0")),)
+    out = []
+    for op in ops:
+        if op.arity < 2:
+            continue
+        for split in _compositions(d, op.arity):
+            for combo in itertools.product(*(_shapes(ops, di) for di in split)):
+                out.append(shape_of(Monomial.apply(op, combo)))
+    return tuple(sorted(out, key=Monomial.shape_key))
 
 
 def _compositions(total: int, parts: int):
@@ -172,30 +167,38 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
 
     # (i) substitute an ordered product of two fresh variables for one variable
     for v_idx, v in enumerate(src):
-        others = [w for w in src if w is not v]
-        for x, y in itertools.permutations(variables, 2):
-            rest = [w for w in variables if w not in (x, y)]
+        others = src[:v_idx] + src[v_idx + 1:]
+        for x, y, *rest in itertools.permutations(variables):
             prod = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
-            for assign in itertools.permutations(rest):
-                mapping: dict[Variable, Polynomial] = {v: Polynomial({prod: 1})}
-                args = [""] * len(src)
-                args[v_idx] = x.name + y.name
-                for w, val in zip(others, assign):
-                    mapping[w] = Polynomial({Monomial.leaf(val): 1})
-                    args[src.index(w)] = val.name
-                tag = f"{label}({','.join(args)})"
-                yield tag, substitute(identity.lhs, mapping)
+            mapping: dict[Variable, Polynomial] = {v: Polynomial({prod: 1})}
+            for w, val in zip(others, rest):
+                mapping[w] = Polynomial({Monomial.leaf(val): 1})
+            args = [val.name for val in rest]
+            args.insert(v_idx, x.name + y.name)
+            yield f"{label}({','.join(args)})", substitute(identity.lhs, mapping)
 
     # (ii) multiply a relabeled instance by the leftover variable
-    for f in variables:
-        rest = [w for w in variables if w is not f]
-        for assign in itertools.permutations(rest):
-            mapping = dict(zip(src, assign))
-            inst = relabel(identity.lhs, mapping)
-            args = ",".join(v.name for v in assign)
-            fpoly = Polynomial({Monomial.leaf(f): 1})
-            yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
-            yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
+    for f, *rest in itertools.permutations(variables):
+        inst = relabel(identity.lhs, dict(zip(src, rest)))
+        args = ",".join(v.name for v in rest)
+        fpoly = Polynomial({Monomial.leaf(f): 1})
+        yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
+        yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
+
+
+def instances(identities: Iterable[Identity], variables: Sequence[Variable]):
+    """Yield (tag, polynomial) for every instance of the identities over
+    ``variables``: the relabelings of an identity of degree
+    ``len(variables)`` and the one-step liftings of one a degree lower.  An
+    unnamed identity is named by its position, ``g0``, ``g1``, ...; any other
+    degree raises ``AlgebraError``."""
+    variables = tuple(variables)
+    for idx, ident in enumerate(identities):
+        named = ident if ident.name else ident.renamed(f"g{idx}")
+        if ident.degree == len(variables):
+            yield from iter_relabelings(named, variables)
+        else:
+            yield from iter_lifted(named, len(variables), variables)
 
 
 class SpanCertificate:
@@ -206,9 +209,7 @@ class SpanCertificate:
         self.generators = dict(generators)
         self.target = target
 
-    @property
-    def ok(self) -> bool:
-        return True
+    ok = True
 
     def support(self) -> list[Hashable]:
         return sorted(self.coefficients, key=str)
@@ -237,9 +238,7 @@ class NotInSpan:
     def __init__(self, witness):
         self.witness = witness
 
-    @property
-    def ok(self) -> bool:
-        return False
+    ok = False
 
     def __repr__(self) -> str:
         return f"<not in span; witness {self.witness!r}>"
@@ -305,20 +304,8 @@ class EquivalenceResult:
         return self.equivalent
 
 
-def _instance_checker(identities, degree, variables, basis) -> SpanChecker:
-    tagged = []
-    for idx, ident in enumerate(identities):
-        named = ident if ident.name else ident.renamed(f"id{idx}")
-        tagged.extend(iter_relabelings(named, variables))
-    return SpanChecker(tagged, basis)
-
-
 def sets_equivalent(
-    a: Sequence[Identity],
-    b: Sequence[Identity],
-    degree: int,
-    variables,
-    signature=None,
+    a: Sequence[Identity], b: Sequence[Identity], degree: int, variables
 ) -> EquivalenceResult:
     """Mutual span inclusion of the identity sets' instances at one degree.
 
@@ -326,22 +313,18 @@ def sets_equivalent(
     to test one canonical instance of each identity against the other side.
     """
     variables = tuple(variables)
-    if signature is None:
-        signature = set()
-        for ident in list(a) + list(b):
-            signature |= ident.signature
+    signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
-    checker_a = _instance_checker(a, degree, variables, basis)
-    checker_b = _instance_checker(b, degree, variables, basis)
-    forward = {}
-    for idx, ident in enumerate(a):
-        key = ident.name or f"a{idx}"
-        forward[key] = checker_b.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
-    backward = {}
-    for idx, ident in enumerate(b):
-        key = ident.name or f"b{idx}"
-        backward[key] = checker_a.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
-    return EquivalenceResult(forward, backward)
+    span_a, span_b = (SpanChecker(list(instances(s, variables)), basis) for s in (a, b))
+
+    def side(mine, checker: SpanChecker, prefix: str) -> dict:
+        return {
+            ident.name or f"{prefix}{idx}":
+                checker.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
+            for idx, ident in enumerate(mine)
+        }
+
+    return EquivalenceResult(side(a, span_b, "a"), side(b, span_a, "b"))
 
 
 def kernel_of_expansion(

@@ -46,7 +46,7 @@ from .core import (
     apply_op,
     fold,
 )
-from .consequence import SpanChecker, enumerate_shapes, instantiate_shape, iter_lifted
+from .consequence import SpanChecker, enumerate_shapes, instances, instantiate_shape
 
 MAX_DEGREE = 5
 
@@ -212,9 +212,11 @@ class RCBasis:
     def __len__(self) -> int:
         return len(self.monomials)
 
-    def vector(self, p: Union[RCPolynomial, Polynomial]) -> dict[int, Fraction]:
-        if isinstance(p, Polynomial):
-            p = rc_expand(p)
+    def vector(self, p: RCPolynomial) -> dict[int, Fraction]:
+        if not isinstance(p, RCPolynomial):
+            raise AlgebraError(
+                f"an RCBasis takes straightened words; pass {type(p).__name__} through rc_expand"
+            )
         vec = {}
         for w, c in p.terms.items():
             i = self.index.get(w)
@@ -241,12 +243,5 @@ def build_jordan_checker(
     rj: Identity, ro: Identity, variables: Sequence[Variable], product: OpSymbol
 ) -> SpanChecker:
     """Elimination table over straightened one-step liftings of RJ and RO."""
-    degree = len(tuple(variables))
-    basis = RCBasis(product, degree, variables)
-    tagged = []
-    for ident in (rj, ro):
-        for tag, poly in iter_lifted(ident, degree, variables):
-            rc = rc_expand(poly)
-            if not rc.is_zero:
-                tagged.append((tag, rc))
-    return SpanChecker(tagged, basis)
+    basis = RCBasis(product, len(tuple(variables)), variables)
+    return SpanChecker([(t, rc_expand(p)) for t, p in instances([rj, ro], variables)], basis)

@@ -66,7 +66,7 @@ class SymPoly(LinComb):
 
     @staticmethod
     def const(c) -> "SymPoly":
-        return SymPoly({(): Fraction(c)})
+        return SymPoly({(): c})
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -77,8 +77,8 @@ class SymPoly(LinComb):
         return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+        if isinstance(other, (int, Fraction, float)):
+            return self.scale(other)  # a float raises in q
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -208,12 +208,26 @@ class StructureTable:
         combinations of basis names.  Basis names are distinct, and no two
         keys name the same index tuple."""
         if isinstance(obj, str):
-            obj = json.loads(obj)
-        dim = int(obj["dim"])
-        basis = list(obj.get("basis") or [f"e{i+1}" for i in range(dim)])
+            try:
+                obj = json.loads(obj)
+            except json.JSONDecodeError as exc:
+                raise AlgebraError(f"system file is not valid JSON: {exc}") from None
+        if not isinstance(obj, Mapping):
+            raise AlgebraError("system JSON must be an object")
+        dim = obj.get("dim")
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise AlgebraError('system JSON needs an integer "dim"')
+        basis = obj.get("basis") or [f"e{i+1}" for i in range(dim)]
+        if not isinstance(basis, (list, tuple)) or not all(isinstance(n, str) for n in basis):
+            raise AlgebraError('"basis" must be a list of names')
+        entries = obj.get(cls.json_key) or {}
+        if not isinstance(entries, Mapping) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in entries.items()
+        ):
+            raise AlgebraError(f'"{cls.json_key}" must map index keys to strings')
         pos = {name: i for i, name in enumerate(basis)}
         sparse = {}
-        for key, value in (obj.get(cls.json_key) or {}).items():
+        for key, value in entries.items():
             names = [s.strip() for s in key.split(",")]
             if len(names) != cls.arity or any(n not in pos for n in names):
                 raise AlgebraError(f"bad {cls.json_key} key {key!r}")

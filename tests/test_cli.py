@@ -61,6 +61,18 @@ def test_span_lift_and_failure(tmp_path, capsys):
     assert code == 1 and out.startswith("NOT IN SPAN")
 
 
+def test_span_degree_gap_needs_lift(tmp_path, capsys):
+    target = tmp_path / "t.txt"
+    target.write_text("op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n")
+    gens = tmp_path / "g.txt"
+    gens.write_text("op mul/2\nmul(mul(a,b),c) - mul(a,mul(b,c))\n")
+    argv = ["span", "--target", str(target), "--gens", str(gens), "--degree", "5"]
+    message = "error: generator g0 has degree 3; pass --lift for a one-degree gap\n"
+    for lift in ([], ["--lift"]):  # a two-degree gap is refused either way
+        assert main(argv + lift) == 2
+        assert capsys.readouterr().err == message
+
+
 def test_equiv(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text(
@@ -177,6 +189,35 @@ def test_repeated_basis_names_are_a_one_line_error(command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: basis name 'x' is repeated\n"
+
+
+_NO_DIM = 'system JSON needs an integer "dim"'
+_NOT_STRINGS = '"triple" must map index keys to strings'
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param('{"dim": 2, "basis": ["x","y"], "triple": {"x,y,x": "y"',
+                 "system file is not valid JSON: Expecting ',' delimiter: line 1 column 55 (char 54)",
+                 id="truncated"),
+    pytest.param('{"dim": "x", "basis": ["x","y"], "triple": {}}', _NO_DIM, id="dim-string"),
+    pytest.param('{"dim": 2.7, "basis": ["x","y"], "triple": {"x,y,x": "y"}}', _NO_DIM,
+                 id="dim-float"),
+    pytest.param('{"dim": true, "basis": ["x"], "triple": {}}', _NO_DIM, id="dim-bool"),
+    pytest.param('{"basis": ["x","y"], "triple": {}}', _NO_DIM, id="dim-missing"),
+    pytest.param('{"dim": 2, "basis": ["x", 3], "triple": {}}', '"basis" must be a list of names',
+                 id="basis-number"),
+    pytest.param('{"dim": 2, "basis": ["x","y"], "triple": {"x,y,x": 1}}', _NOT_STRINGS,
+                 id="value-number"),
+    pytest.param('{"dim": 2, "basis": ["x","y"], "triple": ["x"]}', _NOT_STRINGS, id="table-list"),
+    pytest.param('[2, ["x","y"]]', "system JSON must be an object", id="top-level-list"),
+])
+def test_malformed_system_json_is_a_one_line_error(text, message, tmp_path, capsys):
+    system = tmp_path / "bad.json"
+    system.write_text(text)
+    assert main(["verify", "--system", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_classify2d(capsys):

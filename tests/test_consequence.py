@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from algforge.core import (
+    AlgebraError,
     Identity,
     Monomial,
     Polynomial,
@@ -19,6 +20,7 @@ from algforge.consequence import (
     SpanChecker,
     UnsupportedLift,
     in_span,
+    instances,
     iter_lifted,
     kernel_of_expansion,
     iter_relabelings,
@@ -105,6 +107,36 @@ def test_lifting_nothing_gives_nothing():
     for ident in []:
         gens.extend(p for _, p in iter_lifted(ident, 5, V5))
     assert gens == []
+
+
+def test_instances_relabel_at_the_degree_and_lift_one_below_in_order():
+    idents = [fixture("rj"), fixture("lts-a"), fixture("ro"), fixture("lts-b")]
+    expected = [
+        *iter_lifted(fixture("rj"), 5, V5),
+        *iter_relabelings(fixture("lts-a"), V5),
+        *iter_lifted(fixture("ro"), 5, V5),
+        *iter_relabelings(fixture("lts-b"), V5),
+    ]
+    assert list(instances(idents, V5)) == expected
+
+
+def test_instances_name_unnamed_identities_by_position():
+    lts_a, rj = Identity(fixture("lts-a").lhs), Identity(fixture("rj").lhs)
+    out = list(instances([lts_a, rj], V5))
+    assert out == [
+        *iter_relabelings(lts_a.renamed("g0"), V5),
+        *iter_lifted(rj.renamed("g1"), 5, V5),
+    ]
+    assert out[0][0] == "g0(a,b,c,d,e)" and out[120][0].startswith("g1(")
+    tags = [t for t, _ in instances([fixture("lts-b"), rj], V5)]
+    assert tags[0] == "lts-b(a,b,c,d,e)" and tags[120].startswith("g1(")
+
+
+def test_instances_reject_a_two_degree_gap():
+    with pytest.raises(AlgebraError):
+        list(instances([fixture("leibniz")], V5))
+    with pytest.raises(AlgebraError):
+        list(instances([fixture("lts1")], V3))
 
 
 def test_reduced_interchange_family_equivalent_to_inner_identities():

@@ -185,6 +185,17 @@ def test_jordan_reduction_certificates():
         assert cert.ok and cert.verify()
 
 
+def test_straightened_checker_rejects_a_tree_target():
+    # a tree target would be straightened for the lookup but kept as a tree in
+    # the certificate, which then re-expands to something else
+    checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
+    tree = lifted_instance("rj(ce,b,d,a)")
+    with pytest.raises(AlgebraError, match="rc_expand"):
+        checker.check(tree)
+    cert = checker.check(rc_expand(tree))
+    assert cert.ok and cert.verify()
+
+
 def test_jordan_zero_target_gives_empty_certificate():
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
     cert = checker.check(rc_expand(Polynomial.zero()))

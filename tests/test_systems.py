@@ -336,6 +336,19 @@ def test_constant_sympoly_hashes_as_its_value(value):
     assert const in {value} and value in {const}
 
 
+def test_sympoly_rejects_float_scalars():
+    a = SymPoly.symbol("a")
+    for make in (
+        lambda: SymPoly.const(0.1),
+        lambda: a * 0.5,
+        lambda: 0.5 * a,
+    ):
+        with pytest.raises(AlgebraError):
+            make()
+    assert SymPoly.const(Fraction(6, 3)).terms == {(): 2}
+    assert (a * Fraction(1, 2)).terms == {("a",): Fraction(1, 2)}
+
+
 def test_associator_construction_gives_systems():
     table = from_associative(helpers.upper_triangular_2x2())
     lie_ok, _ = lie_triple_check(table)

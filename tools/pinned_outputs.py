@@ -11,8 +11,10 @@ tree and diff the two listings:
 
 Each command runs in a fresh interpreter with ``PYTHONPATH`` set to the
 given source directory.  The structure-constant files for ``envelope`` and
-``verify`` are written with ``to_json`` by the library under test, into a
-temporary directory whose path is left out of the printed command.
+``verify`` are written with ``to_json`` by the library under test, and the
+identity files for ``span`` and ``equiv`` are copied from its packaged
+data, into a temporary directory whose path is left out of the printed
+command.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -47,6 +50,18 @@ PER_SYSTEM = [
     ["envelope", "--emit", "json"],
     ["verify"],
 ]
+# the identity files for span and equiv: the packaged triple-systems file,
+# picks of its lines (one pick also without names, so that the certificate
+# prints the positional tags g0, g1), the linearized right Jordan identity
+# and a left-normed product that its one-step liftings do not reach
+SPAN = [
+    ["span", "--target", "lts1.txt", "--gens", "triple-systems.txt", "--degree", "5"],
+    ["span", "--target", "lts1.txt", "--gens", "lts-ab.txt", "--degree", "5"],
+    ["span", "--target", "lts1.txt", "--gens", "unnamed-ab.txt", "--degree", "5"],
+    ["span", "--target", "left-normed.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
+    ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
+]
+READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
 WRITE_SYSTEM = (
     "import json, sys\n"
     "from fractions import Fraction\n"
@@ -69,6 +84,30 @@ def run(argv: list[str], env: dict) -> tuple[int, str]:
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
+def pick(text: str, names: set[str]) -> str:
+    """The declarations of an identity file and its identities named ``names``."""
+    lines = text.splitlines()
+    kept = [l for l in lines if l.startswith("op ")]
+    return "\n".join(kept + [l for l in lines if l.split(":")[0] in names]) + "\n"
+
+
+def identity_files(env: dict) -> dict[str, str]:
+    def data(rel: str) -> str:
+        argv = [sys.executable, "-c", READ_DATA, f"identities/{rel}"]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+
+    triple = data("triple-systems.txt")
+    ab = pick(triple, {"lts-a", "lts-b"})
+    return {
+        "triple-systems.txt": triple,
+        "lts1.txt": pick(triple, {"lts1"}),
+        "lts-ab.txt": ab,
+        "unnamed-ab.txt": re.sub(r"(?m)^[\w-]+: ", "", ab),
+        "rj.txt": pick(data("jordan.txt"), {"rj"}),
+        "left-normed.txt": "op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n",
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pythonpath", default=str(ROOT / "src"),
@@ -89,6 +128,11 @@ def main() -> int:
             for c in PER_SYSTEM:
                 label = " ".join(["forge"] + c + ["--system", f"{name}.json"])
                 jobs.append((label, forge + c + ["--system", path]))
+        for name, text in identity_files(env).items():
+            (Path(tmp) / name).write_text(text)
+        for c in SPAN:
+            argv = [str(Path(tmp) / a) if a.endswith(".txt") else a for a in c]
+            jobs.append((" ".join(["forge"] + c), forge + argv))
         for demo in sorted(Path(args.demos).glob("*.py")):
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
