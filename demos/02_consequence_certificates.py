@@ -6,7 +6,7 @@ Membership is exact Gaussian elimination over rationals, and every positive
 answer is an explicit combination that re-expands to the target.
 """
 
-from algforge.consequence import MonomialBasis, SpanChecker, in_span, iter_relabelings, sets_equivalent
+from algforge.consequence import MonomialBasis, SpanChecker, iter_relabelings, sets_equivalent
 from algforge.core import variables
 from algforge.fixtures import TERNARY, fixture
 from algforge.parsing import format_polynomial
@@ -43,5 +43,5 @@ print("\nRedundancy: the 16-term reduced identity follows from the rest:")
 gens2 = []
 for n in ("inner2-skew", "inner2-cyclic", "inner3-skew", "inner3-cyclic", "lts3"):
     gens2.extend(iter_relabelings(fixture(n), V))
-cert2 = in_span(fixture("derivation5-reduced").lhs, gens2, basis)
+cert2 = SpanChecker(gens2, basis).check(fixture("derivation5-reduced").lhs)
 print(f"  in span: {cert2.ok} with {len(cert2.coefficients)} certificate terms")

@@ -74,14 +74,14 @@ def cmd_span(args) -> int:
         raise AlgebraError("target file must contain exactly one identity")
     target = targets[0]
     _, gens = _read_identities(args.gens)
+    for idx, g in enumerate(gens):
+        gap = args.degree - g.degree
+        if gap and not (args.lift and gap == 1):
+            hint = ("pass --lift for a one-degree gap" if gap == 1
+                    else "only a one-degree gap can be lifted")
+            raise AlgebraError(f"generator {g.name or f'g{idx}'} has degree {g.degree}; {hint}")
     vs = _parse_vars(args.vars, args.degree)
     basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
-    for idx, g in enumerate(gens):
-        if g.degree != args.degree and not (args.lift and g.degree + 1 == args.degree):
-            raise AlgebraError(
-                f"generator {g.name or f'g{idx}'} has degree {g.degree}; "
-                f"pass --lift for a one-degree gap"
-            )
     cert = SpanChecker(list(instances(gens, vs)), basis).check(target.lhs)
     if cert.ok:
         print(f"IN SPAN: {target.name or 'target'} ({len(cert.coefficients)} certificate terms)")

@@ -5,11 +5,14 @@ is a finite-dimensional rational vector space whose basis is every
 association shape filled with every permutation of the variables.  A
 polynomial "follows from" a set of identities at that degree exactly when it
 lies in the span of their instances, which ``instances`` yields: variable
-relabelings at equal degree, and one-step liftings (substitute a product of
-two fresh variables for one variable, or multiply through by a fresh
-variable) when the degree grows by one.  Membership is decided by exact
+relabelings at equal degree, and one-step liftings (a product of two fresh
+variables in place of one variable, or a fresh variable as a factor) when
+the degree grows by one.  A relabeling and a product in place of a variable
+are the one tree fold ``core.relabel``.  Membership is decided by exact
 forward elimination and every positive answer carries a certificate that
-re-expands to the target.
+re-expands to the target.  ``SpanChecker`` reads every generator and target
+through ``basis.normal``: the polynomial itself for ``MonomialBasis``, its
+straightened form for ``rightcomm.RCBasis``.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -19,9 +22,8 @@ e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import cache
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
     AlgebraError,
@@ -33,7 +35,6 @@ from .core import (
     apply_op,
     fold,
     relabel,
-    substitute,
 )
 from .linalg import PivotTable, Vec
 
@@ -130,8 +131,9 @@ class MonomialBasis:
             vec[i] = c
         return vec
 
-    def polynomial(self, vec: Mapping[int, Fraction]) -> Polynomial:
-        return Polynomial({self.monomials[i]: c for i, c in vec.items()})
+    def normal(self, p):
+        """The form of ``p`` whose terms are basis elements: ``p`` itself."""
+        return p
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
@@ -169,13 +171,11 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
     for v_idx, v in enumerate(src):
         others = src[:v_idx] + src[v_idx + 1:]
         for x, y, *rest in itertools.permutations(variables):
-            prod = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
-            mapping: dict[Variable, Polynomial] = {v: Polynomial({prod: 1})}
-            for w, val in zip(others, rest):
-                mapping[w] = Polynomial({Monomial.leaf(val): 1})
+            mapping = dict(zip(others, rest))
+            mapping[v] = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
             args = [val.name for val in rest]
             args.insert(v_idx, x.name + y.name)
-            yield f"{label}({','.join(args)})", substitute(identity.lhs, mapping)
+            yield f"{label}({','.join(args)})", relabel(identity.lhs, mapping)
 
     # (ii) multiply a relabeled instance by the leftover variable
     for f, *rest in itertools.permutations(variables):
@@ -206,7 +206,7 @@ class SpanCertificate:
 
     def __init__(self, coefficients, generators, target):
         self.coefficients = dict(coefficients)
-        self.generators = dict(generators)
+        self.generators = {t: generators[t] for t in self.coefficients}
         self.target = target
 
     ok = True
@@ -244,24 +244,18 @@ class NotInSpan:
         return f"<not in span; witness {self.witness!r}>"
 
 
-def _tagged(generators) -> list[tuple[Hashable, object]]:
-    out = []
-    for i, g in enumerate(generators):
-        if isinstance(g, tuple) and len(g) == 2:
-            out.append(g)
-        else:
-            out.append((i, g))
-    return out
-
-
 class SpanChecker:
-    """A reusable elimination table for one generator set in one basis."""
+    """A reusable elimination table for one generator set in one basis.
+
+    ``generators`` are (tag, polynomial) pairs; generators, targets and
+    certificates are all in the basis's normal form."""
 
     def __init__(self, generators, basis):
         self.basis = basis
         self.generators: dict[Hashable, object] = {}
         self.table = PivotTable()
-        for tag, g in _tagged(generators):
+        for tag, g in generators:
+            g = basis.normal(g)
             vec = basis.vector(g)
             if not vec:
                 continue
@@ -277,15 +271,11 @@ class SpanChecker:
         return self.table.rank
 
     def check(self, target) -> SpanCertificate | NotInSpan:
+        target = self.basis.normal(target)
         ok, combo, witness = self.table.membership(self.basis.vector(target))
         if not ok:
             return NotInSpan(self.basis.monomials[witness])
         return SpanCertificate(combo, self.generators, target)
-
-
-def in_span(target: Polynomial, generators, basis: MonomialBasis):
-    """Exact span membership with certificate or first-unmatched witness."""
-    return SpanChecker(generators, basis).check(target)
 
 
 class EquivalenceResult:
@@ -351,5 +341,5 @@ def kernel_of_expansion(
             continue
         kernel = {i: -c for i, c in combo.items()}
         kernel[j] = 1
-        out.append(basis.polynomial(dict(sorted(kernel.items()))))
+        out.append(Polynomial({basis.monomials[i]: c for i, c in sorted(kernel.items())}))
     return out

@@ -542,12 +542,22 @@ class Identity:
         return f"<{label}: {self.lhs!r} = 0>"
 
 
-def relabel(p: Polynomial, mapping: Mapping[Variable, Variable]) -> Polynomial:
-    """Rename variables structurally (no expansion)."""
-    byname = {v.name: w for v, w in mapping.items()}
+def relabel(p: Polynomial, mapping: Mapping[Variable, Union[Variable, Monomial]]) -> Polynomial:
+    """Put a variable or a whole tree in for each mapped variable, structurally
+    (no expansion): every term maps to exactly one term.
+
+    Renaming variables and a one-step lift (a product tree of fresh variables
+    in one slot) are both this one fold.  The caller keeps the result
+    multilinear: for an injective renaming, or trees over disjoint fresh
+    variables, distinct terms stay distinct and nothing cancels.
+    """
+    byname = {
+        v.name: w if isinstance(w, Monomial) else Monomial.leaf(w) for v, w in mapping.items()
+    }
 
     def leaf(v: Variable) -> Monomial:
-        return Monomial.leaf(byname.get(v.name, v))
+        m = byname.get(v.name)
+        return m if m is not None else Monomial.leaf(v)
 
     return Polynomial._from_terms(
         accumulate({}, ((fold(m, leaf, Monomial.apply), c) for m, c in p.terms.items()))

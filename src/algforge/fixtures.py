@@ -15,7 +15,8 @@ from functools import cache
 from importlib import resources
 
 from .core import AlgebraError, Identity, Monomial, OpSymbol, Polynomial, RewriteRule, Variable
-from .core import apply_op, apply_rules
+from .core import apply_op, apply_rules, rule_from_identity
+from .kp import variant_family
 from .parsing import parse, parse_file
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
@@ -127,39 +128,24 @@ def fixture_names() -> list[str]:
     return sorted(FIXTURES)
 
 
+def _rule(text: str, op: OpSymbol, variant: int) -> RewriteRule:
+    """The rule that solves the relation ``text = 0`` over the variants of
+    ``op`` for the given variant."""
+    return rule_from_identity(Identity(parse(text, variant_family(op))), op.with_variant(variant))
+
+
 # The two elimination relations as rewrite rules: the second variant flips
 # its first two arguments, the third is a difference of reversals.
-def elimination_rules() -> list:
-    x, y, z = (Variable(n) for n in "xyz")
-    br1 = TERNARY.with_variant(1)
-    lx, ly, lz = (Monomial.leaf(v) for v in (x, y, z))
-    rule2 = RewriteRule(
-        TERNARY.with_variant(2),
-        (x, y, z),
-        Polynomial({Monomial.apply(br1, (ly, lx, lz)): -1}),
-    )
-    rule3 = RewriteRule(
-        TERNARY.with_variant(3),
-        (x, y, z),
-        Polynomial(
-            {
-                Monomial.apply(br1, (lz, ly, lx)): 1,
-                Monomial.apply(br1, (lz, lx, ly)): -1,
-            }
-        ),
-    )
-    return [rule2, rule3]
+def elimination_rules() -> list[RewriteRule]:
+    return [
+        _rule("br_2(x,y,z) + br_1(y,x,z)", TERNARY, 2),
+        _rule("br_3(x,y,z) - br_1(z,y,x) + br_1(z,x,y)", TERNARY, 3),
+    ]
 
 
-def binary_elimination_rule():
+def binary_elimination_rule() -> RewriteRule:
     """For the binary transform: the second variant is the negated flip."""
-    x, y = Variable("x"), Variable("y")
-    m1 = BINARY.with_variant(1)
-    return RewriteRule(
-        BINARY.with_variant(2),
-        (x, y),
-        Polynomial({Monomial.apply(m1, (Monomial.leaf(y), Monomial.leaf(x))): -1}),
-    )
+    return _rule("mul_2(x,y) + mul_1(y,x)", BINARY, 2)
 
 
 # Straightened expansions of the two nonvanishing permuted-associator

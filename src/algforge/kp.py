@@ -19,6 +19,7 @@ and reproducible term for term.
 
 from __future__ import annotations
 
+import itertools
 import string
 
 from .core import (
@@ -115,29 +116,6 @@ def _part2_variables(arity: int) -> list[Variable]:
     return [Variable(f"x{i+1}") for i in range(count)]
 
 
-def kp_part2(op: OpSymbol) -> list[Identity]:
-    """Interchange identities for one operation family, ordered by (j, i, l)."""
-    n = op.arity
-    if op.variant is not None:
-        raise AlgebraError("part 2 takes the unsubscripted family operation")
-    out = []
-    varlist = _part2_variables(n)
-    for j in range(1, n + 1):
-        for i in range(1, n + 1):
-            if i == j:
-                continue
-            for ell in range(2, n + 1):
-                lhs = _interchange_monomial(op, j, i, inner_variant=1, varlist=varlist)
-                rhs = _interchange_monomial(op, j, i, inner_variant=ell, varlist=varlist)
-                ident = Identity(
-                    Polynomial({lhs: 1}) - Polynomial({rhs: 1}),
-                    varlist,
-                    name=f"interchange-{op.name}-{j}.{i}.{ell}",
-                )
-                out.append(ident)
-    return out
-
-
 def _interchange_monomial(op, j, i, inner_variant, varlist) -> Monomial:
     n = op.arity
     names = iter(varlist)
@@ -151,27 +129,39 @@ def _interchange_monomial(op, j, i, inner_variant, varlist) -> Monomial:
     return Monomial.apply(op.with_variant(j), args)
 
 
-def kp_part2_full(op: OpSymbol) -> list[Identity]:
-    """All interchange identities over unordered inner-variant pairs k < l."""
+def _interchanges(op: OpSymbol, pairs: dict[tuple[int, int], str]) -> list[Identity]:
+    """For each outer variant j, argument i != j and inner-variant pair
+    (k, l), in that order: variant j with variant k inside argument i, minus
+    the same with variant l; ``pairs`` maps (k, l) to the end of the name."""
     n = op.arity
-    out = []
     varlist = _part2_variables(n)
+    out = []
     for j in range(1, n + 1):
         for i in range(1, n + 1):
             if i == j:
                 continue
-            for k in range(1, n + 1):
-                for ell in range(k + 1, n + 1):
-                    lhs = _interchange_monomial(op, j, i, k, varlist)
-                    rhs = _interchange_monomial(op, j, i, ell, varlist)
-                    out.append(
-                        Identity(
-                            Polynomial({lhs: 1}) - Polynomial({rhs: 1}),
-                            varlist,
-                            name=f"interchange-{op.name}-{j}.{i}.{k}.{ell}",
-                        )
-                    )
+            for (k, ell), suffix in pairs.items():
+                lhs = _interchange_monomial(op, j, i, k, varlist)
+                rhs = _interchange_monomial(op, j, i, ell, varlist)
+                out.append(Identity(
+                    Polynomial({lhs: 1}) - Polynomial({rhs: 1}),
+                    varlist,
+                    name=f"interchange-{op.name}-{j}.{i}.{suffix}",
+                ))
     return out
+
+
+def kp_part2(op: OpSymbol) -> list[Identity]:
+    """Interchange identities for one operation family, ordered by (j, i, l)."""
+    if op.variant is not None:
+        raise AlgebraError("part 2 takes the unsubscripted family operation")
+    return _interchanges(op, {(1, ell): f"{ell}" for ell in range(2, op.arity + 1)})
+
+
+def kp_part2_full(op: OpSymbol) -> list[Identity]:
+    """All interchange identities over unordered inner-variant pairs k < l."""
+    pairs = itertools.combinations(range(1, op.arity + 1), 2)
+    return _interchanges(op, {(k, ell): f"{k}.{ell}" for k, ell in pairs})
 
 
 def variant_family(op: OpSymbol) -> list[OpSymbol]:

@@ -66,10 +66,15 @@ def test_span_degree_gap_needs_lift(tmp_path, capsys):
     target.write_text("op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n")
     gens = tmp_path / "g.txt"
     gens.write_text("op mul/2\nmul(mul(a,b),c) - mul(a,mul(b,c))\n")
-    argv = ["span", "--target", str(target), "--gens", str(gens), "--degree", "5"]
-    message = "error: generator g0 has degree 3; pass --lift for a one-degree gap\n"
-    for lift in ([], ["--lift"]):  # a two-degree gap is refused either way
-        assert main(argv + lift) == 2
+    argv = ["span", "--target", str(target), "--gens", str(gens)]
+    one_gap = "error: generator g0 has degree 3; pass --lift for a one-degree gap\n"
+    two_gap = "error: generator g0 has degree 3; only a one-degree gap can be lifted\n"
+    for degree, lift, message in (
+        ("4", [], one_gap),
+        ("5", [], two_gap),
+        ("5", ["--lift"], two_gap),  # a two-degree gap is refused either way
+    ):
+        assert main(argv + ["--degree", degree] + lift) == 2
         assert capsys.readouterr().err == message
 
 

@@ -1,8 +1,11 @@
 """Basis enumeration, instance spans, certificates, kernels."""
 
+import itertools
 from fractions import Fraction
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algforge.core import (
     AlgebraError,
@@ -10,6 +13,7 @@ from algforge.core import (
     Monomial,
     Polynomial,
     apply_op,
+    substitute,
     variables,
 )
 from algforge.consequence import (
@@ -19,7 +23,6 @@ from algforge.consequence import (
     NotInSpan,
     SpanChecker,
     UnsupportedLift,
-    in_span,
     instances,
     iter_lifted,
     kernel_of_expansion,
@@ -28,6 +31,7 @@ from algforge.consequence import (
 )
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
+from algforge.rightcomm import RCBasis
 
 V5 = variables("abcde")
 V3 = variables("abc")
@@ -102,6 +106,37 @@ def test_lifted_instances_are_multilinear_degree5():
     assert out and all(p.is_multilinear() and p.degree() == 5 for p in out)
 
 
+def _lifted_by_substitution(identity, variables):
+    """The reference for ``iter_lifted``: each product is put in by an
+    expanding ``substitute`` and each factor by ``apply_op``, in the same
+    order and with the same tags."""
+    (op,) = identity.signature
+    src = identity.variables
+    for v_idx, v in enumerate(src):
+        others = src[:v_idx] + src[v_idx + 1:]
+        for x, y, *rest in itertools.permutations(variables):
+            mapping = {v: apply_op(op, [x, y]), **dict(zip(others, rest))}
+            args = [w.name for w in rest]
+            args.insert(v_idx, x.name + y.name)
+            yield f"{identity.name}({','.join(args)})", substitute(identity.lhs, mapping)
+    for f, *rest in itertools.permutations(variables):
+        inst = substitute(identity.lhs, dict(zip(src, rest)))
+        args = ",".join(w.name for w in rest)
+        yield f"{identity.name}({args})*{f.name}", apply_op(op, [inst, f])
+        yield f"{f.name}*{identity.name}({args})", apply_op(op, [f, inst])
+
+
+@pytest.mark.parametrize("name, letters", [("rj", "abcde"), ("ro", "abcde"), ("leibniz", "abcd")])
+def test_lifts_by_relabeling_equal_lifts_by_substitution(name, letters):
+    def listing(pairs):
+        return [(tag, list(p.terms.items())) for tag, p in pairs]
+
+    ident, vs = fixture(name), variables(letters)
+    got = listing(iter_lifted(ident, len(vs), vs))
+    assert got == listing(_lifted_by_substitution(ident, vs))
+    assert len(got) == (len(ident.variables) + 2) * len(list(itertools.permutations(vs)))
+
+
 def test_lifting_nothing_gives_nothing():
     gens = []
     for ident in []:
@@ -174,22 +209,21 @@ def test_in_span_certificate_for_first_equivalence_equation():
     from algforge.consequence import iter_relabelings
 
     basis = MonomialBasis([TERNARY], 5, V5)
-    cert = in_span(
-        fixture("lts1").lhs, list(iter_relabelings(fixture("lts-a"), V5)), basis
-    )
+    checker = SpanChecker(list(iter_relabelings(fixture("lts-a"), V5)), basis)
+    cert = checker.check(fixture("lts1").lhs)
     assert cert.ok and cert.verify()
 
 
 def test_zero_in_empty_span():
     basis = MonomialBasis([TERNARY], 3, V3)
-    cert = in_span(Polynomial.zero(), [], basis)
+    cert = SpanChecker([], basis).check(Polynomial.zero())
     assert cert.ok and cert.coefficients == {} and cert.verify()
 
 
 def test_not_in_span_gives_first_unmatched_witness():
     basis = MonomialBasis([TERNARY], 3, V3)
     target = apply_op(TERNARY, [Monomial.leaf(v) for v in V3])
-    res = in_span(target, [], basis)
+    res = SpanChecker([], basis).check(target)
     assert isinstance(res, NotInSpan)
     assert res.witness == basis.monomials[0] or res.witness in basis.monomials
     # the witness is the least monomial of the residual in canonical order
@@ -203,8 +237,8 @@ def test_span_monotonicity():
     small = list(iter_relabelings(fixture("lts-a"), V5))
     big = small + list(iter_relabelings(fixture("lts-b"), V5))
     target = fixture("lts1").lhs
-    assert in_span(target, small, basis).ok
-    assert in_span(target, big, basis).ok
+    assert SpanChecker(small, basis).check(target).ok
+    assert SpanChecker(big, basis).check(target).ok
 
 
 def test_sets_equivalent_is_an_equivalence_relation():
@@ -270,3 +304,30 @@ def test_certificate_soundness_random_targets():
     cert = checker.check(target)
     assert cert.ok
     assert cert.combination() == target
+
+
+@cache
+def _instance_span(kind):
+    """Instances and their checker: relabelings of lts-a and lts-b over the
+    tree basis, or the raw rj/ro lifts over the straightened-word basis."""
+    if kind == "relabelings":
+        gens = list(instances([fixture("lts-a"), fixture("lts-b")], V5))
+        return gens, SpanChecker(gens, MonomialBasis([TERNARY], 5, V5))
+    gens = list(instances([fixture("rj"), fixture("ro")], V5))
+    return gens, SpanChecker(gens, RCBasis(BINARY, 5, V5))
+
+
+NONZERO = st.builds(Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(1, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["relabelings", "lifts"]), data=st.data())
+def test_random_combinations_of_instances_certify(kind, data):
+    gens, checker = _instance_span(kind)
+    picks = data.draw(st.lists(st.integers(0, len(gens) - 1), min_size=1, max_size=6, unique=True))
+    weights = {i: data.draw(NONZERO) for i in picks}
+    target = Polynomial.linear_image(weights, lambda i: gens[i][1])
+    cert = checker.check(target)
+    assert cert.ok and cert.verify()
+    assert cert.combination() == checker.basis.normal(target)
+    assert set(cert.generators) == set(cert.coefficients) <= set(checker.generators)

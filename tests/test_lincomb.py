@@ -174,7 +174,7 @@ def test_span_certificates_and_pivot_rows_are_exact(data):
     gens = data.draw(st.lists(_polynomials(basis.monomials), min_size=1, max_size=8))
     weights = data.draw(st.lists(COEFFS, min_size=len(gens), max_size=len(gens)))
     target = Polynomial.linear_image(dict(enumerate(weights)), gens.__getitem__)
-    checker = SpanChecker(gens, basis)
+    checker = SpanChecker(list(enumerate(gens)), basis)
     for vec, combo in checker.table.pivots.values():
         assert exact(vec.values()) and exact(combo.values())
     cert = checker.check(target)

@@ -185,15 +185,16 @@ def test_jordan_reduction_certificates():
         assert cert.ok and cert.verify()
 
 
-def test_straightened_checker_rejects_a_tree_target():
-    # a tree target would be straightened for the lookup but kept as a tree in
-    # the certificate, which then re-expands to something else
+def test_straightened_checker_normalizes_a_tree_target():
+    # the basis straightens a tree target, so its certificate is the one for
+    # the straightened target, and it re-expands to that target
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
     tree = lifted_instance("rj(ce,b,d,a)")
-    with pytest.raises(AlgebraError, match="rc_expand"):
-        checker.check(tree)
-    cert = checker.check(rc_expand(tree))
+    cert, straight = checker.check(tree), checker.check(rc_expand(tree))
     assert cert.ok and cert.verify()
+    assert cert.coefficients == straight.coefficients
+    assert cert.generators == straight.generators
+    assert cert.target == straight.target == rc_expand(tree)
 
 
 def test_jordan_zero_target_gives_empty_certificate():

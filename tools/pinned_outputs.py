@@ -52,13 +52,15 @@ PER_SYSTEM = [
 ]
 # the identity files for span and equiv: the packaged triple-systems file,
 # picks of its lines (one pick also without names, so that the certificate
-# prints the positional tags g0, g1), the linearized right Jordan identity
-# and a left-normed product that its one-step liftings do not reach
+# prints the positional tags g0, g1), the linearized right Jordan identity,
+# a left-normed product that its one-step liftings do not reach, and a sum
+# of two of its liftings, whose certificate pins the tags of both kinds
 SPAN = [
     ["span", "--target", "lts1.txt", "--gens", "triple-systems.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "lts-ab.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "unnamed-ab.txt", "--degree", "5"],
     ["span", "--target", "left-normed.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
+    ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
 ]
 READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
@@ -98,13 +100,18 @@ def identity_files(env: dict) -> dict[str, str]:
 
     triple = data("triple-systems.txt")
     ab = pick(triple, {"lts-a", "lts-b"})
+    rj = pick(data("jordan.txt"), {"rj"})
+    rj_expr = rj.splitlines()[-1].split(":", 1)[1].strip()
+    # rj(a,b,c,d)*e plus rj with the product de in place of d
+    lifted = f"mul({rj_expr}, e) + " + re.sub(r"\bd\b", "mul(d,e)", rj_expr)
     return {
         "triple-systems.txt": triple,
         "lts1.txt": pick(triple, {"lts1"}),
         "lts-ab.txt": ab,
         "unnamed-ab.txt": re.sub(r"(?m)^[\w-]+: ", "", ab),
-        "rj.txt": pick(data("jordan.txt"), {"rj"}),
+        "rj.txt": rj,
         "left-normed.txt": "op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n",
+        "rj-lifted.txt": f"op mul/2\n{lifted}\n",
     }
 
 
