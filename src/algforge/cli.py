@@ -169,19 +169,20 @@ def cmd_verify(args) -> int:
 def cmd_envelope(args) -> int:
     table = _load_table(args.system)
     env = build_envelope(table)
+    # checked before anything is written, so a refused check prints nothing
+    law = check_leibniz(env) if args.check_leibniz else None
     if args.emit == "table":
         sys.stdout.write(env.render_table())
     else:
         json.dump(env.to_json(), sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    status = 0
-    if args.check_leibniz:
-        ok, violations = check_leibniz(env)
-        print(f"{'PASS' if ok else 'FAIL'}  one-product law on all {env.dim ** 3} basis triples")
-        for i, j, k in violations[: args.max_violations]:
-            print(f"  violated at ({env.basis[i]},{env.basis[j]},{env.basis[k]})")
-        status = 0 if ok else 1
-    return status
+    if law is None:
+        return 0
+    ok, violations = law
+    print(f"{'PASS' if ok else 'FAIL'}  one-product law on all {env.dim ** 3} basis triples")
+    for i, j, k in violations[: args.max_violations]:
+        print(f"  violated at ({env.basis[i]},{env.basis[j]},{env.basis[k]})")
+    return 0 if ok else 1
 
 
 def cmd_classify2d(args) -> int:

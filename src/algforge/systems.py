@@ -5,11 +5,16 @@ e_i e_j = c[i, j] are structure-constant tables over named, distinct basis
 elements with exact entries, sharing one base class: a scalar is an ``int``,
 a ``Fraction`` or a symbolic ``SymPoly``.  A vector is a sparse dict from
 basis index to nonzero scalar ({} is zero), and ``c`` maps index tuples to
-nonzero vectors; one multilinear loop (``StructureTable.multiply``) is the
-product for every arity.  One loop (``evaluations``) evaluates identities
-on all basis tuples: it checks the defining identities and the one-product
-law, and builds the ternary products <<a,b>,c> and abc - bac - cab + cba of
-a binary algebra.  The enveloping binary algebra has dimension n(n+1), on
+nonzero vectors; one multilinear loop (``StructureTable.multiply_into``,
+behind ``multiply``) is the product for every arity.  ``evaluations``
+evaluates identities on all basis tuples: it checks the defining identities
+and the one-product law, and builds the ternary products <<a,b>,c> and
+abc - bac - cab + cba of a binary algebra.  It compiles each identity once;
+the value of a proper subterm depends only on its shape and the basis
+indices at its leaves, so it is computed once per call and shared by every
+identity and variable order that contains it, and only the root products
+are formed on each tuple.  ``SYSTEM_LIMIT`` bounds the work one check or
+envelope may take on.  The enveloping binary algebra has dimension n(n+1), on
 the basis e_1..e_n followed by the pairs e_i e_j (row-major); tables render
 aligned, "." for zero entries.
 
@@ -31,7 +36,7 @@ from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
-from .core import accumulate, fold, q
+from .core import accumulate, q
 from .parsing import Signature, format_polynomial, parse
 
 
@@ -137,9 +142,11 @@ def _distinct_basis(dim: int, basis: Sequence[str]) -> list[str]:
     basis = list(basis)
     if len(basis) != dim:
         raise AlgebraError("basis size must equal dimension")
-    for i, name in enumerate(basis):
-        if name in basis[:i]:
+    seen = set()
+    for name in basis:
+        if name in seen:
             raise AlgebraError(f"basis name {name!r} is repeated")
+        seen.add(name)
     return basis
 
 
@@ -184,9 +191,10 @@ class StructureTable:
             raise AlgebraError("dimension must be at least 1")
         self.dim = dim
         self.basis = _distinct_basis(dim, basis)
-        if not set(constants) <= set(itertools.product(range(dim), repeat=self.arity)):
-            raise AlgebraError("structure-constant index out of range")
         cols = set(range(dim))
+        for idx in constants:
+            if not (isinstance(idx, tuple) and len(idx) == self.arity and set(idx) <= cols):
+                raise AlgebraError("structure-constant index out of range")
         self.c: dict[tuple, Vector] = {}
         for idx, vec in constants.items():
             if isinstance(vec, dict):
@@ -251,30 +259,20 @@ class StructureTable:
 
     def multiply(self, *vectors: Vector) -> Vector:
         """The product of ``arity`` vectors, extended multilinearly."""
+        return self.multiply_into({}, vectors)
+
+    def multiply_into(self, out: Vector, vectors: Sequence[Vector], scale: Scalar = 1) -> Vector:
+        """Add ``scale`` times the product of ``vectors`` into ``out`` in
+        place; returns ``out``.  This is the one product loop."""
         if len(vectors) != self.arity:
             raise AlgebraError(f"arity-{self.arity} table multiplies {self.arity} vectors only")
         c = self.c
-        out: Vector = {}
-        for terms in itertools.product(*(vec.items() for vec in vectors)):
-            idx, coeffs = zip(*terms)
+        # index tuples and coefficient tuples in step: iterating a dict gives its keys
+        for idx, coeffs in zip(itertools.product(*vectors),
+                               itertools.product(*map(dict.values, vectors))):
             cvec = c.get(idx)
             if cvec:
-                accumulate(out, cvec.items(), reduce(operator.mul, coeffs))
-        return out
-
-    def evaluate(self, identity: Identity, assignment: Mapping[str, Vector]) -> Vector:
-        """Evaluate an identity's polynomial on vector arguments."""
-        multiply = self.multiply
-
-        def leaf(v: Variable):
-            return assignment[v.name]
-
-        def node(op: OpSymbol, args: list):
-            return multiply(*args)
-
-        out: Vector = {}
-        for m, coeff in identity.lhs.terms.items():
-            accumulate(out, fold(m, leaf, node).items(), coeff)
+                accumulate(out, cvec.items(), reduce(operator.mul, coeffs, scale))
         return out
 
 
@@ -299,19 +297,74 @@ class BinaryAlgebra(StructureTable):
         return render_grid(self.basis, entries)
 
 
+# The most identity-tuple pairs one ``evaluations`` call, or pair products
+# one ``build_envelope``, may take on: at up to about 35 us per pair
+# (``check_lts`` on a dense 6-dimensional table) and 9 us and 650 bytes per
+# pair product (n = 20), 2 * 10**5 of either take under 10 s, and the
+# envelope under 150 MB.
+SYSTEM_LIMIT = 2 * 10**5
+
+_LEAF_SHAPE = Monomial.leaf(Variable("x")).shape_key()
+
+
+def _compile(m: Monomial, slot: Mapping[str, int], shapes: dict) -> tuple:
+    """A subterm as (shape id, getter of its leaves' basis indices, compiled
+    children); ``slot`` maps each variable to its position in the basis
+    tuple, and ``shapes`` numbers shape keys, so equal shapes share one id."""
+    sid = shapes.setdefault(m.shape_key(), len(shapes))
+    leaves = operator.itemgetter(*(slot[name] for name in m.leaf_names()))
+    return sid, leaves, tuple(_compile(child, slot, shapes) for child in m.children)
+
+
+def _value(table: StructureTable, node: tuple, tup: tuple, memo: dict) -> Vector:
+    """The vector of a compiled subterm on basis tuple ``tup``.
+
+    It depends only on the shape and the basis indices at the leaves, so it
+    is computed once per (shape id, leaf indices) and read from ``memo``
+    after that, whichever identity or variable order asks for it; ``memo``
+    holds the leaves, the basis vectors, from the start."""
+    sid, leaves, children = node
+    key = sid, leaves(tup)
+    vec = memo.get(key)
+    if vec is None:
+        vec = memo[key] = table.multiply_into({}, [_value(table, ch, tup, memo) for ch in children])
+    return vec
+
+
 def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int | None = None):
     """Yield (identity, basis tuple, value) for each identity on every tuple
     drawn from the first ``dim`` basis elements (default all), one entry per
     variable: tuple lengths ascending, then tuples in lexicographic order, then
-    identities in the given order."""
+    identities in the given order.
+
+    Each identity is compiled once; proper subterm values are shared through
+    one memo for the whole call, and each root monomial is multiplied
+    straight into the identity's value with its coefficient scaled in."""
     dim = table.dim if dim is None else dim
+    pairs = sum(dim ** len(ident.variables) for ident in identities)
+    if pairs > SYSTEM_LIMIT:
+        raise AlgebraError(
+            f"system too large: {pairs} identity evaluations on basis tuples, over {SYSTEM_LIMIT}"
+        )
+    shapes = {_LEAF_SHAPE: 0}
+    memo = {(0, i): {i: 1} for i in range(dim)}
+    compiled = []
+    for ident in identities:
+        slot = {v.name: p for p, v in enumerate(ident.variables)}
+        compiled.append((ident, [(c, _compile(m, slot, shapes)) for m, c in ident.lhs.terms.items()]))
     for size in sorted({len(ident.variables) for ident in identities}):
-        same = [ident for ident in identities if len(ident.variables) == size]
+        same = [(ident, roots) for ident, roots in compiled if len(ident.variables) == size]
         for tup in itertools.product(range(dim), repeat=size):
-            vectors = [table.basis_vector(i) for i in tup]
-            for ident in same:
-                assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
-                yield ident, tup, table.evaluate(ident, assign)
+            for ident, roots in same:
+                out: Vector = {}
+                for coeff, root in roots:
+                    if root[2]:
+                        args = [_value(table, ch, tup, memo) for ch in root[2]]
+                        if all(args):  # a zero factor makes the product zero
+                            table.multiply_into(out, args, coeff)
+                    else:
+                        accumulate(out, _value(table, root, tup, memo).items(), coeff)
+                yield ident, tup, out
 
 
 def check_identities(
@@ -369,6 +422,10 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
     (ab).(cd) = <a,b,c> d - <a,b,d> c, extended bilinearly.
     """
     n, c = table.dim, table.c
+    if n ** 4 > SYSTEM_LIMIT:
+        raise AlgebraError(
+            f"system too large: its envelope takes {n ** 4} pair products, over {SYSTEM_LIMIT}"
+        )
     pairs = list(itertools.product(range(n), repeat=2))
     pair = {ij: n + t for t, ij in enumerate(pairs)}
     basis = list(table.basis) + [_pair_name(table.basis, i, j) for i, j in pairs]

@@ -1,10 +1,11 @@
 """Shared test utilities: small associative algebras, basis changes, the
-dense structure-table product loops and the brute-force right-commutativity
-orbit."""
+dense structure-table product loops, the fold-per-tuple identity evaluation
+and the brute-force right-commutativity orbit."""
 
+import itertools
 from fractions import Fraction
 
-from algforge.core import Monomial
+from algforge.core import Monomial, accumulate, fold
 from algforge.linalg import PivotTable
 from algforge.systems import BinaryAlgebra
 
@@ -116,6 +117,30 @@ def reference_product(c, dim, u, v):
                 if cl:
                     out[l] = out[l] + factor * cl
     return out
+
+
+def reference_evaluate(table, identity, assignment) -> dict:
+    """An identity's polynomial on vector arguments (variable name -> sparse
+    vector), refolding every monomial tree through ``table.multiply``."""
+    out = {}
+    for m, coeff in identity.lhs.terms.items():
+        value = fold(m, lambda v: assignment[v.name], lambda op, args: table.multiply(*args))
+        accumulate(out, value.items(), coeff)
+    return out
+
+
+def reference_evaluations(table, identities, dim=None):
+    """The oracle for ``systems.evaluations``: (identity, basis tuple, value)
+    in the same order (tuple lengths ascending, tuples lexicographic,
+    identities as given), each value by ``reference_evaluate``."""
+    dim = table.dim if dim is None else dim
+    for size in sorted({len(ident.variables) for ident in identities}):
+        same = [ident for ident in identities if len(ident.variables) == size]
+        for tup in itertools.product(range(dim), repeat=size):
+            vectors = [table.basis_vector(i) for i in tup]
+            for ident in same:
+                assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
+                yield ident, tup, reference_evaluate(table, ident, assign)
 
 
 def _rc_moves(m: Monomial):

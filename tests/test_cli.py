@@ -78,6 +78,26 @@ def test_span_degree_gap_needs_lift(tmp_path, capsys):
         assert capsys.readouterr().err == message
 
 
+_DEGREE_8 = "op mul/2\nmul(mul(mul(mul(mul(mul(mul(a,b),c),d),e),f),g),h)\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["span", "--target", "{f}", "--gens", "{f}"],
+    ["equiv", "--a", "{f}", "--b", "{f}"],
+])
+def test_oversized_basis_is_a_one_line_error(command, tmp_path, capsys):
+    path = tmp_path / "deg8.txt"
+    path.write_text(_DEGREE_8)
+    # 429 shapes x 8! = 17.3 million trees: counted, never built
+    argv = [arg.format(f=path) for arg in command] + ["--degree", "8"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: degree 8 basis too large: 429 shapes x 8! = 17297280 monomials, over 100000\n"
+    )
+
+
 def test_equiv(tmp_path, capsys):
     a = tmp_path / "a.txt"
     a.write_text(
@@ -223,6 +243,33 @@ def test_malformed_system_json_is_a_one_line_error(text, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["verify"], "2000000000000000 identity evaluations on basis tuples, over 200000"),
+    (["envelope", "--check-leibniz"], "its envelope takes 1000000000000 pair products, over 200000"),
+])
+def test_oversized_system_is_refused_before_any_work(command, message, tmp_path, capsys):
+    # counted, never evaluated: loading it lists no index tuples either
+    system = tmp_path / "big.json"
+    system.write_text(json.dumps({"dim": 1000}))
+    assert main(command + ["--system", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: system too large: {message}\n"
+
+
+def test_envelope_law_check_is_refused_before_the_table_is_printed(tmp_path, capsys):
+    # an 8-dimensional system's envelope (4,096 pair products) is built, but
+    # its law check, 72**3 = 373,248 triples, is refused
+    system = tmp_path / "dim8.json"
+    system.write_text(json.dumps({"dim": 8}))
+    assert main(["envelope", "--check-leibniz", "--system", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: system too large: 373248 identity evaluations on basis tuples, over 200000\n"
+    )
 
 
 def test_classify2d(capsys):

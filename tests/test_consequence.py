@@ -16,7 +16,9 @@ from algforge.core import (
     substitute,
     variables,
 )
+from algforge import consequence
 from algforge.consequence import (
+    BasisTooLarge,
     DegreeNotExpressible,
     DimensionMismatch,
     MonomialBasis,
@@ -71,6 +73,19 @@ def test_basis_binary_degree3():
 def test_basis_ternary_degree3():
     basis = MonomialBasis([TERNARY], 3, V3)
     assert len(basis) == 6  # one shape
+
+
+def test_basis_size_is_counted_before_any_tree_is_built(monkeypatch):
+    # 14 shapes x 5! = 1,680 binary monomials at degree 5
+    monkeypatch.setattr(consequence, "BASIS_LIMIT", 1680)
+    assert len(MonomialBasis([BINARY], 5, V5)) == 1680
+    monkeypatch.setattr(consequence, "BASIS_LIMIT", 1679)
+    with pytest.raises(BasisTooLarge, match="14 shapes x 5! = 1680 monomials"):
+        MonomialBasis([BINARY], 5, V5)
+    # both operations: 654 shapes at degree 7, counted, never built
+    monkeypatch.undo()
+    with pytest.raises(BasisTooLarge, match="654 shapes x 7! = 3296160 monomials"):
+        MonomialBasis([BINARY, TERNARY], 7, variables("abcdefg"))
 
 
 def test_basis_degree_not_expressible():

@@ -6,17 +6,19 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 
-from algforge.core import AlgebraError
+from algforge.core import AlgebraError, Identity, Monomial, Polynomial, variables
 from algforge.fixtures import (
+    BINARY,
     envelope_golden,
     fixture,
     parametric_system,
     system_table,
 )
+from algforge import systems
 from algforge.systems import (
     BinaryAlgebra,
     SymPoly,
@@ -25,6 +27,7 @@ from algforge.systems import (
     check_identities,
     check_leibniz,
     check_lts,
+    evaluations,
     from_associative,
     iterated_bracket_table,
     lie_triple_check,
@@ -318,9 +321,8 @@ def test_lts_equations_are_listed_identity_by_identity():
     table = symbolic_table(2)
     expected, seen = [], set()
     for ident in (fixture("lts-a"), fixture("lts-b")):
-        for tup in itertools.product(range(2), repeat=5):
-            assign = {v.name: table.basis_vector(i) for v, i in zip(ident.variables, tup)}
-            for _, coord in sorted(table.evaluate(ident, assign).items()):
+        for _, _, out in helpers.reference_evaluations(table, [ident]):
+            for _, coord in sorted(out.items()):
                 if coord.normalized() not in seen:
                     seen.add(coord.normalized())
                     expected.append(coord.normalized())
@@ -410,7 +412,7 @@ def test_parametric_family_symbolic_coordinate_evaluation():
     ) * SymPoly.symbol("b2") * SymPoly.symbol("c2") * SymPoly.symbol("d2") * SymPoly.symbol("e2")
     assert outer == {0: expected_x}
     # and the whole identity vanishes symbolically for every parameter
-    out = family.evaluate(lts_b, {v.name: assign[v.name] for v in lts_b.variables})
+    out = helpers.reference_evaluate(family, lts_b, {v.name: assign[v.name] for v in lts_b.variables})
     assert not out
 
 
@@ -424,10 +426,7 @@ def _fp_oracle(p, alpha122, alpha222):
     from algforge.fixtures import FIXTURES
 
     for ident in (FIXTURES["lts-a"], FIXTURES["lts-b"]):
-        for tup in itertools.product(range(2), repeat=5):
-            vectors = [table.basis_vector(i) for i in tup]
-            assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
-            out = table.evaluate(ident, assign)
+        for _, _, out in helpers.reference_evaluations(table, [ident]):
             if any(int(x) % p for x in out.values()):
                 return False
     return True
@@ -457,6 +456,60 @@ def test_search_fp_error_paths():
         search_fp(qs, 101, qs.unknowns[:8])
     with pytest.raises(AlgebraError):
         search_fp(qs, 3, ["nope"])
+
+
+IDENTITIES = {2: ["leibniz", "jordan-right"], 3: ["lts-a", "lts-b", "l1", "l2", "l3"]}
+
+
+A, B = (Monomial.leaf(v) for v in variables("ab"))
+DEGREE_ONE = Identity(Polynomial({A: 2, Monomial.apply(BINARY, [A, B]): -1}))  # a bare-variable root
+
+
+@st.composite
+def tables_and_identities(draw):
+    """A random sparse table of arity 2 or 3 and dimension 1-4 with int and
+    Fraction constants (possibly none), some fixture identities of its arity,
+    and a tuple range of at most its dimension."""
+    cls = draw(st.sampled_from([BinaryAlgebra, TernaryTable]))
+    dim = draw(st.integers(1, 4))
+    cols = st.integers(0, dim - 1)
+    scalars = st.integers(-3, 3) | COEFFS
+    constants = draw(st.dictionaries(
+        st.tuples(*[cols] * cls.arity), st.dictionaries(cols, scalars), max_size=12
+    ))
+    names = draw(st.lists(st.sampled_from(IDENTITIES[cls.arity]), min_size=1, unique=True))
+    below = draw(st.integers(1, dim))
+    table = cls(dim, [f"e{i + 1}" for i in range(dim)], constants)
+    return table, [fixture(name) for name in names], below
+
+
+@settings(max_examples=40, deadline=None)
+@given(tables_and_identities())
+@example((TernaryTable(2, ["x", "y"], {}), [fixture("lts-a"), fixture("lts-b")], 2))
+@example((system_table("sys2d-2"), [fixture(n) for n in IDENTITIES[3]], 2))
+@example((build_envelope(system_table("sys2d-1")),
+          [fixture("leibniz"), fixture("jordan-right")], 6))
+@example((helpers.upper_triangular_2x2(), [fixture("leibniz"), DEGREE_ONE], 3))
+def test_compiled_evaluations_match_the_fold_per_tuple_oracle(case):
+    table, identities, below = case
+    # (identity, tuple, value) triples, compared in yield order
+    got = list(evaluations(table, identities, below))
+    assert got == list(helpers.reference_evaluations(table, identities, below))
+
+
+def test_system_budget_counts_identity_tuple_pairs(monkeypatch):
+    table = system_table("sys2d-1")  # 2 identities on 2**5 tuples: 64 pairs
+    monkeypatch.setattr(systems, "SYSTEM_LIMIT", 64)
+    assert check_lts(table) == (True, [])
+    monkeypatch.setattr(systems, "SYSTEM_LIMIT", 63)
+    with pytest.raises(AlgebraError, match="64 identity evaluations"):
+        check_lts(table)
+    # build_envelope counts n**4 = 16 pair products
+    monkeypatch.setattr(systems, "SYSTEM_LIMIT", 16)
+    assert build_envelope(table).dim == 6
+    monkeypatch.setattr(systems, "SYSTEM_LIMIT", 15)
+    with pytest.raises(AlgebraError, match="16 pair products"):
+        build_envelope(table)
 
 
 def test_check_identities_multi_degree():
