@@ -301,6 +301,10 @@ class LinComb:
         if terms:
             key = self._key
             accumulate(self.terms, ((key(k), q(c)) for k, c in terms.items()))
+            if len(self.terms) < len(terms):
+                # keys that merged may have summed to an integral Fraction
+                for k, c in self.terms.items():
+                    self.terms[k] = q(c)
 
     @classmethod
     def _from_terms(cls, terms: dict):

@@ -159,6 +159,12 @@ def test_coefficients_stay_exact_and_integral_ones_are_ints(cls, data):
         assert all(type(x) is int for x in r.terms.values())
 
 
+def test_keys_merged_by_the_constructor_store_an_integral_sum_as_int():
+    p = SymPoly({("x", "y"): Fraction(1, 2), ("y", "x"): Fraction(1, 2)})
+    assert p.terms == {("x", "y"): 1} and type(p.terms[("x", "y")]) is int
+    assert type(p.normalized().terms[("x", "y")]) is int
+
+
 def test_degree5_kernel_coefficients_are_exact():
     basis = MonomialBasis([TERNARY], 5, variables("abcde"))
     kernel = kernel_of_expansion(basis, expand_ternary)
