@@ -8,8 +8,10 @@ the left spine (the root, its left child, that child's left child, ...)
 never changes.  So the orbit of a monomial, its set of equal monomials, is
 every independent choice of order at the products off the left spine.
 Each orbit keeps one canonical member, its least: least association type
-first, then lexicographically least letter sequence.  It is built bottom
-up, keeping at each product off the spine the smaller of its two orders.
+first, then lexicographically least letter sequence.  A table built once
+per (operation, degree) from each shape's orbit, listed with numbered
+leaves, maps the shape to its type and the letter orders of its orbit
+members of that type; trees and permuted associators straighten by lookup.
 
 Association types per degree are derived, not hard-coded: a binary shape
 is a type when it is its own least form, and the types are numbered in
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cache
+from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .core import (
@@ -46,12 +49,12 @@ from .core import (
     Polynomial,
     Variable,
     accumulate,
-    apply_op,
     fold,
 )
 from .consequence import MonomialBasis, SpanChecker, enumerate_shapes, instances, instantiate_shape
 
 MAX_DEGREE = 5
+_LEAF = OpSymbol("_leaf", 2)  # the operation of every word of degree 1
 
 
 class DegreeTooLarge(AlgebraError):
@@ -64,56 +67,69 @@ def _join(left: tuple, right: tuple) -> tuple:
     return (len(lr), kl, kr), ll + lr
 
 
-def _least_form(m: Monomial) -> tuple:
-    """(shape key, letters) of the least member of the orbit of ``m``.
-
-    The left spine stays as it stands; each right factor on it is folded to
-    its least form, keeping at every product the smaller of its two orders.
-    Any operation other than the root's raises ``AlgebraError``.
-    """
-    op = m.op
-
-    def leaf(v: Variable) -> tuple:
-        return (), (v.name,)
+def _form(m: Monomial, op: OpSymbol) -> tuple:
+    """(shape key, letters) of ``m`` as it stands, over the one operation ``op``."""
 
     def node(o: OpSymbol, kids: list) -> tuple:
-        if o != op:
+        if o is not op and o != op:
             raise AlgebraError(
                 f"straightening needs one operation, found {o.display()} in {op.display()}"
             )
-        left, right = kids
-        return min(_join(left, right), _join(right, left))
+        return _join(*kids)
 
-    rights = []
-    while not m.is_leaf and m.op == op:
-        m, right = m.children
-        rights.append(right)
-    form = fold(m, leaf, node)  # a leaf, or another operation, which raises
-    for right in reversed(rights):
-        form = _join(form, fold(right, leaf, node))
-    return form
+    return fold(m, lambda v: ((), (v.name,)), node)
+
+
+def _orbit(shape: Monomial) -> list[tuple]:
+    """(shape key, leaf positions) of each orbit member of a shape, itself first."""
+    position = itertools.count()
+
+    def leaf(_) -> tuple:
+        forms = [((), (next(position),))]
+        return forms, forms
+
+    def node(_, kids: list) -> tuple:
+        # (forms with this product on the spine; off it, in both orders)
+        (l_spine, l_off), (_, r_off) = kids
+        pairs = list(itertools.product(l_off, r_off))
+        return ([_join(l, r) for l in l_spine for r in r_off],
+                [_join(l, r) for l, r in pairs] + [_join(r, l) for l, r in pairs])
+
+    return fold(shape, leaf, node)[0]
+
+
+class _Types(NamedTuple):
+    shapes: list[Monomial]
+    perms: list[tuple]  # per type, letter getters of its orbit members of its shape
+    table: dict[tuple, tuple[int, tuple]]  # shape key -> (orbit's type, getters for it)
 
 
 @cache
-def _types(op: OpSymbol, degree: int) -> tuple[list[Monomial], dict[tuple, int]]:
-    """The association types of one operation and degree, and the type index
-    of each type's shape key; built once per (operation, degree)."""
+def _types(op: OpSymbol, degree: int) -> _Types:
+    """The association types of one operation and degree, in shape order,
+    and the orbit table of every shape; built once per (operation, degree)."""
     if op.arity != 2:
         raise AlgebraError("right commutativity concerns binary operations")
-    least = {}
+    if degree > MAX_DEGREE:
+        raise DegreeTooLarge(f"degree {degree} exceeds {MAX_DEGREE}")
+    orbits, types = {}, {}
     for shape in enumerate_shapes([op], degree):
-        key, letters = _least_form(shape)
-        # every swap moves a letter, so a type is a shape that keeps its letters
-        if letters == shape.leaf_names():
-            least[key] = shape
-    keys = sorted(least)
-    return [least[k] for k in keys], {k: i for i, k in enumerate(keys, start=1)}
+        forms = _orbit(shape)
+        own, least = forms[0][0], min(key for key, _ in forms)
+        # itemgetter of one position returns the letter, not a 1-tuple
+        orbits[own] = least, tuple(itemgetter(*p) if len(p) > 1 else tuple
+                                   for key, p in forms if key == least)
+        if own == least:
+            types[own] = shape
+    index = {key: i for i, key in enumerate(sorted(types), start=1)}
+    table = {own: (index[least], perms) for own, (least, perms) in orbits.items()}
+    return _Types([types[key] for key in index], [orbits[key][1] for key in index], table)
 
 
 def canonical_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
     """Association types of the degree: the shapes that are their own least
     form, in shape order."""
-    return _types(op, degree)[0]
+    return _types(op, degree).shapes
 
 
 class RCWord(NamedTuple):
@@ -149,15 +165,20 @@ class RCPolynomial(LinComb):
     _render_key = staticmethod(RCWord.render)
 
 
+def _word(op: OpSymbol, table: dict, key: tuple, letters: tuple) -> RCWord:
+    """The word of the tree with this (shape key, letters) form."""
+    type_index, perms = table[key]
+    word = min([letters_of(letters) for letters_of in perms])
+    return RCWord(op if len(letters) > 1 else _LEAF, len(letters), type_index, word)
+
+
 def rc_straighten(m: Monomial) -> RCWord:
     """The least member of the orbit of a monomial of degree at most 5."""
-    if m.degree > MAX_DEGREE:
-        raise DegreeTooLarge(f"degree {m.degree} exceeds {MAX_DEGREE}")
-    op = OpSymbol("_leaf", 2) if m.is_leaf else m.op
+    op = _LEAF if m.is_leaf else m.op
     if op.arity != 2:
         raise AlgebraError("straightening requires a binary operation")
-    key, letters = _least_form(m)
-    return RCWord(op, m.degree, _types(op, m.degree)[1][key], letters)
+    key, letters = _form(m, op)
+    return _word(op, _types(op, len(letters)).table, key, letters)
 
 
 def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
@@ -169,30 +190,35 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
     )
 
 
-def permuted_associator_image(m: Monomial, product: OpSymbol) -> Polynomial:
-    """Rewrite a ternary tree through <x,y,z> -> (x,z,y) = (xz)y - x(zy)."""
-
-    def node(op: OpSymbol, args: list) -> Polynomial:
-        if op.arity != 3:
-            raise AlgebraError(f"{op.display()} is not ternary")
-        x, y, z = args
-        xz = apply_op(product, [x, z])
-        zy = apply_op(product, [z, y])
-        return apply_op(product, [xz, y]) - apply_op(product, [x, zy])
-
-    return fold(m, Polynomial._coerce, node)
+def _associator_node(op: OpSymbol, args: list) -> list[tuple]:
+    """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, shape key, letters)
+    terms, listed in the order that multiplying out the trees lists them."""
+    if op.arity != 3:
+        raise AlgebraError(f"{op.display()} is not ternary")
+    x, y, z = args
+    plus, minus = [], []
+    for sx, kx, lx in x:
+        for sz, kz, lz in z:
+            for sy, ky, ly in y:
+                sign, letters = sx * sz * sy, lx + lz + ly
+                plus.append((sign, (len(ly), (len(lz), kx, kz), ky), letters))
+                minus.append((-sign, (len(lz) + len(ly), kx, (len(ly), kz, ky)), letters))
+    return plus + minus
 
 
 def permuted_associator_expand(
     identity: Union[Identity, Polynomial], product: OpSymbol | None = None
 ) -> RCPolynomial:
     """Expand a ternary identity through the permuted associator and straighten."""
-    if product is None:
-        product = OpSymbol("mul", 2)
+    product = product or OpSymbol("mul", 2)
     p = identity.lhs if isinstance(identity, Identity) else identity
-    return rc_expand(
-        Polynomial.linear_image(p.terms, lambda m: permuted_associator_image(m, product))
-    )
+    out: dict = {}
+    for m, c in p.terms.items():
+        image = fold(m, lambda v: [(1, (), (v.name,))], _associator_node)
+        table = _types(product, len(image[0][2])).table  # every term has m's degree
+        accumulate(out, ((_word(product, table, key, letters), sign)
+                         for sign, key, letters in image), c)
+    return RCPolynomial._from_terms(out)
 
 
 class RCBasis(MonomialBasis):
@@ -209,11 +235,12 @@ class RCBasis(MonomialBasis):
         self.op = op
         self.degree = degree
         self.variables = variables
-        seen: set[RCWord] = set()
-        for shape in canonical_shapes(op, degree):
-            for perm in itertools.permutations(sorted(variables)):
-                seen.add(rc_straighten(instantiate_shape(shape, perm)))
-        self.monomials: list[RCWord] = sorted(seen, key=lambda w: w.sort_key())
+        lettered = sorted(set(itertools.permutations(v.name for v in variables)))
+        self.monomials: list[RCWord] = []
+        for t, perms in enumerate(_types(op, degree).perms, start=1):
+            # a type's words: the letter sequences least among their orbit's
+            self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
+                               if all(w <= letters_of(w) for letters_of in perms)]
         self.index = {w: i for i, w in enumerate(self.monomials)}
 
     def normal(self, p: Union[Polynomial, RCPolynomial]) -> RCPolynomial:
@@ -223,14 +250,7 @@ class RCBasis(MonomialBasis):
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
     """Number of same-shape members in a generic orbit of this type: 2 to
     the number of products off the left spine whose factors share a shape."""
-
-    def node(op: OpSymbol, kids: list) -> tuple:
-        # (shape, count as it stands on the spine, count off the spine)
-        (kl, l_spine, l_off), (kr, _, r_off) = kids
-        return (kl, kr), l_spine + r_off, l_off + r_off + (kl == kr)
-
-    shape = canonical_shapes(op, degree)[type_index - 1]
-    return 2 ** fold(shape, lambda _: ((), 0, 0), node)[1]
+    return len(_types(op, degree).perms[type_index - 1])
 
 
 def build_jordan_checker(

@@ -214,17 +214,21 @@ class StructureTable:
         """Schema: {"dim": n, "basis": [...], KEY: {"x,y,...": "y", ...}} with
         KEY "triple" or "product"; omitted entries are zero, values are linear
         combinations of basis names.  Basis names are distinct, and no two
-        keys name the same index tuple."""
+        keys name the same index tuple.  A dimension over ``SYSTEM_LIMIT``,
+        which no check or envelope could take on, is refused before any of
+        its basis is built."""
         if isinstance(obj, str):
             try:
                 obj = json.loads(obj)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
                 raise AlgebraError(f"system file is not valid JSON: {exc}") from None
         if not isinstance(obj, Mapping):
             raise AlgebraError("system JSON must be an object")
         dim = obj.get("dim")
         if not isinstance(dim, int) or isinstance(dim, bool):
             raise AlgebraError('system JSON needs an integer "dim"')
+        if dim > SYSTEM_LIMIT:
+            raise AlgebraError(f"system too large: dimension {dim}, over {SYSTEM_LIMIT}")
         basis = obj.get("basis") or [f"e{i+1}" for i in range(dim)]
         if not isinstance(basis, (list, tuple)) or not all(isinstance(n, str) for n in basis):
             raise AlgebraError('"basis" must be a list of names')

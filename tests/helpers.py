@@ -1,12 +1,15 @@
 """Shared test utilities: small associative algebras, basis changes, the
-dense structure-table product loops, the fold-per-tuple identity evaluation
-and the brute-force right-commutativity orbit."""
+dense structure-table product loops, the fold-per-tuple identity evaluation,
+the brute-force right-commutativity orbit and the tree-built
+permuted-associator expansion and canonical word list."""
 
 import itertools
 from fractions import Fraction
 
-from algforge.core import Monomial, accumulate, fold
+from algforge.consequence import instantiate_shape
+from algforge.core import AlgebraError, Monomial, OpSymbol, Polynomial, accumulate, apply_op, fold
 from algforge.linalg import PivotTable
+from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
 from algforge.systems import BinaryAlgebra
 
 
@@ -172,3 +175,31 @@ def rc_order(m: Monomial) -> tuple:
     def shape(t):
         return () if t.is_leaf else (t.children[1].degree, shape(t.children[0]), shape(t.children[1]))
     return shape(m), m.leaf_names()
+
+
+def reference_permuted_associator_expand(p: Polynomial, product: OpSymbol) -> RCPolynomial:
+    """The oracle for ``rightcomm.permuted_associator_expand``: every binary
+    tree of the image of <x,y,z> -> (xz)y - x(zy) is built with ``apply_op``
+    and the image is straightened term by term with ``rc_expand``."""
+
+    def node(op: OpSymbol, args: list) -> Polynomial:
+        if op.arity != 3:
+            raise AlgebraError(f"{op.display()} is not ternary")
+        x, y, z = args
+        xz = apply_op(product, [x, z])
+        zy = apply_op(product, [z, y])
+        return apply_op(product, [xz, y]) - apply_op(product, [x, zy])
+
+    image = Polynomial.linear_image(p.terms, lambda m: fold(m, Polynomial._coerce, node))
+    return rc_expand(image)
+
+
+def reference_rc_basis_words(op: OpSymbol, degree: int, variables) -> list:
+    """The oracle for ``rightcomm.RCBasis`` word lists: each association type
+    filled with each permutation of the variables, straightened, deduplicated
+    and sorted."""
+    seen = set()
+    for shape in canonical_shapes(op, degree):
+        for perm in itertools.permutations(sorted(variables)):
+            seen.add(rc_straighten(instantiate_shape(shape, perm)))
+    return sorted(seen, key=RCWord.sort_key)

@@ -1,6 +1,7 @@
 """The forge command line: files in, reports out, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -257,6 +258,62 @@ def test_oversized_system_is_refused_before_any_work(command, message, tmp_path,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: system too large: {message}\n"
+
+
+@pytest.mark.parametrize("command", [["verify"], ["envelope", "--emit", "table"]])
+@pytest.mark.parametrize("dim, message", [
+    (10_000_000, "system too large: dimension 10000000, over 200000"),
+    (-3, "dimension must be at least 1"),
+    (0, "dimension must be at least 1"),
+])
+def test_out_of_range_dimension_is_refused_before_its_basis_is_built(
+    command, dim, message, tmp_path, capsys
+):
+    system = tmp_path / "dim.json"
+    system.write_text(json.dumps({"dim": dim}))
+    start = time.perf_counter()
+    assert main(command + ["--system", str(system)]) == 2
+    assert time.perf_counter() - start < 0.05
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_a_dimension_of_too_many_digits_is_a_one_line_error(tmp_path, capsys):
+    system = tmp_path / "digits.json"
+    system.write_text('{"dim": 1' + "0" * 5000 + "}")
+    assert main(["verify", "--system", str(system)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: system file is not valid JSON: ")
+    assert captured.err.count("\n") == 1
+
+
+def _comb_text(letters: int) -> str:
+    text = f"x{letters}"
+    for i in range(letters - 1, 0, -1):
+        text = f"(x{i}*{text})"
+    return text
+
+
+def test_free_expand_refuses_an_oversized_expansion(capsys):
+    assert main(["free-expand", "--expr", _comb_text(40)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expansion too large: up to ")
+    assert captured.err.endswith(" word terms, over 1000000\n")
+    assert captured.err.count("\n") == 1
+
+
+def test_free_check_refuses_an_oversized_expansion(tmp_path, capsys):
+    path = tmp_path / "comb.txt"
+    comb = _comb_text(20).replace("*", ",").replace("(", "mul(")
+    path.write_text(f"op mul/2\ncomb: {comb}\n")
+    assert main(["free-check", "--identities", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: expansion too large: up to ")
+    assert captured.err.count("\n") == 1
 
 
 def test_envelope_law_check_is_refused_before_the_table_is_printed(tmp_path, capsys):

@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from algforge import leibniz
+from algforge.consequence import enumerate_shapes, instantiate_shape
 from algforge.core import AlgebraError, Monomial, Polynomial, VariableClash, apply_op, variables
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import (
+    EXPANSION_LIMIT,
+    ExpansionTooLarge,
     TensorPolynomial,
     expand_binary_tree,
     expand_ternary,
@@ -196,3 +200,53 @@ def test_expand_rejects_wrong_arity():
 def test_word_requires_letters():
     with pytest.raises(AlgebraError):
         TensorPolynomial.word(())
+
+
+def _right_comb(names):
+    m = Monomial.leaf(names[-1])
+    for v in reversed(names[:-1]):
+        m = Monomial.apply(BINARY, (Monomial.leaf(v), m))
+    return m
+
+
+def test_a_40_letter_comb_is_counted_and_refused_without_expanding(monkeypatch):
+    def no_product(*args, **kwargs):
+        raise AssertionError("the expansion started")
+
+    monkeypatch.setattr(leibniz, "free_product", no_product)
+    comb = _right_comb(variables([f"x{i}" for i in range(40)]))
+    message = r"^expansion too large: up to \d+ word terms, over 1000000$"
+    with pytest.raises(ExpansionTooLarge, match=message):
+        expand_binary_tree(comb)
+    with pytest.raises(ExpansionTooLarge):
+        expand_binary_tree(Polynomial({comb: 1}))
+
+
+def test_the_largest_accepted_comb_has_12_letters():
+    assert leibniz._work(_right_comb(variables([f"x{i}" for i in range(12)]))) <= EXPANSION_LIMIT
+    assert leibniz._work(_right_comb(variables([f"x{i}" for i in range(13)]))) > EXPANSION_LIMIT
+
+
+@pytest.mark.parametrize("op, degrees", [(BINARY, range(1, 7)), (TERNARY, (3, 5))])
+def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degrees, monkeypatch):
+    # the terms each free_product accumulates: a word of degree k times a
+    # right factor's word gives 2 ** (k - 1) terms
+    counted = []
+    product = leibniz.free_product
+
+    def counting(u, v, **kwargs):
+        k = len(next(iter(v.terms), ()))
+        counted.append(len(u.terms) * len(v.terms) << (k - 1) if k else 0)
+        return product(u, v, **kwargs)
+
+    monkeypatch.setattr(leibniz, "free_product", counting)
+    for degree in degrees:
+        for shape in enumerate_shapes([op], degree):
+            for names, exact in (("abcdef", True), ("aabbab", False)):
+                m = instantiate_shape(shape, variables(names[:degree]))
+                counted.clear()
+                leibniz._expand(m, op.arity, "of this arity")
+                if exact:
+                    assert leibniz._work(m) == sum(counted), m
+                else:
+                    assert leibniz._work(m) >= sum(counted), m

@@ -1,11 +1,13 @@
 """Straightening, association types, permuted-associator expansions."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from algforge.consequence import enumerate_shapes, instantiate_shape, iter_lifted, shape_of
-from algforge.core import AlgebraError, OpSymbol, Polynomial, Variable, variables
+from algforge.core import AlgebraError, Monomial, OpSymbol, Polynomial, Variable, variables
 from algforge.fixtures import (
     BINARY,
     TERNARY,
@@ -27,7 +29,12 @@ from algforge.rightcomm import (
     symmetry_order,
 )
 
-from helpers import rc_orbit as _orbit, rc_order
+from helpers import (
+    rc_orbit as _orbit,
+    rc_order,
+    reference_permuted_associator_expand,
+    reference_rc_basis_words,
+)
 
 V5 = variables("abcde")
 
@@ -120,10 +127,87 @@ def test_straightening_rejects_a_second_operation(text):
         rc_expand(p)
 
 
+def test_straightening_names_the_second_operation():
+    p = parse("mul(a, add(b, c))", [BINARY, OpSymbol("add", 2)])
+    message = r"^straightening needs one operation, found add in mul$"
+    with pytest.raises(AlgebraError, match=message):
+        rc_straighten(next(iter(p.terms)))
+    with pytest.raises(AlgebraError, match=r"^straightening requires a binary operation$"):
+        rc_straighten(next(iter(parse("br(a,b,c)", [TERNARY]).terms)))
+
+
 def test_degree_cap():
     too_big = parse_product("((((ab)c)d)e)f", BINARY)
     with pytest.raises(DegreeTooLarge):
         rc_straighten(too_big)
+
+
+def test_permuted_associator_expand_refuses_degree_7():
+    p = parse("br(br(br(a,b,c),d,e),f,g)", [TERNARY])
+    with pytest.raises(DegreeTooLarge, match=r"^degree 7 exceeds 5$"):
+        permuted_associator_expand(p, BINARY)
+
+
+def test_permuted_associator_expand_refuses_a_binary_operation_inside():
+    p = parse("br(mul(a,b),c,d)", [TERNARY, BINARY])
+    with pytest.raises(AlgebraError, match=r"^mul is not ternary$"):
+        permuted_associator_expand(p, BINARY)
+
+
+# ternary terms of degree 1, 3 and 5 over a few letters, so letters repeat,
+# some of them longer than one character
+_LEAVES = st.sampled_from(["a", "b", "c", "x1", "foo"]).map(lambda n: Monomial.leaf(Variable(n)))
+_DEG3 = st.tuples(_LEAVES, _LEAVES, _LEAVES).map(lambda kids: Monomial.apply(TERNARY, kids))
+_DEG5 = st.integers(0, 2).flatmap(
+    lambda i: st.tuples(*(_DEG3 if j == i else _LEAVES for j in range(3)))
+).map(lambda kids: Monomial.apply(TERNARY, kids))
+_COEFFS = st.one_of(
+    st.sampled_from([1, -1, 2, -3]), st.builds(Fraction, st.integers(-3, 3), st.integers(2, 4))
+)
+_HALF = Fraction(1, 2)
+
+
+def _br(*kids):
+    return Monomial.apply(TERNARY, [Monomial.leaf(Variable(k)) if isinstance(k, str) else k
+                                    for k in kids])
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.dictionaries(st.one_of(_LEAVES, _DEG3, _DEG5), _COEFFS, max_size=6),
+       product=st.sampled_from([BINARY, OpSymbol("dot", 2)]))
+# halves that cancel on a word, which an int term reaches afterwards (an
+# inner skew pair, as in lts1), and halves cancelling over repeated letters
+@example(terms={_br("a", _br("b", "c", "x1"), "foo"): _HALF,
+                _br("a", _br("c", "b", "x1"), "foo"): _HALF,
+                _br("a", _br("b", "x1", "c"), "foo"): -1}, product=BINARY)
+@example(terms={_br("a", "a", "b"): _HALF, _br("a", "b", "a"): -_HALF, _br("b", "a", "a"): 3},
+         product=BINARY)
+def test_compiled_expansion_equals_the_tree_built_one(terms, product):
+    p = Polynomial(terms)
+    got = permuted_associator_expand(p, product)
+    want = reference_permuted_associator_expand(p, product)
+    assert [(w, c, type(c)) for w, c in got.sorted_terms()] == [
+        (w, c, type(c)) for w, c in want.sorted_terms()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree=st.recursive(
+    st.sampled_from("aab").map(lambda n: Monomial.leaf(Variable(n))),
+    lambda sub: st.tuples(sub, sub).map(lambda kids: Monomial.apply(BINARY, kids)),
+    max_leaves=5,
+).filter(lambda m: m.degree <= 5))
+def test_straightening_with_repeated_letters_is_the_least_orbit_member(tree):
+    assert rc_straighten(tree).monomial() == min(_orbit(tree), key=rc_order)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_basis_words_are_the_straightened_instantiations(degree):
+    for op, names in ((BINARY, "abcde"), (OpSymbol("dot", 2), ["x1", "foo", "b", "zz", "a"])):
+        vs = variables(names[:degree])
+        basis = RCBasis(op, degree, vs)
+        assert basis.monomials == reference_rc_basis_words(op, degree, vs)
+        assert basis.index == {w: i for i, w in enumerate(basis.monomials)}
 
 
 def test_rj_ro_straighten_without_collapse():
