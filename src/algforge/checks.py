@@ -27,7 +27,7 @@ from .core import (
 from .consequence import (
     MonomialBasis,
     SpanChecker,
-    instances,
+    compiled_instances,
     kernel_of_expansion,
     sets_equivalent,
 )
@@ -182,7 +182,7 @@ def section_ex25() -> SectionReport:
     spec = substitute(leib.lhs, {Variable("b"): Variable("c")}, check=False)
     pol = polarize(Identity(spec, name="leibniz-squared"))
     basis = MonomialBasis([BINARY], 3, vs)
-    cert = SpanChecker(list(instances([pol], vs)), basis).check(ra.lhs)
+    cert = SpanChecker(list(compiled_instances([pol], vs)), basis).check(ra.lhs)
     claims.append(
         Claim(
             "right anticommutativity lies in the span of the re-linearized square",
@@ -245,7 +245,7 @@ def section_thm32() -> SectionReport:
 
     basis = MonomialBasis([TERNARY], 5, vs)
     names = ("inner2-skew", "inner2-cyclic", "inner3-skew", "inner3-cyclic", "lts3")
-    gens = list(instances([fixture(n) for n in names], vs))
+    gens = list(compiled_instances([fixture(n) for n in names], vs))
     cert = SpanChecker(gens, basis).check(fixture("derivation5-reduced").lhs)
     claims.append(
         Claim("the 16-term reduced identity is redundant, with certificate",
@@ -290,7 +290,7 @@ def section_lem33() -> SectionReport:
 def section_sec4() -> SectionReport:
     vs = _vars(5)
     basis = MonomialBasis([TERNARY], 5, vs)
-    checker = SpanChecker(list(instances([fixture("lts-a"), fixture("lts-b")], vs)), basis)
+    checker = SpanChecker(list(compiled_instances([fixture("lts-a"), fixture("lts-b")], vs)), basis)
     claims = []
     for n in ("op1", "op2", "op3", "op4"):
         cert = checker.check(fixture(n).lhs)
@@ -414,7 +414,7 @@ def section_thm73_deg5() -> SectionReport:
     basis = MonomialBasis([TERNARY], 5, vs)
     claims = [Claim("ambient ternary degree-5 space has dimension 360", len(basis) == 360)]
     kernel = kernel_of_expansion(basis, expand_ternary)
-    gens = list(instances([fixture("lts-a"), fixture("lts-b")], vs))
+    gens = list(compiled_instances([fixture("lts-a"), fixture("lts-b")], vs))
     checker = SpanChecker(gens, basis)
     claims.append(Claim("kernel of the word expansion has dimension 240", len(kernel) == 240))
     claims.append(Claim("span of the 240 instances has dimension 240", checker.rank == 240))

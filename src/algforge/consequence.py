@@ -4,15 +4,26 @@ The multilinear component of a signature at degree d over d named variables
 is a finite-dimensional rational vector space whose basis is every
 association shape filled with every permutation of the variables.  A
 polynomial "follows from" a set of identities at that degree exactly when it
-lies in the span of their instances, which ``instances`` yields: variable
-relabelings at equal degree, and one-step liftings (a product of two fresh
-variables in place of one variable, or a fresh variable as a factor) when
-the degree grows by one.  A relabeling and a product in place of a variable
-are the one tree fold ``core.relabel``.  Membership is decided by exact
+lies in the span of their instances, which ``compiled_instances`` yields:
+variable relabelings at equal degree, and one-step liftings (a product of
+two fresh variables in place of one variable, or a fresh variable as a
+factor) when the degree grows by one.
+
+Instances are compiled, not built.  Each identity is compiled once per call
+into (shape key, leaf slots, coefficient) terms, and every instance is
+emitted as (shape key, letters, coefficient) triples, the shape key being
+``Monomial.shape_key`` of the tree the term stands for: a relabeling reads
+its letters with one ``itemgetter`` over the permutation, a product in one
+slot uses a spliced key and a letter getter made once per (term, slot), and
+a fresh factor is one product key over the term's.  ``instances``,
+``iter_relabelings`` and ``iter_lifted`` render the same stream as tree
+polynomials for callers that want trees.  Membership is decided by exact
 forward elimination and every positive answer carries a certificate that
 re-expands to the target.  ``SpanChecker`` reads every generator and target
-through ``basis.normal``: the polynomial itself for ``MonomialBasis``, its
-straightened form for ``rightcomm.RCBasis``.
+through ``basis.normal``: a tree polynomial is its own normal form for
+``MonomialBasis``, which reads a compiled instance through a (shape key,
+letters) index onto its own trees; ``rightcomm.RCBasis`` straightens
+either.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -23,7 +34,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache
+from functools import cache, cached_property
+from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
@@ -33,7 +45,7 @@ from .core import (
     OpSymbol,
     Polynomial,
     Variable,
-    apply_op,
+    accumulate,
     fold,
     relabel,
 )
@@ -153,6 +165,13 @@ class MonomialBasis:
     def __len__(self) -> int:
         return len(self.monomials)
 
+    @cached_property
+    def _slots(self) -> dict[tuple, int]:
+        """(shape key, letters) -> index of each basis monomial."""
+        perms = list(itertools.permutations(v.name for v in sorted(self.variables)))
+        forms = itertools.product([shape.shape_key() for shape in self.shapes], perms)
+        return {form: i for i, form in enumerate(forms)}
+
     def vector(self, p: Polynomial) -> Vec:
         vec: Vec = {}
         for m, c in p.terms.items():
@@ -163,26 +182,97 @@ class MonomialBasis:
         return vec
 
     def normal(self, p):
-        """The form of ``p`` whose terms are basis elements: ``p`` itself."""
-        return p
+        """The form of ``p`` whose terms are basis elements: ``p`` itself, or
+        for a compiled instance the polynomial of the basis's own trees that
+        its (shape key, letters) pairs index."""
+        if not isinstance(p, list):
+            return p
+        slots, monomials = self._slots, self.monomials
+        try:
+            return Polynomial._from_terms(accumulate(
+                {}, ((monomials[slots[key, letters]], c) for key, letters, c in p)
+            ))
+        except KeyError as err:
+            raise DimensionMismatch(
+                f"monomial {form_tree(*err.args[0])!r} is outside this basis"
+            ) from None
 
 
-def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
-    """Yield (tag, polynomial) for every bijective variable relabeling."""
+# The shape key of a leaf and of a product node, as ``Monomial.shape_key``
+# gives them: a compiled term's key is the shape key of the tree it stands for.
+_LEAF_KEY = (0,)
+
+
+def _node_key(op: OpSymbol, kids) -> tuple:
+    return (1, op.key(), *kids)
+
+
+def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """Read a tuple of the items at these positions of a sequence."""
+    if len(positions) == 1:
+        (i,) = positions
+        return lambda seq: (seq[i],)
+    return itemgetter(*positions)
+
+
+def _builder(key: tuple, position) -> Callable[[Sequence[Monomial]], Monomial]:
+    """A function from the leaves of a shape key, left to right, to its tree;
+    ``position`` counts the leaves."""
+    if len(key) == 1:
+        return itemgetter(next(position))
+    name, arity, variant = key[1]
+    op = OpSymbol(name, arity, variant or None)
+    kids = [_builder(k, position) for k in key[2:]]
+    # the raw constructor: a shape key has the arity of each of its nodes
+    return lambda leaves: Monomial(None, op, tuple([kid(leaves) for kid in kids]))
+
+
+def form_tree(key: tuple, letters: Sequence[str]) -> Monomial:
+    """The tree of one compiled term: its shape key with these leaf letters."""
+    return _builder(key, itertools.count())([Monomial.leaf(x) for x in letters])
+
+
+def _renderer(variables: Sequence[Variable]) -> Callable[[list], Polynomial]:
+    """The tree polynomial of a compiled instance over ``variables``, each
+    shape's builder made once per renderer."""
+    leaves = {v.name: Monomial.leaf(v) for v in variables}
+    builders: dict[tuple, Callable] = {}
+
+    def tree(key: tuple, letters: tuple) -> Monomial:
+        build = builders.get(key)
+        if build is None:
+            build = builders[key] = _builder(key, itertools.count())
+        return build([leaves[x] for x in letters])
+
+    def render(terms: list) -> Polynomial:
+        return Polynomial._from_terms(
+            accumulate({}, ((tree(key, letters), c) for key, letters, c in terms))
+        )
+
+    return render
+
+
+def _relabelings(identity: Identity, variables: Sequence[Variable]):
+    """Yield (tag, compiled instance) for every bijective variable relabeling."""
     variables = tuple(variables)
     if len(variables) != len(identity.variables):
         raise DimensionMismatch(
             f"identity has {len(identity.variables)} variables, got {len(variables)}"
         )
     label = identity.name or "id"
-    for perm in itertools.permutations(variables):
-        mapping = dict(zip(identity.variables, perm))
-        tag = f"{label}({','.join(v.name for v in perm)})"
-        yield tag, relabel(identity.lhs, mapping)
+    slot = {v.name: i for i, v in enumerate(identity.variables)}
+    terms = [(m.shape_key(), _getter([slot[x] for x in m.leaf_names()]), c)
+             for m, c in identity.lhs.terms.items()]
+    for perm in itertools.permutations(v.name for v in variables):
+        yield f"{label}({','.join(perm)})", [(key, get(perm), c) for key, get, c in terms]
 
 
-def iter_lifted(identity: Identity, target_degree: int, variables):
-    """Yield (tag, polynomial) one-step liftings over a binary signature."""
+def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]):
+    """Yield (tag, compiled instance) for every one-step lifting over a
+    binary signature.  Each is read off a permutation ``perm`` of the target
+    letters: a product ``perm[0]perm[1]`` in one slot with ``perm[2:]`` in the
+    others, or ``perm[1:]`` relabeling the identity beside the factor
+    ``perm[0]``."""
     variables = tuple(variables)
     d = identity.degree
     if target_degree != d + 1:
@@ -197,39 +287,81 @@ def iter_lifted(identity: Identity, target_degree: int, variables):
     (op,) = ops
     label = identity.name or "id"
     src = identity.variables
+    terms = identity.lhs.terms.items()
+    perms = list(itertools.permutations(v.name for v in variables))
+    product = _node_key(op, (_LEAF_KEY, _LEAF_KEY))
 
-    # (i) substitute an ordered product of two fresh variables for one variable
+    # (i) an ordered product of two fresh variables in place of one variable
     for v_idx, v in enumerate(src):
-        others = src[:v_idx] + src[v_idx + 1:]
-        for x, y, *rest in itertools.permutations(variables):
-            mapping = dict(zip(others, rest))
-            mapping[v] = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
-            args = [val.name for val in rest]
-            args.insert(v_idx, x.name + y.name)
-            yield f"{label}({','.join(args)})", relabel(identity.lhs, mapping)
+        slot = {w.name: 2 + j for j, w in enumerate(src[:v_idx] + src[v_idx + 1:])}
+        spliced = []
+        for m, c in terms:
+            key = fold(m, lambda w: product if w.name == v.name else _LEAF_KEY, _node_key)
+            at = [i for x in m.leaf_names() for i in ((0, 1) if x == v.name else (slot[x],))]
+            spliced.append((key, _getter(at), c))
+        for perm in perms:
+            args = list(perm[2:])
+            args.insert(v_idx, perm[0] + perm[1])
+            yield f"{label}({','.join(args)})", [(key, get(perm), c) for key, get, c in spliced]
 
-    # (ii) multiply a relabeled instance by the leftover variable
-    for f, *rest in itertools.permutations(variables):
-        inst = relabel(identity.lhs, dict(zip(src, rest)))
-        args = ",".join(v.name for v in rest)
-        fpoly = Polynomial({Monomial.leaf(f): 1})
-        yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
-        yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
+    # (ii) a relabeled instance times the leftover variable, on either side
+    slot = {w.name: 1 + j for j, w in enumerate(src)}
+    right, left = [], []
+    for m, c in terms:
+        at = [slot[x] for x in m.leaf_names()]
+        right.append((_node_key(op, (m.shape_key(), _LEAF_KEY)), _getter(at + [0]), c))
+        left.append((_node_key(op, (_LEAF_KEY, m.shape_key())), _getter([0] + at), c))
+    for perm in perms:
+        args = ",".join(perm[1:])
+        yield f"{label}({args})*{perm[0]}", [(key, get(perm), c) for key, get, c in right]
+        yield f"{perm[0]}*{label}({args})", [(key, get(perm), c) for key, get, c in left]
 
 
-def instances(identities: Iterable[Identity], variables: Sequence[Variable]):
-    """Yield (tag, polynomial) for every instance of the identities over
-    ``variables``: the relabelings of an identity of degree
+def compiled_instances(identities: Iterable[Identity], variables: Sequence[Variable]):
+    """Yield (tag, compiled instance) for every instance of the identities
+    over ``variables``: the relabelings of an identity of degree
     ``len(variables)`` and the one-step liftings of one a degree lower.  An
     unnamed identity is named by its position, ``g0``, ``g1``, ...; any other
-    degree raises ``AlgebraError``."""
+    degree raises ``AlgebraError``.
+
+    A compiled instance is a list of (shape key, letters, coefficient)
+    triples, one per term in the order its tree polynomial lists them: the
+    ``Monomial.shape_key`` and leaf names of the term's tree.  Each identity
+    is compiled once per call, so an instance costs one getter call per term
+    and builds no tree; a basis's ``normal`` reads it."""
     variables = tuple(variables)
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")
         if ident.degree == len(variables):
-            yield from iter_relabelings(named, variables)
+            yield from _relabelings(named, variables)
         else:
-            yield from iter_lifted(named, len(variables), variables)
+            yield from _lifts(named, len(variables), variables)
+
+
+def _rendered(compiled, variables: tuple):
+    """The compiled stream with each instance's tree polynomial."""
+    render = _renderer(variables)
+    for tag, terms in compiled:
+        yield tag, render(terms)
+
+
+def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
+    """Yield (tag, polynomial) for every bijective variable relabeling."""
+    variables = tuple(variables)
+    yield from _rendered(_relabelings(identity, variables), variables)
+
+
+def iter_lifted(identity: Identity, target_degree: int, variables):
+    """Yield (tag, polynomial) one-step liftings over a binary signature."""
+    variables = tuple(variables)
+    yield from _rendered(_lifts(identity, target_degree, variables), variables)
+
+
+def instances(identities: Iterable[Identity], variables: Sequence[Variable]):
+    """Yield (tag, polynomial) for every instance ``compiled_instances``
+    yields, with the tree polynomial of each."""
+    variables = tuple(variables)
+    yield from _rendered(compiled_instances(identities, variables), variables)
 
 
 class SpanCertificate:
@@ -336,7 +468,7 @@ def sets_equivalent(
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
-    span_a, span_b = (SpanChecker(list(instances(s, variables)), basis) for s in (a, b))
+    span_a, span_b = (SpanChecker(list(compiled_instances(s, variables)), basis) for s in (a, b))
 
     def side(mine, checker: SpanChecker, prefix: str) -> dict:
         return {

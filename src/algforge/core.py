@@ -54,18 +54,19 @@ class CyclicRules(AlgebraError):
 class Variable:
     """A named indeterminate.  Identity and ordering are by name alone."""
 
-    __slots__ = ("name",)
+    __slots__ = ("name", "_hash")
 
     def __init__(self, name: str):
         if not name:
             raise AlgebraError("variable name must be nonempty")
         self.name = name
+        self._hash = hash(("var", name))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Variable) and self.name == other.name
 
     def __hash__(self) -> int:
-        return hash(("var", self.name))
+        return self._hash
 
     def __lt__(self, other: "Variable") -> bool:
         return self.name < other.name
@@ -96,7 +97,7 @@ class OpSymbol:
     ``(name, arity, variant)`` identifies the symbol uniquely.
     """
 
-    __slots__ = ("name", "arity", "variant")
+    __slots__ = ("name", "arity", "variant", "_hash")
 
     def __init__(self, name: str, arity: int, variant: int | None = None):
         if arity < 1:
@@ -106,6 +107,7 @@ class OpSymbol:
         self.name = name
         self.arity = arity
         self.variant = variant
+        self._hash = hash(("op", name, arity, variant))
 
     def display(self) -> str:
         if self.variant is None:
@@ -127,7 +129,7 @@ class OpSymbol:
         )
 
     def __hash__(self) -> int:
-        return hash(("op", self.name, self.arity, self.variant))
+        return self._hash
 
     def __lt__(self, other: "OpSymbol") -> bool:
         return self.key() < other.key()

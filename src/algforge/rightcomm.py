@@ -29,14 +29,17 @@ type 9 has 8); the tests check the least forms and the counts against a
 brute-force orbit closure.
 
 ``RCBasis`` is the ``consequence.MonomialBasis`` of the canonical words: its
-normal form is ``rc_expand``, so the straightening of span generators and
-targets happens here and nowhere else.
+normal form is ``rc_expand`` for a tree polynomial, so the straightening of
+span generators and targets happens here and nowhere else.  A compiled
+instance, (shape key, letters, coefficient) triples, straightens with no tree
+built: the basis looks each shape key's orbit table entry up once, and every
+term is then one ``_word`` read of its letters.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cache
+from functools import cache, partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
@@ -51,7 +54,14 @@ from .core import (
     accumulate,
     fold,
 )
-from .consequence import MonomialBasis, SpanChecker, enumerate_shapes, instances, instantiate_shape
+from .consequence import (
+    MonomialBasis,
+    SpanChecker,
+    compiled_instances,
+    enumerate_shapes,
+    form_tree,
+    instantiate_shape,
+)
 
 MAX_DEGREE = 5
 _LEAF = OpSymbol("_leaf", 2)  # the operation of every word of degree 1
@@ -165,20 +175,27 @@ class RCPolynomial(LinComb):
     _render_key = staticmethod(RCWord.render)
 
 
-def _word(op: OpSymbol, table: dict, key: tuple, letters: tuple) -> RCWord:
-    """The word of the tree with this (shape key, letters) form."""
-    type_index, perms = table[key]
+def _word(op: OpSymbol, entry: tuple, letters: tuple) -> RCWord:
+    """The word of the tree with these letters whose shape has this orbit
+    table entry (its orbit's type, and getters for the letters of each
+    orbit member of that type)."""
+    type_index, perms = entry
     word = min([letters_of(letters) for letters_of in perms])
     return RCWord(op if len(letters) > 1 else _LEAF, len(letters), type_index, word)
 
 
-def rc_straighten(m: Monomial) -> RCWord:
-    """The least member of the orbit of a monomial of degree at most 5."""
+def _straightening(m: Monomial) -> tuple:
+    """(operation, orbit table entry, letters) of a monomial of degree at most 5."""
     op = _LEAF if m.is_leaf else m.op
     if op.arity != 2:
         raise AlgebraError("straightening requires a binary operation")
     key, letters = _form(m, op)
-    return _word(op, _types(op, len(letters)).table, key, letters)
+    return op, _types(op, len(letters)).table[key], letters
+
+
+def rc_straighten(m: Monomial) -> RCWord:
+    """The least member of the orbit of a monomial of degree at most 5."""
+    return _word(*_straightening(m))
 
 
 def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
@@ -190,11 +207,17 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
     )
 
 
-def _associator_node(op: OpSymbol, args: list) -> list[tuple]:
+def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]:
     """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, shape key, letters)
-    terms, listed in the order that multiplying out the trees lists them."""
+    terms, listed in the order that multiplying out the trees lists them;
+    ``ternary`` is the one operation it reads as the bracket."""
     if op.arity != 3:
         raise AlgebraError(f"{op.display()} is not ternary")
+    if op is not ternary and op != ternary:
+        raise AlgebraError(
+            f"the permuted associator needs one ternary operation,"
+            f" found {op.display()} in {ternary.display()}"
+        )
     x, y, z = args
     plus, minus = [], []
     for sx, kx, lx in x:
@@ -212,19 +235,20 @@ def permuted_associator_expand(
     """Expand a ternary identity through the permuted associator and straighten."""
     product = product or OpSymbol("mul", 2)
     p = identity.lhs if isinstance(identity, Identity) else identity
+    node = partial(_associator_node, next((op for m in p.terms for op in m.ops()), None))
     out: dict = {}
     for m, c in p.terms.items():
-        image = fold(m, lambda v: [(1, (), (v.name,))], _associator_node)
+        image = fold(m, lambda v: [(1, (), (v.name,))], node)
         table = _types(product, len(image[0][2])).table  # every term has m's degree
-        accumulate(out, ((_word(product, table, key, letters), sign)
+        accumulate(out, ((_word(product, table[key], letters), sign)
                          for sign, key, letters in image), c)
     return RCPolynomial._from_terms(out)
 
 
 class RCBasis(MonomialBasis):
     """All canonical words of one degree over fixed variables, sorted.  Its
-    normal form straightens a tree polynomial, so a ``SpanChecker`` over it
-    takes raw instances and targets."""
+    normal form straightens a tree polynomial or a compiled instance, so a
+    ``SpanChecker`` over it takes raw instances and targets."""
 
     def __init__(self, op: OpSymbol, degree: int, variables: Sequence[Variable]):
         # not MonomialBasis.__init__: the planar basis it builds has 1.6 times
@@ -242,9 +266,27 @@ class RCBasis(MonomialBasis):
             self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
                                if all(w <= letters_of(w) for letters_of in perms)]
         self.index = {w: i for i, w in enumerate(self.monomials)}
+        # compiled shape key -> (operation, orbit table entry) of its straightening
+        self._entries: dict[tuple, tuple] = {}
 
-    def normal(self, p: Union[Polynomial, RCPolynomial]) -> RCPolynomial:
-        return p if isinstance(p, RCPolynomial) else rc_expand(p)
+    def _entry(self, key: tuple, letters: tuple) -> tuple:
+        entry = self._entries.get(key)
+        if entry is None:
+            op, table_entry, _ = _straightening(form_tree(key, letters))
+            # this basis's own operation where equal, so that comparing its
+            # words with the basis's takes the identity shortcut
+            entry = self._entries[key] = (self.op if op == self.op else op, table_entry)
+        return entry
+
+    def normal(self, p: Union[Polynomial, RCPolynomial, list]) -> RCPolynomial:
+        if isinstance(p, RCPolynomial):
+            return p
+        if not isinstance(p, list):
+            return rc_expand(p)
+        # a compiled instance: straightened by lookup, with no tree built
+        return RCPolynomial._from_terms(accumulate(
+            {}, ((_word(*self._entry(key, letters), letters), c) for key, letters, c in p)
+        ))
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
@@ -259,4 +301,4 @@ def build_jordan_checker(
     """Elimination table over the one-step liftings of RJ and RO, which its
     basis straightens."""
     basis = RCBasis(product, len(tuple(variables)), variables)
-    return SpanChecker(instances([rj, ro], variables), basis)
+    return SpanChecker(compiled_instances([rj, ro], variables), basis)

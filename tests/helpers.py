@@ -1,13 +1,23 @@
 """Shared test utilities: small associative algebras, basis changes, the
 dense structure-table product loops, the fold-per-tuple identity evaluation,
-the brute-force right-commutativity orbit and the tree-built
-permuted-associator expansion and canonical word list."""
+the brute-force right-commutativity orbit, the tree-built
+permuted-associator expansion and canonical word list, and the tree-built
+instance stream."""
 
 import itertools
 from fractions import Fraction
 
-from algforge.consequence import instantiate_shape
-from algforge.core import AlgebraError, Monomial, OpSymbol, Polynomial, accumulate, apply_op, fold
+from algforge.consequence import DimensionMismatch, UnsupportedLift, instantiate_shape
+from algforge.core import (
+    AlgebraError,
+    Monomial,
+    OpSymbol,
+    Polynomial,
+    accumulate,
+    apply_op,
+    fold,
+    relabel,
+)
 from algforge.linalg import PivotTable
 from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
 from algforge.systems import BinaryAlgebra
@@ -203,3 +213,64 @@ def reference_rc_basis_words(op: OpSymbol, degree: int, variables) -> list:
         for perm in itertools.permutations(sorted(variables)):
             seen.add(rc_straighten(instantiate_shape(shape, perm)))
     return sorted(seen, key=RCWord.sort_key)
+
+
+def reference_relabelings(identity, variables):
+    """The oracle for ``consequence.iter_relabelings``: each relabeling is
+    one ``relabel`` fold of the identity's trees."""
+    variables = tuple(variables)
+    if len(variables) != len(identity.variables):
+        raise DimensionMismatch(
+            f"identity has {len(identity.variables)} variables, got {len(variables)}"
+        )
+    label = identity.name or "id"
+    for perm in itertools.permutations(variables):
+        mapping = dict(zip(identity.variables, perm))
+        tag = f"{label}({','.join(v.name for v in perm)})"
+        yield tag, relabel(identity.lhs, mapping)
+
+
+def reference_lifted(identity, target_degree, variables):
+    """The oracle for ``consequence.iter_lifted``: a product tree put in one
+    slot by ``relabel``, or a relabeled instance multiplied by ``apply_op``."""
+    variables = tuple(variables)
+    d = identity.degree
+    if target_degree != d + 1:
+        raise UnsupportedLift(
+            f"only a one-degree lift is supported, asked {d} -> {target_degree}"
+        )
+    if len(variables) != target_degree:
+        raise DimensionMismatch("need target_degree variables")
+    ops = set(identity.signature)
+    if any(op.arity != 2 for op in ops) or len(ops) != 1:
+        raise UnsupportedLift("lifting requires a single binary operation")
+    (op,) = ops
+    label = identity.name or "id"
+    src = identity.variables
+    for v_idx, v in enumerate(src):
+        others = src[:v_idx] + src[v_idx + 1:]
+        for x, y, *rest in itertools.permutations(variables):
+            mapping = dict(zip(others, rest))
+            mapping[v] = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
+            args = [val.name for val in rest]
+            args.insert(v_idx, x.name + y.name)
+            yield f"{label}({','.join(args)})", relabel(identity.lhs, mapping)
+    for f, *rest in itertools.permutations(variables):
+        inst = relabel(identity.lhs, dict(zip(src, rest)))
+        args = ",".join(v.name for v in rest)
+        fpoly = Polynomial({Monomial.leaf(f): 1})
+        yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])
+        yield f"{f.name}*{label}({args})", apply_op(op, [fpoly, inst])
+
+
+def reference_instances(identities, variables):
+    """The oracle for ``consequence.instances`` and ``compiled_instances``:
+    every instance built as a tree polynomial, in the same order and with
+    the same tags."""
+    variables = tuple(variables)
+    for idx, ident in enumerate(identities):
+        named = ident if ident.name else ident.renamed(f"g{idx}")
+        if ident.degree == len(variables):
+            yield from reference_relabelings(named, variables)
+        else:
+            yield from reference_lifted(named, len(variables), variables)

@@ -11,6 +11,7 @@ from algforge.core import (
     AlgebraError,
     Identity,
     Monomial,
+    OpSymbol,
     Polynomial,
     apply_op,
     substitute,
@@ -25,6 +26,7 @@ from algforge.consequence import (
     NotInSpan,
     SpanChecker,
     UnsupportedLift,
+    compiled_instances,
     instances,
     iter_lifted,
     kernel_of_expansion,
@@ -33,7 +35,9 @@ from algforge.consequence import (
 )
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
-from algforge.rightcomm import RCBasis
+from algforge.rightcomm import RCBasis, build_jordan_checker
+
+from helpers import reference_instances, reference_lifted, reference_relabelings
 
 V5 = variables("abcde")
 V3 = variables("abc")
@@ -346,3 +350,123 @@ def test_random_combinations_of_instances_certify(kind, data):
     assert cert.ok and cert.verify()
     assert cert.combination() == checker.basis.normal(target)
     assert set(cert.generators) == set(cert.coefficients) <= set(checker.generators)
+
+
+def _listing(pairs):
+    """Tags, terms in insertion order, and the type of every coefficient."""
+    return [(tag, [(m, c, type(c)) for m, c in p.terms.items()]) for tag, p in pairs]
+
+
+def _compiled_listing(pairs):
+    """The compiled form a tree-polynomial stream stands for."""
+    return [(tag, [(m.shape_key(), m.leaf_names(), c) for m, c in p.terms.items()])
+            for tag, p in pairs]
+
+
+_MUL, _DOT = OpSymbol("mul", 2), OpSymbol("dot", 2)
+_BR, _TR_2, _NEG = OpSymbol("br", 3), OpSymbol("tr", 3, 2), OpSymbol("neg", 1)
+_SCALARS = st.integers(-3, 3).filter(bool) | st.builds(
+    Fraction, st.integers(1, 5) | st.integers(-5, -1), st.integers(2, 6))
+
+
+def _tree(data, ops, leaves):
+    """A random tree over ``ops`` whose leaves, left to right, are ``leaves``:
+    products of neighbouring items, with at most two unary nodes, until one
+    item is left."""
+    items, unary = [Monomial.leaf(v) for v in leaves], 2 * any(op.arity == 1 for op in ops)
+    while len(items) > 1 or unary and data.draw(st.booleans()):
+        fits = [op for op in ops if op.arity <= len(items) and (op.arity > 1 or unary)]
+        op = data.draw(st.sampled_from(fits))
+        unary -= op.arity == 1
+        at = data.draw(st.integers(0, len(items) - op.arity))
+        items[at:at + op.arity] = [Monomial.apply(op, items[at:at + op.arity])]
+    return items[0]
+
+
+def _identity(data, ops, degree, name):
+    """A random multilinear identity of one degree over ``ops``."""
+    vs = variables("pqrstu"[:degree])
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        terms[_tree(data, ops, data.draw(st.permutations(vs)))] = data.draw(_SCALARS)
+    lhs = Polynomial(terms)
+    if lhs.is_zero:
+        lhs = Polynomial({_tree(data, ops, vs): 1})
+    return Identity(lhs, vs, signature=ops if len(ops) == 1 else None, name=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_compiled_stream_equals_the_tree_built_oracle(data):
+    names = st.sampled_from(["rj", "x-1", None])
+    # relabelings over ternary and mixed signatures; a ternary tree has odd degree
+    ops = data.draw(st.sampled_from([[_BR], [_BR, _TR_2], [_MUL, _BR], [_MUL, _BR, _NEG]]))
+    degree = data.draw(st.sampled_from([3, 5] if _MUL not in ops else [2, 3, 4]))
+    vs = variables(data.draw(st.permutations("abcde"))[:degree])
+    same = _identity(data, ops, degree, data.draw(names))
+    # lifts of a tree over one binary operation, one degree up
+    lifted = _identity(data, [data.draw(st.sampled_from([_MUL, _DOT]))], degree - 1,
+                       data.draw(names))
+
+    ident = lifted.renamed(lifted.name or "id")
+    assert _listing(iter_lifted(ident, degree, vs)) == _listing(
+        reference_lifted(ident, degree, vs))
+    ident = same.renamed(same.name or "id")
+    assert _listing(iter_relabelings(ident, vs)) == _listing(reference_relabelings(ident, vs))
+
+    idents = data.draw(st.permutations([same, lifted]))
+    oracle = list(reference_instances(idents, vs))
+    assert _listing(instances(idents, vs)) == _listing(oracle)
+    compiled = list(compiled_instances(idents, vs))
+    assert compiled == _compiled_listing(oracle)
+    assert [[type(c) for _, _, c in terms] for _, terms in compiled] == [
+        [type(c) for c in p.terms.values()] for _, p in oracle]
+
+
+def _same_checker(got, want):
+    assert [(t, list(g.terms.items())) for t, g in got.generators.items()] == [
+        (t, list(g.terms.items())) for t, g in want.generators.items()]
+    assert list(got.table.pivots.items()) == list(want.table.pivots.items())
+
+
+def test_jordan_checker_equals_a_checker_over_the_tree_built_instances():
+    rj, ro = fixture("rj"), fixture("ro")
+    checker = build_jordan_checker(rj, ro, V5, BINARY)
+    oracle = SpanChecker(reference_instances([rj, ro], V5), RCBasis(BINARY, 5, V5))
+    assert len(checker.generators) == 1440 and checker.rank == oracle.rank
+    _same_checker(checker, oracle)
+
+
+def test_compiled_relabelings_build_the_tree_built_checker():
+    idents = [fixture("lts-a"), fixture("lts-b")]
+    basis = MonomialBasis([TERNARY], 5, V5)
+    checker = SpanChecker(compiled_instances(idents, V5), basis)
+    _same_checker(checker, SpanChecker(reference_instances(idents, V5), basis))
+    # each generator is made of the basis's own trees
+    assert all(m is basis.monomials[basis.index[m]]
+               for g in checker.generators.values() for m in g.terms)
+
+
+def _outside(basis_kind):
+    a, b, c = (Monomial.leaf(v) for v in V3)
+    if basis_kind == "planar":
+        return MonomialBasis([TERNARY], 3, V3), apply_op(TERNARY, [a, a, b])
+    if basis_kind == "other-product":
+        return RCBasis(BINARY, 3, V3), apply_op(_DOT, [apply_op(_DOT, [a, b]), c])
+    return RCBasis(BINARY, 3, V3), apply_op(TERNARY, [a, b, c])
+
+
+@pytest.mark.parametrize("basis_kind, message", [
+    ("planar", "monomial br(a,a,b) is outside this basis"),
+    ("other-product", "monomial (ab)c is outside this basis"),
+    ("ternary", "straightening requires a binary operation"),
+])
+def test_a_compiled_instance_is_refused_as_its_tree_would_be(basis_kind, message):
+    basis, lhs = _outside(basis_kind)
+    ident = Identity(lhs, V3, name="x")
+    with pytest.raises(AlgebraError) as tree_err:
+        SpanChecker(instances([ident], V3), basis)
+    with pytest.raises(AlgebraError) as compiled_err:
+        SpanChecker(compiled_instances([ident], V3), basis)
+    assert type(compiled_err.value) is type(tree_err.value)
+    assert str(compiled_err.value) == str(tree_err.value) == message

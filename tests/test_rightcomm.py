@@ -154,6 +154,20 @@ def test_permuted_associator_expand_refuses_a_binary_operation_inside():
         permuted_associator_expand(p, BINARY)
 
 
+@pytest.mark.parametrize("text, second", [
+    ("br(a,b,c) - tr(a,b,c)", "tr"),
+    ("br(tr(a,b,c),d,e)", "tr"),
+    ("tr(a,b,c) + br(tr(a,b,c),d,e)", "br"),
+])
+def test_permuted_associator_expand_refuses_a_second_ternary_operation(text, second):
+    # read as one bracket, br(a,b,c) - tr(a,b,c) would expand to 0
+    ops = [TERNARY, OpSymbol("tr", 3)]
+    first = "tr" if second == "br" else "br"
+    message = f"^the permuted associator needs one ternary operation, found {second} in {first}$"
+    with pytest.raises(AlgebraError, match=message):
+        permuted_associator_expand(parse(text, ops), BINARY)
+
+
 # ternary terms of degree 1, 3 and 5 over a few letters, so letters repeat,
 # some of them longer than one character
 _LEAVES = st.sampled_from(["a", "b", "c", "x1", "foo"]).map(lambda n: Monomial.leaf(Variable(n)))

@@ -1,8 +1,8 @@
 """Print one line per pinned output: the command, its exit code and the
 sha256 of its stdout.
 
-The pinned outputs are the CLI runs and demos whose bytes must not change
-when the library is refactored.  Run the script once against each source
+The pinned outputs are the CLI runs, a digest of the instance stream and
+the demos, whose bytes must not change when the library is refactored.  Run the script once against each source
 tree and diff the two listings:
 
     python tools/pinned_outputs.py --pythonpath src > after.txt
@@ -63,6 +63,33 @@ SPAN = [
     ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
 ]
+# a sha256 over every instance the span layer builds, read through the tree
+# API: tag, terms in insertion order, and each coefficient's type, for the
+# rj/ro lifts, the lts-a/lts-b relabelings and the thm3.2 inner-identity
+# set at degree 5, then the Jordan checker's generators and pivot rows
+INSTANCE_DIGEST = (
+    "import hashlib\n"
+    "from algforge.consequence import instances, iter_lifted, iter_relabelings\n"
+    "from algforge.core import variables\n"
+    "from algforge.fixtures import BINARY, fixture\n"
+    "from algforge.rightcomm import build_jordan_checker\n"
+    "vs = variables('abcde')\n"
+    "digest = hashlib.sha256()\n"
+    "def feed(pairs):\n"
+    "    for tag, p in pairs:\n"
+    "        terms = [(repr(m), repr(c), type(c).__name__) for m, c in p.terms.items()]\n"
+    "        digest.update(repr((tag, terms)).encode())\n"
+    "for name in ('rj', 'ro'):\n"
+    "    feed(iter_lifted(fixture(name), 5, vs))\n"
+    "for name in ('lts-a', 'lts-b'):\n"
+    "    feed(iter_relabelings(fixture(name), vs))\n"
+    "inner = ('inner2-skew', 'inner2-cyclic', 'inner3-skew', 'inner3-cyclic', 'lts3')\n"
+    "feed(instances([fixture(n) for n in inner], vs))\n"
+    "checker = build_jordan_checker(fixture('rj'), fixture('ro'), vs, BINARY)\n"
+    "feed(checker.generators.items())\n"
+    "digest.update(repr(list(checker.table.pivots.items())).encode())\n"
+    "print(digest.hexdigest())\n"
+)
 READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
 WRITE_SYSTEM = (
     "import json, sys\n"
@@ -140,6 +167,7 @@ def main() -> int:
         for c in SPAN:
             argv = [str(Path(tmp) / a) if a.endswith(".txt") else a for a in c]
             jobs.append((" ".join(["forge"] + c), forge + argv))
+        jobs.append(("python -c <instance stream digest>", [sys.executable, "-c", INSTANCE_DIGEST]))
         for demo in sorted(Path(args.demos).glob("*.py")):
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
