@@ -113,28 +113,30 @@ def cmd_free_expand(args) -> int:
 
 def cmd_free_check(args) -> int:
     _, identities = _read_identities(args.identities)
-    failures = 0
+    expansions = []
     for ident in identities:
         arities = {op.arity for op in ident.signature}
         if arities == {3}:
-            ok = expand_ternary(ident.lhs).is_zero
+            expansions.append(expand_ternary)
         elif arities <= {2}:
-            ok = expand_binary_tree(ident.lhs).is_zero
+            expansions.append(expand_binary_tree)
         else:
             raise AlgebraError(f"mixed-arity identity {ident.name!r}")
+    # every identity is checked before the first line is printed
+    holds = [expand(ident.lhs).is_zero for ident, expand in zip(identities, expansions)]
+    for ident, ok in zip(identities, holds):
         print(f"{'PASS' if ok else 'FAIL'}  {ident.name or format_polynomial(ident.lhs)}")
-        failures += 0 if ok else 1
-    return 0 if failures == 0 else 1
+    return 0 if all(holds) else 1
 
 
 def cmd_jordan(args) -> int:
     names = [n.strip() for n in args.check.split(",") if n.strip()]
     vs = variables("abcde")
+    # every fixture is expanded before the first line is printed
+    expansions = [(name, permuted_associator_expand(fixture(name), BINARY)) for name in names]
     checker = None
     failures = 0
-    for name in names:
-        ident = fixture(name)
-        expansion = permuted_associator_expand(ident, BINARY)
+    for name, expansion in expansions:
         if expansion.is_zero:
             print(f"PASS  {name}: vanishes under right commutativity alone")
             continue
@@ -223,12 +225,7 @@ def cmd_classify2d(args) -> int:
 
 
 def cmd_replay(args) -> int:
-    sections = list(SECTIONS) if args.section == "all" else [args.section]
-    try:
-        reports = replay_many(sections)
-    except KeyError as exc:
-        print(str(exc.args[0]), file=sys.stderr)
-        return 2
+    reports = replay_many(list(SECTIONS) if args.section == "all" else [args.section])
     if args.json:
         sys.stdout.write(report_json(reports))
     else:
@@ -312,8 +309,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (AlgebraError, ParseError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (AlgebraError, ParseError, OSError, UnicodeError, KeyError) as exc:
+        # a KeyError prints as the repr of its message
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return 2
     except RecursionError:
         print("error: input is nested too deeply", file=sys.stderr)

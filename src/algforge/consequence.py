@@ -12,18 +12,20 @@ factor) when the degree grows by one.
 Instances are compiled, not built.  Each identity is compiled once per call
 into (shape key, leaf slots, coefficient) terms, and every instance is
 emitted as (shape key, letters, coefficient) triples, the shape key being
-``Monomial.shape_key`` of the tree the term stands for: a relabeling reads
-its letters with one ``itemgetter`` over the permutation, a product in one
-slot uses a spliced key and a letter getter made once per (term, slot), and
-a fresh factor is one product key over the term's.  ``instances``,
-``iter_relabelings`` and ``iter_lifted`` render the same stream as tree
-polynomials for callers that want trees.  Membership is decided by exact
-forward elimination and every positive answer carries a certificate that
-re-expands to the target.  ``SpanChecker`` reads every generator and target
-through ``basis.normal``: a tree polynomial is its own normal form for
-``MonomialBasis``, which reads a compiled instance through a (shape key,
-letters) index onto its own trees; ``rightcomm.RCBasis`` straightens
-either.
+``Monomial.shape_key`` of the tree the term stands for (``core.node_key``
+builds every key): a relabeling reads its letters with one ``itemgetter``
+over the permutation, a product in one slot uses a spliced key and a letter
+getter made once per (term, slot), and a fresh factor is one product key
+over the term's.  One builder per shape key, cached, makes every tree that
+comes from a key: the shapes of a degree, listed as keys, the basis's trees,
+``form_tree``, ``instantiate_shape``, ``shape_of``, and the tree polynomials
+that ``instances``, ``iter_relabelings`` and ``iter_lifted`` render from the
+compiled stream.  Membership is decided by exact forward elimination and
+every positive answer carries a certificate that re-expands to the target.
+``SpanChecker`` reads every generator and target through ``basis.normal``:
+a tree polynomial is its own normal form for ``MonomialBasis``, which reads
+a compiled instance through a (shape key, letters) index onto its own trees;
+``rightcomm.RCBasis`` straightens either.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -39,6 +41,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
+    LEAF_KEY,
     AlgebraError,
     Identity,
     Monomial,
@@ -47,6 +50,7 @@ from .core import (
     Variable,
     accumulate,
     fold,
+    node_key,
     relabel,
 )
 from .linalg import PivotTable, Vec
@@ -80,33 +84,33 @@ def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomia
     ops = tuple(sorted(set(signature)))
     if degree < 1:
         raise DegreeNotExpressible(f"degree must be >= 1, got {degree}")
-    shapes = _shapes(ops, degree)
-    if not shapes:
+    keys = _shapes(ops, degree)
+    if not keys:
         raise DegreeNotExpressible(
             f"no monomials of degree {degree} over {[o.display() for o in ops]}"
         )
-    return list(shapes)
+    leaves = [Monomial.leaf(f"p{i}") for i in range(degree)]
+    return [_builder(key)(leaves) for key in keys]
 
 
 @cache
-def _shapes(ops: tuple[OpSymbol, ...], d: int) -> tuple[Monomial, ...]:
-    """The shapes of degree ``d``, built once per (operations, degree)."""
+def _shapes(ops: tuple[OpSymbol, ...], d: int) -> tuple[tuple, ...]:
+    """The shape keys of degree ``d`` in shape order, listed once per
+    (operations, degree)."""
     if d == 1:
-        return (Monomial.leaf(Variable("p0")),)
-    out = []
-    for op in ops:
-        if op.arity < 2:
-            continue
-        for split in _compositions(d, op.arity):
-            for combo in itertools.product(*(_shapes(ops, di) for di in split)):
-                out.append(shape_of(Monomial.apply(op, combo)))
-    return tuple(sorted(out, key=Monomial.shape_key))
+        return (LEAF_KEY,)
+    return tuple(sorted(
+        node_key(op, kids)
+        for op in ops if op.arity >= 2
+        for split in _compositions(d, op.arity)
+        for kids in itertools.product(*(_shapes(ops, di) for di in split))
+    ))
 
 
 @cache
 def _shape_count(arities: tuple[int, ...], d: int) -> int:
-    """How many shapes ``_shapes`` builds for operations of these arities,
-    counted by the same recursion without building a tree."""
+    """How many shapes ``_shapes`` lists for operations of these arities,
+    counted by the same recursion without listing a key."""
     if d == 1:
         return 1
     return sum(
@@ -125,15 +129,37 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
+@cache
+def _builder(key: tuple) -> Callable[[Sequence[Monomial]], Monomial]:
+    """The function from the leaves of a shape key, left to right, to its
+    tree; made once per key."""
+    position = itertools.count()
+
+    def build(sub: tuple) -> Callable:
+        if sub == LEAF_KEY:
+            return itemgetter(next(position))
+        name, arity, variant = sub[1]
+        op = OpSymbol(name, arity, variant or None)
+        kids = [build(k) for k in sub[2:]]
+        # the raw constructor: a shape key has the arity of each of its nodes
+        return lambda leaves: Monomial(None, op, tuple([kid(leaves) for kid in kids]))
+
+    return build(key)
+
+
+def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
+    """The tree of a shape key with these leaf letters, left to right."""
+    return _builder(key)([Monomial.leaf(x) for x in letters])
+
+
 def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
     """Assign letters to a shape's leaves in left-to-right order."""
-    it = iter(letters)
-    return fold(shape, lambda _: Monomial.leaf(next(it)), Monomial.apply)
+    return form_tree(shape.shape_key(), letters)
 
 
 def shape_of(m: Monomial) -> Monomial:
     """The tree of ``m`` with its leaves renamed p0, p1, ... left to right."""
-    return instantiate_shape(m, [Variable(f"p{i}") for i in range(m.degree)])
+    return form_tree(m.shape_key(), [f"p{i}" for i in range(m.degree)])
 
 
 class MonomialBasis:
@@ -156,10 +182,11 @@ class MonomialBasis:
         self.degree = degree
         self.variables = variables
         self.shapes = enumerate_shapes(self.signature, degree)
+        perms = list(itertools.permutations(Monomial.leaf(v) for v in sorted(variables)))
         self.monomials: list[Monomial] = []
         for shape in self.shapes:
-            for perm in itertools.permutations(sorted(variables)):
-                self.monomials.append(instantiate_shape(shape, perm))
+            build = _builder(shape.shape_key())
+            self.monomials += [build(perm) for perm in perms]
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
     def __len__(self) -> int:
@@ -198,58 +225,12 @@ class MonomialBasis:
             ) from None
 
 
-# The shape key of a leaf and of a product node, as ``Monomial.shape_key``
-# gives them: a compiled term's key is the shape key of the tree it stands for.
-_LEAF_KEY = (0,)
-
-
-def _node_key(op: OpSymbol, kids) -> tuple:
-    return (1, op.key(), *kids)
-
-
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
     """Read a tuple of the items at these positions of a sequence."""
     if len(positions) == 1:
         (i,) = positions
         return lambda seq: (seq[i],)
     return itemgetter(*positions)
-
-
-def _builder(key: tuple, position) -> Callable[[Sequence[Monomial]], Monomial]:
-    """A function from the leaves of a shape key, left to right, to its tree;
-    ``position`` counts the leaves."""
-    if len(key) == 1:
-        return itemgetter(next(position))
-    name, arity, variant = key[1]
-    op = OpSymbol(name, arity, variant or None)
-    kids = [_builder(k, position) for k in key[2:]]
-    # the raw constructor: a shape key has the arity of each of its nodes
-    return lambda leaves: Monomial(None, op, tuple([kid(leaves) for kid in kids]))
-
-
-def form_tree(key: tuple, letters: Sequence[str]) -> Monomial:
-    """The tree of one compiled term: its shape key with these leaf letters."""
-    return _builder(key, itertools.count())([Monomial.leaf(x) for x in letters])
-
-
-def _renderer(variables: Sequence[Variable]) -> Callable[[list], Polynomial]:
-    """The tree polynomial of a compiled instance over ``variables``, each
-    shape's builder made once per renderer."""
-    leaves = {v.name: Monomial.leaf(v) for v in variables}
-    builders: dict[tuple, Callable] = {}
-
-    def tree(key: tuple, letters: tuple) -> Monomial:
-        build = builders.get(key)
-        if build is None:
-            build = builders[key] = _builder(key, itertools.count())
-        return build([leaves[x] for x in letters])
-
-    def render(terms: list) -> Polynomial:
-        return Polynomial._from_terms(
-            accumulate({}, ((tree(key, letters), c) for key, letters, c in terms))
-        )
-
-    return render
 
 
 def _relabelings(identity: Identity, variables: Sequence[Variable]):
@@ -284,19 +265,21 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     ops = {op for op in identity.signature}
     if any(op.arity != 2 for op in ops) or len(ops) != 1:
         raise UnsupportedLift("lifting requires a single binary operation")
+    if len(identity.variables) != d:
+        raise DimensionMismatch(f"identity of degree {d} has {len(identity.variables)} variables")
     (op,) = ops
     label = identity.name or "id"
     src = identity.variables
     terms = identity.lhs.terms.items()
     perms = list(itertools.permutations(v.name for v in variables))
-    product = _node_key(op, (_LEAF_KEY, _LEAF_KEY))
+    product = node_key(op, (LEAF_KEY, LEAF_KEY))
 
     # (i) an ordered product of two fresh variables in place of one variable
     for v_idx, v in enumerate(src):
         slot = {w.name: 2 + j for j, w in enumerate(src[:v_idx] + src[v_idx + 1:])}
         spliced = []
         for m, c in terms:
-            key = fold(m, lambda w: product if w.name == v.name else _LEAF_KEY, _node_key)
+            key = fold(m, lambda w: product if w.name == v.name else LEAF_KEY, node_key)
             at = [i for x in m.leaf_names() for i in ((0, 1) if x == v.name else (slot[x],))]
             spliced.append((key, _getter(at), c))
         for perm in perms:
@@ -309,8 +292,8 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     right, left = [], []
     for m, c in terms:
         at = [slot[x] for x in m.leaf_names()]
-        right.append((_node_key(op, (m.shape_key(), _LEAF_KEY)), _getter(at + [0]), c))
-        left.append((_node_key(op, (_LEAF_KEY, m.shape_key())), _getter([0] + at), c))
+        right.append((node_key(op, (m.shape_key(), LEAF_KEY)), _getter(at + [0]), c))
+        left.append((node_key(op, (LEAF_KEY, m.shape_key())), _getter([0] + at), c))
     for perm in perms:
         args = ",".join(perm[1:])
         yield f"{label}({args})*{perm[0]}", [(key, get(perm), c) for key, get, c in right]
@@ -340,9 +323,11 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
 
 def _rendered(compiled, variables: tuple):
     """The compiled stream with each instance's tree polynomial."""
-    render = _renderer(variables)
+    leaves = {v.name: Monomial.leaf(v) for v in variables}
     for tag, terms in compiled:
-        yield tag, render(terms)
+        yield tag, Polynomial._from_terms(accumulate({}, (
+            (_builder(key)([leaves[x] for x in letters]), c) for key, letters, c in terms
+        )))
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):

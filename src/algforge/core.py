@@ -138,6 +138,15 @@ class OpSymbol:
         return f"OpSymbol({self.display()}/{self.arity})"
 
 
+# The shape key of a leaf, and of a product node over its children's keys:
+# ``Monomial.shape_key`` and every compiled term's key are built from these.
+LEAF_KEY = (0,)
+
+
+def node_key(op: OpSymbol, kids: Iterable[tuple]) -> tuple:
+    return (1, op.key(), *kids)
+
+
 class Monomial:
     """A planar operation tree over variables.
 
@@ -192,12 +201,9 @@ class Monomial:
 
     def shape_key(self) -> tuple:
         if self._shape is None:
-            if self.is_leaf:
-                self._shape = (0,)
-            else:
-                self._shape = (1, self.op.key()) + tuple(
-                    c.shape_key() for c in self.children
-                )
+            self._shape = LEAF_KEY if self.is_leaf else node_key(
+                self.op, [c.shape_key() for c in self.children]
+            )
         return self._shape
 
     def sort_key(self) -> tuple:

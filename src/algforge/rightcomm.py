@@ -11,7 +11,11 @@ Each orbit keeps one canonical member, its least: least association type
 first, then lexicographically least letter sequence.  A table built once
 per (operation, degree) from each shape's orbit, listed with numbered
 leaves, maps the shape to its type and the letter orders of its orbit
-members of that type; trees and permuted associators straighten by lookup.
+members of that type.  It is indexed twice: by ``Monomial.shape_key``
+(``by_shape``), so that a tree straightens by one lookup of its cached shape
+key and leaf names, and by a compact (right degree, left, right) key, which
+the permuted-associator expansion folds ternary trees into with no binary
+tree built.
 
 Association types per degree are derived, not hard-coded: a binary shape
 is a type when it is its own least form, and the types are numbered in
@@ -32,8 +36,10 @@ brute-force orbit closure.
 normal form is ``rc_expand`` for a tree polynomial, so the straightening of
 span generators and targets happens here and nowhere else.  A compiled
 instance, (shape key, letters, coefficient) triples, straightens with no tree
-built: the basis looks each shape key's orbit table entry up once, and every
-term is then one ``_word`` read of its letters.
+built: each term is one ``.get`` of its shape key on the ``by_shape`` table
+the basis holds, and one ``_word`` read of its letters.  A key that misses
+(another operation or degree) is straightened as its tree, which keeps the
+tree's error.
 """
 
 from __future__ import annotations
@@ -60,7 +66,6 @@ from .consequence import (
     compiled_instances,
     enumerate_shapes,
     form_tree,
-    instantiate_shape,
 )
 
 MAX_DEGREE = 5
@@ -72,26 +77,15 @@ class DegreeTooLarge(AlgebraError):
 
 
 def _join(left: tuple, right: tuple) -> tuple:
-    """The (shape key, letters) form of the product of two such forms."""
+    """The (compact key, letters) form of the product of two such forms: the
+    compact key of a product is (right degree, left key, right key), of a
+    leaf ``()``."""
     (kl, ll), (kr, lr) = left, right
     return (len(lr), kl, kr), ll + lr
 
 
-def _form(m: Monomial, op: OpSymbol) -> tuple:
-    """(shape key, letters) of ``m`` as it stands, over the one operation ``op``."""
-
-    def node(o: OpSymbol, kids: list) -> tuple:
-        if o is not op and o != op:
-            raise AlgebraError(
-                f"straightening needs one operation, found {o.display()} in {op.display()}"
-            )
-        return _join(*kids)
-
-    return fold(m, lambda v: ((), (v.name,)), node)
-
-
 def _orbit(shape: Monomial) -> list[tuple]:
-    """(shape key, leaf positions) of each orbit member of a shape, itself first."""
+    """(compact key, leaf positions) of each orbit member of a shape, itself first."""
     position = itertools.count()
 
     def leaf(_) -> tuple:
@@ -111,7 +105,8 @@ def _orbit(shape: Monomial) -> list[tuple]:
 class _Types(NamedTuple):
     shapes: list[Monomial]
     perms: list[tuple]  # per type, letter getters of its orbit members of its shape
-    table: dict[tuple, tuple[int, tuple]]  # shape key -> (orbit's type, getters for it)
+    table: dict[tuple, tuple[int, tuple]]  # compact key -> (orbit's type, getters for it)
+    by_shape: dict[tuple, tuple[int, tuple]]  # the same entries by Monomial.shape_key
 
 
 @cache
@@ -122,18 +117,20 @@ def _types(op: OpSymbol, degree: int) -> _Types:
         raise AlgebraError("right commutativity concerns binary operations")
     if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {degree} exceeds {MAX_DEGREE}")
-    orbits, types = {}, {}
+    orbits, types, owns = {}, {}, {}
     for shape in enumerate_shapes([op], degree):
         forms = _orbit(shape)
         own, least = forms[0][0], min(key for key, _ in forms)
         # itemgetter of one position returns the letter, not a 1-tuple
         orbits[own] = least, tuple(itemgetter(*p) if len(p) > 1 else tuple
                                    for key, p in forms if key == least)
+        owns[shape.shape_key()] = own
         if own == least:
             types[own] = shape
     index = {key: i for i, key in enumerate(sorted(types), start=1)}
     table = {own: (index[least], perms) for own, (least, perms) in orbits.items()}
-    return _Types([types[key] for key in index], [orbits[key][1] for key in index], table)
+    return _Types([types[key] for key in index], [orbits[key][1] for key in index], table,
+                  {shape_key: table[own] for shape_key, own in owns.items()})
 
 
 def canonical_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
@@ -155,7 +152,7 @@ class RCWord(NamedTuple):
 
     def monomial(self) -> Monomial:
         shape = canonical_shapes(self.op, self.degree)[self.type_index - 1]
-        return instantiate_shape(shape, [Variable(x) for x in self.letters])
+        return form_tree(shape.shape_key(), self.letters)
 
     def render(self) -> str:
         body = fold(self.monomial(), lambda v: v.name, lambda _, args: f"({args[0]}{args[1]})")
@@ -184,18 +181,27 @@ def _word(op: OpSymbol, entry: tuple, letters: tuple) -> RCWord:
     return RCWord(op if len(letters) > 1 else _LEAF, len(letters), type_index, word)
 
 
-def _straightening(m: Monomial) -> tuple:
-    """(operation, orbit table entry, letters) of a monomial of degree at most 5."""
-    op = _LEAF if m.is_leaf else m.op
-    if op.arity != 2:
-        raise AlgebraError("straightening requires a binary operation")
-    key, letters = _form(m, op)
-    return op, _types(op, len(letters)).table[key], letters
+def _one_operation(op: OpSymbol, o: OpSymbol, _) -> None:
+    """A fold node that refuses every operation but ``op``."""
+    if o is not op and o != op:
+        raise AlgebraError(
+            f"straightening needs one operation, found {o.display()} in {op.display()}"
+        )
 
 
 def rc_straighten(m: Monomial) -> RCWord:
     """The least member of the orbit of a monomial of degree at most 5."""
-    return _word(*_straightening(m))
+    op = _LEAF if m.is_leaf else m.op
+    if op.arity != 2:
+        raise AlgebraError("straightening requires a binary operation")
+    letters = m.leaf_names()
+    try:
+        entry = _types(op, len(letters)).by_shape[m.shape_key()]
+    except (KeyError, DegreeTooLarge):
+        # a second operation is named before the degree
+        fold(m, lambda v: None, partial(_one_operation, op))
+        raise
+    return _word(op, entry, letters)
 
 
 def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
@@ -208,7 +214,7 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
 
 
 def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]:
-    """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, shape key, letters)
+    """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, compact key, letters)
     terms, listed in the order that multiplying out the trees lists them;
     ``ternary`` is the one operation it reads as the bracket."""
     if op.arity != 3:
@@ -260,23 +266,14 @@ class RCBasis(MonomialBasis):
         self.degree = degree
         self.variables = variables
         lettered = sorted(set(itertools.permutations(v.name for v in variables)))
+        types = _types(op, degree)
+        self._by_shape = types.by_shape
         self.monomials: list[RCWord] = []
-        for t, perms in enumerate(_types(op, degree).perms, start=1):
+        for t, perms in enumerate(types.perms, start=1):
             # a type's words: the letter sequences least among their orbit's
             self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
                                if all(w <= letters_of(w) for letters_of in perms)]
         self.index = {w: i for i, w in enumerate(self.monomials)}
-        # compiled shape key -> (operation, orbit table entry) of its straightening
-        self._entries: dict[tuple, tuple] = {}
-
-    def _entry(self, key: tuple, letters: tuple) -> tuple:
-        entry = self._entries.get(key)
-        if entry is None:
-            op, table_entry, _ = _straightening(form_tree(key, letters))
-            # this basis's own operation where equal, so that comparing its
-            # words with the basis's takes the identity shortcut
-            entry = self._entries[key] = (self.op if op == self.op else op, table_entry)
-        return entry
 
     def normal(self, p: Union[Polynomial, RCPolynomial, list]) -> RCPolynomial:
         if isinstance(p, RCPolynomial):
@@ -285,8 +282,16 @@ class RCBasis(MonomialBasis):
             return rc_expand(p)
         # a compiled instance: straightened by lookup, with no tree built
         return RCPolynomial._from_terms(accumulate(
-            {}, ((_word(*self._entry(key, letters), letters), c) for key, letters, c in p)
+            {}, ((self._compiled_word(key, letters), c) for key, letters, c in p)
         ))
+
+    def _compiled_word(self, key: tuple, letters: tuple) -> RCWord:
+        """The word of a compiled term; a shape outside this basis's table
+        (another operation or degree) straightens, or fails, as its tree."""
+        entry = self._by_shape.get(key)
+        if entry is None:
+            return rc_straighten(form_tree(key, letters))
+        return _word(self.op, entry, letters)
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
@@ -300,5 +305,6 @@ def build_jordan_checker(
 ) -> SpanChecker:
     """Elimination table over the one-step liftings of RJ and RO, which its
     basis straightens."""
-    basis = RCBasis(product, len(tuple(variables)), variables)
+    variables = tuple(variables)
+    basis = RCBasis(product, len(variables), variables)
     return SpanChecker(compiled_instances([rj, ro], variables), basis)

@@ -36,7 +36,7 @@ from functools import reduce
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
-from .core import accumulate, q
+from .core import LEAF_KEY, accumulate, q
 from .parsing import Signature, format_polynomial, parse
 
 
@@ -308,8 +308,6 @@ class BinaryAlgebra(StructureTable):
 # envelope under 150 MB.
 SYSTEM_LIMIT = 2 * 10**5
 
-_LEAF_SHAPE = Monomial.leaf(Variable("x")).shape_key()
-
 
 def _compile(m: Monomial, slot: Mapping[str, int], shapes: dict) -> tuple:
     """A subterm as (shape id, getter of its leaves' basis indices, compiled
@@ -350,7 +348,7 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
         raise AlgebraError(
             f"system too large: {pairs} identity evaluations on basis tuples, over {SYSTEM_LIMIT}"
         )
-    shapes = {_LEAF_SHAPE: 0}
+    shapes = {LEAF_KEY: 0}
     memo = {(0, i): {i: 1} for i in range(dim)}
     compiled = []
     for ident in identities:

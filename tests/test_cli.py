@@ -1,9 +1,13 @@
 """The forge command line: files in, reports out, exit codes."""
 
+import contextlib
+import io
 import json
+import re
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from algforge.cli import main
 from algforge.fixtures import data_text
@@ -175,6 +179,22 @@ def test_jordan(capsys):
     assert code == 0
     assert out.count("PASS") == 5
     assert "rj(" in out  # certificate lines mention lifted instances
+
+
+def test_jordan_checks_every_name_before_printing(capsys):
+    assert main(["jordan", "--check", "lts1,nope"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown fixture 'nope'\n"
+
+
+def test_free_check_checks_every_identity_before_printing(tmp_path, capsys):
+    path = tmp_path / "mixed.txt"
+    path.write_text("op br/3\nop mul/2\nl1: br(a,b,c) + br(b,a,c)\nmixed: mul(br(a,b,c),d)\n")
+    assert main(["free-check", "--identities", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: mixed-arity identity 'mixed'\n"
 
 
 def test_verify_and_envelope(tmp_path, capsys):
@@ -415,6 +435,98 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["verify", "--system", str(tmp_path / "missing.json")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "{dir}"],
+    ["kp", "--in", "{dir}"],
+    ["kp", "--in", "{variety}", "--out", "{dir}"],
+])
+def test_a_directory_given_as_a_file_is_a_one_line_error(argv, tmp_path, variety_file, capsys):
+    argv = [a.format(dir=tmp_path, variety=variety_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--system", "{bad}"],
+    ["span", "--target", "{bad}", "--gens", "{bad}", "--degree", "2"],
+])
+def test_a_file_that_is_not_utf8_is_a_one_line_error(argv, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("op mul/2\nf\xfcr: mul(a,b)\n".encode("latin-1"))
+    assert main([a.format(bad=bad) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 'utf-8' codec can't decode byte 0xfc in position 10: invalid start byte\n"
+    )
+
+
+# The front door under byte-level mutation: a packaged identity or system
+# file, or an --expr string, with one token deleted, repeated or swapped, or
+# one byte (any of the 256) put in.  Each case is (argv, packaged file or
+# None, --expr bytes or None); "{file}" in argv is the mutated file's path.
+_FUZZ_CASES = [
+    (["free-check", "--identities", "{file}"], "identities/leibniz.txt", None),
+    (["free-check", "--identities", "{file}"], "identities/triple-systems.txt", None),
+    (["kp", "--in", "{file}"], "varieties/lie-triple.txt", None),
+    (["span", "--degree", "3", "--target", "{file}", "--gens", "{file}"],
+     "varieties/associativity.txt", None),
+    (["equiv", "--degree", "3", "--a", "{file}", "--b", "{file}"], "varieties/lie.txt", None),
+    (["verify", "--system", "{file}"], "systems/sys2d-1.json", None),
+    (["envelope", "--check-leibniz", "--system", "{file}"], "systems/sys2d-2.json", None),
+    (["free-expand"], None, b"(a*(b*c))*d"),
+    (["free-expand"], None, b"(ab)(c(de))"),
+]
+_FUZZ_TOKEN = re.compile(rb"\w+|\s+|.", re.S)
+
+
+@st.composite
+def _mutated(draw, source: bytes) -> bytes:
+    tokens = _FUZZ_TOKEN.findall(source)
+    i = draw(st.integers(0, len(tokens) - 1))
+    kind = draw(st.sampled_from(["delete", "repeat", "swap", "byte"]))
+    if kind == "delete":
+        del tokens[i]
+    elif kind == "repeat":
+        tokens.insert(i, tokens[i])
+    elif kind == "swap":
+        j = draw(st.integers(0, len(tokens) - 1))
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        tokens.insert(i, bytes([draw(st.integers(0, 255))]))
+    return b"".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(_FUZZ_CASES), data=st.data())
+def test_mutated_input_ends_in_a_report_or_one_error_line(fuzz_dir, case, data):
+    argv, packaged, expr = case
+    path = fuzz_dir / "input"
+    argv = [a.format(file=path) for a in argv]
+    if packaged is not None:
+        path.write_bytes(data.draw(_mutated(data_text(packaged).encode())))
+    else:
+        # bytes that are not UTF-8 reach sys.argv the way the interpreter
+        # decodes them
+        argv.append("--expr=" + data.draw(_mutated(expr)).decode("utf-8", "surrogateescape"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
 
 
 def test_fixtures_listing(capsys):

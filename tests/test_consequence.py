@@ -224,6 +224,17 @@ def test_lifted_rejects_larger_gap_and_nonbinary():
         list(iter_lifted(fixture("lts1"), 6, variables("abcdef")))
 
 
+def test_lifted_rejects_an_identity_with_more_variables_than_its_degree():
+    # each term has degree 2, but the terms use three letters between them
+    lhs = apply_op(BINARY, [*variables("ab")]) + apply_op(BINARY, [*variables(["bb", "a"])])
+    ident = Identity(lhs, name="split")
+    message = r"^identity of degree 2 has 3 variables$"
+    with pytest.raises(DimensionMismatch, match=message):
+        list(compiled_instances([ident], V3))
+    with pytest.raises(DimensionMismatch, match=message):
+        list(iter_lifted(ident, 3, V3))
+
+
 def test_in_span_certificate_for_first_equivalence_equation():
     from algforge.consequence import iter_relabelings
 

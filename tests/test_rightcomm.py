@@ -283,6 +283,13 @@ def test_jordan_reduction_certificates():
         assert cert.ok and cert.verify()
 
 
+def test_jordan_checker_reads_its_variables_once():
+    from_tuple = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
+    from_generator = build_jordan_checker(fixture("rj"), fixture("ro"), (v for v in V5), BINARY)
+    assert from_generator.generators == from_tuple.generators
+    assert from_generator.table.pivots == from_tuple.table.pivots
+
+
 def test_straightened_checker_normalizes_a_tree_target():
     # the basis straightens a tree target, so its certificate is the one for
     # the straightened target, and it re-expands to that target

@@ -1,9 +1,10 @@
 """Print one line per pinned output: the command, its exit code and the
 sha256 of its stdout.
 
-The pinned outputs are the CLI runs, a digest of the instance stream and
-the demos, whose bytes must not change when the library is refactored.  Run the script once against each source
-tree and diff the two listings:
+The pinned outputs are the CLI runs, digests of the instance stream and of
+the straightening table, and the demos, whose bytes must not change when
+the library is refactored.  Run the script once against each source tree
+and diff the two listings:
 
     python tools/pinned_outputs.py --pythonpath src > after.txt
     python tools/pinned_outputs.py --pythonpath ../old/src --demos ../old/demos > before.txt
@@ -90,6 +91,28 @@ INSTANCE_DIGEST = (
     "digest.update(repr(list(checker.table.pivots.items())).encode())\n"
     "print(digest.hexdigest())\n"
 )
+# a sha256 over the right-commutative straightening of mul in degrees 1-5:
+# the association types in order, every symmetry order, the RCBasis words,
+# and the word of every planar monomial over the first d letters
+STRAIGHTENING_DIGEST = (
+    "import hashlib, itertools\n"
+    "from algforge.consequence import enumerate_shapes, instantiate_shape\n"
+    "from algforge.core import variables\n"
+    "from algforge.fixtures import BINARY\n"
+    "from algforge.rightcomm import RCBasis, canonical_shapes, rc_straighten, symmetry_order\n"
+    "digest = hashlib.sha256()\n"
+    "for d in range(1, 6):\n"
+    "    vs = variables('abcde'[:d])\n"
+    "    types = canonical_shapes(BINARY, d)\n"
+    "    orders = [symmetry_order(BINARY, d, t) for t in range(1, len(types) + 1)]\n"
+    "    words = [tuple(w) for w in RCBasis(BINARY, d, vs).monomials]\n"
+    "    digest.update(repr((d, types, orders, words)).encode())\n"
+    "    for shape in enumerate_shapes([BINARY], d):\n"
+    "        for perm in itertools.permutations(vs):\n"
+    "            m = instantiate_shape(shape, perm)\n"
+    "            digest.update(repr((m, tuple(rc_straighten(m)))).encode())\n"
+    "print(digest.hexdigest())\n"
+)
 READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
 WRITE_SYSTEM = (
     "import json, sys\n"
@@ -168,6 +191,8 @@ def main() -> int:
             argv = [str(Path(tmp) / a) if a.endswith(".txt") else a for a in c]
             jobs.append((" ".join(["forge"] + c), forge + argv))
         jobs.append(("python -c <instance stream digest>", [sys.executable, "-c", INSTANCE_DIGEST]))
+        jobs.append(("python -c <straightening table digest>",
+                     [sys.executable, "-c", STRAIGHTENING_DIGEST]))
         for demo in sorted(Path(args.demos).glob("*.py")):
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
