@@ -16,12 +16,16 @@ emitted as (shape key, letters, coefficient) triples, the shape key being
 builds every key): a relabeling reads its letters with one ``itemgetter``
 over the permutation, a product in one slot uses a spliced key and a letter
 getter made once per (term, slot), and a fresh factor is one product key
-over the term's.  One builder per shape key, cached, makes every tree that
-comes from a key: the shapes of a degree, listed as keys, the basis's trees,
-``form_tree``, ``instantiate_shape``, ``shape_of``, and the tree polynomials
-that ``instances``, ``iter_relabelings`` and ``iter_lifted`` render from the
-compiled stream.  Membership is decided by exact forward elimination and
-every positive answer carries a certificate that re-expands to the target.
+over the term's.  Every tree that comes from a key is taken from one bounded
+cache of one tree per (shape key, letters), leaves included: the shapes of a
+degree, listed as keys, the basis's trees, ``form_tree``,
+``instantiate_shape``, ``shape_of``, and the tree polynomials that
+``instances``, ``iter_relabelings`` and ``iter_lifted`` render from the
+compiled stream.  A rendered instance is thus made of the basis's own tree
+objects, and its basis lookup hits by identity; equality stays structural,
+so a tree the cache has let go, or one built elsewhere, is still found.
+Membership is decided by exact forward elimination and every positive
+answer carries a certificate that re-expands to the target.
 ``SpanChecker`` reads every generator and target through ``basis.normal``:
 a tree polynomial is its own normal form for ``MonomialBasis``, which reads
 a compiled instance through a (shape key, letters) index onto its own trees;
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -89,8 +93,8 @@ def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomia
         raise DegreeNotExpressible(
             f"no monomials of degree {degree} over {[o.display() for o in ops]}"
         )
-    leaves = [Monomial.leaf(f"p{i}") for i in range(degree)]
-    return [_builder(key)(leaves) for key in keys]
+    letters = tuple(f"p{i}" for i in range(degree))
+    return [_tree(key, letters) for key in keys]
 
 
 @cache
@@ -147,9 +151,20 @@ def _builder(key: tuple) -> Callable[[Sequence[Monomial]], Monomial]:
     return build(key)
 
 
+@lru_cache(maxsize=4096)
+def _tree(key: tuple, letters: tuple[str, ...]) -> Monomial:
+    """The one tree of a shape key with these leaf names, left to right, while
+    the cache holds it: it keeps the degree-5 bases (binary 1,680 trees,
+    ternary 360), so a rendered instance's monomials are the basis's own
+    objects.  Equality stays structural; an evicted tree is rebuilt equal."""
+    if key == LEAF_KEY:
+        return Monomial.leaf(letters[0])
+    return _builder(key)([_tree(LEAF_KEY, (x,)) for x in letters])
+
+
 def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
     """The tree of a shape key with these leaf letters, left to right."""
-    return _builder(key)([Monomial.leaf(x) for x in letters])
+    return _tree(key, tuple(x.name if isinstance(x, Variable) else x for x in letters))
 
 
 def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
@@ -182,11 +197,8 @@ class MonomialBasis:
         self.degree = degree
         self.variables = variables
         self.shapes = enumerate_shapes(self.signature, degree)
-        perms = list(itertools.permutations(Monomial.leaf(v) for v in sorted(variables)))
-        self.monomials: list[Monomial] = []
-        for shape in self.shapes:
-            build = _builder(shape.shape_key())
-            self.monomials += [build(perm) for perm in perms]
+        perms = list(itertools.permutations(v.name for v in sorted(variables)))
+        self.monomials = [_tree(shape.shape_key(), perm) for shape in self.shapes for perm in perms]
         self.index = {m: i for i, m in enumerate(self.monomials)}
 
     def __len__(self) -> int:
@@ -248,12 +260,14 @@ def _relabelings(identity: Identity, variables: Sequence[Variable]):
         yield f"{label}({','.join(perm)})", [(key, get(perm), c) for key, get, c in terms]
 
 
-def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]):
+def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable],
+           *, one_per_family: bool = False):
     """Yield (tag, compiled instance) for every one-step lifting over a
     binary signature.  Each is read off a permutation ``perm`` of the target
     letters: a product ``perm[0]perm[1]`` in one slot with ``perm[2:]`` in the
     others, or ``perm[1:]`` relabeling the identity beside the factor
-    ``perm[0]``."""
+    ``perm[0]``.  Each of those families is one relabeling orbit;
+    ``one_per_family`` reads each off the letters in order only."""
     variables = tuple(variables)
     d = identity.degree
     if target_degree != d + 1:
@@ -271,7 +285,8 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     label = identity.name or "id"
     src = identity.variables
     terms = identity.lhs.terms.items()
-    perms = list(itertools.permutations(v.name for v in variables))
+    names = tuple(v.name for v in variables)
+    perms = [names] if one_per_family else list(itertools.permutations(names))
     product = node_key(op, (LEAF_KEY, LEAF_KEY))
 
     # (i) an ordered product of two fresh variables in place of one variable
@@ -321,32 +336,28 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
             yield from _lifts(named, len(variables), variables)
 
 
-def _rendered(compiled, variables: tuple):
+def _rendered(compiled):
     """The compiled stream with each instance's tree polynomial."""
-    leaves = {v.name: Monomial.leaf(v) for v in variables}
     for tag, terms in compiled:
         yield tag, Polynomial._from_terms(accumulate({}, (
-            (_builder(key)([leaves[x] for x in letters]), c) for key, letters, c in terms
+            (_tree(key, letters), c) for key, letters, c in terms
         )))
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
     """Yield (tag, polynomial) for every bijective variable relabeling."""
-    variables = tuple(variables)
-    yield from _rendered(_relabelings(identity, variables), variables)
+    yield from _rendered(_relabelings(identity, variables))
 
 
 def iter_lifted(identity: Identity, target_degree: int, variables):
     """Yield (tag, polynomial) one-step liftings over a binary signature."""
-    variables = tuple(variables)
-    yield from _rendered(_lifts(identity, target_degree, variables), variables)
+    yield from _rendered(_lifts(identity, target_degree, variables))
 
 
 def instances(identities: Iterable[Identity], variables: Sequence[Variable]):
     """Yield (tag, polynomial) for every instance ``compiled_instances``
     yields, with the tree polynomial of each."""
-    variables = tuple(variables)
-    yield from _rendered(compiled_instances(identities, variables), variables)
+    yield from _rendered(compiled_instances(identities, variables))
 
 
 class SpanCertificate:
@@ -448,18 +459,27 @@ def sets_equivalent(
     """Mutual span inclusion of the identity sets' instances at one degree.
 
     The instance span of a set is closed under relabeling, so it is enough
-    to test one canonical instance of each identity against the other side.
+    to test one canonical instance of each relabeling orbit against the other
+    side: an identity of degree ``degree`` over the variables in order, and
+    one a degree lower as the first lifting of each family, tagged as its
+    liftings are.
     """
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
     span_a, span_b = (SpanChecker(list(compiled_instances(s, variables)), basis) for s in (a, b))
 
+    def targets(ident: Identity, name: str):
+        if ident.degree == degree:
+            yield name, relabel(ident.lhs, dict(zip(ident.variables, variables)))
+        else:
+            yield from _lifts(ident.renamed(name), degree, variables, one_per_family=True)
+
     def side(mine, checker: SpanChecker, prefix: str) -> dict:
         return {
-            ident.name or f"{prefix}{idx}":
-                checker.check(relabel(ident.lhs, dict(zip(ident.variables, variables))))
+            tag: checker.check(target)
             for idx, ident in enumerate(mine)
+            for tag, target in targets(ident, ident.name or f"{prefix}{idx}")
         }
 
     return EquivalenceResult(side(a, span_b, "a"), side(b, span_a, "b"))

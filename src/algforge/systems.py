@@ -113,17 +113,6 @@ class SymPoly(LinComb):
 
         return SymPoly.linear_image(self.terms, value)
 
-    def evaluate_mod(self, values: Mapping[str, int], p: int) -> int:
-        total = 0
-        for mono, c in self.terms.items():
-            if c.denominator % p == 0:
-                raise AlgebraError(f"coefficient {c} not defined mod {p}")
-            term = c.numerator * pow(c.denominator, -1, p)
-            for s in mono:
-                term = term * values[s]
-            total = (total + term) % p
-        return total % p
-
     def _render_term(self, mono: tuple, c: Fraction) -> str:
         return super()._render_term(mono, c) if mono else str(abs(c))
 
@@ -548,7 +537,8 @@ def search_fp(
 ) -> list[dict[str, int]]:
     """All solutions over F_p with the given free coordinates; other unknowns
     take their ``fixed`` value (default 0).  No isomorphism reduction; at
-    most ``SEARCH_LIMIT`` candidates."""
+    most ``SEARCH_LIMIT`` candidates.  The equations are reduced mod p once,
+    so a coefficient undefined mod p is refused before any candidate."""
     free = list(free)
     if not free:
         raise AlgebraError("empty mask: no free coordinates to search")
@@ -561,13 +551,41 @@ def search_fp(
         raise AlgebraError(f"mask too large: {p}^{len(free)} candidates")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise AlgebraError(f"F_p needs a prime p, got {p}")
-    base = {name: 0 for name in system.unknowns}
-    for name, val in fixed.items():
-        base[name] = val % p
+    equations = _fold_mod(system, p, free, fixed)
     solutions = []
     for combo in itertools.product(range(p), repeat=len(free)):
-        values = dict(base)
-        values.update(zip(free, combo))
-        if all(eq.evaluate_mod(values, p) == 0 for eq in system.equations):
-            solutions.append({name: values[name] for name in free})
+        if all(sum(c * math.prod(combo[i] for i in at) for at, c in eq) % p == 0
+               for eq in equations):
+            solutions.append(dict(zip(free, combo)))
     return solutions
+
+
+def _fold_mod(
+    system: QuadraticSystem, p: int, free: Sequence[str], fixed: Mapping[str, int]
+) -> list[list[tuple[tuple[int, ...], int]]]:
+    """The equations reduced mod p once, with every unknown that is not free
+    replaced by its ``fixed`` value (default 0): per equation, the nonzero
+    (positions in ``free``, coefficient) terms, and no equation that
+    vanishes."""
+    position = {name: i for i, name in enumerate(free)}
+    base = {name: 0 for name in system.unknowns}
+    base.update((name, val % p) for name, val in fixed.items())
+    out = []
+    for eq in system.equations:
+        terms: dict[tuple[int, ...], int] = {}
+        for mono, c in eq.terms.items():
+            if c.denominator % p == 0:
+                raise AlgebraError(f"coefficient {c} not defined mod {p}")
+            coeff = c.numerator * pow(c.denominator, -1, p)
+            at = []
+            for s in mono:
+                if s in position:
+                    at.append(position[s])
+                else:
+                    coeff *= base[s]
+            at = tuple(at)
+            terms[at] = (terms.get(at, 0) + coeff) % p
+        folded = [(at, c) for at, c in terms.items() if c]
+        if folded:
+            out.append(folded)
+    return out

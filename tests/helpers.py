@@ -1,8 +1,8 @@
 """Shared test utilities: small associative algebras, basis changes, the
 dense structure-table product loops, the fold-per-tuple identity evaluation,
-the brute-force right-commutativity orbit, the tree-built
-permuted-associator expansion and canonical word list, and the tree-built
-instance stream."""
+the term-by-term evaluation mod p and the F_p search built on it, the
+brute-force right-commutativity orbit, the tree-built permuted-associator
+expansion and canonical word list, and the tree-built instance stream."""
 
 import itertools
 from fractions import Fraction
@@ -20,7 +20,7 @@ from algforge.core import (
 )
 from algforge.linalg import PivotTable
 from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
-from algforge.systems import BinaryAlgebra
+from algforge.systems import BinaryAlgebra, QuadraticSystem, SymPoly
 
 
 def upper_triangular_2x2() -> BinaryAlgebra:
@@ -154,6 +154,33 @@ def reference_evaluations(table, identities, dim=None):
             for ident in same:
                 assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
                 yield ident, tup, reference_evaluate(table, ident, assign)
+
+
+def evaluate_mod(poly: SymPoly, values, p: int) -> int:
+    """The value mod p of ``poly`` at integer values of its symbols, term by
+    term; a coefficient whose denominator p divides raises ``AlgebraError``."""
+    total = 0
+    for mono, c in poly.terms.items():
+        if c.denominator % p == 0:
+            raise AlgebraError(f"coefficient {c} not defined mod {p}")
+        term = c.numerator * pow(c.denominator, -1, p)
+        for s in mono:
+            term = term * values[s]
+        total = (total + term) % p
+    return total % p
+
+
+def reference_search_fp(system: QuadraticSystem, p: int, free, fixed) -> list[dict]:
+    """The oracle for ``systems.search_fp``: every candidate evaluates every
+    equation with ``evaluate_mod``; unknowns neither free nor fixed are 0."""
+    values = dict.fromkeys(system.unknowns, 0)
+    values.update(fixed)
+    solutions = []
+    for combo in itertools.product(range(p), repeat=len(free)):
+        values.update(zip(free, combo))
+        if not any([evaluate_mod(eq, values, p) for eq in system.equations]):
+            solutions.append(dict(zip(free, combo)))
+    return solutions
 
 
 def _rc_moves(m: Monomial):

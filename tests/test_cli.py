@@ -122,6 +122,25 @@ def test_equiv(tmp_path, capsys):
     assert "EQUIVALENT" in out
 
 
+@pytest.mark.parametrize("other, code, verdict", [
+    ("lie", 0, "EQUIVALENT"),
+    ("associativity", 1, "NOT EQUIVALENT"),
+])
+def test_equiv_lifts_an_identity_one_degree_below(other, code, verdict, tmp_path, capsys):
+    # lie.txt holds degree-2 anticommutativity beside the degree-3 Jacobi
+    # identity; at degree 3 the former is checked through its liftings
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(data_text("varieties/lie.txt"))
+    b.write_text(data_text(f"varieties/{other}.txt"))
+    assert main(["equiv", "--degree", "3", "--a", str(a), "--b", str(b)]) == code
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    assert lines[-1] == verdict
+    assert [l.split(": ")[1] for l in lines if "A in span(B)" in l] == [
+        "anticomm(ab,c)", "anticomm(c,ab)", "anticomm(b,c)*a", "a*anticomm(b,c)", "jacobi"]
+
+
 def test_free_expand(capsys):
     assert main(["free-expand", "--expr", "(a*(b*c))*d"]) == 0
     assert capsys.readouterr().out.strip() == "abcd - acbd"

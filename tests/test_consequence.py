@@ -462,6 +462,8 @@ def _outside(basis_kind):
     a, b, c = (Monomial.leaf(v) for v in V3)
     if basis_kind == "planar":
         return MonomialBasis([TERNARY], 3, V3), apply_op(TERNARY, [a, a, b])
+    if basis_kind == "planar-other-op":
+        return MonomialBasis([TERNARY], 3, V3), apply_op(BINARY, [apply_op(BINARY, [a, b]), c])
     if basis_kind == "other-product":
         return RCBasis(BINARY, 3, V3), apply_op(_DOT, [apply_op(_DOT, [a, b]), c])
     return RCBasis(BINARY, 3, V3), apply_op(TERNARY, [a, b, c])
@@ -469,6 +471,7 @@ def _outside(basis_kind):
 
 @pytest.mark.parametrize("basis_kind, message", [
     ("planar", "monomial br(a,a,b) is outside this basis"),
+    ("planar-other-op", "monomial mul(mul(a,b),c) is outside this basis"),
     ("other-product", "monomial (ab)c is outside this basis"),
     ("ternary", "straightening requires a binary operation"),
 ])
@@ -481,3 +484,53 @@ def test_a_compiled_instance_is_refused_as_its_tree_would_be(basis_kind, message
         SpanChecker(compiled_instances([ident], V3), basis)
     assert type(compiled_err.value) is type(tree_err.value)
     assert str(compiled_err.value) == str(tree_err.value) == message
+
+
+@pytest.mark.parametrize("kind", ["relabelings", "lifted"])
+def test_rendered_instances_are_made_of_the_basis_trees(kind):
+    if kind == "relabelings":
+        basis = MonomialBasis([TERNARY], 5, V5)
+        rendered = [p for name in ("lts-a", "lts-b") for _, p in iter_relabelings(fixture(name), V5)]
+    else:
+        basis = MonomialBasis([BINARY], 5, V5)
+        rendered = [p for name in ("rj", "ro") for _, p in iter_lifted(fixture(name), 5, V5)]
+    assert rendered
+    assert all(m is basis.monomials[basis.index[m]] for p in rendered for m in p.terms)
+
+
+def _certificates(checker, targets):
+    out = []
+    for target in targets:
+        cert = checker.check(target)
+        out.append((cert.ok, cert.lines() if cert.ok else repr(cert.witness)))
+    return out
+
+
+@pytest.mark.parametrize("kind", ["relabelings", "lifted"])
+def test_an_emptied_tree_cache_leaves_pivots_and_certificates_unchanged(kind):
+    if kind == "relabelings":
+        op, idents = TERNARY, [fixture("lts-a"), fixture("lts-b")]
+        targets = [fixture(n).lhs for n in ("lts1", "lts2", "lts3", "inner2-skew")]
+    else:
+        op, idents = BINARY, [fixture("rj")]
+        left_normed = Monomial.leaf(V5[0])
+        for v in V5[1:]:
+            left_normed = Monomial.apply(BINARY, [left_normed, Monomial.leaf(v)])
+        targets = [p for _, p in itertools.islice(iter_lifted(fixture("rj"), 5, V5), 0, None, 97)]
+        targets.append(Polynomial({left_normed: 1}))
+
+    def build(clear: bool):
+        basis = MonomialBasis([op], 5, V5)
+        if clear:
+            consequence._tree.cache_clear()
+        checker = SpanChecker(instances(idents, V5), basis)
+        return checker, _certificates(checker, targets)
+
+    shared, shared_certs = build(clear=False)
+    apart, apart_certs = build(clear=True)
+    assert not all(m is apart.basis.monomials[apart.basis.index[m]]
+                   for g in apart.generators.values() for m in g.terms)
+    _same_checker(apart, shared)
+    assert apart_certs == shared_certs
+    assert any(ok for ok, _ in shared_certs)
+

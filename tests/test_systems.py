@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,6 +22,7 @@ from algforge.fixtures import (
 from algforge import systems
 from algforge.systems import (
     BinaryAlgebra,
+    QuadraticSystem,
     SymPoly,
     TernaryTable,
     build_envelope,
@@ -456,6 +458,45 @@ def test_search_fp_error_paths():
         search_fp(qs, 101, qs.unknowns[:8])
     with pytest.raises(AlgebraError):
         search_fp(qs, 3, ["nope"])
+
+
+@cache
+def _lts2():
+    return lts_equations(2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_search_fp_matches_term_by_term_evaluation(data):
+    qs = _lts2()
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    free = data.draw(st.lists(st.sampled_from(qs.unknowns), min_size=1, max_size=2, unique=True),
+                     label="free")
+    fixed = data.draw(st.dictionaries(st.sampled_from(qs.unknowns), st.integers(-9, 9),
+                                      max_size=4), label="fixed")
+    # one more equation with fractional coefficients: a multiple of one
+    # equation plus another, refused where p divides a denominator
+    i, j = data.draw(st.tuples(*[st.integers(0, len(qs.equations) - 1)] * 2), label="i, j")
+    scale = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(7, 5)]))
+    system = QuadraticSystem(qs.unknowns, [*qs.equations, qs.equations[i] * scale + qs.equations[j]])
+    try:
+        want = helpers.reference_search_fp(system, p, free, fixed)
+    except AlgebraError as err:
+        with pytest.raises(AlgebraError) as got:
+            search_fp(system, p, free, fixed)
+        assert str(got.value) == str(err)
+    else:
+        assert search_fp(system, p, free, fixed) == want
+
+
+def test_search_fp_refuses_an_undefined_coefficient_before_it_enumerates():
+    x, y = SymPoly.symbol("x"), SymPoly.symbol("y")
+    # x*x + 1 is nonzero for every x mod 3, so no candidate reaches x*y/3
+    system = QuadraticSystem(["x", "y"], [x * x + 1, x * y * Fraction(1, 3)])
+    assert helpers.reference_search_fp(QuadraticSystem(["x", "y"], system.equations[:1]),
+                                       3, ["x"], {}) == []
+    with pytest.raises(AlgebraError, match="coefficient 1/3 not defined mod 3"):
+        search_fp(system, 3, ["x"])
 
 
 IDENTITIES = {2: ["leibniz", "jordan-right"], 3: ["lts-a", "lts-b", "l1", "l2", "l3"]}

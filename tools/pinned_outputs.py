@@ -55,7 +55,9 @@ PER_SYSTEM = [
 # picks of its lines (one pick also without names, so that the certificate
 # prints the positional tags g0, g1), the linearized right Jordan identity,
 # a left-normed product that its one-step liftings do not reach, and a sum
-# of two of its liftings, whose certificate pins the tags of both kinds
+# of two of its liftings, whose certificate pins the tags of both kinds; and
+# the packaged Lie variety, whose degree-2 identity is checked at degree 3
+# through its liftings
 SPAN = [
     ["span", "--target", "lts1.txt", "--gens", "triple-systems.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "lts-ab.txt", "--degree", "5"],
@@ -63,6 +65,7 @@ SPAN = [
     ["span", "--target", "left-normed.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
     ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
+    ["equiv", "--a", "lie.txt", "--b", "lie.txt", "--degree", "3"],
 ]
 # a sha256 over every instance the span layer builds, read through the tree
 # API: tag, terms in insertion order, and each coefficient's type, for the
@@ -145,12 +148,12 @@ def pick(text: str, names: set[str]) -> str:
 
 def identity_files(env: dict) -> dict[str, str]:
     def data(rel: str) -> str:
-        argv = [sys.executable, "-c", READ_DATA, f"identities/{rel}"]
+        argv = [sys.executable, "-c", READ_DATA, rel]
         return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
 
-    triple = data("triple-systems.txt")
+    triple = data("identities/triple-systems.txt")
     ab = pick(triple, {"lts-a", "lts-b"})
-    rj = pick(data("jordan.txt"), {"rj"})
+    rj = pick(data("identities/jordan.txt"), {"rj"})
     rj_expr = rj.splitlines()[-1].split(":", 1)[1].strip()
     # rj(a,b,c,d)*e plus rj with the product de in place of d
     lifted = f"mul({rj_expr}, e) + " + re.sub(r"\bd\b", "mul(d,e)", rj_expr)
@@ -162,6 +165,7 @@ def identity_files(env: dict) -> dict[str, str]:
         "rj.txt": rj,
         "left-normed.txt": "op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n",
         "rj-lifted.txt": f"op mul/2\n{lifted}\n",
+        "lie.txt": data("varieties/lie.txt"),
     }
 
 
