@@ -26,10 +26,14 @@ objects, and its basis lookup hits by identity; equality stays structural,
 so a tree the cache has let go, or one built elsewhere, is still found.
 Membership is decided by exact forward elimination and every positive
 answer carries a certificate that re-expands to the target.
-``SpanChecker`` reads every generator and target through ``basis.normal``:
-a tree polynomial is its own normal form for ``MonomialBasis``, which reads
-a compiled instance through a (shape key, letters) index onto its own trees;
-``rightcomm.RCBasis`` straightens either.
+``SpanChecker`` reads every generator through ``basis.vector``, which maps
+a compiled instance's (shape key, letters) pairs straight to columns:
+``MonomialBasis`` through an index onto its own trees, ``rightcomm.RCBasis``
+through a memo of each pair's straightened word.  A normal form, the
+polynomial over the basis's own elements, is built only for a target and
+for a generator that becomes a pivot, the only ones a certificate names; a
+compiled pivot's is read off its vector.  A tree polynomial is its own
+normal form for ``MonomialBasis``, and ``RCBasis`` straightens either kind.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -180,6 +184,8 @@ def shape_of(m: Monomial) -> Monomial:
 class MonomialBasis:
     """The full multilinear monomial basis at one degree over fixed variables."""
 
+    _normal_type = Polynomial  # the class of a normal form
+
     def __init__(self, signature, degree: int, variables: Sequence[Variable]):
         variables = tuple(variables)
         if len(variables) != degree:
@@ -211,9 +217,20 @@ class MonomialBasis:
         forms = itertools.product([shape.shape_key() for shape in self.shapes], perms)
         return {form: i for i, form in enumerate(forms)}
 
-    def vector(self, p: Polynomial) -> Vec:
+    def vector(self, p) -> Vec:
+        """The column vector of ``p``: a compiled instance's (shape key,
+        letters) pairs are looked up in ``_slots``, with no polynomial built;
+        any other ``p`` is read through its normal form."""
+        if isinstance(p, list):
+            slots = self._slots
+            try:
+                return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
+            except KeyError as err:
+                raise DimensionMismatch(
+                    f"monomial {form_tree(*err.args[0])!r} is outside this basis"
+                ) from None
         vec: Vec = {}
-        for m, c in p.terms.items():
+        for m, c in self.normal(p).terms.items():
             i = self.index.get(m)
             if i is None:
                 raise DimensionMismatch(f"monomial {m!r} is outside this basis")
@@ -226,15 +243,16 @@ class MonomialBasis:
         its (shape key, letters) pairs index."""
         if not isinstance(p, list):
             return p
-        slots, monomials = self._slots, self.monomials
-        try:
-            return Polynomial._from_terms(accumulate(
-                {}, ((monomials[slots[key, letters]], c) for key, letters, c in p)
-            ))
-        except KeyError as err:
-            raise DimensionMismatch(
-                f"monomial {form_tree(*err.args[0])!r} is outside this basis"
-            ) from None
+        return self._normal_from(p, self.vector(p))
+
+    def _normal_from(self, p, vec: Vec):
+        """``normal(p)`` when ``vec`` is ``vector(p)``.  A compiled instance's
+        is read off ``vec``: both are summed term by term in the same order,
+        one through columns, one through the basis elements they index."""
+        if not isinstance(p, list):
+            return self.normal(p)
+        monomials = self.monomials
+        return self._normal_type._from_terms({monomials[i]: c for i, c in vec.items()})
 
 
 def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -270,6 +288,11 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     ``one_per_family`` reads each off the letters in order only."""
     variables = tuple(variables)
     d = identity.degree
+    label = identity.name or "id"
+    if target_degree < d:
+        raise UnsupportedLift(
+            f"identity {label} has degree {d}, above the requested degree {target_degree}"
+        )
     if target_degree != d + 1:
         raise UnsupportedLift(
             f"only a one-degree lift is supported, asked {d} -> {target_degree}"
@@ -282,7 +305,6 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     if len(identity.variables) != d:
         raise DimensionMismatch(f"identity of degree {d} has {len(identity.variables)} variables")
     (op,) = ops
-    label = identity.name or "id"
     src = identity.variables
     terms = identity.lhs.terms.items()
     names = tuple(v.name for v in variables)
@@ -406,24 +428,35 @@ class NotInSpan:
 class SpanChecker:
     """A reusable elimination table for one generator set in one basis.
 
-    ``generators`` are (tag, polynomial) pairs; generators, targets and
-    certificates are all in the basis's normal form."""
+    ``generators`` are (tag, generator) pairs, a generator being anything the
+    basis reads: a polynomial, or a compiled instance.  Each is fed to the
+    table as its ``basis.vector``; targets and certificates are in the
+    basis's normal form.  Only the generators that become pivots can be
+    named by a certificate, so only theirs is built, when the pivot is
+    stored; ``generators`` builds the others' on demand."""
 
     def __init__(self, generators, basis):
         self.basis = basis
-        self.generators: dict[Hashable, object] = {}
+        # tag -> the generator as given, or its normal form once it is a pivot
+        self._kept: dict[Hashable, object] = {}
         self.table = PivotTable()
         for tag, g in generators:
-            g = basis.normal(g)
             vec = basis.vector(g)
             if not vec:
                 continue
-            if tag in self.generators:
-                if self.generators[tag] == g:
+            if tag in self._kept:
+                if basis.normal(self._kept[tag]) == basis.normal(g):
                     continue
                 raise AlgebraError(f"duplicate generator tag {tag!r}")
-            self.generators[tag] = g
-            self.table.add(vec, tag)
+            self._kept[tag] = g
+            if self.table.add(vec, tag):
+                self._kept[tag] = basis._normal_from(g, vec)
+
+    @property
+    def generators(self) -> dict[Hashable, object]:
+        """Each kept generator's normal form by tag, in the order given."""
+        normal = self.basis.normal
+        return {tag: normal(g) for tag, g in self._kept.items()}
 
     @property
     def rank(self) -> int:
@@ -434,7 +467,8 @@ class SpanChecker:
         ok, combo, witness = self.table.membership(self.basis.vector(target))
         if not ok:
             return NotInSpan(self.basis.monomials[witness])
-        return SpanCertificate(combo, self.generators, target)
+        # a combination names pivot tags only, whose normal forms are kept
+        return SpanCertificate(combo, self._kept, target)
 
 
 class EquivalenceResult:
@@ -467,7 +501,7 @@ def sets_equivalent(
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
-    span_a, span_b = (SpanChecker(list(compiled_instances(s, variables)), basis) for s in (a, b))
+    span_a, span_b = (SpanChecker(compiled_instances(s, variables), basis) for s in (a, b))
 
     def targets(ident: Identity, name: str):
         if ident.degree == degree:
@@ -503,11 +537,11 @@ def kernel_of_expansion(
     out = []
     for j, m in enumerate(basis.monomials):
         vec = {rows.setdefault(k, len(rows)): c for k, c in expand(m).terms.items()}
-        residual, combo = table.reduce(vec)
+        residual, trail = table.reduce(vec)
         if residual:
-            table.store(residual, combo, j)
+            table.store(residual, trail, j)
             continue
-        kernel = {i: -c for i, c in combo.items()}
+        kernel = {i: -c for i, c in table.combination(trail).items()}
         kernel[j] = 1
         out.append(Polynomial({basis.monomials[i]: c for i, c in sorted(kernel.items())}))
     return out

@@ -4,12 +4,16 @@ Vectors are dicts mapping column index to a nonzero ``int`` or ``Fraction``.
 The one elimination engine is an incremental forward-elimination table:
 generator vectors are fed in one at a time, each reduced against the pivots
 found so far (leftmost-column pivoting, first come first kept, no scaling
-tricks beyond normalizing each pivot's leading entry to 1).  The table
-tracks, for every pivot row, its expression as a combination of the
-original generators, which turns span membership into an explicit
-certificate and a dependent generator into a kernel vector.  Arithmetic is exact end to end:
-integral entries stay ``int``, and only the normalisation of a pivot's
-leading entry divides, so only it makes a ``Fraction``.
+tricks beyond normalizing each pivot's leading entry to 1).  Every pivot row
+keeps its expression as a combination of the original generators, which
+turns span membership into an explicit certificate and a dependent
+generator into a kernel vector.  A reduction only records its trail, the
+pivot rows it subtracted and by what factor; a combination is summed from
+the trail only where an answer reads it: a new pivot row, a "yes" of
+``membership``, or a caller's kernel vector.  A dependent generator so costs
+one work-vector reduction.  Arithmetic is exact end to end: integral entries
+stay ``int``, and only the normalisation of a pivot's leading entry divides,
+so only it makes a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from typing import Hashable
 from .core import accumulate, q
 
 Vec = dict[int, int | Fraction]  # column index -> nonzero exact scalar
+Combo = dict[Hashable, int | Fraction]  # generator tag -> nonzero exact scalar
+Trail = list[tuple[Combo, int | Fraction]]  # (pivot row's combo, factor) per step
 
 
 class PivotTable:
@@ -27,21 +33,21 @@ class PivotTable:
 
     def __init__(self):
         # lead column -> (vector with vec[lead] == 1, combo over generator tags)
-        self.pivots: dict[int, tuple[Vec, dict[Hashable, Fraction]]] = {}
+        self.pivots: dict[int, tuple[Vec, Combo]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, vec: Vec) -> tuple[Vec, dict[Hashable, Fraction]]:
-        """Return (residual, combo) with vec = residual + sum(combo * pivot-origin).
+    def reduce(self, vec: Vec) -> tuple[Vec, Trail]:
+        """Return (residual, trail) with vec = residual + combination(trail)
+        over the pivot rows' generators.
 
-        The combo is expressed over the tags of previously added generators.
         Successive leading columns of the work vector strictly increase, so
         the loop terminates.
         """
         work = dict(vec)
-        combo: dict[Hashable, Fraction] = {}
+        trail: Trail = []
         while work:
             lead = min(work)
             hit = self.pivots.get(lead)
@@ -50,28 +56,37 @@ class PivotTable:
             pvec, pcombo = hit
             factor = work[lead]
             accumulate(work, pvec.items(), -factor)
+            trail.append((pcombo, factor))
+        return work, trail
+
+    @staticmethod
+    def combination(trail: Trail) -> Combo:
+        """The combination over generator tags that a ``reduce`` trail subtracted."""
+        combo: Combo = {}
+        for pcombo, factor in trail:
             accumulate(combo, pcombo.items(), factor)
-        return work, combo
+        return combo
 
     def add(self, vec: Vec, tag: Hashable = None) -> bool:
         """Feed one generator; returns True iff it increased the rank."""
-        residual, combo = self.reduce(vec)
+        residual, trail = self.reduce(vec)
         if not residual:
             return False
-        self.store(residual, combo, tag)
+        self.store(residual, trail, tag)
         return True
 
-    def store(self, residual: Vec, combo: dict[Hashable, Fraction], tag: Hashable = None) -> None:
+    def store(self, residual: Vec, trail: Trail, tag: Hashable = None) -> None:
         """Keep a nonzero ``reduce`` result of generator ``tag`` as a new pivot."""
         lead = min(residual)
         scale = q(Fraction(1) / residual[lead])
         normal = {k: q(c * scale) for k, c in residual.items()}
         # vec = residual + sum(combo); residual = vec - sum(combo)
+        combo = self.combination(trail)
         self.pivots[lead] = (normal, accumulate({tag: scale}, combo.items(), -scale))
 
-    def membership(self, vec: Vec) -> tuple[bool, dict[Hashable, Fraction], int | None]:
+    def membership(self, vec: Vec) -> tuple[bool, Combo, int | None]:
         """Test span membership; returns (ok, combo, witness-column-or-None)."""
-        residual, combo = self.reduce(vec)
+        residual, trail = self.reduce(vec)
         if residual:
             return False, {}, min(residual)
-        return True, combo, None
+        return True, self.combination(trail), None

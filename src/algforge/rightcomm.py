@@ -39,7 +39,9 @@ instance, (shape key, letters, coefficient) triples, straightens with no tree
 built: each term is one ``.get`` of its shape key on the ``by_shape`` table
 the basis holds, and one ``_word`` read of its letters.  A key that misses
 (another operation or degree) is straightened as its tree, which keeps the
-tree's error.
+tree's error.  ``RCBasis.vector`` keeps the column of each (shape key,
+letters) pair it has straightened, so a pair that recurs across instances
+is one lookup.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from .core import (
     fold,
 )
 from .consequence import (
+    DimensionMismatch,
     MonomialBasis,
     SpanChecker,
     compiled_instances,
@@ -256,6 +259,8 @@ class RCBasis(MonomialBasis):
     normal form straightens a tree polynomial or a compiled instance, so a
     ``SpanChecker`` over it takes raw instances and targets."""
 
+    _normal_type = RCPolynomial
+
     def __init__(self, op: OpSymbol, degree: int, variables: Sequence[Variable]):
         # not MonomialBasis.__init__: the planar basis it builds has 1.6 times
         # as many trees, all held at once, only to be straightened
@@ -274,6 +279,7 @@ class RCBasis(MonomialBasis):
             self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
                                if all(w <= letters_of(w) for letters_of in perms)]
         self.index = {w: i for i, w in enumerate(self.monomials)}
+        self._slots = _Columns(op, self._by_shape, self.index)
 
     def normal(self, p: Union[Polynomial, RCPolynomial, list]) -> RCPolynomial:
         if isinstance(p, RCPolynomial):
@@ -281,17 +287,38 @@ class RCBasis(MonomialBasis):
         if not isinstance(p, list):
             return rc_expand(p)
         # a compiled instance: straightened by lookup, with no tree built
+        op, by_shape = self.op, self._by_shape
         return RCPolynomial._from_terms(accumulate(
-            {}, ((self._compiled_word(key, letters), c) for key, letters, c in p)
+            {}, ((_compiled_word(op, by_shape, key, letters), c) for key, letters, c in p)
         ))
 
-    def _compiled_word(self, key: tuple, letters: tuple) -> RCWord:
-        """The word of a compiled term; a shape outside this basis's table
-        (another operation or degree) straightens, or fails, as its tree."""
-        entry = self._by_shape.get(key)
-        if entry is None:
-            return rc_straighten(form_tree(key, letters))
-        return _word(self.op, entry, letters)
+
+def _compiled_word(op: OpSymbol, by_shape: dict, key: tuple, letters: tuple) -> RCWord:
+    """The word of a compiled term; a shape outside the ``by_shape`` table
+    (another operation or degree) straightens, or fails, as its tree."""
+    entry = by_shape.get(key)
+    if entry is None:
+        return rc_straighten(form_tree(key, letters))
+    return _word(op, entry, letters)
+
+
+class _Columns(dict):
+    """The ``_slots`` of an ``RCBasis``: (shape key, letters) -> column of the
+    term's straightened word, kept as ``vector`` first reads the pair, so at
+    most one entry per planar monomial of the degree.  A term outside the
+    basis is not kept, so it fails alike every time."""
+
+    def __init__(self, op: OpSymbol, by_shape: dict, index: dict):
+        super().__init__()
+        self.op, self.by_shape, self.index = op, by_shape, index
+
+    def __missing__(self, pair: tuple) -> int:
+        word = _compiled_word(self.op, self.by_shape, *pair)
+        column = self.index.get(word)
+        if column is None:
+            raise DimensionMismatch(f"monomial {word!r} is outside this basis")
+        self[pair] = column
+        return column
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:

@@ -2,7 +2,8 @@
 dense structure-table product loops, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
-expansion and canonical word list, and the tree-built instance stream."""
+expansion and canonical word list, the tree-built instance stream, and the
+elimination table that updates every combination eagerly."""
 
 import itertools
 from fractions import Fraction
@@ -16,6 +17,7 @@ from algforge.core import (
     accumulate,
     apply_op,
     fold,
+    q,
     relabel,
 )
 from algforge.linalg import PivotTable
@@ -262,6 +264,9 @@ def reference_lifted(identity, target_degree, variables):
     slot by ``relabel``, or a relabeled instance multiplied by ``apply_op``."""
     variables = tuple(variables)
     d = identity.degree
+    if target_degree < d:
+        raise UnsupportedLift(f"identity {identity.name or 'id'} has degree {d},"
+                              f" above the requested degree {target_degree}")
     if target_degree != d + 1:
         raise UnsupportedLift(
             f"only a one-degree lift is supported, asked {d} -> {target_degree}"
@@ -301,3 +306,68 @@ def reference_instances(identities, variables):
             yield from reference_relabelings(named, variables)
         else:
             yield from reference_lifted(named, len(variables), variables)
+
+
+def typed_items(mapping) -> list:
+    """The items of a vector, combination or term dict, each value with its
+    type, so that ``1`` and ``Fraction(1)`` compare unequal."""
+    return [(k, c, type(c)) for k, c in mapping.items()]
+
+
+class EagerPivotTable:
+    """The oracle for ``linalg.PivotTable``: every reduction step updates the
+    generator combination as it goes, so each answer reads it directly."""
+
+    def __init__(self):
+        self.pivots = {}
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec):
+        work, combo = dict(vec), {}
+        while work:
+            lead = min(work)
+            hit = self.pivots.get(lead)
+            if hit is None:
+                break
+            pvec, pcombo = hit
+            factor = work[lead]
+            accumulate(work, pvec.items(), -factor)
+            accumulate(combo, pcombo.items(), factor)
+        return work, combo
+
+    def add(self, vec, tag=None) -> bool:
+        residual, combo = self.reduce(vec)
+        if not residual:
+            return False
+        self.store(residual, combo, tag)
+        return True
+
+    def store(self, residual, combo, tag=None) -> None:
+        lead = min(residual)
+        scale = q(Fraction(1) / residual[lead])
+        normal = {k: q(c * scale) for k, c in residual.items()}
+        self.pivots[lead] = (normal, accumulate({tag: scale}, combo.items(), -scale))
+
+    def membership(self, vec):
+        residual, combo = self.reduce(vec)
+        if residual:
+            return False, {}, min(residual)
+        return True, combo, None
+
+
+def eager_kernel_of_expansion(basis, expand) -> list[Polynomial]:
+    """The oracle for ``consequence.kernel_of_expansion``, over the eager table."""
+    rows, table, out = {}, EagerPivotTable(), []
+    for j, m in enumerate(basis.monomials):
+        vec = {rows.setdefault(k, len(rows)): c for k, c in expand(m).terms.items()}
+        residual, combo = table.reduce(vec)
+        if residual:
+            table.store(residual, combo, j)
+            continue
+        kernel = {i: -c for i, c in combo.items()}
+        kernel[j] = 1
+        out.append(Polynomial({basis.monomials[i]: c for i, c in sorted(kernel.items())}))
+    return out

@@ -122,6 +122,16 @@ def test_equiv(tmp_path, capsys):
     assert "EQUIVALENT" in out
 
 
+def test_equiv_refuses_an_identity_above_the_degree(tmp_path, capsys):
+    # lie.txt's degree-3 Jacobi identity cannot be checked at degree 2
+    lie = tmp_path / "lie.txt"
+    lie.write_text(data_text("varieties/lie.txt"))
+    assert main(["equiv", "--degree", "2", "--a", str(lie), "--b", str(lie)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: identity jacobi has degree 3, above the requested degree 2\n"
+
+
 @pytest.mark.parametrize("other, code, verdict", [
     ("lie", 0, "EQUIVALENT"),
     ("associativity", 1, "NOT EQUIVALENT"),

@@ -37,7 +37,7 @@ from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
 from algforge.rightcomm import RCBasis, build_jordan_checker
 
-from helpers import reference_instances, reference_lifted, reference_relabelings
+from helpers import reference_instances, reference_lifted, reference_relabelings, typed_items
 
 V5 = variables("abcde")
 V3 = variables("abc")
@@ -458,6 +458,13 @@ def test_compiled_relabelings_build_the_tree_built_checker():
                for g in checker.generators.values() for m in g.terms)
 
 
+def _inside(basis_kind):
+    a, b, c = (Monomial.leaf(v) for v in V3)
+    if basis_kind.startswith("planar"):
+        return apply_op(TERNARY, [a, b, c])
+    return apply_op(BINARY, [apply_op(BINARY, [a, b]), c])
+
+
 def _outside(basis_kind):
     a, b, c = (Monomial.leaf(v) for v in V3)
     if basis_kind == "planar":
@@ -476,14 +483,57 @@ def _outside(basis_kind):
     ("ternary", "straightening requires a binary operation"),
 ])
 def test_a_compiled_instance_is_refused_as_its_tree_would_be(basis_kind, message):
-    basis, lhs = _outside(basis_kind)
-    ident = Identity(lhs, V3, name="x")
-    with pytest.raises(AlgebraError) as tree_err:
-        SpanChecker(instances([ident], V3), basis)
-    with pytest.raises(AlgebraError) as compiled_err:
-        SpanChecker(compiled_instances([ident], V3), basis)
-    assert type(compiled_err.value) is type(tree_err.value)
-    assert str(compiled_err.value) == str(tree_err.value) == message
+    # the term before the outside one is inside, so a basis that keeps the
+    # columns it reads keeps its; the refusal is not kept, and comes again
+    basis, outside = _outside(basis_kind)
+    ident = Identity(_inside(basis_kind) + outside, V3, name="x")
+    refusals = []
+    for stream in (instances, compiled_instances, compiled_instances):
+        with pytest.raises(AlgebraError) as err:
+            SpanChecker(stream([ident], V3), basis)
+        refusals.append((type(err.value), str(err.value)))
+    kind = AlgebraError if basis_kind == "ternary" else DimensionMismatch
+    assert refusals == [(kind, message)] * 3
+
+
+@pytest.mark.parametrize("kind", ["lifted", "relabelings"])
+def test_a_compiled_instance_reads_as_the_vector_of_its_normal_form(kind):
+    if kind == "lifted":
+        basis, idents = RCBasis(BINARY, 5, V5), [fixture("rj"), fixture("ro")]
+    else:
+        basis = MonomialBasis([TERNARY], 5, V5)
+        idents = [fixture(n) for n in ("lts-a", "lts-b", "inner3-skew")]
+    compiled = list(compiled_instances(idents, V5))
+    assert len(compiled) == (1440 if kind == "lifted" else 360)
+    # each is read three ways: its columns, its normal form, and its
+    # tree-built polynomial, which the basis reads term by term
+    for (tag, g), (tree_tag, tree) in zip(compiled, reference_instances(idents, V5)):
+        assert tag == tree_tag
+        want = typed_items(basis.vector(tree))
+        assert typed_items(basis.vector(g)) == want
+        assert typed_items(basis.vector(basis.normal(g))) == want
+        assert typed_items(basis.normal(g).terms) == typed_items(basis.normal(tree).terms)
+
+
+@pytest.mark.parametrize("kind", ["rc", "planar"])
+def test_a_repeated_tag_on_compiled_input(kind):
+    if kind == "rc":
+        basis, ident = RCBasis(BINARY, 5, V5), fixture("rj")
+    else:
+        basis, ident = MonomialBasis([TERNARY], 5, V5), fixture("lts-a")
+    (tag, g), (_, h) = itertools.islice(compiled_instances([ident], V5), 2)
+    assert basis.normal(g) != basis.normal(h)
+    twice = [(key, letters, 2 * c) for key, letters, c in g]
+    # an equal generator under a kept tag is skipped, whether the kept one
+    # became a pivot (g) or not (twice, which depends on g)
+    checker = SpanChecker([(tag, g), (tag, list(g)), ("2g", twice), ("2g", list(twice))], basis)
+    assert list(checker.generators) == [tag, "2g"] and checker.rank == 1
+    assert checker.generators["2g"] == basis.normal(twice)
+    # an unequal one is refused in either case
+    for gens in ([(tag, g), (tag, h)], [("g", g), ("2g", twice), ("2g", h)]):
+        with pytest.raises(AlgebraError) as err:
+            SpanChecker(gens, basis)
+        assert str(err.value) == f"duplicate generator tag {gens[-1][0]!r}"
 
 
 @pytest.mark.parametrize("kind", ["relabelings", "lifted"])

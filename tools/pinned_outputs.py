@@ -1,10 +1,10 @@
 """Print one line per pinned output: the command, its exit code and the
 sha256 of its stdout.
 
-The pinned outputs are the CLI runs, digests of the instance stream and of
-the straightening table, and the demos, whose bytes must not change when
-the library is refactored.  Run the script once against each source tree
-and diff the two listings:
+The pinned outputs are the CLI runs, digests of the instance stream, of
+the straightening table and of the degree-5 ternary kernel, and the demos,
+whose bytes must not change when the library is refactored.  Run the
+script once against each source tree and diff the two listings:
 
     python tools/pinned_outputs.py --pythonpath src > after.txt
     python tools/pinned_outputs.py --pythonpath ../old/src --demos ../old/demos > before.txt
@@ -116,6 +116,23 @@ STRAIGHTENING_DIGEST = (
     "            digest.update(repr((m, tuple(rc_straighten(m)))).encode())\n"
     "print(digest.hexdigest())\n"
 )
+# a sha256 over the kernel of the free ternary expansion at degree 5: each
+# of its 240 polynomials in order, terms in insertion order with each
+# coefficient's type
+KERNEL_DIGEST = (
+    "import hashlib\n"
+    "from algforge.consequence import MonomialBasis, kernel_of_expansion\n"
+    "from algforge.core import variables\n"
+    "from algforge.fixtures import TERNARY\n"
+    "from algforge.leibniz import expand_ternary\n"
+    "basis = MonomialBasis([TERNARY], 5, variables('abcde'))\n"
+    "kernel = kernel_of_expansion(basis, expand_ternary)\n"
+    "digest = hashlib.sha256()\n"
+    "for p in kernel:\n"
+    "    terms = [(repr(m), repr(c), type(c).__name__) for m, c in p.terms.items()]\n"
+    "    digest.update(repr(terms).encode())\n"
+    "print(len(kernel), digest.hexdigest())\n"
+)
 READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
 WRITE_SYSTEM = (
     "import json, sys\n"
@@ -197,6 +214,7 @@ def main() -> int:
         jobs.append(("python -c <instance stream digest>", [sys.executable, "-c", INSTANCE_DIGEST]))
         jobs.append(("python -c <straightening table digest>",
                      [sys.executable, "-c", STRAIGHTENING_DIGEST]))
+        jobs.append(("python -c <ternary kernel digest>", [sys.executable, "-c", KERNEL_DIGEST]))
         for demo in sorted(Path(args.demos).glob("*.py")):
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
