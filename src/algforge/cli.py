@@ -82,7 +82,7 @@ def cmd_span(args) -> int:
             raise AlgebraError(f"generator {g.name or f'g{idx}'} has degree {g.degree}; {hint}")
     vs = _parse_vars(args.vars, args.degree)
     basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
-    cert = SpanChecker(list(compiled_instances(gens, vs)), basis).check(target.lhs)
+    cert = SpanChecker(compiled_instances(gens, vs), basis).check(target.lhs)
     if cert.ok:
         print(f"IN SPAN: {target.name or 'target'} ({len(cert.coefficients)} certificate terms)")
         for line in cert.lines():

@@ -18,22 +18,24 @@ over the permutation, a product in one slot uses a spliced key and a letter
 getter made once per (term, slot), and a fresh factor is one product key
 over the term's.  Every tree that comes from a key is taken from one bounded
 cache of one tree per (shape key, letters), leaves included: the shapes of a
-degree, listed as keys, the basis's trees, ``form_tree``,
-``instantiate_shape``, ``shape_of``, and the tree polynomials that
-``instances``, ``iter_relabelings`` and ``iter_lifted`` render from the
+degree, listed as keys, the basis's trees, ``form_tree``, and the tree
+polynomials that ``iter_relabelings`` and ``iter_lifted`` render from the
 compiled stream.  A rendered instance is thus made of the basis's own tree
 objects, and its basis lookup hits by identity; equality stays structural,
 so a tree the cache has let go, or one built elsewhere, is still found.
-Membership is decided by exact forward elimination and every positive
-answer carries a certificate that re-expands to the target.
-``SpanChecker`` reads every generator through ``basis.vector``, which maps
-a compiled instance's (shape key, letters) pairs straight to columns:
-``MonomialBasis`` through an index onto its own trees, ``rightcomm.RCBasis``
-through a memo of each pair's straightened word.  A normal form, the
-polynomial over the basis's own elements, is built only for a target and
-for a generator that becomes a pivot, the only ones a certificate names; a
-compiled pivot's is read off its vector.  A tree polynomial is its own
-normal form for ``MonomialBasis``, and ``RCBasis`` straightens either kind.
+
+A basis is its element list, their ``index``, and one map from a (shape
+key, letters) pair to its element: the cached tree for ``MonomialBasis``,
+the straightened word for ``rightcomm.RCBasis``.  ``basis.vector`` maps a
+compiled instance's pairs to columns through one memo per basis, filled as
+each pair is first read, and reads anything else through its normal form,
+the combination of the basis's own elements.  A tree polynomial is its own
+normal form for ``MonomialBasis``, and ``RCBasis`` straightens it; a
+compiled instance's is read off its vector.  Membership is decided by exact
+forward elimination, and every positive answer carries a certificate that
+re-expands to the target.  ``SpanChecker`` builds a normal form only for a
+target and for a generator that becomes a pivot, the only ones a
+certificate names.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, cached_property, lru_cache
+from functools import cache, lru_cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -171,27 +173,51 @@ def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
     return _tree(key, tuple(x.name if isinstance(x, Variable) else x for x in letters))
 
 
-def instantiate_shape(shape: Monomial, letters: Sequence[Variable]) -> Monomial:
-    """Assign letters to a shape's leaves in left-to-right order."""
-    return form_tree(shape.shape_key(), letters)
+def _basis_variables(degree: int, variables: Iterable[Variable]) -> tuple[Variable, ...]:
+    """The variables of a basis of this degree: one per leaf, none named twice."""
+    variables = tuple(variables)
+    if len(variables) != degree:
+        raise DimensionMismatch(
+            f"need {degree} variables for degree {degree}, got {len(variables)}"
+        )
+    if len(set(variables)) != degree:
+        repeated = next(v for i, v in enumerate(variables) if v in variables[:i])
+        raise DimensionMismatch(f"variable {repeated.name!r} is repeated")
+    return variables
 
 
-def shape_of(m: Monomial) -> Monomial:
-    """The tree of ``m`` with its leaves renamed p0, p1, ... left to right."""
-    return form_tree(m.shape_key(), [f"p{i}" for i in range(m.degree)])
+class _Columns(dict):
+    """The ``_slots`` of a basis: (shape key, letters) -> column of the basis
+    element that ``element(key, letters)`` names, kept as ``vector`` first
+    reads the pair, so at most one entry per planar monomial of the degree.
+    A pair outside the basis is not kept, so it fails alike every time.
+    ``element`` is not a bound method of the basis: that would close a
+    reference cycle that only the cyclic collector frees."""
+
+    __slots__ = ("element", "index")
+
+    def __init__(self, element: Callable[[tuple, tuple], Hashable], index: dict):
+        super().__init__()
+        self.element, self.index = element, index
+
+    def __missing__(self, pair: tuple) -> int:
+        element = self.element(*pair)
+        column = self.index.get(element)
+        if column is None:
+            raise DimensionMismatch(f"monomial {element!r} is outside this basis")
+        self[pair] = column
+        return column
 
 
 class MonomialBasis:
-    """The full multilinear monomial basis at one degree over fixed variables."""
+    """The full multilinear monomial basis at one degree over fixed variables:
+    its element list ``monomials``, their ``index``, and the ``_slots`` memo
+    from a compiled term's (shape key, letters) to its column."""
 
     _normal_type = Polynomial  # the class of a normal form
 
     def __init__(self, signature, degree: int, variables: Sequence[Variable]):
-        variables = tuple(variables)
-        if len(variables) != degree:
-            raise DimensionMismatch(
-                f"need {degree} variables for degree {degree}, got {len(variables)}"
-            )
+        variables = _basis_variables(degree, variables)
         self.signature = tuple(sorted(set(signature)))
         shapes = _shape_count(tuple(op.arity for op in self.signature), degree)
         size = shapes * math.factorial(degree)
@@ -206,16 +232,10 @@ class MonomialBasis:
         perms = list(itertools.permutations(v.name for v in sorted(variables)))
         self.monomials = [_tree(shape.shape_key(), perm) for shape in self.shapes for perm in perms]
         self.index = {m: i for i, m in enumerate(self.monomials)}
+        self._slots = _Columns(_tree, self.index)
 
     def __len__(self) -> int:
         return len(self.monomials)
-
-    @cached_property
-    def _slots(self) -> dict[tuple, int]:
-        """(shape key, letters) -> index of each basis monomial."""
-        perms = list(itertools.permutations(v.name for v in sorted(self.variables)))
-        forms = itertools.product([shape.shape_key() for shape in self.shapes], perms)
-        return {form: i for i, form in enumerate(forms)}
 
     def vector(self, p) -> Vec:
         """The column vector of ``p``: a compiled instance's (shape key,
@@ -223,12 +243,7 @@ class MonomialBasis:
         any other ``p`` is read through its normal form."""
         if isinstance(p, list):
             slots = self._slots
-            try:
-                return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
-            except KeyError as err:
-                raise DimensionMismatch(
-                    f"monomial {form_tree(*err.args[0])!r} is outside this basis"
-                ) from None
+            return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
         vec: Vec = {}
         for m, c in self.normal(p).terms.items():
             i = self.index.get(m)
@@ -237,20 +252,15 @@ class MonomialBasis:
             vec[i] = c
         return vec
 
-    def normal(self, p):
+    def normal(self, p, vec: Vec | None = None):
         """The form of ``p`` whose terms are basis elements: ``p`` itself, or
-        for a compiled instance the polynomial of the basis's own trees that
-        its (shape key, letters) pairs index."""
+        for a compiled instance the combination of the elements its columns
+        index, read off ``vec`` when it is ``vector(p)``.  Both sum the terms
+        in the same order, one through columns, one through elements."""
         if not isinstance(p, list):
             return p
-        return self._normal_from(p, self.vector(p))
-
-    def _normal_from(self, p, vec: Vec):
-        """``normal(p)`` when ``vec`` is ``vector(p)``.  A compiled instance's
-        is read off ``vec``: both are summed term by term in the same order,
-        one through columns, one through the basis elements they index."""
-        if not isinstance(p, list):
-            return self.normal(p)
+        if vec is None:
+            vec = self.vector(p)
         monomials = self.monomials
         return self._normal_type._from_terms({monomials[i]: c for i, c in vec.items()})
 
@@ -348,7 +358,7 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
     triples, one per term in the order its tree polynomial lists them: the
     ``Monomial.shape_key`` and leaf names of the term's tree.  Each identity
     is compiled once per call, so an instance costs one getter call per term
-    and builds no tree; a basis's ``normal`` reads it."""
+    and builds no tree; a basis's ``vector`` reads it."""
     variables = tuple(variables)
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")
@@ -374,12 +384,6 @@ def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
 def iter_lifted(identity: Identity, target_degree: int, variables):
     """Yield (tag, polynomial) one-step liftings over a binary signature."""
     yield from _rendered(_lifts(identity, target_degree, variables))
-
-
-def instances(identities: Iterable[Identity], variables: Sequence[Variable]):
-    """Yield (tag, polynomial) for every instance ``compiled_instances``
-    yields, with the tree polynomial of each."""
-    yield from _rendered(compiled_instances(identities, variables))
 
 
 class SpanCertificate:
@@ -450,7 +454,7 @@ class SpanChecker:
                 raise AlgebraError(f"duplicate generator tag {tag!r}")
             self._kept[tag] = g
             if self.table.add(vec, tag):
-                self._kept[tag] = basis._normal_from(g, vec)
+                self._kept[tag] = basis.normal(g, vec)
 
     @property
     def generators(self) -> dict[Hashable, object]:

@@ -36,12 +36,12 @@ brute-force orbit closure.
 normal form is ``rc_expand`` for a tree polynomial, so the straightening of
 span generators and targets happens here and nowhere else.  A compiled
 instance, (shape key, letters, coefficient) triples, straightens with no tree
-built: each term is one ``.get`` of its shape key on the ``by_shape`` table
-the basis holds, and one ``_word`` read of its letters.  A key that misses
-(another operation or degree) is straightened as its tree, which keeps the
-tree's error.  ``RCBasis.vector`` keeps the column of each (shape key,
-letters) pair it has straightened, so a pair that recurs across instances
-is one lookup.
+built: the element of each (shape key, letters) pair is one ``.get`` of its
+shape key on the ``by_shape`` table and one ``_word`` read of its letters,
+and the basis's one column memo, shared with ``MonomialBasis``, keeps the
+column of each pair it has read, so a pair that recurs across instances is
+one lookup.  A key that misses the table (another operation or degree) is
+straightened as its tree, which keeps the tree's error.
 """
 
 from __future__ import annotations
@@ -63,9 +63,10 @@ from .core import (
     fold,
 )
 from .consequence import (
-    DimensionMismatch,
     MonomialBasis,
     SpanChecker,
+    _basis_variables,
+    _Columns,
     compiled_instances,
     enumerate_shapes,
     form_tree,
@@ -255,42 +256,35 @@ def permuted_associator_expand(
 
 
 class RCBasis(MonomialBasis):
-    """All canonical words of one degree over fixed variables, sorted.  Its
-    normal form straightens a tree polynomial or a compiled instance, so a
-    ``SpanChecker`` over it takes raw instances and targets."""
+    """All canonical words of one degree over fixed variables, sorted.  A
+    compiled term's element is its straightened word, and a tree
+    polynomial's normal form straightens it, so a ``SpanChecker`` over it
+    takes raw instances and targets."""
 
     _normal_type = RCPolynomial
 
     def __init__(self, op: OpSymbol, degree: int, variables: Sequence[Variable]):
         # not MonomialBasis.__init__: the planar basis it builds has 1.6 times
         # as many trees, all held at once, only to be straightened
-        variables = tuple(variables)
-        if len(variables) != degree:
-            raise AlgebraError("need exactly one variable per leaf")
+        variables = _basis_variables(degree, variables)
         self.op = op
         self.degree = degree
         self.variables = variables
-        lettered = sorted(set(itertools.permutations(v.name for v in variables)))
+        lettered = list(itertools.permutations(sorted(v.name for v in variables)))
         types = _types(op, degree)
-        self._by_shape = types.by_shape
         self.monomials: list[RCWord] = []
         for t, perms in enumerate(types.perms, start=1):
             # a type's words: the letter sequences least among their orbit's
             self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
                                if all(w <= letters_of(w) for letters_of in perms)]
         self.index = {w: i for i, w in enumerate(self.monomials)}
-        self._slots = _Columns(op, self._by_shape, self.index)
+        self._slots = _Columns(partial(_compiled_word, op, types.by_shape), self.index)
 
-    def normal(self, p: Union[Polynomial, RCPolynomial, list]) -> RCPolynomial:
-        if isinstance(p, RCPolynomial):
-            return p
-        if not isinstance(p, list):
+    def normal(self, p, vec=None):
+        """A tree polynomial straightened; anything else as ``MonomialBasis`` reads it."""
+        if isinstance(p, (Polynomial, Monomial)):
             return rc_expand(p)
-        # a compiled instance: straightened by lookup, with no tree built
-        op, by_shape = self.op, self._by_shape
-        return RCPolynomial._from_terms(accumulate(
-            {}, ((_compiled_word(op, by_shape, key, letters), c) for key, letters, c in p)
-        ))
+        return super().normal(p, vec)
 
 
 def _compiled_word(op: OpSymbol, by_shape: dict, key: tuple, letters: tuple) -> RCWord:
@@ -300,25 +294,6 @@ def _compiled_word(op: OpSymbol, by_shape: dict, key: tuple, letters: tuple) -> 
     if entry is None:
         return rc_straighten(form_tree(key, letters))
     return _word(op, entry, letters)
-
-
-class _Columns(dict):
-    """The ``_slots`` of an ``RCBasis``: (shape key, letters) -> column of the
-    term's straightened word, kept as ``vector`` first reads the pair, so at
-    most one entry per planar monomial of the degree.  A term outside the
-    basis is not kept, so it fails alike every time."""
-
-    def __init__(self, op: OpSymbol, by_shape: dict, index: dict):
-        super().__init__()
-        self.op, self.by_shape, self.index = op, by_shape, index
-
-    def __missing__(self, pair: tuple) -> int:
-        word = _compiled_word(self.op, self.by_shape, *pair)
-        column = self.index.get(word)
-        if column is None:
-            raise DimensionMismatch(f"monomial {word!r} is outside this basis")
-        self[pair] = column
-        return column
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:

@@ -542,6 +542,9 @@ def search_fp(
     free = list(free)
     if not free:
         raise AlgebraError("empty mask: no free coordinates to search")
+    if len(set(free)) != len(free):
+        repeated = next(name for i, name in enumerate(free) if name in free[:i])
+        raise AlgebraError(f"coordinate {repeated!r} is named twice in the mask")
     fixed = fixed or {}
     unknown_set = set(system.unknowns)
     for name in [*free, *fixed]:

@@ -8,7 +8,7 @@ elimination table that updates every combination eagerly."""
 import itertools
 from fractions import Fraction
 
-from algforge.consequence import DimensionMismatch, UnsupportedLift, instantiate_shape
+from algforge.consequence import DimensionMismatch, UnsupportedLift, form_tree
 from algforge.core import (
     AlgebraError,
     Monomial,
@@ -240,7 +240,7 @@ def reference_rc_basis_words(op: OpSymbol, degree: int, variables) -> list:
     seen = set()
     for shape in canonical_shapes(op, degree):
         for perm in itertools.permutations(sorted(variables)):
-            seen.add(rc_straighten(instantiate_shape(shape, perm)))
+            seen.add(rc_straighten(form_tree(shape.shape_key(), perm)))
     return sorted(seen, key=RCWord.sort_key)
 
 
@@ -296,9 +296,8 @@ def reference_lifted(identity, target_degree, variables):
 
 
 def reference_instances(identities, variables):
-    """The oracle for ``consequence.instances`` and ``compiled_instances``:
-    every instance built as a tree polynomial, in the same order and with
-    the same tags."""
+    """The oracle for ``consequence.compiled_instances``: every instance
+    built as a tree polynomial, in the same order and with the same tags."""
     variables = tuple(variables)
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")

@@ -12,7 +12,7 @@ from algforge.checks import replay
 from algforge.core import variables
 from algforge.fixtures import BINARY, system_table
 from algforge.leibniz import TensorPolynomial, free_product
-from algforge.consequence import enumerate_shapes, instantiate_shape as _assign
+from algforge.consequence import enumerate_shapes, form_tree
 from algforge.rightcomm import rc_straighten
 from algforge.systems import build_envelope, check_leibniz, check_lts, from_associative, lie_triple_check
 
@@ -139,7 +139,7 @@ def test_criterion_10_property_suites():
         seen = set()
         for shape in enumerate_shapes([BINARY], 5):
             for perm in itertools.permutations(letters5):
-                m = _assign(shape, perm)
+                m = form_tree(shape.shape_key(), perm)
                 word = rc_straighten(m)
                 assert all(rc_straighten(t) == word for t in _orbit(m))
                 seen.add(word)

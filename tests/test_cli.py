@@ -132,6 +132,23 @@ def test_equiv_refuses_an_identity_above_the_degree(tmp_path, capsys):
     assert captured.err == "error: identity jacobi has degree 3, above the requested degree 2\n"
 
 
+@pytest.mark.parametrize("command, code", [("equiv", 1), ("span", 0)])
+def test_a_repeated_variable_is_a_one_line_error(command, code, tmp_path, capsys):
+    # over a, b, c, A is in the span of B's relabelings but not equivalent
+    # to B; over a, a, c the two would be taken as equivalent
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("op mul/2\nA: mul(a,mul(c,b)) + mul(b,mul(c,a))\n")
+    b.write_text("op mul/2\nB: mul(a,mul(c,b))\n")
+    files = (["--a", str(a), "--b", str(b)] if command == "equiv"
+             else ["--target", str(a), "--gens", str(b)])
+    assert main([command, "--degree", "3", *files]) == code
+    capsys.readouterr()
+    assert main([command, "--degree", "3", "--vars", "a,a,c", *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: variable 'a' is repeated\n"
+
+
 @pytest.mark.parametrize("other, code, verdict", [
     ("lie", 0, "EQUIVALENT"),
     ("associativity", 1, "NOT EQUIVALENT"),
@@ -392,6 +409,7 @@ def test_classify2d(capsys):
     ["--search-fp", "-3", "--mask", "a122,a222"],
     ["--search-fp", "0", "--mask", "a122,a222"],
     ["--search-fp", "3", "--mask", "a122,a222", "--fixed", "a111=x"],
+    ["--search-fp", "3", "--mask", "a122,a122"],
     # 3^13 candidates, over the search bound
     ["--search-fp", "3", "--mask",
      "a111,a112,a121,a122,a211,a212,a221,a222,b111,b112,b121,b122,b211"],

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from algforge import leibniz
-from algforge.consequence import enumerate_shapes, instantiate_shape
+from algforge.consequence import enumerate_shapes, form_tree
 from algforge.core import AlgebraError, Monomial, Polynomial, VariableClash, apply_op, variables
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import (
@@ -243,7 +243,7 @@ def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degree
     for degree in degrees:
         for shape in enumerate_shapes([op], degree):
             for names, exact in (("abcdef", True), ("aabbab", False)):
-                m = instantiate_shape(shape, variables(names[:degree]))
+                m = form_tree(shape.shape_key(), names[:degree])
                 counted.clear()
                 leibniz._expand(m, op.arity, "of this arity")
                 if exact:

@@ -458,6 +458,9 @@ def test_search_fp_error_paths():
         search_fp(qs, 101, qs.unknowns[:8])
     with pytest.raises(AlgebraError):
         search_fp(qs, 3, ["nope"])
+    # a repeat would print each solution's one value twice
+    with pytest.raises(AlgebraError, match=r"^coordinate 'a122' is named twice in the mask$"):
+        search_fp(qs, 3, ["a122", "a222", "a122"])
 
 
 @cache

@@ -67,13 +67,14 @@ SPAN = [
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
     ["equiv", "--a", "lie.txt", "--b", "lie.txt", "--degree", "3"],
 ]
-# a sha256 over every instance the span layer builds, read through the tree
-# API: tag, terms in insertion order, and each coefficient's type, for the
-# rj/ro lifts, the lts-a/lts-b relabelings and the thm3.2 inner-identity
-# set at degree 5, then the Jordan checker's generators and pivot rows
+# a sha256 over every instance the span layer builds, rendered as tree
+# polynomials by iter_lifted and iter_relabelings: tag, terms in insertion
+# order, and each coefficient's type, for the rj/ro lifts, the lts-a/lts-b
+# relabelings and the thm3.2 inner-identity set at degree 5, then the
+# Jordan checker's generators and pivot rows
 INSTANCE_DIGEST = (
     "import hashlib\n"
-    "from algforge.consequence import instances, iter_lifted, iter_relabelings\n"
+    "from algforge.consequence import iter_lifted, iter_relabelings\n"
     "from algforge.core import variables\n"
     "from algforge.fixtures import BINARY, fixture\n"
     "from algforge.rightcomm import build_jordan_checker\n"
@@ -88,7 +89,8 @@ INSTANCE_DIGEST = (
     "for name in ('lts-a', 'lts-b'):\n"
     "    feed(iter_relabelings(fixture(name), vs))\n"
     "inner = ('inner2-skew', 'inner2-cyclic', 'inner3-skew', 'inner3-cyclic', 'lts3')\n"
-    "feed(instances([fixture(n) for n in inner], vs))\n"
+    "for name in inner:\n"
+    "    feed(iter_relabelings(fixture(name), vs))\n"
     "checker = build_jordan_checker(fixture('rj'), fixture('ro'), vs, BINARY)\n"
     "feed(checker.generators.items())\n"
     "digest.update(repr(list(checker.table.pivots.items())).encode())\n"
@@ -99,7 +101,7 @@ INSTANCE_DIGEST = (
 # and the word of every planar monomial over the first d letters
 STRAIGHTENING_DIGEST = (
     "import hashlib, itertools\n"
-    "from algforge.consequence import enumerate_shapes, instantiate_shape\n"
+    "from algforge.consequence import enumerate_shapes, form_tree\n"
     "from algforge.core import variables\n"
     "from algforge.fixtures import BINARY\n"
     "from algforge.rightcomm import RCBasis, canonical_shapes, rc_straighten, symmetry_order\n"
@@ -112,7 +114,7 @@ STRAIGHTENING_DIGEST = (
     "    digest.update(repr((d, types, orders, words)).encode())\n"
     "    for shape in enumerate_shapes([BINARY], d):\n"
     "        for perm in itertools.permutations(vs):\n"
-    "            m = instantiate_shape(shape, perm)\n"
+    "            m = form_tree(shape.shape_key(), perm)\n"
     "            digest.update(repr((m, tuple(rc_straighten(m)))).encode())\n"
     "print(digest.hexdigest())\n"
 )
