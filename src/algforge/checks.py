@@ -485,19 +485,13 @@ SECTIONS: dict[str, Callable[[], SectionReport]] = {
 }
 
 
-def replay(section: str) -> SectionReport:
-    if section not in SECTIONS:
-        raise KeyError(
-            f"unknown section {section!r}; choose from {', '.join(sorted(SECTIONS))}"
-        )
-    return SECTIONS[section]()
-
-
 def replay_many(sections: Iterable[str]) -> list[SectionReport]:
     names = list(sections)
     for name in names:
         if name not in SECTIONS:
-            raise KeyError(f"unknown section {name!r}")
+            raise KeyError(
+                f"unknown section {name!r}; choose from {', '.join(sorted(SECTIONS))}"
+            )
     return [SECTIONS[name]() for name in names]
 
 

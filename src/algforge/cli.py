@@ -156,7 +156,13 @@ def _load_table(path: str) -> TernaryTable:
     return TernaryTable.from_json(Path(path).read_text())
 
 
+def _check_max_violations(args) -> None:
+    if args.max_violations < 0:
+        raise AlgebraError(f"--max-violations must be at least 0, got {args.max_violations}")
+
+
 def cmd_verify(args) -> int:
+    _check_max_violations(args)
     table = _load_table(args.system)
     ok, violations = check_lts(table)
     print(f"{'PASS' if ok else 'FAIL'}  defining identities on all {table.dim ** 5} basis tuples")
@@ -169,6 +175,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_envelope(args) -> int:
+    _check_max_violations(args)
     table = _load_table(args.system)
     env = build_envelope(table)
     # checked before anything is written, so a refused check prints nothing

@@ -16,13 +16,14 @@ emitted as (shape key, letters, coefficient) triples, the shape key being
 builds every key): a relabeling reads its letters with one ``itemgetter``
 over the permutation, a product in one slot uses a spliced key and a letter
 getter made once per (term, slot), and a fresh factor is one product key
-over the term's.  Every tree that comes from a key is taken from one bounded
-cache of one tree per (shape key, letters), leaves included: the shapes of a
-degree, listed as keys, the basis's trees, ``form_tree``, and the tree
-polynomials that ``iter_relabelings`` and ``iter_lifted`` render from the
-compiled stream.  A rendered instance is thus made of the basis's own tree
-objects, and its basis lookup hits by identity; equality stays structural,
-so a tree the cache has let go, or one built elsewhere, is still found.
+over the term's.  A shape is its key, so ``enumerate_shapes`` lists keys.
+Every tree that comes from a key is taken from the one bounded cache behind
+``core.form_tree``, one tree per (shape key, letters) made of its subtrees'
+own entries: the basis's trees, and the tree polynomials that
+``iter_relabelings`` and ``iter_lifted`` render from the compiled stream.
+A rendered instance is thus made of the basis's own tree objects, and its
+basis lookup hits by identity; equality stays structural, so a tree the
+cache has let go, or one built elsewhere, is still found.
 
 A basis is its element list, their ``index``, and one map from a (shape
 key, letters) pair to its element: the cached tree for ``MonomialBasis``,
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from functools import cache, lru_cache
+from functools import cache
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -58,6 +59,7 @@ from .core import (
     OpSymbol,
     Polynomial,
     Variable,
+    _tree,
     accumulate,
     fold,
     node_key,
@@ -88,9 +90,9 @@ class BasisTooLarge(AlgebraError):
 BASIS_LIMIT = 10**5
 
 
-def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomial]:
-    """All association shapes of the given degree, as trees over placeholder
-    leaves ``p0..p{d-1}`` numbered left to right, sorted by shape order."""
+def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[tuple]:
+    """All association shapes of the given degree, as shape keys, sorted by
+    shape order."""
     ops = tuple(sorted(set(signature)))
     if degree < 1:
         raise DegreeNotExpressible(f"degree must be >= 1, got {degree}")
@@ -99,8 +101,7 @@ def enumerate_shapes(signature: Iterable[OpSymbol], degree: int) -> list[Monomia
         raise DegreeNotExpressible(
             f"no monomials of degree {degree} over {[o.display() for o in ops]}"
         )
-    letters = tuple(f"p{i}" for i in range(degree))
-    return [_tree(key, letters) for key in keys]
+    return list(keys)
 
 
 @cache
@@ -137,40 +138,6 @@ def _compositions(total: int, parts: int):
     for first in range(1, total - parts + 2):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-@cache
-def _builder(key: tuple) -> Callable[[Sequence[Monomial]], Monomial]:
-    """The function from the leaves of a shape key, left to right, to its
-    tree; made once per key."""
-    position = itertools.count()
-
-    def build(sub: tuple) -> Callable:
-        if sub == LEAF_KEY:
-            return itemgetter(next(position))
-        name, arity, variant = sub[1]
-        op = OpSymbol(name, arity, variant or None)
-        kids = [build(k) for k in sub[2:]]
-        # the raw constructor: a shape key has the arity of each of its nodes
-        return lambda leaves: Monomial(None, op, tuple([kid(leaves) for kid in kids]))
-
-    return build(key)
-
-
-@lru_cache(maxsize=4096)
-def _tree(key: tuple, letters: tuple[str, ...]) -> Monomial:
-    """The one tree of a shape key with these leaf names, left to right, while
-    the cache holds it: it keeps the degree-5 bases (binary 1,680 trees,
-    ternary 360), so a rendered instance's monomials are the basis's own
-    objects.  Equality stays structural; an evicted tree is rebuilt equal."""
-    if key == LEAF_KEY:
-        return Monomial.leaf(letters[0])
-    return _builder(key)([_tree(LEAF_KEY, (x,)) for x in letters])
-
-
-def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
-    """The tree of a shape key with these leaf letters, left to right."""
-    return _tree(key, tuple(x.name if isinstance(x, Variable) else x for x in letters))
 
 
 def _basis_variables(degree: int, variables: Iterable[Variable]) -> tuple[Variable, ...]:
@@ -230,7 +197,7 @@ class MonomialBasis:
         self.variables = variables
         self.shapes = enumerate_shapes(self.signature, degree)
         perms = list(itertools.permutations(v.name for v in sorted(variables)))
-        self.monomials = [_tree(shape.shape_key(), perm) for shape in self.shapes for perm in perms]
+        self.monomials = [_tree(shape, perm) for shape in self.shapes for perm in perms]
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self._slots = _Columns(_tree, self.index)
 

@@ -21,12 +21,18 @@ node, then by operation symbol, then by child shapes left to right), and
 then by the left-to-right sequence of leaf variables.  Sorting by this key
 groups terms by association type and orders each group lexicographically,
 which is the convention used throughout the identity fixtures.
+
+A shape is its key, ``Monomial.shape_key``: nested tuples that ``LEAF_KEY``
+and ``node_key`` write, and only ``form_tree`` reads back.  It fills a key
+with leaf letters from one bounded cache of one tree per (shape key,
+letters), whose nodes are made of the cached trees of their children.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
@@ -139,7 +145,8 @@ class OpSymbol:
 
 
 # The shape key of a leaf, and of a product node over its children's keys:
-# ``Monomial.shape_key`` and every compiled term's key are built from these.
+# ``Monomial.shape_key`` and every compiled term's key are built from these,
+# and ``form_tree`` reads them back.
 LEAF_KEY = (0,)
 
 
@@ -244,11 +251,39 @@ def fold(m: Monomial, leaf: Callable, node: Callable):
 
     Every map that reads a tree into another structure (renaming,
     substitution, rewriting, the free expansions, straightening, evaluation
-    in a table) is one such fold.
+    in a table, the variant re-subscripting of ``kp``) is one such fold.
     """
     if m.op is None:
         return leaf(m.var)
     return node(m.op, [fold(c, leaf, node) for c in m.children])
+
+
+def _key_degree(key: tuple) -> int:
+    return 1 if key == LEAF_KEY else sum(map(_key_degree, key[2:]))
+
+
+@lru_cache(maxsize=4096)
+def _tree(key: tuple, letters: tuple[str, ...]) -> Monomial:
+    """The one tree of a shape key with these leaf names, left to right, while
+    the cache holds it.  A node is made of its children's own entries, so
+    the trees of a degree share their subtrees, and the cache keeps the
+    degree-5 bases (binary 1,680 trees in 2,425 entries, ternary 360 in
+    425).  Equality stays structural; an evicted tree is rebuilt equal."""
+    if key == LEAF_KEY:
+        return Monomial.leaf(letters[0])
+    kids, at = [], 0
+    for sub in key[2:]:
+        width = _key_degree(sub)
+        kids.append(_tree(sub, letters[at:at + width]))
+        at += width
+    name, arity, variant = key[1]
+    # the raw constructor: a shape key has the arity of each of its nodes
+    return Monomial(None, OpSymbol(name, arity, variant or None), tuple(kids))
+
+
+def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
+    """The tree of a shape key with these leaf letters, left to right."""
+    return _tree(key, tuple(x.name if isinstance(x, Variable) else x for x in letters))
 
 
 def format_monomial(m: Monomial) -> str:

@@ -19,7 +19,6 @@ and reproducible term for term.
 
 from __future__ import annotations
 
-import itertools
 import string
 
 from .core import (
@@ -29,6 +28,7 @@ from .core import (
     OpSymbol,
     Polynomial,
     Variable,
+    fold,
 )
 
 
@@ -63,35 +63,26 @@ class KPOutput:
 
 
 def _retag_monomial(m: Monomial, central: str) -> Monomial:
-    """Re-subscript every operation occurrence by the position rule."""
-    leaves = m.leaf_names()
-    if leaves.count(central) != 1:
+    """Re-subscript every operation occurrence by the position rule: one fold
+    whose images are (tree, whether it holds the central letter)."""
+    if m.leaf_names().count(central) != 1:
         raise AlgebraError(f"central variable {central} must occur exactly once")
-    pos = leaves.index(central)
+    passed = False
 
-    def walk(node: Monomial, lo: int) -> Monomial:
-        if node.is_leaf:
-            return node
-        width = node.degree
-        n = node.op.arity
-        if pos < lo:
-            variant = 1
-        elif pos >= lo + width:
-            variant = n
-        else:
-            variant = None
-        children = []
-        child_lo = lo
-        for idx, child in enumerate(node.children, start=1):
-            if variant is None and child_lo <= pos < child_lo + child.degree:
-                chosen = idx
-            children.append(walk(child, child_lo))
-            child_lo += child.degree
-        if variant is None:
-            variant = chosen
-        return Monomial.apply(node.op.with_variant(variant), children)
+    def leaf(v: Variable) -> tuple:
+        nonlocal passed
+        here = v.name == central
+        passed = passed or here
+        return Monomial.leaf(v), here
 
-    return walk(m, 0)
+    def node(op: OpSymbol, kids: list) -> tuple:
+        # the argument that holds the central letter; else the letter lies to
+        # the left if the fold has passed it, to the right if not
+        held = next((i for i, (_, here) in enumerate(kids, start=1) if here), None)
+        variant = held or (1 if passed else op.arity)
+        return Monomial.apply(op.with_variant(variant), [t for t, _ in kids]), held is not None
+
+    return fold(m, leaf, node)[0]
 
 
 def kp_part1(identity: Identity) -> list[Identity]:
@@ -156,12 +147,6 @@ def kp_part2(op: OpSymbol) -> list[Identity]:
     if op.variant is not None:
         raise AlgebraError("part 2 takes the unsubscripted family operation")
     return _interchanges(op, {(1, ell): f"{ell}" for ell in range(2, op.arity + 1)})
-
-
-def kp_part2_full(op: OpSymbol) -> list[Identity]:
-    """All interchange identities over unordered inner-variant pairs k < l."""
-    pairs = itertools.combinations(range(1, op.arity + 1), 2)
-    return _interchanges(op, {(k, ell): f"{k}.{ell}" for k, ell in pairs})
 
 
 def variant_family(op: OpSymbol) -> list[OpSymbol]:

@@ -66,7 +66,7 @@ class TensorPolynomial(LinComb):
     @staticmethod
     def word(letters: Union[str, Iterable[str]]) -> "TensorPolynomial":
         if isinstance(letters, str):
-            letters = tuple(letters.replace(",", " ").split()) or tuple(letters)
+            letters = letters.replace(",", " ").split()
         w = tuple(letters)
         if not w:
             raise AlgebraError("words must be nonempty")

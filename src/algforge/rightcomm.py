@@ -8,14 +8,16 @@ the left spine (the root, its left child, that child's left child, ...)
 never changes.  So the orbit of a monomial, its set of equal monomials, is
 every independent choice of order at the products off the left spine.
 Each orbit keeps one canonical member, its least: least association type
-first, then lexicographically least letter sequence.  A table built once
-per (operation, degree) from each shape's orbit, listed with numbered
-leaves, maps the shape to its type and the letter orders of its orbit
-members of that type.  It is indexed twice: by ``Monomial.shape_key``
+first, then lexicographically least letter sequence.  A shape is its key,
+``Monomial.shape_key``.  A table built once per (operation, degree) from
+each shape's orbit, listed with numbered leaves on the shape's tree from
+``core.form_tree``, maps the shape to its type and the letter orders of its
+orbit members of that type.  It is indexed twice: by shape key
 (``by_shape``), so that a tree straightens by one lookup of its cached shape
 key and leaf names, and by a compact (right degree, left, right) key, which
 the permuted-associator expansion folds ternary trees into with no binary
-tree built.
+tree built.  The types are listed as keys (``canonical_shapes``), and a
+word's tree is its type's key filled with its letters by ``form_tree``.
 
 Association types per degree are derived, not hard-coded: a binary shape
 is a type when it is its own least form, and the types are numbered in
@@ -47,6 +49,7 @@ straightened as its tree, which keeps the tree's error.
 from __future__ import annotations
 
 import itertools
+import string
 from functools import cache, partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
@@ -61,6 +64,7 @@ from .core import (
     Variable,
     accumulate,
     fold,
+    form_tree,
 )
 from .consequence import (
     MonomialBasis,
@@ -69,7 +73,6 @@ from .consequence import (
     _Columns,
     compiled_instances,
     enumerate_shapes,
-    form_tree,
 )
 
 MAX_DEGREE = 5
@@ -88,8 +91,8 @@ def _join(left: tuple, right: tuple) -> tuple:
     return (len(lr), kl, kr), ll + lr
 
 
-def _orbit(shape: Monomial) -> list[tuple]:
-    """(compact key, leaf positions) of each orbit member of a shape, itself first."""
+def _orbit(m: Monomial) -> list[tuple]:
+    """(compact key, leaf positions) of each orbit member of a tree, itself first."""
     position = itertools.count()
 
     def leaf(_) -> tuple:
@@ -103,11 +106,11 @@ def _orbit(shape: Monomial) -> list[tuple]:
         return ([_join(l, r) for l in l_spine for r in r_off],
                 [_join(l, r) for l, r in pairs] + [_join(r, l) for l, r in pairs])
 
-    return fold(shape, leaf, node)[0]
+    return fold(m, leaf, node)[0]
 
 
 class _Types(NamedTuple):
-    shapes: list[Monomial]
+    shapes: list[tuple]  # the types' shape keys
     perms: list[tuple]  # per type, letter getters of its orbit members of its shape
     table: dict[tuple, tuple[int, tuple]]  # compact key -> (orbit's type, getters for it)
     by_shape: dict[tuple, tuple[int, tuple]]  # the same entries by Monomial.shape_key
@@ -122,13 +125,14 @@ def _types(op: OpSymbol, degree: int) -> _Types:
     if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {degree} exceeds {MAX_DEGREE}")
     orbits, types, owns = {}, {}, {}
+    letters = string.ascii_lowercase[:degree]
     for shape in enumerate_shapes([op], degree):
-        forms = _orbit(shape)
+        forms = _orbit(form_tree(shape, letters))
         own, least = forms[0][0], min(key for key, _ in forms)
         # itemgetter of one position returns the letter, not a 1-tuple
         orbits[own] = least, tuple(itemgetter(*p) if len(p) > 1 else tuple
                                    for key, p in forms if key == least)
-        owns[shape.shape_key()] = own
+        owns[shape] = own
         if own == least:
             types[own] = shape
     index = {key: i for i, key in enumerate(sorted(types), start=1)}
@@ -137,9 +141,9 @@ def _types(op: OpSymbol, degree: int) -> _Types:
                   {shape_key: table[own] for shape_key, own in owns.items()})
 
 
-def canonical_shapes(op: OpSymbol, degree: int) -> list[Monomial]:
-    """Association types of the degree: the shapes that are their own least
-    form, in shape order."""
+def canonical_shapes(op: OpSymbol, degree: int) -> list[tuple]:
+    """Association types of the degree: the shape keys of the shapes that are
+    their own least form, in shape order."""
     return _types(op, degree).shapes
 
 
@@ -155,8 +159,8 @@ class RCWord(NamedTuple):
         return (self.degree, self.type_index, self.letters)
 
     def monomial(self) -> Monomial:
-        shape = canonical_shapes(self.op, self.degree)[self.type_index - 1]
-        return form_tree(shape.shape_key(), self.letters)
+        return form_tree(canonical_shapes(self.op, self.degree)[self.type_index - 1],
+                         self.letters)
 
     def render(self) -> str:
         body = fold(self.monomial(), lambda v: v.name, lambda _, args: f"({args[0]}{args[1]})")

@@ -5,8 +5,8 @@ e_i e_j = c[i, j] are structure-constant tables over named, distinct basis
 elements with exact entries, sharing one base class: a scalar is an ``int``,
 a ``Fraction`` or a symbolic ``SymPoly``.  A vector is a sparse dict from
 basis index to nonzero scalar ({} is zero), and ``c`` maps index tuples to
-nonzero vectors; one multilinear loop (``StructureTable.multiply_into``,
-behind ``multiply``) is the product for every arity.  ``evaluations``
+nonzero vectors; one multilinear loop (``StructureTable.multiply_into``)
+is the product for every arity.  ``evaluations``
 evaluates identities on all basis tuples: it checks the defining identities
 and the one-product law, and builds the ternary products <<a,b>,c> and
 abc - bac - cab + cba of a binary algebra.  It compiles each identity once;
@@ -246,13 +246,6 @@ class StructureTable:
             )
             entries[",".join(self.basis[i] for i in idx)] = format_polynomial(poly)
         return {"dim": self.dim, "basis": list(self.basis), self.json_key: entries}
-
-    def basis_vector(self, i: int) -> Vector:
-        return {i: 1}
-
-    def multiply(self, *vectors: Vector) -> Vector:
-        """The product of ``arity`` vectors, extended multilinearly."""
-        return self.multiply_into({}, vectors)
 
     def multiply_into(self, out: Vector, vectors: Sequence[Vector], scale: Scalar = 1) -> Vector:
         """Add ``scale`` times the product of ``vectors`` into ``out`` in

@@ -2,24 +2,31 @@
 dense structure-table product loops, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
-expansion and canonical word list, the tree-built instance stream, and the
-elimination table that updates every combination eagerly."""
+expansion and canonical word list, the tree-built instance stream, the
+elimination table that updates every combination eagerly, the interchange
+identities over every inner-variant pair, the offset-counting walk of the
+variant re-subscripting, and random trees of mixed arity."""
 
 import itertools
 from fractions import Fraction
 
-from algforge.consequence import DimensionMismatch, UnsupportedLift, form_tree
+from hypothesis import strategies as st
+
+from algforge.consequence import DimensionMismatch, UnsupportedLift
 from algforge.core import (
     AlgebraError,
+    Identity,
     Monomial,
     OpSymbol,
     Polynomial,
     accumulate,
     apply_op,
     fold,
+    form_tree,
     q,
     relabel,
 )
+from algforge.kp import _interchanges
 from algforge.linalg import PivotTable
 from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
 from algforge.systems import BinaryAlgebra, QuadraticSystem, SymPoly
@@ -81,7 +88,7 @@ def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
     new = {}
     for i in range(n):
         for j in range(n):
-            w = algebra.multiply(rows[i], rows[j])
+            w = algebra.multiply_into({}, [rows[i], rows[j]])
             new[i, j] = [sum(x * inv[k][t] for k, x in w.items()) for t in range(n)]
     return BinaryAlgebra(n, algebra.basis, new)
 
@@ -136,10 +143,11 @@ def reference_product(c, dim, u, v):
 
 def reference_evaluate(table, identity, assignment) -> dict:
     """An identity's polynomial on vector arguments (variable name -> sparse
-    vector), refolding every monomial tree through ``table.multiply``."""
+    vector), refolding every monomial tree through ``table.multiply_into``."""
     out = {}
     for m, coeff in identity.lhs.terms.items():
-        value = fold(m, lambda v: assignment[v.name], lambda op, args: table.multiply(*args))
+        value = fold(m, lambda v: assignment[v.name],
+                     lambda op, args: table.multiply_into({}, args))
         accumulate(out, value.items(), coeff)
     return out
 
@@ -152,7 +160,7 @@ def reference_evaluations(table, identities, dim=None):
     for size in sorted({len(ident.variables) for ident in identities}):
         same = [ident for ident in identities if len(ident.variables) == size]
         for tup in itertools.product(range(dim), repeat=size):
-            vectors = [table.basis_vector(i) for i in tup]
+            vectors = [{i: 1} for i in tup]
             for ident in same:
                 assign = {v.name: vec for v, vec in zip(ident.variables, vectors)}
                 yield ident, tup, reference_evaluate(table, ident, assign)
@@ -240,7 +248,7 @@ def reference_rc_basis_words(op: OpSymbol, degree: int, variables) -> list:
     seen = set()
     for shape in canonical_shapes(op, degree):
         for perm in itertools.permutations(sorted(variables)):
-            seen.add(rc_straighten(form_tree(shape.shape_key(), perm)))
+            seen.add(rc_straighten(form_tree(shape, perm)))
     return sorted(seen, key=RCWord.sort_key)
 
 
@@ -370,3 +378,64 @@ def eager_kernel_of_expansion(basis, expand) -> list[Polynomial]:
         kernel[j] = 1
         out.append(Polynomial({basis.monomials[i]: c for i, c in sorted(kernel.items())}))
     return out
+
+
+def kp_part2_full(op: OpSymbol) -> list[Identity]:
+    """The oracle for the spanning-pairs claim of ``kp.kp_part2``: all
+    interchange identities over unordered inner-variant pairs k < l."""
+    pairs = itertools.combinations(range(1, op.arity + 1), 2)
+    return _interchanges(op, {(k, ell): f"{k}.{ell}" for k, ell in pairs})
+
+
+def reference_retag_monomial(m: Monomial, central: str) -> Monomial:
+    """The oracle for ``kp._retag_monomial``: a walk that tracks each node's
+    leaf offset and width and compares them with the central letter's
+    position."""
+    leaves = m.leaf_names()
+    if leaves.count(central) != 1:
+        raise AlgebraError(f"central variable {central} must occur exactly once")
+    pos = leaves.index(central)
+
+    def walk(node: Monomial, lo: int) -> Monomial:
+        if node.is_leaf:
+            return node
+        width = node.degree
+        n = node.op.arity
+        if pos < lo:
+            variant = 1
+        elif pos >= lo + width:
+            variant = n
+        else:
+            variant = None
+        children = []
+        child_lo = lo
+        for idx, child in enumerate(node.children, start=1):
+            if variant is None and child_lo <= pos < child_lo + child.degree:
+                chosen = idx
+            children.append(walk(child, child_lo))
+            child_lo += child.degree
+        if variant is None:
+            variant = chosen
+        return Monomial.apply(node.op.with_variant(variant), children)
+
+    return walk(m, 0)
+
+
+# unary, binary and ternary operations, one of them subscripted
+MIXED_OPS = (OpSymbol("neg", 1), OpSymbol("mul", 2), OpSymbol("dot", 2),
+             OpSymbol("br", 3), OpSymbol("tr", 3, 2))
+
+
+@st.composite
+def mixed_trees(draw, letters=st.lists(st.sampled_from("abcdef"), min_size=1, max_size=7)):
+    """A random tree over ``MIXED_OPS`` whose leaves, left to right, are the
+    drawn letters (a letter may repeat): products of neighbouring items, with
+    at most two unary nodes, until one item is left."""
+    items, unary = [Monomial.leaf(x) for x in draw(letters)], 2
+    while len(items) > 1 or unary and draw(st.booleans()):
+        fits = [op for op in MIXED_OPS if op.arity <= len(items) and (op.arity > 1 or unary)]
+        op = draw(st.sampled_from(fits))
+        unary -= op.arity == 1
+        at = draw(st.integers(0, len(items) - op.arity))
+        items[at:at + op.arity] = [Monomial.apply(op, items[at:at + op.arity])]
+    return items[0]

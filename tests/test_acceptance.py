@@ -8,11 +8,11 @@ envelope one-product-law conjunct, which is asserted exactly as stated.
 import itertools
 import random
 
-from algforge.checks import replay
-from algforge.core import variables
+from algforge.checks import replay_many
+from algforge.core import form_tree, variables
 from algforge.fixtures import BINARY, system_table
 from algforge.leibniz import TensorPolynomial, free_product
-from algforge.consequence import enumerate_shapes, form_tree
+from algforge.consequence import enumerate_shapes
 from algforge.rightcomm import rc_straighten
 from algforge.systems import build_envelope, check_leibniz, check_lts, from_associative, lie_triple_check
 
@@ -36,50 +36,50 @@ class criterion:
         return False
 
 
-def _assert_section(report):
+def _assert_section(section):
+    (report,) = replay_many([section])
     failing = [c.name for c in report.claims if not c.ok]
     assert not failing, f"{report.section} failing claims: {failing}"
 
 
 def test_criterion_1_associativity_transform():
     with criterion(1, "transform of associativity matches the five axioms"):
-        _assert_section(replay("ex2.4"))
+        _assert_section("ex2.4")
 
 
 def test_criterion_2_lie_transform_reduction():
     with criterion(2, "Lie transform reduces to the one-product presentation"):
-        _assert_section(replay("ex2.5"))
+        _assert_section("ex2.5")
 
 
 def test_criterion_3_ternary_transform_pipeline():
     with criterion(3, "ternary transform, elimination, degree-5 equivalence"):
-        _assert_section(replay("thm3.2"))
+        _assert_section("thm3.2")
 
 
 def test_criterion_4_two_identity_equivalence():
     with criterion(4, "two-identity axiomatization is equivalent, with equations"):
-        _assert_section(replay("lem3.3"))
+        _assert_section("lem3.3")
 
 
 def test_criterion_5_operator_identities():
     with criterion(5, "operator identities are degree-5 consequences"):
-        _assert_section(replay("sec4"))
+        _assert_section("sec4")
 
 
 def test_criterion_6_free_algebra_expansions():
     with criterion(6, "free-algebra expansions and identity checks"):
-        _assert_section(replay("prop5.5"))
+        _assert_section("prop5.5")
 
 
 def test_criterion_7_permuted_associator():
     with criterion(7, "permuted-associator expansions reduce over rj/ro"):
-        _assert_section(replay("thm6.3"))
+        _assert_section("thm6.3")
 
 
 def test_criterion_8_systems_envelopes_tables():
     with criterion(8, "systems verify; envelopes and tables match transcription"):
-        report = replay("sec8")
-        _assert_section(report)
+        _assert_section("sec8")
         for name in (
             "sys2d-1", "sys2d-2", "sys2d-3", "sys2d-4",
             "sys2d-5-zeta0", "sys2d-5-zeta1", "sys2d-5-zeta2",
@@ -109,7 +109,7 @@ def test_criterion_8_envelope_one_product_law():
 
 def test_criterion_9_degree5_kernel():
     with criterion(9, "degree-5 kernel equals the instance span, dimension 240"):
-        _assert_section(replay("thm7.3-deg5"))
+        _assert_section("thm7.3-deg5")
 
 
 def test_criterion_10_property_suites():
@@ -139,7 +139,7 @@ def test_criterion_10_property_suites():
         seen = set()
         for shape in enumerate_shapes([BINARY], 5):
             for perm in itertools.permutations(letters5):
-                m = form_tree(shape.shape_key(), perm)
+                m = form_tree(shape, perm)
                 word = rc_straighten(m)
                 assert all(rc_straighten(t) == word for t in _orbit(m))
                 seen.add(word)

@@ -262,6 +262,23 @@ def test_verify_and_envelope(tmp_path, capsys):
     assert payload["product"]["x,x"] == "xx"
 
 
+@pytest.mark.parametrize("command", [["verify"], ["envelope", "--check-leibniz"]])
+@pytest.mark.parametrize("limit", ["-1", "-8"])
+def test_a_negative_violation_limit_is_refused_before_any_output(command, limit, tmp_path, capsys):
+    system = tmp_path / "sys.json"
+    system.write_text(data_text("systems/sys2d-1.json"))
+    assert main(command + ["--system", str(system), "--max-violations", limit]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --max-violations must be at least 0, got {limit}\n"
+    # a limit of 0 lists no violation, and the default lists all 8 of the law
+    assert main(["envelope", "--check-leibniz", "--system", str(system),
+                 "--max-violations", "0"]) == 1
+    assert "violated" not in capsys.readouterr().out
+    assert main(["envelope", "--check-leibniz", "--system", str(system)]) == 1
+    assert capsys.readouterr().out.count("  violated at ") == 8
+
+
 def test_verify_rejects_non_system(tmp_path, capsys):
     system = tmp_path / "bad.json"
     system.write_text(
@@ -472,10 +489,10 @@ def test_replay_json(capsys):
 def test_replay_unknown_section():
     with pytest.raises(SystemExit):
         main(["replay", "nope"])  # argparse rejects unknown choices
-    from algforge.checks import replay
+    from algforge.checks import replay_many
 
-    with pytest.raises(KeyError):
-        replay("nope")
+    with pytest.raises(KeyError, match="unknown section 'nope'; choose from ex2.4, ex2.5,"):
+        replay_many(["lem3.3", "nope"])
 
 
 def test_error_exit_code(tmp_path, capsys):

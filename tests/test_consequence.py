@@ -19,7 +19,7 @@ from algforge.core import (
     substitute,
     variables,
 )
-from algforge import consequence
+from algforge import consequence, core
 from algforge.consequence import (
     BasisTooLarge,
     DegreeNotExpressible,
@@ -616,7 +616,7 @@ def test_an_emptied_tree_cache_leaves_pivots_and_certificates_unchanged(kind):
     def build(clear: bool):
         basis = MonomialBasis([op], 5, V5)
         if clear:
-            consequence._tree.cache_clear()
+            core._tree.cache_clear()
         checker = SpanChecker(rendered(), basis)
         return checker, _certificates(checker, targets)
 

@@ -4,7 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from algforge import core
 from algforge.core import (
     AlgebraError,
     CyclicRules,
@@ -17,6 +19,7 @@ from algforge.core import (
     VariableClash,
     apply_op,
     apply_rules,
+    form_tree,
     normalize_scalar,
     polarize,
     relabel,
@@ -26,6 +29,8 @@ from algforge.core import (
 )
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.rightcomm import rc_expand
+
+from helpers import mixed_trees
 
 
 A, B, C, D, E = variables("abcde")
@@ -260,3 +265,25 @@ def test_multilinearity_preserved_by_operations():
     )
     assert out.is_multilinear()
     assert out.degree() == 5
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_trees())
+def test_form_tree_reads_back_the_shape_key_it_is_given(m):
+    tree = form_tree(m.shape_key(), m.leaf_names())
+    assert tree == m
+    assert tree.shape_key() == m.shape_key() and tree.leaf_names() == m.leaf_names()
+    assert form_tree(m.shape_key(), [Variable(x) for x in m.leaf_names()]) is tree
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_trees())
+def test_a_cached_tree_is_made_of_the_cached_subtrees(m):
+    core._tree.cache_clear()
+    tree = form_tree(m.shape_key(), m.leaf_names())
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            assert child is form_tree(child.shape_key(), child.leaf_names())
+            stack.append(child)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from algforge.core import (
     AlgebraError,
@@ -18,12 +19,14 @@ from algforge.consequence import sets_equivalent
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.kp import (
     KPOutput,
+    _retag_monomial,
     VarietyPresentation,
     kp_apply,
     kp_part1,
     kp_part2,
-    kp_part2_full,
 )
+
+from helpers import kp_part2_full, mixed_trees, reference_retag_monomial
 
 A, B, C, D, E = variables("abcde")
 
@@ -225,3 +228,21 @@ def test_kp_output_groups():
     )
     assert isinstance(out, KPOutput)
     assert [len(g) for g in out.part1_groups] == [3, 3, 5]
+
+
+def _outcome(retag, m, central):
+    try:
+        return retag(m, central)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_trees())
+def test_the_retagging_fold_equals_the_offset_walk(m):
+    # every letter of the tree, repeated ones included, and one it lacks
+    for central in sorted(set(m.leaf_names())) + ["z"]:
+        got = _outcome(_retag_monomial, m, central)
+        assert got == _outcome(reference_retag_monomial, m, central), central
+        if m.leaf_names().count(central) != 1:
+            assert got == f"central variable {central} must occur exactly once"

@@ -6,8 +6,16 @@ from fractions import Fraction
 import pytest
 
 from algforge import leibniz
-from algforge.consequence import enumerate_shapes, form_tree
-from algforge.core import AlgebraError, Monomial, Polynomial, VariableClash, apply_op, variables
+from algforge.consequence import enumerate_shapes
+from algforge.core import (
+    AlgebraError,
+    Monomial,
+    Polynomial,
+    VariableClash,
+    apply_op,
+    form_tree,
+    variables,
+)
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import (
     EXPANSION_LIMIT,
@@ -202,6 +210,13 @@ def test_word_requires_letters():
         TensorPolynomial.word(())
 
 
+@pytest.mark.parametrize("text", ["", " ", " , ", "\t"])
+def test_a_blank_word_is_refused(text):
+    with pytest.raises(AlgebraError, match="words must be nonempty"):
+        TensorPolynomial.word(text)
+    assert TensorPolynomial.word(f"{text}a b,c") == TensorPolynomial.word(("a", "b", "c"))
+
+
 def _right_comb(names):
     m = Monomial.leaf(names[-1])
     for v in reversed(names[:-1]):
@@ -243,7 +258,7 @@ def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degree
     for degree in degrees:
         for shape in enumerate_shapes([op], degree):
             for names, exact in (("abcdef", True), ("aabbab", False)):
-                m = form_tree(shape.shape_key(), names[:degree])
+                m = form_tree(shape, names[:degree])
                 counted.clear()
                 leibniz._expand(m, op.arity, "of this arity")
                 if exact:

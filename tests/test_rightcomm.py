@@ -6,8 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algforge.consequence import enumerate_shapes, form_tree, iter_lifted
-from algforge.core import AlgebraError, Monomial, OpSymbol, Polynomial, Variable, variables
+from algforge.consequence import enumerate_shapes, iter_lifted
+from algforge.core import (
+    AlgebraError,
+    Monomial,
+    OpSymbol,
+    Polynomial,
+    Variable,
+    form_tree,
+    variables,
+)
 from algforge.fixtures import (
     BINARY,
     TERNARY,
@@ -77,7 +85,7 @@ def test_symmetry_orders_and_canonical_count():
     seen = set()
     for shape in enumerate_shapes([BINARY], 5):
         for perm in itertools.permutations(letters):
-            seen.add(rc_straighten(form_tree(shape.shape_key(), perm)))
+            seen.add(rc_straighten(form_tree(shape, perm)))
     assert len(seen) == 525
 
 
@@ -105,7 +113,7 @@ def test_normal_form_is_the_least_orbit_member_in_degrees_1_to_5():
         letters = variables("abcde"[:degree])
         for shape in enumerate_shapes([BINARY], degree):
             for perm in itertools.permutations(letters):
-                m = form_tree(shape.shape_key(), perm)
+                m = form_tree(shape, perm)
                 assert rc_straighten(m).monomial() == min(_orbit(m), key=rc_order), m
 
 
@@ -113,8 +121,8 @@ def test_symmetry_order_counts_the_same_shape_orbit_members():
     for degree in range(2, 6):
         letters = variables("abcde"[:degree])
         for t, shape in enumerate(canonical_shapes(BINARY, degree), start=1):
-            orbit = _orbit(form_tree(shape.shape_key(), letters))
-            same_shape = sum(1 for m in orbit if m.shape_key() == shape.shape_key())
+            orbit = _orbit(form_tree(shape, letters))
+            same_shape = sum(1 for m in orbit if m.shape_key() == shape)
             assert symmetry_order(BINARY, degree, t) == same_shape, (degree, t)
 
 

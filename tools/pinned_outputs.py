@@ -40,6 +40,7 @@ CLI = [
     ["free-expand", "--expr", "(a*(b*c))*d"],
     ["free-expand", "--expr", "(ab)(c(de))"],
     ["free-expand", "--expr", "(x1*y2)*z"],
+    ["fixtures"],
 ]
 # two fixture systems; the 3-dimensional system abc - bac - cab + cba of the
 # upper-triangular 2x2 matrices, whose envelope has 12 dimensions; and the
@@ -51,14 +52,20 @@ PER_SYSTEM = [
     ["envelope", "--emit", "json"],
     ["verify"],
 ]
-# the identity files for span and equiv: the packaged triple-systems file,
+# the identity files for kp, free-check, span and equiv: the three packaged
+# varieties, whose transforms pin the re-subscripting of every operation
+# occurrence; the packaged triple-systems file,
 # picks of its lines (one pick also without names, so that the certificate
 # prints the positional tags g0, g1), the linearized right Jordan identity,
 # a left-normed product that its one-step liftings do not reach, and a sum
 # of two of its liftings, whose certificate pins the tags of both kinds; and
 # the packaged Lie variety, whose degree-2 identity is checked at degree 3
 # through its liftings
-SPAN = [
+ON_FILES = [
+    ["kp", "--in", "associativity.txt"],
+    ["kp", "--in", "lie.txt"],
+    ["kp", "--in", "lie-triple.txt"],
+    ["free-check", "--identities", "triple-systems.txt"],
     ["span", "--target", "lts1.txt", "--gens", "triple-systems.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "lts-ab.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "unnamed-ab.txt", "--degree", "5"],
@@ -97,24 +104,26 @@ INSTANCE_DIGEST = (
     "print(digest.hexdigest())\n"
 )
 # a sha256 over the right-commutative straightening of mul in degrees 1-5:
-# the association types in order, every symmetry order, the RCBasis words,
-# and the word of every planar monomial over the first d letters
+# the association types in order, each rendered as its shape key's tree over
+# the letters p0, p1, ..., every symmetry order, the RCBasis words, and the
+# word of every planar monomial over the first d letters
 STRAIGHTENING_DIGEST = (
     "import hashlib, itertools\n"
-    "from algforge.consequence import enumerate_shapes, form_tree\n"
-    "from algforge.core import variables\n"
+    "from algforge.consequence import enumerate_shapes\n"
+    "from algforge.core import form_tree, variables\n"
     "from algforge.fixtures import BINARY\n"
     "from algforge.rightcomm import RCBasis, canonical_shapes, rc_straighten, symmetry_order\n"
     "digest = hashlib.sha256()\n"
     "for d in range(1, 6):\n"
     "    vs = variables('abcde'[:d])\n"
-    "    types = canonical_shapes(BINARY, d)\n"
+    "    placeholders = [f'p{i}' for i in range(d)]\n"
+    "    types = [form_tree(k, placeholders) for k in canonical_shapes(BINARY, d)]\n"
     "    orders = [symmetry_order(BINARY, d, t) for t in range(1, len(types) + 1)]\n"
     "    words = [tuple(w) for w in RCBasis(BINARY, d, vs).monomials]\n"
     "    digest.update(repr((d, types, orders, words)).encode())\n"
     "    for shape in enumerate_shapes([BINARY], d):\n"
     "        for perm in itertools.permutations(vs):\n"
-    "            m = form_tree(shape.shape_key(), perm)\n"
+    "            m = form_tree(shape, perm)\n"
     "            digest.update(repr((m, tuple(rc_straighten(m)))).encode())\n"
     "print(digest.hexdigest())\n"
 )
@@ -185,6 +194,8 @@ def identity_files(env: dict) -> dict[str, str]:
         "left-normed.txt": "op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n",
         "rj-lifted.txt": f"op mul/2\n{lifted}\n",
         "lie.txt": data("varieties/lie.txt"),
+        "associativity.txt": data("varieties/associativity.txt"),
+        "lie-triple.txt": data("varieties/lie-triple.txt"),
     }
 
 
@@ -210,7 +221,7 @@ def main() -> int:
                 jobs.append((label, forge + c + ["--system", path]))
         for name, text in identity_files(env).items():
             (Path(tmp) / name).write_text(text)
-        for c in SPAN:
+        for c in ON_FILES:
             argv = [str(Path(tmp) / a) if a.endswith(".txt") else a for a in c]
             jobs.append((" ".join(["forge"] + c), forge + argv))
         jobs.append(("python -c <instance stream digest>", [sys.executable, "-c", INSTANCE_DIGEST]))
