@@ -131,6 +131,8 @@ def cmd_free_check(args) -> int:
 
 def cmd_jordan(args) -> int:
     names = [n.strip() for n in args.check.split(",") if n.strip()]
+    if not names:
+        raise AlgebraError("--check names no fixture: nothing to check")
     vs = variables("abcde")
     # every fixture is expanded before the first line is printed
     expansions = [(name, permuted_associator_expand(fixture(name), BINARY)) for name in names]

@@ -1,22 +1,25 @@
 """The named fixture corpus: identity sets, system tables, and goldens.
 
-Fixture names are stable API.  Identity fixtures are loaded from the text
-files under ``data/`` (so every fixture exercises the expression grammar);
-the operator-form identities and the transcribed straightened expansions
-are constructed here.  Lookup is case-insensitive and treats ``-`` and
-``_`` alike.  The transcribed expansions and the lifted-instance tags of
-the stated RJ/RO combinations are grammar text in compact-product mode;
-a tag such as ``ro(a,b,c,e)*d`` applies RJ or RO as a 4-ary operation.
+Fixture names are stable API.  Every identity fixture is grammar text read
+from the files under ``data/``, so every fixture exercises the expression
+grammar.  The operator identities ``op1``..``op4`` are written there in the
+paper's operator form, over ``R(a,b,x)`` = R_{a,b}(x) and ``L(a,b,x)`` =
+L_{a,b}(x), and are expanded into ``br`` at load by the two operators'
+defining relations.  The elimination rules are solved from the corpus
+relations ``reduce2``, ``reduce3`` and ``anticomm-var-b``.  Lookup is
+case-insensitive and treats ``-`` and ``_`` alike.  The transcribed
+expansions and the lifted-instance tags of the stated RJ/RO combinations
+are grammar text in compact-product mode; a tag such as ``ro(a,b,c,e)*d``
+applies RJ or RO as a 4-ary operation.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from importlib import resources
+from pathlib import Path
 
-from .core import AlgebraError, Identity, Monomial, OpSymbol, Polynomial, RewriteRule, Variable
-from .core import apply_op, apply_rules, rule_from_identity
-from .kp import variant_family
+from .core import AlgebraError, Identity, OpSymbol, Polynomial, RewriteRule
+from .core import apply_rules, rule_from_identity
 from .parsing import parse, parse_file
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
@@ -38,9 +41,7 @@ _IDENTITY_FILES = (
 
 
 def data_text(relpath: str) -> str:
-    return (
-        resources.files("algforge").joinpath("data").joinpath(relpath).read_text()
-    )
+    return (Path(__file__).with_name("data") / relpath).read_text()
 
 
 def _load_identities() -> dict[str, Identity]:
@@ -61,56 +62,12 @@ def _norm(name: str) -> str:
     return name.lower().replace("_", "-")
 
 
-def _br(x, y, z) -> Polynomial:
-    return apply_op(TERNARY, [x, y, z])
-
-
-def _right_op(x, a, b) -> Polynomial:
-    """R_{a,b}(x) = <x,a,b> - <x,b,a>."""
-    return _br(x, a, b) - _br(x, b, a)
-
-
-def _left_op(x, a, b) -> Polynomial:
-    """L_{a,b}(x) = <a,b,x>."""
-    return _br(a, b, x)
-
-
 def _operator_identities() -> dict[str, Identity]:
-    a, b, c, d, e = (
-        Polynomial({Monomial.leaf(Variable(n)): 1}) for n in "abcde"
-    )
-    R, L = _right_op, _left_op
-    op1 = (
-        R(_br(c, d, e), a, b)
-        - _br(R(c, a, b), d, e)
-        - _br(c, R(d, a, b), e)
-        - _br(c, d, R(e, a, b))
-    )
-    op2 = (
-        L(_br(c, d, e), a, b)
-        - _br(L(c, a, b), d, e)
-        + _br(L(d, a, b), c, e)
-        + _br(L(e, a, b), c, d)
-        - _br(L(e, a, b), d, c)
-    )
-    op3 = (
-        R(R(e, c, d), a, b)
-        - R(R(e, a, b), c, d)
-        - (_br(e, R(c, a, b), d) - _br(e, d, R(c, a, b)))
-        + (_br(e, R(d, a, b), c) - _br(e, c, R(d, a, b)))
-    )
-    op4 = (
-        R(L(e, a, b), c, d)
-        - L(R(e, c, d), a, b)
-        - _br(L(c, a, b), d, e)
-        + _br(L(d, a, b), c, e)
-    )
-    return {
-        "op1": Identity(op1, name="op1"),
-        "op2": Identity(op2, name="op2"),
-        "op3": Identity(op3, name="op3"),
-        "op4": Identity(op4, name="op4"),
-    }
+    """op1..op4 with R and L expanded into br by their defining relations."""
+    signature, identities = parse_file(data_text("identities/operators.txt"))
+    named = {i.name: i for i in identities}
+    rules = [rule_from_identity(named.pop(n), signature.lookup(n)) for n in ("R", "L")]
+    return {n: Identity(apply_rules(i.lhs, rules), name=n) for n, i in named.items()}
 
 
 FIXTURES: dict[str, Identity] = _load_identities()
@@ -128,24 +85,19 @@ def fixture_names() -> list[str]:
     return sorted(FIXTURES)
 
 
-def _rule(text: str, op: OpSymbol, variant: int) -> RewriteRule:
-    """The rule that solves the relation ``text = 0`` over the variants of
-    ``op`` for the given variant."""
-    return rule_from_identity(Identity(parse(text, variant_family(op))), op.with_variant(variant))
-
-
-# The two elimination relations as rewrite rules: the second variant flips
-# its first two arguments, the third is a difference of reversals.
 def elimination_rules() -> list[RewriteRule]:
+    """The relations reduce2 and reduce3 solved for the second and third
+    variant: the second flips its first two arguments, the third is a
+    difference of reversals."""
     return [
-        _rule("br_2(x,y,z) + br_1(y,x,z)", TERNARY, 2),
-        _rule("br_3(x,y,z) - br_1(z,y,x) + br_1(z,x,y)", TERNARY, 3),
+        rule_from_identity(fixture(f"reduce{k}"), TERNARY.with_variant(k)) for k in (2, 3)
     ]
 
 
 def binary_elimination_rule() -> RewriteRule:
-    """For the binary transform: the second variant is the negated flip."""
-    return _rule("mul_2(x,y) + mul_1(y,x)", BINARY, 2)
+    """For the binary transform: anticomm-var-b solved for the second
+    variant, the negated flip."""
+    return rule_from_identity(fixture("anticomm-var-b"), BINARY.with_variant(2))
 
 
 # Straightened expansions of the two nonvanishing permuted-associator
@@ -216,26 +168,21 @@ def reducing_combination(which: str) -> Polynomial:
     return Polynomial.linear_image(stated_instances(which), lifted_instance)
 
 
-_SYSTEM_FILES = {
-    "sys2d-1": "systems/sys2d-1.json",
-    "sys2d-2": "systems/sys2d-2.json",
-    "sys2d-3": "systems/sys2d-3.json",
-    "sys2d-4": "systems/sys2d-4.json",
-    "sys2d-5-zeta0": "systems/sys2d-5-zeta0.json",
-    "sys2d-5-zeta1": "systems/sys2d-5-zeta1.json",
-    "sys2d-5-zeta2": "systems/sys2d-5-zeta2.json",
-}
+_SYSTEMS = (
+    "sys2d-1", "sys2d-2", "sys2d-3", "sys2d-4",
+    "sys2d-5-zeta0", "sys2d-5-zeta1", "sys2d-5-zeta2",
+)
 
 
 def system_table(name: str) -> TernaryTable:
     key = _norm(name)
-    if key not in _SYSTEM_FILES:
+    if key not in _SYSTEMS:
         raise KeyError(f"unknown system {name!r}")
-    return TernaryTable.from_json(data_text(_SYSTEM_FILES[key]))
+    return TernaryTable.from_json(data_text(f"systems/{key}.json"))
 
 
 def system_names() -> list[str]:
-    return sorted(_SYSTEM_FILES)
+    return sorted(_SYSTEMS)
 
 
 def parametric_system(zeta) -> TernaryTable:

@@ -36,6 +36,7 @@ from .core import (
     VariableClash,
     accumulate,
     fold,
+    variables,
 )
 
 Word = tuple[str, ...]
@@ -65,8 +66,10 @@ class TensorPolynomial(LinComb):
 
     @staticmethod
     def word(letters: Union[str, Iterable[str]]) -> "TensorPolynomial":
+        """One word; a string is read as ``core.variables`` reads it, so
+        "a b c", "a,b,c" and "abc" are all the word abc."""
         if isinstance(letters, str):
-            letters = letters.replace(",", " ").split()
+            letters = [v.name for v in variables(letters)]
         w = tuple(letters)
         if not w:
             raise AlgebraError("words must be nonempty")

@@ -5,7 +5,8 @@ brute-force right-commutativity orbit, the tree-built permuted-associator
 expansion and canonical word list, the tree-built instance stream, the
 elimination table that updates every combination eagerly, the interchange
 identities over every inner-variant pair, the offset-counting walk of the
-variant re-subscripting, and random trees of mixed arity."""
+variant re-subscripting, random trees of mixed arity, and the operator
+identities op1..op4 built from Python operator helpers."""
 
 import itertools
 from fractions import Fraction
@@ -23,6 +24,7 @@ from algforge.core import (
     apply_op,
     fold,
     form_tree,
+    Variable,
     q,
     relabel,
 )
@@ -439,3 +441,34 @@ def mixed_trees(draw, letters=st.lists(st.sampled_from("abcdef"), min_size=1, ma
         at = draw(st.integers(0, len(items) - op.arity))
         items[at:at + op.arity] = [Monomial.apply(op, items[at:at + op.arity])]
     return items[0]
+
+
+def reference_operator_identities() -> dict[str, Identity]:
+    """The oracle for the operator fixtures op1..op4: each built in Python
+    from R_{a,b}(x) = <x,a,b> - <x,b,a> and L_{a,b}(x) = <a,b,x>."""
+    br = OpSymbol("br", 3)
+    a, b, c, d, e = (Polynomial({Monomial.leaf(Variable(n)): 1}) for n in "abcde")
+
+    def t(x, y, z):
+        return apply_op(br, [x, y, z])
+
+    def R(x, p, q):
+        return t(x, p, q) - t(x, q, p)
+
+    def L(x, p, q):
+        return t(p, q, x)
+
+    ops = {
+        "op1": R(t(c, d, e), a, b) - t(R(c, a, b), d, e) - t(c, R(d, a, b), e) - t(c, d, R(e, a, b)),
+        "op2": (
+            L(t(c, d, e), a, b) - t(L(c, a, b), d, e) + t(L(d, a, b), c, e)
+            + t(L(e, a, b), c, d) - t(L(e, a, b), d, c)
+        ),
+        "op3": (
+            R(R(e, c, d), a, b) - R(R(e, a, b), c, d)
+            - (t(e, R(c, a, b), d) - t(e, d, R(c, a, b)))
+            + (t(e, R(d, a, b), c) - t(e, c, R(d, a, b)))
+        ),
+        "op4": R(L(e, a, b), c, d) - L(R(e, c, d), a, b) - t(L(c, a, b), d, e) + t(L(d, a, b), c, e),
+    }
+    return {name: Identity(p, name=name) for name, p in ops.items()}

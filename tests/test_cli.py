@@ -234,6 +234,14 @@ def test_jordan_checks_every_name_before_printing(capsys):
     assert captured.err == "error: unknown fixture 'nope'\n"
 
 
+@pytest.mark.parametrize("names", ["", ",", " , "])
+def test_jordan_refuses_an_empty_check_list(names, capsys):
+    assert main(["jordan", "--check", names]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --check names no fixture: nothing to check\n"
+
+
 def test_free_check_checks_every_identity_before_printing(tmp_path, capsys):
     path = tmp_path / "mixed.txt"
     path.write_text("op br/3\nop mul/2\nl1: br(a,b,c) + br(b,a,c)\nmixed: mul(br(a,b,c),d)\n")

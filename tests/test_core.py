@@ -30,7 +30,7 @@ from algforge.core import (
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.rightcomm import rc_expand
 
-from helpers import mixed_trees
+from helpers import mixed_trees, reference_operator_identities, typed_items
 
 
 A, B, C, D, E = variables("abcde")
@@ -247,12 +247,24 @@ def test_cyclic_rules_detected():
 def test_rule_from_identity_matches_hand_built():
     from algforge.fixtures import elimination_rules
 
-    auto = rule_from_identity(fixture("reduce2"), TERNARY.with_variant(2))
-    hand = elimination_rules()[0]
-    probe = apply_op(
-        TERNARY.with_variant(2), [leaf(A), leaf(B), leaf(C)]
-    )
-    assert apply_rules(probe, [auto]) == apply_rules(probe, [hand])
+    br1, br2 = TERNARY.with_variant(1), TERNARY.with_variant(2)
+    x, y, z = variables("xyz")
+    hand = RewriteRule(br2, (x, y, z), -apply_op(br1, [leaf(y), leaf(x), leaf(z)]))
+    auto = rule_from_identity(fixture("reduce2"), br2)
+    probe = apply_op(br2, [br(leaf(A), leaf(B), leaf(C)), leaf(D), leaf(E)])
+    expected = apply_rules(probe, [hand])
+    assert expected == -apply_op(br1, [leaf(D), br(leaf(A), leaf(B), leaf(C)), leaf(E)])
+    assert apply_rules(probe, [auto]) == expected
+    assert apply_rules(probe, [elimination_rules()[0]]) == expected
+
+
+def test_operator_fixtures_equal_the_python_construction():
+    # printed output follows insertion order, so the terms must agree in order
+    for name, ident in reference_operator_identities().items():
+        got = fixture(name)
+        assert got.name == name
+        assert typed_items(got.lhs.terms) == typed_items(ident.lhs.terms), name
+        assert got.variables == ident.variables and got.signature == ident.signature
 
 
 def test_multilinearity_preserved_by_operations():

@@ -217,6 +217,14 @@ def test_a_blank_word_is_refused(text):
     assert TensorPolynomial.word(f"{text}a b,c") == TensorPolynomial.word(("a", "b", "c"))
 
 
+def test_a_string_word_reads_its_letters_as_variables_does():
+    for text in ("abc", "a b c", "a,b,c", " a, b c "):
+        word = TensorPolynomial.word(text)
+        assert word == TensorPolynomial.word(v.name for v in variables(text)), text
+        assert word == TensorPolynomial.word(("a", "b", "c")), text
+    assert TensorPolynomial.word("x1 y2") == TensorPolynomial.word(("x1", "y2"))
+
+
 def _right_comb(names):
     m = Monomial.leaf(names[-1])
     for v in reversed(names[:-1]):

@@ -67,7 +67,7 @@ def test_variants_parse_and_format():
 
 def test_format_parse_roundtrip_on_fixture_corpus():
     # format -> parse must reproduce every fixture polynomial exactly
-    for rel in _IDENTITY_FILES:
+    for rel in (*_IDENTITY_FILES, "identities/operators.txt"):
         sig, identities = parse_file(data_text(rel))
         for ident in identities:
             text = format_polynomial(ident.lhs)

@@ -11,7 +11,10 @@ script once against each source tree and diff the two listings:
     diff before.txt after.txt
 
 Each command runs in a fresh interpreter with ``PYTHONPATH`` set to the
-given source directory.  The structure-constant files for ``envelope`` and
+given source directory, and with this script's repository root as its
+working directory; a relative ``--pythonpath`` or ``--demos`` is read from
+the caller's directory.  A ``--demos`` directory without demo scripts is
+an error.  The structure-constant files for ``envelope`` and
 ``verify`` are written with ``to_json`` by the library under test, and the
 identity files for ``span`` and ``equiv`` are copied from its packaged
 data, into a temporary directory whose path is left out of the printed
@@ -207,6 +210,9 @@ def main() -> int:
                         help="directory of demo scripts to run")
     args = parser.parse_args()
     env = dict(os.environ, PYTHONPATH=str(Path(args.pythonpath).resolve()))
+    demos = sorted(Path(args.demos).resolve().glob("*.py"))
+    if not demos:
+        raise SystemExit(f"no demo scripts in {args.demos}")
     forge = [sys.executable, "-m", "algforge.cli"]
     lines = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -228,7 +234,7 @@ def main() -> int:
         jobs.append(("python -c <straightening table digest>",
                      [sys.executable, "-c", STRAIGHTENING_DIGEST]))
         jobs.append(("python -c <ternary kernel digest>", [sys.executable, "-c", KERNEL_DIGEST]))
-        for demo in sorted(Path(args.demos).glob("*.py")):
+        for demo in demos:
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
             code, digest = run(argv, env)
