@@ -20,11 +20,11 @@ from algforge.core import (
     Monomial,
     OpSymbol,
     Polynomial,
+    Variable,
     accumulate,
     apply_op,
     fold,
     form_tree,
-    Variable,
     q,
     relabel,
 )
