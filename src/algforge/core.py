@@ -84,12 +84,16 @@ class Variable:
 def variables(names: Union[str, Iterable[str]]) -> tuple[Variable, ...]:
     """Make a tuple of variables from "a b c", "a,b,c", "abc", or an iterable.
 
-    A separator-free string is split into single-letter names; pass an
-    iterable for multi-character names.
+    A separator-free string is split into single-letter names, and refused
+    if it holds anything but letters, as the expression grammar refuses it;
+    pass an iterable for multi-character names.
     """
     if isinstance(names, str):
         parts = names.replace(",", " ").split()
-        if len(parts) == 1 and len(parts[0]) > 1:
+        if len(parts) == 1:
+            for ch in parts[0]:
+                if not ch.isalpha():
+                    raise AlgebraError(f"expected letter, found {ch!r} in {parts[0]!r}")
             parts = list(parts[0])
         names = parts
     return tuple(Variable(n) for n in names)

@@ -5,15 +5,21 @@ e_i e_j = c[i, j] are structure-constant tables over named, distinct basis
 elements with exact entries, sharing one base class: a scalar is an ``int``,
 a ``Fraction`` or a symbolic ``SymPoly``.  A vector is a sparse dict from
 basis index to nonzero scalar ({} is zero), and ``c`` maps index tuples to
-nonzero vectors; one multilinear loop (``StructureTable.multiply_into``)
-is the product for every arity.  ``evaluations``
-evaluates identities on all basis tuples: it checks the defining identities
-and the one-product law, and builds the ternary products <<a,b>,c> and
-abc - bac - cab + cba of a binary algebra.  It compiles each identity once;
-the value of a proper subterm depends only on its shape and the basis
-indices at its leaves, so it is computed once per call and shared by every
-identity and variable order that contains it, and only the root products
-are formed on each tuple.  ``SYSTEM_LIMIT`` bounds the work one check or
+nonzero vectors.  One multilinear loop (``StructureTable.multiply_into``) is
+the product for every arity: it walks a row index over ``c``, built on the
+first product, one factor at a time, and drops an index prefix that has no
+row before it reads the later factors.
+
+``evaluations`` evaluates identities on all basis tuples: it checks the
+defining identities and the one-product law, and builds the ternary
+products <<a,b>,c> and abc - bac - cab + cba of a binary algebra.  Before
+the first tuple it fills one shape table per proper subterm, bottom-up: the
+nonzero values of the subterm on every choice of basis indices for its
+variables, each formed from a nonzero combination of its children's
+entries, and shared by every identity and variable order of the call.  On
+each tuple a root monomial then reads one entry per child and makes one
+product; roots are never tabled, so a call holds the proper subterms'
+tables and one identity value at a time.  ``SYSTEM_LIMIT`` bounds the work one check or
 envelope may take on.  The enveloping binary algebra has dimension n(n+1), on
 the basis e_1..e_n followed by the pairs e_i e_j (row-major); tables render
 aligned, "." for zero entries.
@@ -32,7 +38,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
@@ -247,18 +253,39 @@ class StructureTable:
             entries[",".join(self.basis[i] for i in idx)] = format_polynomial(poly)
         return {"dim": self.dim, "basis": list(self.basis), self.json_key: entries}
 
+    @cached_property
+    def rows(self) -> dict:
+        """The row index over ``c``: ``rows[i][j]`` (binary) or
+        ``rows[i][j][k]`` (ternary) is the vector c[i, j(, k)], and an absent
+        row is zero.  It is built on the first product, not with the table."""
+        rows: dict = {}
+        for idx, vec in self.c.items():
+            node = rows
+            for i in idx[:-1]:
+                node = node.setdefault(i, {})
+            node[idx[-1]] = vec
+        return rows
+
     def multiply_into(self, out: Vector, vectors: Sequence[Vector], scale: Scalar = 1) -> Vector:
         """Add ``scale`` times the product of ``vectors`` into ``out`` in
-        place; returns ``out``.  This is the one product loop."""
+        place; returns ``out``.  This is the one product loop: it walks the
+        row index one factor at a time, so an index prefix without a row is
+        dropped before the later factors are read."""
         if len(vectors) != self.arity:
             raise AlgebraError(f"arity-{self.arity} table multiplies {self.arity} vectors only")
-        c = self.c
-        # index tuples and coefficient tuples in step: iterating a dict gives its keys
-        for idx, coeffs in zip(itertools.product(*vectors),
-                               itertools.product(*map(dict.values, vectors))):
-            cvec = c.get(idx)
-            if cvec:
-                accumulate(out, cvec.items(), reduce(operator.mul, coeffs, scale))
+        level = [(self.rows, scale)]  # (row of an index prefix, its coefficient)
+        for vec in vectors:
+            longer = []
+            for row, coeff in level:
+                for i, x in vec.items():
+                    sub = row.get(i)
+                    if sub:
+                        longer.append((sub, coeff * x))
+            if not longer:
+                return out
+            level = longer
+        for cvec, coeff in level:
+            accumulate(out, cvec.items(), coeff)
         return out
 
 
@@ -284,35 +311,67 @@ class BinaryAlgebra(StructureTable):
 
 
 # The most identity-tuple pairs one ``evaluations`` call, or pair products
-# one ``build_envelope``, may take on: at up to about 35 us per pair
-# (``check_lts`` on a dense 6-dimensional table) and 9 us and 650 bytes per
-# pair product (n = 20), 2 * 10**5 of either take under 10 s, and the
-# envelope under 150 MB.
+# one ``build_envelope``, may take on.  Measured on dense tables (every
+# constant nonzero) on a 2-core x86_64 host under CPython 3.11: a check costs
+# up to about 90 us and 20 bytes of peak memory per pair (``check_lts`` on a
+# 10-dimensional table: 2 * 10**5 pairs in 18 s, peak 0.5 MB), and an
+# envelope about 24 us and 2.4 kB per pair product (n = 20: 1.6 * 10**5
+# products in 3.8 s, peak 390 MB).
 SYSTEM_LIMIT = 2 * 10**5
 
 
-def _compile(m: Monomial, slot: Mapping[str, int], shapes: dict) -> tuple:
-    """A subterm as (shape id, getter of its leaves' basis indices, compiled
-    children); ``slot`` maps each variable to its position in the basis
-    tuple, and ``shapes`` numbers shape keys, so equal shapes share one id."""
-    sid = shapes.setdefault(m.shape_key(), len(shapes))
-    leaves = operator.itemgetter(*(slot[name] for name in m.leaf_names()))
-    return sid, leaves, tuple(_compile(child, slot, shapes) for child in m.children)
+def _leaf_getter(slots: Sequence[int]):
+    """The function from a basis tuple to its entries at ``slots``, as a
+    tuple: a slice when the slots run consecutively, else an itemgetter."""
+    first, width = slots[0], len(slots)
+    if list(slots) == list(range(first, first + width)):
+        return operator.itemgetter(slice(first, first + width))
+    return operator.itemgetter(*slots)
 
 
-def _value(table: StructureTable, node: tuple, tup: tuple, memo: dict) -> Vector:
-    """The vector of a compiled subterm on basis tuple ``tup``.
+def _join(partial, index: dict, at: Sequence[int]):
+    """Extend each (bound indices, child values) pair by every entry of the
+    next child's ``index`` that agrees with it at positions ``at``."""
+    for prefix, vecs in partial:
+        for more, vec in index.get(tuple(prefix[a] for a in at), ()):
+            yield prefix + more, [*vecs, vec]
 
-    It depends only on the shape and the basis indices at the leaves, so it
-    is computed once per (shape id, leaf indices) and read from ``memo``
-    after that, whichever identity or variable order asks for it; ``memo``
-    holds the leaves, the basis vectors, from the start."""
-    sid, leaves, children = node
-    key = sid, leaves(tup)
-    vec = memo.get(key)
-    if vec is None:
-        vec = memo[key] = table.multiply_into({}, [_value(table, ch, tup, memo) for ch in children])
-    return vec
+
+def _fill(table: StructureTable, m: Monomial, tables: dict) -> tuple[dict, tuple[str, ...]]:
+    """The value table of subterm ``m`` and the variables that key it.
+
+    A subterm's value depends only on its shape, on which of its leaves
+    carry one variable, and on the basis indices its variables take; so
+    ``tables`` holds one table per (shape key, leaf pattern), mapping the
+    indices of the distinct variables (in order of first occurrence) to the
+    nonzero value.  A table is filled bottom-up, its children's first, with
+    one product per nonzero combination of their entries that agrees on the
+    variables they share."""
+    leaves = m.leaf_names()
+    names = tuple(dict.fromkeys(leaves))
+    pos = {name: p for p, name in enumerate(names)}
+    key = m.shape_key(), tuple(pos[name] for name in leaves)
+    values = tables.get(key)
+    if values is None:
+        partial = iter([((), [])])  # (indices of the variables bound so far, child values)
+        bound = 0
+        for child in m.children:
+            child_values, child_names = _fill(table, child, tables)
+            old = [k for k, name in enumerate(child_names) if pos[name] < bound]
+            new = [k for k, name in enumerate(child_names) if pos[name] >= bound]
+            # the child's entries by the indices of its variables bound before it
+            index: dict[tuple, list] = {}
+            for idx, vec in child_values.items():
+                index.setdefault(tuple(idx[k] for k in old), []).append(
+                    (tuple(idx[k] for k in new), vec))
+            partial = _join(partial, index, [pos[child_names[k]] for k in old])
+            bound += len(new)
+        values = tables[key] = {}
+        for prefix, vecs in partial:
+            vec = table.multiply_into({}, vecs)
+            if vec:
+                values[prefix] = vec
+    return values, names
 
 
 def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int | None = None):
@@ -321,33 +380,52 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
     variable: tuple lengths ascending, then tuples in lexicographic order, then
     identities in the given order.
 
-    Each identity is compiled once; proper subterm values are shared through
-    one memo for the whole call, and each root monomial is multiplied
-    straight into the identity's value with its coefficient scaled in."""
+    Proper subterm values come from shape tables filled once per call and
+    shared by every identity and variable order (``_fill``).  On each tuple
+    a root monomial reads one entry per child, and is skipped when one is
+    absent (zero); otherwise its product is multiplied straight into the
+    identity's value with its coefficient scaled in."""
     dim = table.dim if dim is None else dim
+    if not 1 <= dim <= table.dim:
+        raise AlgebraError(f"cannot evaluate on the first {dim} basis elements of a"
+                           f" {table.dim}-dimensional table")
     pairs = sum(dim ** len(ident.variables) for ident in identities)
     if pairs > SYSTEM_LIMIT:
         raise AlgebraError(
             f"system too large: {pairs} identity evaluations on basis tuples, over {SYSTEM_LIMIT}"
         )
-    shapes = {LEAF_KEY: 0}
-    memo = {(0, i): {i: 1} for i in range(dim)}
+    if any(op.arity != table.arity for ident in identities for m in ident.lhs.terms for op in m.ops()):
+        raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
+    tables = {(LEAF_KEY, (0,)): {(i,): {i: 1} for i in range(dim)}}
     compiled = []
     for ident in identities:
         slot = {v.name: p for p, v in enumerate(ident.variables)}
-        compiled.append((ident, [(c, _compile(m, slot, shapes)) for m, c in ident.lhs.terms.items()]))
+        roots = []
+        for m, coeff in ident.lhs.terms.items():
+            children = [m] if m.is_leaf else m.children
+            reads = []
+            for child in children:
+                values, names = _fill(table, child, tables)
+                reads.append((_leaf_getter([slot[name] for name in names]), values))
+            roots.append((coeff, m.is_leaf, reads))
+        compiled.append((ident, roots))
     for size in sorted({len(ident.variables) for ident in identities}):
         same = [(ident, roots) for ident, roots in compiled if len(ident.variables) == size]
         for tup in itertools.product(range(dim), repeat=size):
             for ident, roots in same:
                 out: Vector = {}
-                for coeff, root in roots:
-                    if root[2]:
-                        args = [_value(table, ch, tup, memo) for ch in root[2]]
-                        if all(args):  # a zero factor makes the product zero
-                            table.multiply_into(out, args, coeff)
+                for coeff, is_leaf, reads in roots:
+                    args = []
+                    for get, values in reads:
+                        vec = values.get(get(tup))
+                        if vec is None:  # a zero factor makes the product zero
+                            break
+                        args.append(vec)
                     else:
-                        accumulate(out, _value(table, root, tup, memo).items(), coeff)
+                        if is_leaf:
+                            accumulate(out, args[0].items(), coeff)
+                        else:
+                            table.multiply_into(out, args, coeff)
                 yield ident, tup, out
 
 

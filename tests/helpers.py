@@ -1,5 +1,6 @@
 """Shared test utilities: small associative algebras, basis changes, the
-dense structure-table product loops, the fold-per-tuple identity evaluation,
+dense structure-table product loops, the index-tuple product over a table's
+constants, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
 expansion and canonical word list, the tree-built instance stream, the
@@ -9,7 +10,9 @@ variant re-subscripting, random trees of mixed arity, and the operator
 identities op1..op4 built from Python operator helpers."""
 
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 
 from hypothesis import strategies as st
 
@@ -143,13 +146,28 @@ def reference_product(c, dim, u, v):
     return out
 
 
+def reference_multiply(table, out, vectors, scale=1) -> dict:
+    """The oracle for ``StructureTable.multiply_into``: every index tuple of
+    the factors' supports in turn, looked up in ``table.c``, with the factors'
+    coefficients multiplied onto ``scale`` left to right."""
+    if len(vectors) != table.arity:
+        raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
+    # index tuples and coefficient tuples in step: iterating a dict gives its keys
+    for idx, coeffs in zip(itertools.product(*vectors),
+                           itertools.product(*map(dict.values, vectors))):
+        cvec = table.c.get(idx)
+        if cvec:
+            accumulate(out, cvec.items(), reduce(operator.mul, coeffs, scale))
+    return out
+
+
 def reference_evaluate(table, identity, assignment) -> dict:
     """An identity's polynomial on vector arguments (variable name -> sparse
-    vector), refolding every monomial tree through ``table.multiply_into``."""
+    vector), refolding every monomial tree through ``reference_multiply``."""
     out = {}
     for m, coeff in identity.lhs.terms.items():
         value = fold(m, lambda v: assignment[v.name],
-                     lambda op, args: table.multiply_into({}, args))
+                     lambda op, args: reference_multiply(table, {}, args))
         accumulate(out, value.items(), coeff)
     return out
 

@@ -149,6 +149,16 @@ def test_a_repeated_variable_is_a_one_line_error(command, code, tmp_path, capsys
     assert captured.err == "error: variable 'a' is repeated\n"
 
 
+def test_a_variable_list_with_a_digit_is_a_one_line_error(tmp_path, capsys):
+    # "a1c" is no list of letters: the digit is refused, not read as a variable
+    lie = tmp_path / "lie.txt"
+    lie.write_text(data_text("varieties/lie.txt"))
+    assert main(["equiv", "--degree", "3", "--a", str(lie), "--b", str(lie), "--vars", "a1c"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected letter, found '1' in 'a1c'\n"
+
+
 @pytest.mark.parametrize("other, code, verdict", [
     ("lie", 0, "EQUIVALENT"),
     ("associativity", 1, "NOT EQUIVALENT"),

@@ -55,6 +55,15 @@ def test_variable_ordering_and_equality():
         Variable("")
 
 
+def test_variables_reads_a_separator_free_string_letter_by_letter():
+    assert variables("abc") == variables("a b c") == variables(["a", "b", "c"])
+    assert variables("x1, y2") == (Variable("x1"), Variable("y2"))
+    # the grammar reads a juxtaposed name as letters only, and so does variables
+    for text, ch in (("a1c", "1"), ("x1", "1"), ("7", "7"), ("ab_", "_")):
+        with pytest.raises(AlgebraError, match=f"expected letter, found '{ch}' in '{text}'"):
+            variables(text)
+
+
 def test_monomial_arity_checked():
     with pytest.raises(AlgebraError):
         Monomial.apply(TERNARY, (Monomial.leaf(A), Monomial.leaf(B)))

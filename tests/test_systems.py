@@ -118,6 +118,45 @@ def test_multiply_takes_one_vector_per_factor():
 COEFFS = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
+SYMBOLIC = st.builds(lambda c, name: SymPoly.symbol(name) * c,
+                     st.integers(-2, 2), st.sampled_from("uvw"))  # 0 * u is zero
+
+
+@st.composite
+def symbolic_tables_and_factors(draw):
+    """A random table of arity 2 or 3 and dimension 1-3 whose constants and
+    factor coefficients are ints, Fractions and SymPolys, one factor possibly
+    zero, and a scale."""
+    cls = draw(st.sampled_from([BinaryAlgebra, TernaryTable]))
+    dim = draw(st.integers(1, 3))
+    cols = st.integers(0, dim - 1)
+    scalars = st.integers(-3, 3) | COEFFS | SYMBOLIC
+    constants = draw(st.dictionaries(
+        st.tuples(*[cols] * cls.arity), st.dictionaries(cols, scalars), max_size=12
+    ))
+    table = cls(dim, [f"e{i + 1}" for i in range(dim)], constants)
+    factors = [{l: x for l, x in draw(st.dictionaries(cols, scalars)).items() if x}
+               for _ in range(cls.arity)]
+    if draw(st.booleans()):
+        factors[draw(st.integers(0, cls.arity - 1))] = {}
+    return table, factors, draw(scalars.filter(bool))
+
+
+@settings(max_examples=80, deadline=None)
+@given(symbolic_tables_and_factors())
+@example((TernaryTable(2, ["x", "y"], {(0, 1, 1): {0: SymPoly.symbol("u"), 1: 2}}),
+          [{0: Fraction(1, 2)}, {}, {1: 1}], 3))
+@example((BinaryAlgebra(2, ["x", "y"], {(1, 0): {1: Fraction(1, 3)}, (0, 0): {0: 1}}),
+          [{0: SymPoly.symbol("v"), 1: -1}, {0: 2}], Fraction(3, 2)))
+def test_multiply_into_matches_the_index_tuple_product(case):
+    table, factors, scale = case
+    start = {0: SymPoly.symbol("w")}
+    got = table.multiply_into(dict(start), factors, scale)
+    want = helpers.reference_multiply(table, dict(start), factors, scale)
+    assert helpers.typed_items(got) == helpers.typed_items(want)
+    assert table.multiply_into({}, factors) == helpers.reference_multiply(table, {}, factors)
+
+
 @st.composite
 def tables_and_factors(draw):
     """A random table of arity 2 or 3 and dimension 1-4, the constants it was
@@ -509,6 +548,14 @@ A, B = (Monomial.leaf(v) for v in variables("ab"))
 DEGREE_ONE = Identity(Polynomial({A: 2, Monomial.apply(BINARY, [A, B]): -1}))  # a bare-variable root
 
 
+def _mul(x, y):
+    return Monomial.apply(BINARY, [x, y])
+
+
+# subterms that repeat a variable, one of them beside a child that shares it
+REPEATED = Identity(Polynomial({_mul(_mul(A, _mul(B, A)), B): 1, _mul(B, _mul(A, _mul(A, B))): -2}))
+
+
 @st.composite
 def tables_and_identities(draw):
     """A random sparse table of arity 2 or 3 and dimension 1-4 with int and
@@ -534,11 +581,24 @@ def tables_and_identities(draw):
 @example((build_envelope(system_table("sys2d-1")),
           [fixture("leibniz"), fixture("jordan-right")], 6))
 @example((helpers.upper_triangular_2x2(), [fixture("leibniz"), DEGREE_ONE], 3))
+@example((helpers.full_2x2_matrices(), [REPEATED, fixture("jordan-right")], 4))
 def test_compiled_evaluations_match_the_fold_per_tuple_oracle(case):
     table, identities, below = case
     # (identity, tuple, value) triples, compared in yield order
     got = list(evaluations(table, identities, below))
     assert got == list(helpers.reference_evaluations(table, identities, below))
+
+
+def test_evaluations_refuses_a_tuple_range_outside_the_basis():
+    table = system_table("sys2d-1")
+    for dim in (0, -1, 3, 5):
+        with pytest.raises(AlgebraError, match=f"first {dim} basis elements of a 2-dimensional"):
+            next(evaluations(table, [fixture("lts-a")], dim))
+    assert len(list(evaluations(table, [fixture("lts-a")], 1))) == 1
+    env = build_envelope(table)  # dimension 6
+    with pytest.raises(AlgebraError, match="first 9 basis elements of a 6-dimensional"):
+        iterated_bracket_table(env, 9)
+    assert iterated_bracket_table(env, 6).dim == 6
 
 
 def test_system_budget_counts_identity_tuple_pairs(monkeypatch):
