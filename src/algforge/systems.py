@@ -394,7 +394,8 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
         raise AlgebraError(
             f"system too large: {pairs} identity evaluations on basis tuples, over {SYSTEM_LIMIT}"
         )
-    if any(op.arity != table.arity for ident in identities for m in ident.lhs.terms for op in m.ops()):
+    if any(op.arity != table.arity
+           for ident in identities for m in ident.lhs.terms for op in m.ops()):
         raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
     tables = {(LEAF_KEY, (0,)): {(i,): {i: 1} for i in range(dim)}}
     compiled = []
