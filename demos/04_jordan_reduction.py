@@ -8,8 +8,9 @@ everything or leaves a polynomial that must reduce over lifted instances
 of the two linearized identities.
 """
 
-from algforge.core import variables
-from algforge.fixtures import BINARY, expansion_golden, fixture, reducing_combination
+from algforge.consequence import iter_lifted
+from algforge.core import Polynomial, variables
+from algforge.fixtures import BINARY, fixture, stated_instances
 from algforge.rightcomm import RCBasis, build_jordan_checker, permuted_associator_expand, rc_expand, symmetry_order
 
 print(__doc__)
@@ -25,8 +26,10 @@ eb = permuted_associator_expand(fixture("lts-b"))
 print(f"  lts-b: {len(eb.terms)} terms, first two: "
       + ", ".join(f"{'+' if c > 0 else '-'}{w.render()}" for w, c in eb.sorted_terms()[:2]))
 
+lifted = {tag: p for name in ("rj", "ro") for tag, p in iter_lifted(fixture(name), 5, V)}
+stated = Polynomial.linear_image(stated_instances("lts-b"), lifted.__getitem__)
 print("\nThe stated eight-instance combination straightens to the same thing:",
-      rc_expand(reducing_combination("lts-b")) == eb)
+      rc_expand(stated) == eb)
 
 checker = build_jordan_checker(fixture("rj"), fixture("ro"), V, BINARY)
 print(f"\nLifted-instance table: {len(checker.generators)} generators, rank {checker.rank}")

@@ -24,7 +24,6 @@ from .core import (
     OpSymbol,
     Polynomial,
     RewriteRule,
-    UnassignedVariable,
     Variable,
     VariableClash,
     apply_op,
@@ -50,7 +49,6 @@ __all__ = [
     "Polynomial",
     "RewriteRule",
     "Signature",
-    "UnassignedVariable",
     "Variable",
     "VariableClash",
     "apply_op",

@@ -22,9 +22,24 @@ from pathlib import Path
 from .core import AlgebraError, Polynomial
 from .consequence import MonomialBasis, SpanChecker, compiled_instances, sets_equivalent
 from .checks import SECTIONS, replay_many, report_json, report_text
-from .fixtures import BINARY, fixture, fixture_names
+from .fixtures import (
+    BINARY,
+    envelope_golden,
+    fixture,
+    fixture_names,
+    system_names,
+    system_table,
+)
+from .kp import VarietyPresentation, kp_apply
 from .leibniz import expand_binary_tree, expand_ternary
-from .parsing import ParseError, format_polynomial, parse_file, parse_product
+from .parsing import (
+    ParseError,
+    Signature,
+    format_file,
+    format_polynomial,
+    parse_file,
+    parse_product,
+)
 from .rightcomm import build_jordan_checker, permuted_associator_expand
 from .systems import (
     TernaryTable,
@@ -43,13 +58,9 @@ def _read_identities(path: str):
 
 
 def cmd_kp(args) -> int:
-    from .kp import VarietyPresentation, kp_apply
-
     signature, identities = _read_identities(args.infile)
     variety = VarietyPresentation(signature.ops(), identities)
     out = kp_apply(variety)
-    from .parsing import Signature, format_file
-
     sig = Signature()
     for family in out.families.values():
         for op in family:
@@ -198,8 +209,6 @@ def cmd_envelope(args) -> int:
 
 def cmd_classify2d(args) -> int:
     if args.verify_known:
-        from .fixtures import envelope_golden, system_names, system_table
-
         failures = 0
         for name in system_names():
             table = system_table(name)

@@ -45,12 +45,8 @@ class ArityError(AlgebraError):
     """An operation was applied to the wrong number of arguments."""
 
 
-class UnassignedVariable(AlgebraError):
-    """A substitution left some variable of the target without a value."""
-
-
 class VariableClash(AlgebraError):
-    """Substitution values share variables, so the result is not multilinear."""
+    """Two factors share variables, so their product is not multilinear."""
 
 
 class CyclicRules(AlgebraError):
@@ -615,34 +611,15 @@ def relabel(p: Polynomial, mapping: Mapping[Variable, Union[Variable, Monomial]]
     )
 
 
-def substitute(
-    p: Polynomial,
-    assignment: Mapping[Variable, PolyLike],
-    *,
-    check: bool = True,
-) -> Polynomial:
+def substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) -> Polynomial:
     """Plug polynomials in for variables, expanding multilinearly.
 
-    With ``check=True`` (the contract for multilinear work) every variable of
-    ``p`` must be assigned, each value must be multilinear, and the values'
-    variable sets must be pairwise disjoint.  ``check=False`` permits partial
-    or variable-identifying substitutions; unassigned variables pass through.
+    Nothing is checked: an unassigned variable passes through, and values
+    may share variables or identify two of them, as polarization and
+    rewrite-rule expansion need.  A variable-to-variable map is ``relabel``,
+    which builds no intermediate polynomial.
     """
     values = {v.name: _as_polynomial(x) for v, x in assignment.items()}
-    if check:
-        for v in p.variables():
-            if v.name not in values:
-                raise UnassignedVariable(f"no value for variable {v.name}")
-        seen: dict[str, str] = {}
-        for name, val in values.items():
-            if not val.is_multilinear():
-                raise VariableClash(f"value for {name} is not multilinear")
-            for w in val.variables():
-                if w.name in seen:
-                    raise VariableClash(
-                        f"values for {seen[w.name]} and {name} share variable {w.name}"
-                    )
-                seen[w.name] = name
 
     def leaf(v: Variable) -> Polynomial:
         val = values.get(v.name)
@@ -715,7 +692,7 @@ def polarize(identity: Identity) -> Identity:
             sign = (-1) ** (k - r)
             for subset in itertools.combinations(fresh, r):
                 val = Polynomial({Monomial.leaf(w): 1 for w in subset})
-                accumulate(acc, substitute(work, {v: val}, check=False).terms.items(), sign)
+                accumulate(acc, substitute(work, {v: val}).terms.items(), sign)
         work = Polynomial._from_terms(acc)
     return Identity(work.normalized(), out_vars, identity.signature, identity.name)
 
@@ -742,9 +719,7 @@ class RewriteRule:
         self.replacement = replacement
 
     def expand(self, args: Sequence[Polynomial]) -> Polynomial:
-        return substitute(
-            self.replacement, dict(zip(self.slots, args)), check=False
-        )
+        return substitute(self.replacement, dict(zip(self.slots, args)))
 
     def __repr__(self) -> str:
         return f"<rule {self.op.display()} -> {self.replacement!r}>"

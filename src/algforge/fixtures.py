@@ -8,18 +8,17 @@ L_{a,b}(x), and are expanded into ``br`` at load by the two operators'
 defining relations.  The elimination rules are solved from the corpus
 relations ``reduce2``, ``reduce3`` and ``anticomm-var-b``.  Lookup is
 case-insensitive and treats ``-`` and ``_`` alike.  The transcribed
-expansions and the lifted-instance tags of the stated RJ/RO combinations
-are grammar text in compact-product mode; a tag such as ``ro(a,b,c,e)*d``
-applies RJ or RO as a 4-ary operation.
+expansions are grammar text in compact-product mode.  The stated RJ/RO
+combinations are data: each tag, such as ``ro(a,b,c,e)*d``, names one of
+the lifted instances that ``consequence.compiled_instances`` tags, and is
+looked up among them, not parsed.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from pathlib import Path
 
-from .core import AlgebraError, Identity, OpSymbol, Polynomial, RewriteRule
-from .core import apply_rules, rule_from_identity
+from .core import Identity, OpSymbol, RewriteRule, apply_rules, rule_from_identity
 from .parsing import parse, parse_file
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
@@ -123,7 +122,7 @@ def expansion_golden(which: str) -> RCPolynomial:
     return rc_expand(parse(text, product=BINARY))
 
 
-# The stated lifted rj/ro instances, tagged as iter_lifted tags them, with the
+# The stated lifted rj/ro instances, tagged as compiled_instances tags them, with the
 # signs of the combination that straightens to each expansion golden.
 _STATED_INSTANCES = {
     "lts-b": {
@@ -136,36 +135,12 @@ _STATED_INSTANCES = {
     },
 }
 
+
 def stated_instances(which: str) -> dict[str, int]:
     """Tag -> sign of the stated instances for 'lts-b' or 'lts3'."""
     if _norm(which) not in _STATED_INSTANCES:
-        raise KeyError(f"no reducing combination for {which!r}")
+        raise KeyError(f"no stated instances for {which!r}")
     return dict(_STATED_INSTANCES[_norm(which)])
-
-
-@cache
-def _lifting_rules() -> tuple[RewriteRule, ...]:
-    """RJ and RO as operations whose application is the identity's lhs."""
-    idents = [fixture(name) for name in ("rj", "ro")]
-    return tuple(RewriteRule(OpSymbol(i.name, len(i.variables)), i.variables, i.lhs) for i in idents)
-
-
-def lifted_instance(tag: str) -> Polynomial:
-    """The lifted instance an iter_lifted tag names: ``rj(ce,b,d,a)`` puts the
-    product ce for the first variable of rj; ``ro(a,b,c,e)*d`` and
-    ``c*rj(a,d,e,b)`` multiply a relabeled instance by a variable."""
-    rules = _lifting_rules()
-    try:
-        tree = parse(tag, [r.op for r in rules], product=BINARY)
-    except AlgebraError as err:
-        raise KeyError(f"not a lifted-instance tag: {tag!r}") from err
-    return apply_rules(tree, rules)
-
-
-def reducing_combination(which: str) -> Polynomial:
-    """The explicit lifted RJ/RO combination that straightens to the
-    corresponding expansion golden."""
-    return Polynomial.linear_image(stated_instances(which), lifted_instance)
 
 
 _SYSTEMS = (

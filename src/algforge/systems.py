@@ -641,17 +641,15 @@ def _fold_mod(
     """The equations reduced mod p once, with every unknown that is not free
     replaced by its ``fixed`` value (default 0): per equation, the nonzero
     (positions in ``free``, coefficient) terms, and no equation that
-    vanishes."""
+    vanishes.  A fixed value is reduced as a coefficient is."""
     position = {name: i for i, name in enumerate(free)}
     base = {name: 0 for name in system.unknowns}
-    base.update((name, val % p) for name, val in fixed.items())
+    base.update((name, _residue(val, p, f"value {name}=")) for name, val in fixed.items())
     out = []
     for eq in system.equations:
         terms: dict[tuple[int, ...], int] = {}
         for mono, c in eq.terms.items():
-            if c.denominator % p == 0:
-                raise AlgebraError(f"coefficient {c} not defined mod {p}")
-            coeff = c.numerator * pow(c.denominator, -1, p)
+            coeff = _residue(c, p, "coefficient ")
             at = []
             for s in mono:
                 if s in position:
@@ -664,3 +662,12 @@ def _fold_mod(
         if folded:
             out.append(folded)
     return out
+
+
+def _residue(x, p: int, label: str) -> int:
+    """An exact scalar mod p, numerator times the inverse denominator; a
+    ``float`` is refused by ``q``, as is a denominator that p divides."""
+    x = q(x)
+    if x.denominator % p == 0:
+        raise AlgebraError(f"{label}{x} not defined mod {p}")
+    return x.numerator * pow(x.denominator, -1, p) % p

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from algforge import core
 from algforge.core import (
@@ -14,9 +14,7 @@ from algforge.core import (
     OpSymbol,
     Polynomial,
     RewriteRule,
-    UnassignedVariable,
     Variable,
-    VariableClash,
     apply_op,
     apply_rules,
     form_tree,
@@ -116,14 +114,13 @@ def test_substitute_expands_the_lifted_instance():
     assert out.is_multilinear()
 
 
-def test_substitute_error_paths():
+def test_substitute_passes_unassigned_and_shared_variables_through():
     p = br(leaf(A), leaf(B), leaf(C))
-    with pytest.raises(UnassignedVariable):
-        substitute(p, {A: leaf(A), B: leaf(B)})
-    with pytest.raises(VariableClash):
-        substitute(p, {A: leaf(D), B: leaf(D), C: leaf(C)})
-    with pytest.raises(VariableClash):
-        substitute(p, {A: mul(leaf(D), leaf(D)), B: leaf(B), C: leaf(C)})
+    assert substitute(p, {A: leaf(A), B: leaf(B)}) == p
+    assert substitute(p, {A: leaf(D), B: leaf(D)}) == br(leaf(D), leaf(D), leaf(C))
+    square = substitute(p, {A: mul(leaf(D), leaf(D))})
+    assert square == br(mul(leaf(D), leaf(D)), leaf(B), leaf(C))
+    assert not square.is_multilinear()
 
 
 def test_substitution_composition():
@@ -131,7 +128,7 @@ def test_substitution_composition():
     f = {A: mul(leaf(C), leaf(D)), B: leaf(E)}
     x, y = variables(["u", "v"])
     g = {C: leaf(x), D: leaf(y), E: leaf(A)}
-    lhs = substitute(substitute(p, f), {**g, A: leaf(A)}, check=False)
+    lhs = substitute(substitute(p, f), {**g, A: leaf(A)})
     composed = {A: substitute(mul(leaf(C), leaf(D)), g), B: leaf(A)}
     rhs = substitute(p, composed)
     assert lhs == rhs
@@ -141,6 +138,24 @@ def test_relabel_is_structural():
     p = br(leaf(A), leaf(B), leaf(C)) - br(leaf(B), leaf(A), leaf(C))
     q = relabel(p, {A: B, B: A})
     assert q == -p
+
+
+_LETTERS = st.sampled_from("abcdef")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(mixed_trees(), st.integers(-3, 3)), min_size=1, max_size=4),
+       st.dictionaries(_LETTERS, _LETTERS))
+@example([(Monomial.apply(BINARY, (Monomial.leaf(A), Monomial.leaf(B))), 1),
+          (Monomial.apply(BINARY, (Monomial.leaf(B), Monomial.leaf(A))), -1)], {"b": "a"})
+def test_relabel_equals_substitute_on_variable_maps(terms, names):
+    # a map may merge two names, as squaring a variable of the one-product
+    # law does, and the merged terms may then cancel
+    p = Polynomial._from_terms(core.accumulate({}, terms))
+    mapping = {Variable(x): Variable(y) for x, y in names.items()}
+    got = relabel(p, mapping)
+    want = substitute(p, {v: leaf(w) for v, w in mapping.items()})
+    assert typed_items(got.terms) == typed_items(want.terms)
 
 
 def test_normalize_scalar():

@@ -21,8 +21,6 @@ from algforge.fixtures import (
     TERNARY,
     expansion_golden,
     fixture,
-    lifted_instance,
-    reducing_combination,
     stated_instances,
 )
 from algforge.parsing import parse, parse_product
@@ -40,11 +38,18 @@ from algforge.rightcomm import (
 from helpers import (
     rc_orbit as _orbit,
     rc_order,
+    reference_lifted,
     reference_permuted_associator_expand,
     reference_rc_basis_words,
 )
 
 V5 = variables("abcde")
+
+
+def reference_rj_ro_lifts() -> dict:
+    """Tag -> tree polynomial of every lifted rj/ro instance, built by the
+    ``reference_lifted`` oracle."""
+    return {tag: p for name in ("rj", "ro") for tag, p in reference_lifted(fixture(name), 5, V5)}
 
 
 def word_of(text):
@@ -260,22 +265,23 @@ def test_expansion_term_order_matches_type_then_lex():
 
 
 def test_stated_combinations_straighten_to_expansions():
-    assert rc_expand(reducing_combination("lts-b")) == expansion_golden("lts-b")
-    assert rc_expand(reducing_combination("lts3")) == expansion_golden("lts3")
+    lifted = reference_rj_ro_lifts()
+    for which in ("lts-b", "lts3"):
+        combination = Polynomial.linear_image(stated_instances(which), lifted.__getitem__)
+        assert rc_expand(combination) == expansion_golden(which)
 
 
 def test_stated_instances_are_the_lifted_instances_of_their_tags():
     lifted = {}
     for name in ("rj", "ro"):
         lifted.update(iter_lifted(fixture(name), 5, V5))
+    reference = reference_rj_ro_lifts()
     for which in ("lts-b", "lts3"):
         stated = stated_instances(which)
         assert len(stated) == 8 and set(stated.values()) == {1, -1}
         for tag in stated:
-            assert lifted_instance(tag) == lifted[tag], tag
-    with pytest.raises(KeyError):
-        lifted_instance("rj(a,b")
-    with pytest.raises(KeyError):
+            assert lifted[tag] == reference[tag], tag
+    with pytest.raises(KeyError, match="no stated instances"):
         stated_instances("lts1")
 
 
@@ -300,7 +306,7 @@ def test_straightened_checker_normalizes_a_tree_target():
     # the basis straightens a tree target, so its certificate is the one for
     # the straightened target, and it re-expands to that target
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
-    tree = lifted_instance("rj(ce,b,d,a)")
+    tree = reference_rj_ro_lifts()["rj(ce,b,d,a)"]
     cert, straight = checker.check(tree), checker.check(rc_expand(tree))
     assert cert.ok and cert.verify()
     assert cert.coefficients == straight.coefficients

@@ -531,6 +531,20 @@ def test_search_fp_matches_term_by_term_evaluation(data):
         assert search_fp(system, p, free, fixed) == want
 
 
+def test_search_fp_reads_a_fixed_value_as_its_residue_mod_p():
+    qs = _lts2()
+    mask = ["a122", "a222"]
+    at_zero = search_fp(qs, 3, mask, {"a111": 0})
+    assert len(at_zero) == 9
+    # 3/2 is 0 mod 3, and -1/2 is 1 mod 3
+    assert search_fp(qs, 3, mask, {"a111": Fraction(3, 2)}) == at_zero
+    assert search_fp(qs, 3, mask, {"a111": Fraction(-1, 2)}) == search_fp(qs, 3, mask, {"a111": 1})
+    with pytest.raises(AlgebraError, match=r"^value a111=1/3 not defined mod 3$"):
+        search_fp(qs, 3, mask, {"a111": Fraction(1, 3)})
+    with pytest.raises(AlgebraError, match="not an int or a Fraction"):
+        search_fp(qs, 3, mask, {"a111": 0.0})
+
+
 def test_search_fp_refuses_an_undefined_coefficient_before_it_enumerates():
     x, y = SymPoly.symbol("x"), SymPoly.symbol("y")
     # x*x + 1 is nonzero for every x mod 3, so no candidate reaches x*y/3
