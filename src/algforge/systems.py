@@ -16,10 +16,10 @@ products <<a,b>,c> and abc - bac - cab + cba of a binary algebra.  Before
 the first tuple it fills one shape table per proper subterm, bottom-up: the
 nonzero values of the subterm on every choice of basis indices for its
 variables, each formed from a nonzero combination of its children's
-entries, and shared by every identity and variable order of the call.  On
-each tuple a root monomial then reads one entry per child and makes one
-product; roots are never tabled, so a call holds the proper subterms'
-tables and one identity value at a time.  ``SYSTEM_LIMIT`` bounds the work one check or
+entries, and shared by every identity and variable order of the call.
+Roots are tabled one block of tuples at a time, a block being the tuples
+that share their first index, so a call holds the proper subterms' tables
+and one block's root tables.  ``SYSTEM_LIMIT`` bounds the work one check or
 envelope may take on.  The enveloping binary algebra has dimension n(n+1), on
 the basis e_1..e_n followed by the pairs e_i e_j (row-major); tables render
 aligned, "." for zero entries.
@@ -205,6 +205,15 @@ class StructureTable:
                 self.c[idx] = vec
 
     @classmethod
+    def from_canonical(cls, dim: int, basis: Sequence[str], c: dict[tuple, Vector]):
+        """The table of ``c`` as it is, neither copied nor checked: index
+        tuples in range, no empty vector, and every scalar stored as the
+        constructor stores it.  Only the basis names are checked."""
+        table = cls.__new__(cls)
+        table.dim, table.basis, table.c = dim, _distinct_basis(dim, basis), c
+        return table
+
+    @classmethod
     def from_json(cls, obj: Union[str, Mapping]):
         """Schema: {"dim": n, "basis": [...], KEY: {"x,y,...": "y", ...}} with
         KEY "triple" or "product"; omitted entries are zero, values are linear
@@ -313,10 +322,12 @@ class BinaryAlgebra(StructureTable):
 # The most identity-tuple pairs one ``evaluations`` call, or pair products
 # one ``build_envelope``, may take on.  Measured on dense tables (every
 # constant nonzero) on a 2-core x86_64 host under CPython 3.11: a check costs
-# up to about 90 us and 20 bytes of peak memory per pair (``check_lts`` on a
-# 10-dimensional table: 2 * 10**5 pairs in 18 s, peak 0.5 MB), and an
-# envelope about 24 us and 2.4 kB per pair product (n = 20: 1.6 * 10**5
-# products in 3.8 s, peak 390 MB).
+# up to about 70 us and 250 bytes of peak memory per pair, the memory mostly
+# one block's root tables (``check_lts`` on a 10-dimensional table:
+# 2 * 10**5 pairs in 13 s, peak 47 MB; ``check_leibniz`` on a 56-dimensional
+# envelope: 1.8 * 10**5 pairs in 12 s, peak 30 MB with its violation list),
+# and an envelope about 14 us and 1.3 kB per pair product (n = 16:
+# 6.6 * 10**4 products in 0.9 s, peak 83 MB).
 SYSTEM_LIMIT = 2 * 10**5
 
 
@@ -337,6 +348,49 @@ def _join(partial, index: dict, at: Sequence[int]):
             yield prefix + more, [*vecs, vec]
 
 
+def _steps(table: StructureTable, m: Monomial, tables: dict, bound: list[str]) -> list:
+    """The join steps of ``m``'s children after the variables ``bound``:
+    per child, its entries indexed by the indices of its variables bound
+    before it, and those variables' positions in ``bound``.  ``bound`` grows
+    in place by the other variables of ``m``, in order of first occurrence."""
+    steps = []
+    for child in m.children:
+        child_values, child_names = _fill(table, child, tables)
+        pos = {name: p for p, name in enumerate(bound)}
+        old = [k for k, name in enumerate(child_names) if name in pos]
+        new = [k for k, name in enumerate(child_names) if name not in pos]
+        index: dict[tuple, list] = {}
+        for idx, vec in child_values.items():
+            index.setdefault(tuple(idx[k] for k in old), []).append(
+                (tuple(idx[k] for k in new), vec))
+        steps.append((index, [pos[child_names[k]] for k in old]))
+        bound.extend(child_names[k] for k in new)
+    return steps
+
+
+def _products(table: StructureTable, steps: list, start: tuple = ()) -> dict:
+    """The nonzero products of every combination of child entries that the
+    join ``steps`` admit after the indices ``start``, keyed by the indices
+    of all the variables bound."""
+    partial = iter([(start, [])])  # (indices of the variables bound so far, child values)
+    for index, at in steps:
+        partial = _join(partial, index, at)
+    values = {}
+    for prefix, vecs in partial:
+        vec = table.multiply_into({}, vecs)
+        if vec:
+            values[prefix] = vec
+    return values
+
+
+def _pattern(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
+    """The (shape key, leaf pattern) of ``m`` and its distinct variables in
+    order of first occurrence; the pattern numbers each leaf's variable."""
+    leaves = m.leaf_names()
+    names = tuple(dict.fromkeys(leaves))
+    return (m.shape_key(), tuple(names.index(name) for name in leaves)), names
+
+
 def _fill(table: StructureTable, m: Monomial, tables: dict) -> tuple[dict, tuple[str, ...]]:
     """The value table of subterm ``m`` and the variables that key it.
 
@@ -347,30 +401,10 @@ def _fill(table: StructureTable, m: Monomial, tables: dict) -> tuple[dict, tuple
     nonzero value.  A table is filled bottom-up, its children's first, with
     one product per nonzero combination of their entries that agrees on the
     variables they share."""
-    leaves = m.leaf_names()
-    names = tuple(dict.fromkeys(leaves))
-    pos = {name: p for p, name in enumerate(names)}
-    key = m.shape_key(), tuple(pos[name] for name in leaves)
+    key, names = _pattern(m)
     values = tables.get(key)
     if values is None:
-        partial = iter([((), [])])  # (indices of the variables bound so far, child values)
-        bound = 0
-        for child in m.children:
-            child_values, child_names = _fill(table, child, tables)
-            old = [k for k, name in enumerate(child_names) if pos[name] < bound]
-            new = [k for k, name in enumerate(child_names) if pos[name] >= bound]
-            # the child's entries by the indices of its variables bound before it
-            index: dict[tuple, list] = {}
-            for idx, vec in child_values.items():
-                index.setdefault(tuple(idx[k] for k in old), []).append(
-                    (tuple(idx[k] for k in new), vec))
-            partial = _join(partial, index, [pos[child_names[k]] for k in old])
-            bound += len(new)
-        values = tables[key] = {}
-        for prefix, vecs in partial:
-            vec = table.multiply_into({}, vecs)
-            if vec:
-                values[prefix] = vec
+        values = tables[key] = _products(table, _steps(table, m, tables, []))
     return values, names
 
 
@@ -381,10 +415,17 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
     identities in the given order.
 
     Proper subterm values come from shape tables filled once per call and
-    shared by every identity and variable order (``_fill``).  On each tuple
-    a root monomial reads one entry per child, and is skipped when one is
-    absent (zero); otherwise its product is multiplied straight into the
-    identity's value with its coefficient scaled in."""
+    shared by every identity and variable order (``_fill``).  Roots are
+    tabled by blocks: the tuples that share their first index form one
+    block, and before a block starts, one root table per (shape key, leaf
+    pattern, position of the identity's first variable) is filled from the
+    subterm tables with that variable bound to the block's index, and shared
+    by every term and identity of that key.  A bare variable, or a root
+    without the first variable, reads one table for the whole call.  On each
+    tuple a term reads one entry and adds it, times its coefficient, into
+    the identity's value.  A block's tables are freed before the next
+    block's are filled, so a root key holds at most dim**(k - 1) entries on
+    k-variable tuples."""
     dim = table.dim if dim is None else dim
     if not 1 <= dim <= table.dim:
         raise AlgebraError(f"cannot evaluate on the first {dim} basis elements of a"
@@ -398,36 +439,48 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
            for ident in identities for m in ident.lhs.terms for op in m.ops()):
         raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
     tables = {(LEAF_KEY, (0,)): {(i,): {i: 1} for i in range(dim)}}
+    steps = {}  # root key -> the join steps of its roots after the first variable
     compiled = []
     for ident in identities:
         slot = {v.name: p for p, v in enumerate(ident.variables)}
+        first = next((name for name, p in slot.items() if p == 0), None)
         roots = []
         for m, coeff in ident.lhs.terms.items():
-            children = [m] if m.is_leaf else m.children
-            reads = []
-            for child in children:
-                values, names = _fill(table, child, tables)
-                reads.append((_leaf_getter([slot[name] for name in names]), values))
-            roots.append((coeff, m.is_leaf, reads))
+            key, names = _pattern(m)
+            if m.is_leaf or first not in names:
+                _fill(table, m, tables)
+            else:
+                key = (*key, names.index(first))
+                names = (first, *(name for name in names if name != first))
+                if key not in steps:
+                    steps[key] = _steps(table, m, tables, [first])
+            roots.append((coeff, _leaf_getter([slot[name] for name in names]), key))
         compiled.append((ident, roots))
     for size in sorted({len(ident.variables) for ident in identities}):
         same = [(ident, roots) for ident, roots in compiled if len(ident.variables) == size]
-        for tup in itertools.product(range(dim), repeat=size):
-            for ident, roots in same:
-                out: Vector = {}
-                for coeff, is_leaf, reads in roots:
-                    args = []
-                    for get, values in reads:
-                        vec = values.get(get(tup))
-                        if vec is None:  # a zero factor makes the product zero
-                            break
-                        args.append(vec)
-                    else:
-                        if is_leaf:
-                            accumulate(out, args[0].items(), coeff)
-                        else:
-                            table.multiply_into(out, args, coeff)
-                yield ident, tup, out
+        keys = {key for _, roots in same for _, _, key in roots if key in steps}
+        for head in itertools.product(range(dim), repeat=min(size, 1)):
+            tables.update((key, _products(table, steps[key], head)) for key in keys)
+            rests = itertools.product(range(dim), repeat=size - len(head))
+            yield from _block((head + rest for rest in rests), same, tables)
+            for key in keys:  # free this block's root tables before the next block's are filled
+                del tables[key]
+
+
+def _block(tuples, compiled: list, tables: dict):
+    """Yield (identity, tuple, value) on ``tuples`` for the compiled
+    identities, each term reading its root table from ``tables``.  The
+    tables are read once, up front, and dropped with this generator."""
+    reads = [(ident, [(coeff, get, tables[key]) for coeff, get, key in roots])
+             for ident, roots in compiled]
+    for tup in tuples:
+        for ident, roots in reads:
+            out: Vector = {}
+            for coeff, get, values in roots:
+                vec = values.get(get(tup))
+                if vec is not None:
+                    accumulate(out, vec.items(), coeff)
+            yield ident, tup, out
 
 
 def check_identities(
@@ -492,19 +545,23 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
     pairs = list(itertools.product(range(n), repeat=2))
     pair = {ij: n + t for t, ij in enumerate(pairs)}
     basis = list(table.basis) + [_pair_name(table.basis, i, j) for i, j in pairs]
+    # every vector is fresh, nonempty and canonical, so the table takes the
+    # dict as it is: only a difference of two constants needs ``_scalar``
     zero: Vector = {}
     product = {(i, j): {pair[i, j]: 1} for i, j in pairs}
     for i, (j, k) in itertools.product(range(n), pairs):
-        ijk = dict(c.get((i, j, k), zero))
-        product[i, pair[j, k]] = accumulate(ijk, c.get((i, k, j), zero).items(), -1)
-        product[pair[j, k], i] = c.get((j, k, i), zero)
+        ijk = accumulate(dict(c.get((i, j, k), zero)), c.get((i, k, j), zero).items(), -1)
+        if ijk:
+            product[i, pair[j, k]] = {l: _scalar(x) for l, x in ijk.items()}
+        if (j, k, i) in c:
+            product[pair[j, k], i] = dict(c[j, k, i])
     for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        if k != l:  # the two terms cancel when k == l
+        if k != l and ((i, j, k) in c or (i, j, l) in c):  # the terms cancel when k == l
             product[pair[i, j], pair[k, l]] = {
                 **{pair[m, l]: x for m, x in c.get((i, j, k), zero).items()},
                 **{pair[m, k]: -x for m, x in c.get((i, j, l), zero).items()},
             }
-    return BinaryAlgebra(n * (n + 1), basis, product)
+    return BinaryAlgebra.from_canonical(n * (n + 1), basis, product)
 
 
 def check_leibniz(algebra: BinaryAlgebra):
@@ -608,9 +665,10 @@ def search_fp(
     fixed: Mapping[str, int] | None = None,
 ) -> list[dict[str, int]]:
     """All solutions over F_p with the given free coordinates; other unknowns
-    take their ``fixed`` value (default 0).  No isomorphism reduction; at
-    most ``SEARCH_LIMIT`` candidates.  The equations are reduced mod p once,
-    so a coefficient undefined mod p is refused before any candidate."""
+    take their ``fixed`` value (default 0), and no coordinate may be both.
+    No isomorphism reduction; at most ``SEARCH_LIMIT`` candidates.  The
+    equations are reduced mod p once, so a coefficient undefined mod p is
+    refused before any candidate."""
     free = list(free)
     if not free:
         raise AlgebraError("empty mask: no free coordinates to search")
@@ -622,6 +680,9 @@ def search_fp(
     for name in [*free, *fixed]:
         if name not in unknown_set:
             raise AlgebraError(f"unknown coordinate {name!r}")
+    both = next((name for name in free if name in fixed), None)
+    if both is not None:
+        raise AlgebraError(f"coordinate {both!r} is both in the mask and fixed")
     if p ** len(free) > SEARCH_LIMIT:
         raise AlgebraError(f"mask too large: {p}^{len(free)} candidates")
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):

@@ -202,7 +202,11 @@ def evaluate_mod(poly: SymPoly, values, p: int) -> int:
 
 def reference_search_fp(system: QuadraticSystem, p: int, free, fixed) -> list[dict]:
     """The oracle for ``systems.search_fp``: every candidate evaluates every
-    equation with ``evaluate_mod``; unknowns neither free nor fixed are 0."""
+    equation with ``evaluate_mod``; unknowns neither free nor fixed are 0,
+    and a coordinate both free and fixed is refused."""
+    for name in free:
+        if name in fixed:
+            raise AlgebraError(f"coordinate {name!r} is both in the mask and fixed")
     values = dict.fromkeys(system.unknowns, 0)
     values.update(fixed)
     solutions = []

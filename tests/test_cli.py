@@ -445,6 +445,7 @@ def test_classify2d(capsys):
     ["--search-fp", "0", "--mask", "a122,a222"],
     ["--search-fp", "3", "--mask", "a122,a222", "--fixed", "a111=x"],
     ["--search-fp", "3", "--mask", "a122,a122"],
+    ["--search-fp", "3", "--mask", "a122,a222", "--fixed", "a122=1"],
     # 3^13 candidates, over the search bound
     ["--search-fp", "3", "--mask",
      "a111,a112,a121,a122,a211,a212,a221,a222,b111,b112,b121,b122,b211"],

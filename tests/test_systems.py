@@ -502,6 +502,16 @@ def test_search_fp_error_paths():
         search_fp(qs, 3, ["a122", "a222", "a122"])
 
 
+def test_search_fp_refuses_a_coordinate_both_in_the_mask_and_fixed():
+    qs = _lts2()
+    # a free coordinate takes every value, so a fixed value for it could only be ignored
+    with pytest.raises(AlgebraError, match=r"^coordinate 'a122' is both in the mask and fixed$"):
+        search_fp(qs, 3, ["a122", "a222"], {"a122": 1})
+    with pytest.raises(AlgebraError, match="'a222' is both"):
+        search_fp(qs, 3, ["a122", "a222"], {"a111": 0, "a222": 0})
+    assert len(search_fp(qs, 3, ["a222"], {"a122": 1})) < len(search_fp(qs, 3, ["a122", "a222"]))
+
+
 @cache
 def _lts2():
     return lts_equations(2)
@@ -564,6 +574,16 @@ DEGREE_ONE = Identity(Polynomial({A: 2, Monomial.apply(BINARY, [A, B]): -1}))  #
 
 # subterms that repeat a variable, one of them beside a child that shares it
 REPEATED = Identity(parse("(a(ba))b - 2*b(a(ab))", product=BINARY))
+# a term without the first variable, whose root table serves the whole call
+LACKS_FIRST = Identity(parse("(ab)c - b(cb) + 2*c(bb)", product=BINARY))
+# the first variable in a later child of one root, and in either order
+LATER_FIRST = Identity(parse("b(ca) + (ab)c", product=BINARY), variables=variables("abc"))
+LATER_FIRST_CAB = Identity(LATER_FIRST.lhs, variables=variables("cab"))
+# bare-variable roots, one the first variable, beside a binary root of one size
+C = Monomial.leaf(variables("c")[0])
+BARE_AND_BINARY = Identity(Polynomial({
+    A: 1, C: -2, Monomial.apply(BINARY, [Monomial.apply(BINARY, [A, B]), C]): 1,
+}), variables=variables("abc"))
 
 
 @st.composite
@@ -592,6 +612,9 @@ def tables_and_identities(draw):
           [fixture("leibniz"), fixture("jordan-right")], 6))
 @example((helpers.upper_triangular_2x2(), [fixture("leibniz"), DEGREE_ONE], 3))
 @example((helpers.full_2x2_matrices(), [REPEATED, fixture("jordan-right")], 4))
+@example((helpers.full_2x2_matrices(), [LACKS_FIRST, fixture("leibniz")], 4))
+@example((build_envelope(system_table("sys2d-2")), [LATER_FIRST, LATER_FIRST_CAB], 5))
+@example((helpers.upper_triangular_2x2(), [fixture("leibniz"), BARE_AND_BINARY], 3))
 def test_compiled_evaluations_match_the_fold_per_tuple_oracle(case):
     table, identities, below = case
     # (identity, tuple, value) triples, compared in yield order

@@ -2,7 +2,8 @@
 sha256 of its stdout.
 
 The pinned outputs are the CLI runs, digests of the instance stream, of
-the straightening table and of the degree-5 ternary kernel, and the demos,
+the straightening table, of the degree-5 ternary kernel and of identity
+evaluations on structure-constant tables, and the demos,
 whose bytes must not change when the library is refactored.  Run the
 script once against each source tree and diff the two listings:
 
@@ -147,6 +148,40 @@ KERNEL_DIGEST = (
     "    digest.update(repr(terms).encode())\n"
     "print(len(kernel), digest.hexdigest())\n"
 )
+# a sha256 over the identity evaluations of seeded random tables: binary and
+# ternary, dimensions 1-4, one table with int constants and one with
+# Fraction constants each, evaluated on every fixture of the table's arity in
+# one call; per (identity, tuple, value) triple, in yield order, the
+# identity's name, the tuple and the value's items in index order, each
+# scalar with its type; an integral Fraction is read as its int, since
+# whether an exact sum of int and Fraction terms ends as one or the other
+# depends on the order in which it adds them
+EVALUATION_DIGEST = (
+    "import hashlib, itertools, random\n"
+    "from fractions import Fraction\n"
+    "from algforge.fixtures import FIXTURES\n"
+    "from algforge.systems import BinaryAlgebra, TernaryTable, evaluations\n"
+    "rng = random.Random(1106)\n"
+    "digest = hashlib.sha256()\n"
+    "count = 0\n"
+    "kinds = itertools.product((BinaryAlgebra, TernaryTable), range(1, 5), (False, True))\n"
+    "for cls, dim, fractions in kinds:\n"
+    "    scalars = [-2, -1, 1, 2] + [Fraction(1, 2), Fraction(-2, 3)] * fractions\n"
+    "    constants = {\n"
+    "        idx: {l: rng.choice(scalars) for l in range(dim) if rng.random() < 0.6}\n"
+    "        for idx in itertools.product(range(dim), repeat=cls.arity) if rng.random() < 0.6\n"
+    "    }\n"
+    "    table = cls(dim, [f'e{i}' for i in range(dim)], constants)\n"
+    "    identities = [ident for ident in FIXTURES.values()\n"
+    "                  if all(op.arity == cls.arity for op in ident.signature)]\n"
+    "    for ident, tup, value in evaluations(table, identities):\n"
+    "        items = [(l, x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x)\n"
+    "                 for l, x in sorted(value.items())]\n"
+    "        items = [(l, repr(x), type(x).__name__) for l, x in items]\n"
+    "        digest.update(repr((ident.name, tup, items)).encode())\n"
+    "        count += 1\n"
+    "print(count, digest.hexdigest())\n"
+)
 READ_DATA = "import sys\nfrom algforge.fixtures import data_text\nprint(data_text(sys.argv[1]), end='')\n"
 WRITE_SYSTEM = (
     "import json, sys\n"
@@ -234,6 +269,8 @@ def main() -> int:
         jobs.append(("python -c <straightening table digest>",
                      [sys.executable, "-c", STRAIGHTENING_DIGEST]))
         jobs.append(("python -c <ternary kernel digest>", [sys.executable, "-c", KERNEL_DIGEST]))
+        jobs.append(("python -c <identity evaluation digest>",
+                     [sys.executable, "-c", EVALUATION_DIGEST]))
         for demo in demos:
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
