@@ -243,8 +243,8 @@ def section_thm32() -> SectionReport:
 
     basis = MonomialBasis([TERNARY], 5, vs)
     names = ("inner2-skew", "inner2-cyclic", "inner3-skew", "inner3-cyclic", "lts3")
-    gens = list(compiled_instances([fixture(n) for n in names], vs))
-    cert = SpanChecker(gens, basis).check(fixture("derivation5-reduced").lhs)
+    checker = SpanChecker.on_demand([fixture(n) for n in names], vs, basis)
+    cert = checker.check(fixture("derivation5-reduced").lhs)
     claims.append(
         Claim("the 16-term reduced identity is redundant, with certificate",
               cert.ok and cert.verify())
@@ -363,8 +363,9 @@ def section_thm63() -> SectionReport:
     claims.append(Claim("lts-b expansion matches the 16-term transcription", eb == gb and len(eb.terms) == 16))
     claims.append(Claim("lts3 expansion matches the 16-term transcription", e3 == g3 and len(e3.terms) == 16))
     vs = _vars(5)
-    lifts = list(compiled_instances([fixture("rj"), fixture("ro")], vs))
-    checker = SpanChecker(lifts, RCBasis(BINARY, 5, vs))
+    jordan = [fixture("rj"), fixture("ro")]
+    lifts = list(compiled_instances(jordan, vs))
+    checker = SpanChecker.on_demand(jordan, vs, RCBasis(BINARY, 5, vs), lifts)
     lifted = dict(lifts)
     for name, golden in (("lts-b", gb), ("lts3", g3)):
         combination = RCPolynomial.linear_image(

@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .core import AlgebraError, Polynomial
-from .consequence import MonomialBasis, SpanChecker, compiled_instances, sets_equivalent
+from .consequence import MonomialBasis, SpanChecker, sets_equivalent
 from .checks import SECTIONS, replay_many, report_json, report_text
 from .fixtures import (
     BINARY,
@@ -93,7 +93,7 @@ def cmd_span(args) -> int:
             raise AlgebraError(f"generator {g.name or f'g{idx}'} has degree {g.degree}; {hint}")
     vs = _parse_vars(args.vars, args.degree)
     basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
-    cert = SpanChecker(compiled_instances(gens, vs), basis).check(target.lhs)
+    cert = SpanChecker.on_demand(gens, vs, basis).check(target.lhs)
     if cert.ok:
         print(f"IN SPAN: {target.name or 'target'} ({len(cert.coefficients)} certificate terms)")
         for line in cert.lines():

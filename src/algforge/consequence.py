@@ -36,7 +36,7 @@ compiled instance's is read off its vector.  Membership is decided by exact
 forward elimination, and every positive answer carries a certificate that
 re-expands to the target.  ``SpanChecker`` builds a normal form only for a
 target and for a generator that becomes a pivot, the only ones a
-certificate names.
+certificate names; ``on_demand`` feeds one only when an answer needs it.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -314,11 +314,13 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
         yield f"{perm[0]}*{label}({args})", [(key, get(perm), c) for key, get, c in left]
 
 
-def compiled_instances(identities: Iterable[Identity], variables: Sequence[Variable]):
+def compiled_instances(identities: Iterable[Identity], variables: Sequence[Variable],
+                       *, one_per_family: bool = False):
     """Yield (tag, compiled instance) for every instance of the identities
     over ``variables``: the relabelings of an identity of degree
-    ``len(variables)`` and the one-step liftings of one a degree lower.  An
-    unnamed identity is named by its position, ``g0``, ``g1``, ...; any other
+    ``len(variables)`` and the one-step liftings of one a degree lower, or
+    with ``one_per_family`` the first of each relabeling orbit.  An unnamed
+    identity is named by its position, ``g0``, ``g1``, ...; any other
     degree raises ``AlgebraError``.
 
     A compiled instance is a list of (shape key, letters, coefficient)
@@ -330,9 +332,10 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")
         if ident.degree == len(variables):
-            yield from _relabelings(named, variables)
+            relabelings = _relabelings(named, variables)
+            yield from itertools.islice(relabelings, 1) if one_per_family else relabelings
         else:
-            yield from _lifts(named, len(variables), variables)
+            yield from _lifts(named, len(variables), variables, one_per_family=one_per_family)
 
 
 def _rendered(compiled):
@@ -404,42 +407,91 @@ class SpanChecker:
     table as its ``basis.vector``; targets and certificates are in the
     basis's normal form.  Only the generators that become pivots can be
     named by a certificate, so only theirs is built, when the pivot is
-    stored; ``generators`` builds the others' on demand."""
+    stored; ``generators`` builds the others' on demand.  ``on_demand``
+    feeds none up front: ``check`` reads only until the target reduces, or
+    to the end for a "no"; ``rank`` and ``generators`` read to the end.
+    Pivots are first come, first kept, so every answer is the full table's."""
 
     def __init__(self, generators, basis):
-        self.basis = basis
-        # tag -> the generator as given, or its normal form once it is a pivot
-        self._kept: dict[Hashable, object] = {}
-        self.table = PivotTable()
-        for tag, g in generators:
-            vec = basis.vector(g)
+        self._open(iter(generators), basis)
+        self._read()
+
+    @classmethod
+    def on_demand(cls, identities, variables, basis, instances=None) -> "SpanChecker":
+        """A checker over ``compiled_instances(identities, variables)``, or
+        ``instances`` if the caller keeps that stream, read as answers need.
+        Input the constructor would refuse is read, and refused, at once."""
+        identities, variables = tuple(identities), tuple(variables)
+        if instances is None:
+            instances = compiled_instances(identities, variables)
+        checker = cls.__new__(cls)
+        checker._open(iter(instances), basis)
+        if not _reads_cleanly(identities, variables, basis):
+            checker._read()
+        return checker
+
+    def _open(self, stream, basis) -> None:
+        self.basis, self._unread, self.table = basis, stream, PivotTable()
+        self._kept: dict[Hashable, object] = {}  # tag -> as given, or normal form once a pivot
+
+    def _read(self, lead: int | None = None) -> bool:
+        """Feed generators until one is the pivot at column ``lead``; False at the end."""
+        normal = self.basis.normal
+        for tag, g in self._unread:
+            vec = self.basis.vector(g)
             if not vec:
                 continue
             if tag in self._kept:
-                if basis.normal(self._kept[tag]) == basis.normal(g):
+                if normal(self._kept[tag]) == normal(g):
                     continue
                 raise AlgebraError(f"duplicate generator tag {tag!r}")
             self._kept[tag] = g
             if self.table.add(vec, tag):
-                self._kept[tag] = basis.normal(g, vec)
+                self._kept[tag] = normal(g, vec)
+                if lead in self.table.pivots:
+                    return True
+        return False
 
     @property
     def generators(self) -> dict[Hashable, object]:
         """Each kept generator's normal form by tag, in the order given."""
+        self._read()
         normal = self.basis.normal
         return {tag: normal(g) for tag, g in self._kept.items()}
 
     @property
     def rank(self) -> int:
+        self._read()
         return self.table.rank
 
     def check(self, target) -> SpanCertificate | NotInSpan:
         target = self.basis.normal(target)
-        ok, combo, witness = self.table.membership(self.basis.vector(target))
-        if not ok:
-            return NotInSpan(self.basis.monomials[witness])
+        residual, trail = self.table.reduce(self.basis.vector(target))
+        while residual and self._read(min(residual)):
+            residual, more = self.table.reduce(residual)
+            trail += more
+        if residual:
+            return NotInSpan(self.basis.monomials[min(residual)])
         # a combination names pivot tags only, whose normal forms are kept
-        return SpanCertificate(combo, self._kept, target)
+        return SpanCertificate(self.table.combination(trail), self._kept, target)
+
+
+def _reads_cleanly(identities, variables, basis) -> bool:
+    """Whether feeding ``compiled_instances(identities, variables)`` to
+    ``basis`` cannot raise: no two tags are equal, and each relabeling orbit
+    shares its shape keys, so all of it lands in the basis if its first does."""
+    names = [ident.name or f"g{idx}" for idx, ident in enumerate(identities)]
+    letters = "".join(v.name for v in variables)
+    # distinct names and letters: a tag parses back to identity, family and permutation
+    if (len(set(names)) < len(names) or not len(set(letters)) == len(letters) == len(variables)
+            or any(ch in word for word in [*names, letters] for ch in "(),*")):
+        return False
+    try:
+        for _, instance in compiled_instances(identities, variables, one_per_family=True):
+            basis.vector(instance)
+    except Exception:  # the constructor's loop raises its own error
+        return False
+    return True
 
 
 class EquivalenceResult:
@@ -467,12 +519,12 @@ def sets_equivalent(
     to test one canonical instance of each relabeling orbit against the other
     side: an identity of degree ``degree`` over the variables in order, and
     one a degree lower as the first lifting of each family, tagged as its
-    liftings are.
+    liftings are; each side's ``SpanChecker.on_demand`` reads only what they need.
     """
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
-    span_a, span_b = (SpanChecker(compiled_instances(s, variables), basis) for s in (a, b))
+    span_a, span_b = (SpanChecker.on_demand(s, variables, basis) for s in (a, b))
 
     def targets(ident: Identity, name: str):
         if ident.degree == degree:

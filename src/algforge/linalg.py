@@ -9,9 +9,10 @@ keeps its expression as a combination of the original generators, which
 turns span membership into an explicit certificate and a dependent
 generator into a kernel vector.  A reduction only records its trail, the
 pivot rows it subtracted and by what factor; a combination is summed from
-the trail only where an answer reads it: a new pivot row, a "yes" of
-``membership``, or a caller's kernel vector.  A dependent generator so costs
-one work-vector reduction.  Arithmetic is exact end to end: integral entries
+the trail only where an answer reads it: a new pivot row, a certificate,
+or a kernel vector, so a dependent generator costs one reduction.  Pivots
+are never replaced, so a reduction may resume from its residual once more
+generators are fed.  Arithmetic is exact end to end: integral entries
 stay ``int``, and only the normalisation of a pivot's leading entry divides,
 so only it makes a ``Fraction``.
 """
@@ -83,10 +84,3 @@ class PivotTable:
         # vec = residual + sum(combo); residual = vec - sum(combo)
         combo = self.combination(trail)
         self.pivots[lead] = (normal, accumulate({tag: scale}, combo.items(), -scale))
-
-    def membership(self, vec: Vec) -> tuple[bool, Combo, int | None]:
-        """Test span membership; returns (ok, combo, witness-column-or-None)."""
-        residual, trail = self.reduce(vec)
-        if residual:
-            return False, {}, min(residual)
-        return True, self.combination(trail), None

@@ -275,14 +275,14 @@ class StructureTable:
             node[idx[-1]] = vec
         return rows
 
-    def multiply_into(self, out: Vector, vectors: Sequence[Vector], scale: Scalar = 1) -> Vector:
-        """Add ``scale`` times the product of ``vectors`` into ``out`` in
-        place; returns ``out``.  This is the one product loop: it walks the
-        row index one factor at a time, so an index prefix without a row is
-        dropped before the later factors are read."""
+    def multiply_into(self, vectors: Sequence[Vector]) -> Vector:
+        """The product of ``vectors``, as a new vector.  This is the one
+        product loop: it walks the row index one factor at a time, so an
+        index prefix without a row is dropped before the later factors are
+        read."""
         if len(vectors) != self.arity:
             raise AlgebraError(f"arity-{self.arity} table multiplies {self.arity} vectors only")
-        level = [(self.rows, scale)]  # (row of an index prefix, its coefficient)
+        level = [(self.rows, 1)]  # (row of an index prefix, its coefficient)
         for vec in vectors:
             longer = []
             for row, coeff in level:
@@ -291,8 +291,9 @@ class StructureTable:
                     if sub:
                         longer.append((sub, coeff * x))
             if not longer:
-                return out
+                return {}
             level = longer
+        out: Vector = {}
         for cvec, coeff in level:
             accumulate(out, cvec.items(), coeff)
         return out
@@ -377,7 +378,7 @@ def _products(table: StructureTable, steps: list, start: tuple = ()) -> dict:
         partial = _join(partial, index, at)
     values = {}
     for prefix, vecs in partial:
-        vec = table.multiply_into({}, vecs)
+        vec = table.multiply_into(vecs)
         if vec:
             values[prefix] = vec
     return values

@@ -76,7 +76,7 @@ def invert(mat):
     # row j of the inverse expresses the unit vector e_j in the rows of mat
     inverse = []
     for j in range(n):
-        _, combo, _ = table.membership({j: Fraction(1)})
+        combo = table.combination(table.reduce({j: Fraction(1)})[1])
         inverse.append([combo.get(i, Fraction(0)) for i in range(n)])
     return inverse
 
@@ -93,7 +93,7 @@ def random_basis_change(algebra: BinaryAlgebra, rng) -> BinaryAlgebra:
     new = {}
     for i in range(n):
         for j in range(n):
-            w = algebra.multiply_into({}, [rows[i], rows[j]])
+            w = algebra.multiply_into([rows[i], rows[j]])
             new[i, j] = [sum(x * inv[k][t] for k, x in w.items()) for t in range(n)]
     return BinaryAlgebra(n, algebra.basis, new)
 
@@ -146,18 +146,19 @@ def reference_product(c, dim, u, v):
     return out
 
 
-def reference_multiply(table, out, vectors, scale=1) -> dict:
+def reference_multiply(table, vectors) -> dict:
     """The oracle for ``StructureTable.multiply_into``: every index tuple of
     the factors' supports in turn, looked up in ``table.c``, with the factors'
-    coefficients multiplied onto ``scale`` left to right."""
+    coefficients multiplied left to right."""
     if len(vectors) != table.arity:
         raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
+    out = {}
     # index tuples and coefficient tuples in step: iterating a dict gives its keys
     for idx, coeffs in zip(itertools.product(*vectors),
                            itertools.product(*map(dict.values, vectors))):
         cvec = table.c.get(idx)
         if cvec:
-            accumulate(out, cvec.items(), reduce(operator.mul, coeffs, scale))
+            accumulate(out, cvec.items(), reduce(operator.mul, coeffs, 1))
     return out
 
 
@@ -167,7 +168,7 @@ def reference_evaluate(table, identity, assignment) -> dict:
     out = {}
     for m, coeff in identity.lhs.terms.items():
         value = fold(m, lambda v: assignment[v.name],
-                     lambda op, args: reference_multiply(table, {}, args))
+                     lambda op, args: reference_multiply(table, args))
         accumulate(out, value.items(), coeff)
     return out
 

@@ -159,6 +159,49 @@ def test_a_variable_list_with_a_digit_is_a_one_line_error(tmp_path, capsys):
     assert captured.err == "error: expected letter, found '1' in 'a1c'\n"
 
 
+def _identity_line(name: str) -> str:
+    """The line of a packaged triple-system identity, ``name: body``."""
+    text = data_text("identities/triple-systems.txt")
+    return next(l for l in text.splitlines() if l.startswith(f"{name}: "))
+
+
+_BR, _LTS_A, _LTS_B = "op br/3", _identity_line("lts-a"), _identity_line("lts-b")
+_RJ = next(l for l in data_text("identities/jordan.txt").splitlines() if l.startswith("rj: "))
+
+
+@pytest.mark.parametrize("files, command, message", [
+    # a third identity named lts-a, with lts-b's body
+    ({"late.txt": [_BR, _LTS_A, _LTS_B, "lts-a: " + _LTS_B.split(": ", 1)[1]],
+      "ab.txt": [_BR, _LTS_A, _LTS_B]},
+     ["equiv", "--a", "late.txt", "--b", "ab.txt"],
+     "error: duplicate generator tag 'lts-a(a,b,c,d,e)'\n"),
+    # a generator with a repeated variable, behind one whose instances span the target
+    ({"ta.txt": [_BR, _LTS_A],
+      "gnm.txt": [_BR, _LTS_A, "nm: br(a,b,br(c,d,e)) - br(a,a,br(c,d,e))"]},
+     ["span", "--target", "ta.txt", "--gens", "gnm.txt"],
+     "error: monomial br(a,a,br(c,d,e)) is outside this basis\n"),
+    # an identity named g1 beside an unnamed second one, which is named g1 too
+    ({"ta.txt": [_BR, _LTS_A],
+      "clash.txt": [_BR, "g1: " + _LTS_A.split(": ", 1)[1], _LTS_B.split(": ", 1)[1]]},
+     ["span", "--target", "ta.txt", "--gens", "clash.txt"],
+     "error: duplicate generator tag 'g1(a,b,c,d,e)'\n"),
+    # the product of a and b in one slot is tagged as the variable ab is
+    ({"rj.txt": ["op mul/2", _RJ]},
+     ["equiv", "--a", "rj.txt", "--b", "rj.txt", "--vars", "a,b,ab,c,d"],
+     "error: duplicate generator tag 'rj(ab,ab,c,d)'\n"),
+])
+def test_span_input_refused_up_front(files, command, message, tmp_path, capsys):
+    # each would be answered if the generators were read only as far as the
+    # target needs; the whole stream is read first, and refused
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+    argv = [str(tmp_path / a) if a.endswith(".txt") else a for a in command]
+    assert main(argv + ["--degree", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 @pytest.mark.parametrize("other, code, verdict", [
     ("lie", 0, "EQUIVALENT"),
     ("associativity", 1, "NOT EQUIVALENT"),

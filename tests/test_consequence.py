@@ -36,6 +36,7 @@ from algforge.consequence import (
 )
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
+from algforge.parsing import parse_file
 from algforge.rightcomm import RCBasis, build_jordan_checker
 
 from helpers import reference_instances, reference_lifted, reference_relabelings, typed_items
@@ -628,3 +629,108 @@ def test_an_emptied_tree_cache_leaves_pivots_and_certificates_unchanged(kind):
     assert apart_certs == shared_certs
     assert any(ok for ok, _ in shared_certs)
 
+
+
+def _refusal(build) -> tuple:
+    with pytest.raises(AlgebraError) as err:
+        build()
+    return type(err.value), str(err.value)
+
+
+_NM = "op br/3\nnm: br(a,b,br(c,d,e)) - br(a,a,br(c,d,e))\n"
+
+
+@pytest.mark.parametrize("case", ["late", "outside", "clash", "letters"])
+def test_on_demand_refuses_what_the_constructor_refuses(case):
+    lts_a, lts_b = fixture("lts-a"), fixture("lts-b")
+    basis, vs = MonomialBasis([TERNARY], 5, V5), V5
+    if case == "late":  # a third identity named lts-a, with lts-b's body
+        idents = [lts_a, lts_b, Identity(lts_b.lhs, name="lts-a")]
+        want = (AlgebraError, "duplicate generator tag 'lts-a(a,b,c,d,e)'")
+    elif case == "outside":  # behind lts-a, whose first instance is the target
+        idents = [lts_a, parse_file(_NM)[1][0]]
+        want = (DimensionMismatch, "monomial br(a,a,br(c,d,e)) is outside this basis")
+    elif case == "clash":  # the unnamed second identity is g1 as well
+        idents = [Identity(lts_a.lhs, name="g1"), Identity(lts_b.lhs)]
+        want = (AlgebraError, "duplicate generator tag 'g1(a,b,c,d,e)'")
+    else:  # the product of a and b in one slot is tagged as the variable ab is;
+        # the first two lifts tagged rj(ab,ab,c,d) straighten alike, and are kept once
+        vs = variables(["a", "b", "ab", "c", "d"])
+        idents, basis = [fixture("rj")], RCBasis(BINARY, 5, vs)
+        want = (AlgebraError, "duplicate generator tag 'rj(ab,c,d,ab)'")
+    assert _refusal(lambda: SpanChecker(compiled_instances(idents, vs), basis)) == want
+    assert _refusal(lambda: SpanChecker.on_demand(idents, vs, basis).check(lts_a.lhs)) == want
+    if case != "letters":
+        assert _refusal(lambda: sets_equivalent(idents, [lts_a, lts_b], 5, vs)) == want
+
+
+def test_on_demand_reads_generators_only_as_far_as_an_answer_needs():
+    idents = [fixture("lts-a"), fixture("lts-b")]
+    read = []
+
+    def counted():
+        for tag, g in compiled_instances(idents, V5):
+            read.append(tag)
+            yield tag, g
+
+    checker = SpanChecker.on_demand(idents, V5, MonomialBasis([TERNARY], 5, V5), counted())
+    assert read == []
+    # lts-a over a..e is the first instance
+    assert checker.check(fixture("lts-a").lhs).lines() == ["1 * lts-a(a,b,c,d,e)"]
+    assert read == ["lts-a(a,b,c,d,e)"]
+    # a "no" reads every generator, as do rank and generators
+    a, b, c, d, e = (Monomial.leaf(v) for v in V5)
+    off = fixture("lts1").lhs + apply_op(TERNARY, [a, b, apply_op(TERNARY, [c, d, e])])
+    assert not checker.check(off).ok
+    assert len(read) == 240 and checker.rank == 240 and len(checker.generators) == 240
+
+
+@cache
+def _streams(kind):
+    """Identities, their basis, their instances as tree polynomials and as
+    the compiled stream: lts-a/lts-b/lts3 relabelings over the tree basis,
+    or the rj/ro lifts over the straightened-word basis."""
+    if kind == "relabelings":
+        idents = [fixture("lts-a"), fixture("lts-b"), fixture("lts3")]
+        basis = MonomialBasis([TERNARY], 5, V5)
+    else:
+        idents, basis = [fixture("rj"), fixture("ro")], RCBasis(BINARY, 5, V5)
+    trees = [p for _, p in reference_instances(idents, V5)]
+    return idents, basis, trees, list(compiled_instances(idents, V5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(kind=st.sampled_from(["relabelings", "lifts"]), data=st.data())
+def test_an_on_demand_checker_answers_as_the_eager_one(kind, data):
+    idents, basis, trees, compiled = _streams(kind)
+    rng = data.draw(st.randoms(use_true_random=False))
+    order = rng.sample(range(len(compiled)), rng.randint(1, len(compiled)))
+    stream = [compiled[i] for i in order]
+    eager = SpanChecker(stream, basis)
+    lazy = SpanChecker.on_demand(idents, V5, basis, stream)
+    element = type(basis.normal(trees[0]))
+    for _ in range(data.draw(st.integers(1, 6))):
+        step = data.draw(st.sampled_from(["in", "any", "off", "rank", "generators"]))
+        if step == "rank":
+            assert lazy.rank == eager.rank
+            continue
+        if step == "generators":
+            _same_checker(lazy, eager)
+            continue
+        # a combination of streamed instances, of any instances, or of
+        # streamed ones plus one basis element
+        pool = order if step == "in" else range(len(trees))
+        picks = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
+        target = basis.normal(Polynomial.linear_image(
+            {i: data.draw(NONZERO) for i in picks}, trees.__getitem__))
+        if step == "off":
+            target = target + element({data.draw(st.sampled_from(basis.monomials)): 1})
+        got, want = lazy.check(target), eager.check(target)
+        assert got.ok == want.ok
+        if want.ok:
+            assert typed_items(got.coefficients) == typed_items(want.coefficients)
+            assert got.lines() == want.lines() and got.verify()
+        else:
+            assert got.witness == want.witness
+    assert lazy.rank == eager.rank
+    _same_checker(lazy, eager)

@@ -64,7 +64,11 @@ PER_SYSTEM = [
 # a left-normed product that its one-step liftings do not reach, and a sum
 # of two of its liftings, whose certificate pins the tags of both kinds; and
 # the packaged Lie variety, whose degree-2 identity is checked at degree 3
-# through its liftings
+# through its liftings; then input that is refused before any answer,
+# although the first instances alone would answer it: a third identity named
+# lts-a with the body of lts-b, a generator with a repeated variable behind
+# lts-a, an identity named g1 beside an unnamed second one, and variables
+# a, b, ab, c, d, under which rj's liftings repeat a tag
 ON_FILES = [
     ["kp", "--in", "associativity.txt"],
     ["kp", "--in", "lie.txt"],
@@ -77,6 +81,10 @@ ON_FILES = [
     ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
     ["equiv", "--a", "lie.txt", "--b", "lie.txt", "--degree", "3"],
+    ["equiv", "--a", "late.txt", "--b", "lts-ab.txt", "--degree", "5"],
+    ["span", "--target", "lts-a.txt", "--gens", "gens-nm.txt", "--degree", "5"],
+    ["span", "--target", "lts-a.txt", "--gens", "clash.txt", "--degree", "5"],
+    ["equiv", "--a", "rj.txt", "--b", "rj.txt", "--degree", "5", "--vars", "a,b,ab,c,d"],
 ]
 # a sha256 over every instance the span layer builds, rendered as tree
 # polynomials by iter_lifted and iter_relabelings: tag, terms in insertion
@@ -219,6 +227,11 @@ def identity_files(env: dict) -> dict[str, str]:
 
     triple = data("identities/triple-systems.txt")
     ab = pick(triple, {"lts-a", "lts-b"})
+    lts_a = pick(triple, {"lts-a"})
+
+    def body(name: str) -> str:
+        return pick(triple, {name}).splitlines()[-1].split(": ", 1)[1]
+
     rj = pick(data("identities/jordan.txt"), {"rj"})
     rj_expr = rj.splitlines()[-1].split(":", 1)[1].strip()
     # rj(a,b,c,d)*e plus rj with the product de in place of d
@@ -228,6 +241,10 @@ def identity_files(env: dict) -> dict[str, str]:
         "lts1.txt": pick(triple, {"lts1"}),
         "lts-ab.txt": ab,
         "unnamed-ab.txt": re.sub(r"(?m)^[\w-]+: ", "", ab),
+        "lts-a.txt": lts_a,
+        "late.txt": f"{ab}lts-a: {body('lts-b')}\n",
+        "gens-nm.txt": f"{lts_a}nm: br(a,b,br(c,d,e)) - br(a,a,br(c,d,e))\n",
+        "clash.txt": f"op br/3\ng1: {body('lts-a')}\n{body('lts-b')}\n",
         "rj.txt": rj,
         "left-normed.txt": "op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n",
         "rj-lifted.txt": f"op mul/2\n{lifted}\n",
