@@ -630,7 +630,6 @@ def test_an_emptied_tree_cache_leaves_pivots_and_certificates_unchanged(kind):
     assert any(ok for ok, _ in shared_certs)
 
 
-
 def _refusal(build) -> tuple:
     with pytest.raises(AlgebraError) as err:
         build()
@@ -719,7 +718,7 @@ def test_an_on_demand_checker_answers_as_the_eager_one(kind, data):
             continue
         # a combination of streamed instances, of any instances, or of
         # streamed ones plus one basis element
-        pool = order if step == "in" else range(len(trees))
+        pool = range(len(trees)) if step == "any" else order
         picks = data.draw(st.lists(st.sampled_from(pool), max_size=4, unique=True))
         target = basis.normal(Polynomial.linear_image(
             {i: data.draw(NONZERO) for i in picks}, trees.__getitem__))
