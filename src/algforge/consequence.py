@@ -13,7 +13,7 @@ Instances are compiled, not built.  Each identity is compiled once per call
 into (shape key, leaf slots, coefficient) terms, and every instance is
 emitted as (shape key, letters, coefficient) triples, the shape key being
 ``Monomial.shape_key`` of the tree the term stands for (``core.node_key``
-builds every key): a relabeling reads its letters with one ``itemgetter``
+builds every key): a relabeling reads its letters with ``items_at`` getters
 over the permutation, a product in one slot uses a spliced key and a letter
 getter made once per (term, slot), and a fresh factor is one product key
 over the term's.  A shape is its key, so ``enumerate_shapes`` lists keys.
@@ -40,7 +40,9 @@ certificate names; ``on_demand`` feeds one only when an answer needs it.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
-``rj(b,c,e,a)*d`` for a right multiplication, so certificates are readable.
+``rj(b,c,e,a)*d`` for a right multiplication, so certificates are readable;
+when a variable's name is longer than one letter, a product's two letters
+are joined by ``*``, as in ``rj(a*b,ab,c,d)``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 from functools import cache
-from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .core import (
@@ -62,8 +63,8 @@ from .core import (
     _tree,
     accumulate,
     fold,
+    items_at,
     node_key,
-    relabel,
 )
 from .linalg import PivotTable, Vec
 
@@ -232,14 +233,6 @@ class MonomialBasis:
         return self._normal_type._from_terms({monomials[i]: c for i, c in vec.items()})
 
 
-def _getter(positions: Sequence[int]) -> Callable[[Sequence], tuple]:
-    """Read a tuple of the items at these positions of a sequence."""
-    if len(positions) == 1:
-        (i,) = positions
-        return lambda seq: (seq[i],)
-    return itemgetter(*positions)
-
-
 def _relabelings(identity: Identity, variables: Sequence[Variable]):
     """Yield (tag, compiled instance) for every bijective variable relabeling."""
     variables = tuple(variables)
@@ -249,7 +242,7 @@ def _relabelings(identity: Identity, variables: Sequence[Variable]):
         )
     label = identity.name or "id"
     slot = {v.name: i for i, v in enumerate(identity.variables)}
-    terms = [(m.shape_key(), _getter([slot[x] for x in m.leaf_names()]), c)
+    terms = [(m.shape_key(), items_at([slot[x] for x in m.leaf_names()]), c)
              for m, c in identity.lhs.terms.items()]
     for perm in itertools.permutations(v.name for v in variables):
         yield f"{label}({','.join(perm)})", [(key, get(perm), c) for key, get, c in terms]
@@ -286,6 +279,7 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     terms = identity.lhs.terms.items()
     names = tuple(v.name for v in variables)
     perms = [names] if one_per_family else list(itertools.permutations(names))
+    times = "" if all(len(x) == 1 for x in names) else "*"
     product = node_key(op, (LEAF_KEY, LEAF_KEY))
 
     # (i) an ordered product of two fresh variables in place of one variable
@@ -295,10 +289,10 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
         for m, c in terms:
             key = fold(m, lambda w: product if w.name == v.name else LEAF_KEY, node_key)
             at = [i for x in m.leaf_names() for i in ((0, 1) if x == v.name else (slot[x],))]
-            spliced.append((key, _getter(at), c))
+            spliced.append((key, items_at(at), c))
         for perm in perms:
             args = list(perm[2:])
-            args.insert(v_idx, perm[0] + perm[1])
+            args.insert(v_idx, perm[0] + times + perm[1])
             yield f"{label}({','.join(args)})", [(key, get(perm), c) for key, get, c in spliced]
 
     # (ii) a relabeled instance times the leftover variable, on either side
@@ -306,8 +300,8 @@ def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable]
     right, left = [], []
     for m, c in terms:
         at = [slot[x] for x in m.leaf_names()]
-        right.append((node_key(op, (m.shape_key(), LEAF_KEY)), _getter(at + [0]), c))
-        left.append((node_key(op, (LEAF_KEY, m.shape_key())), _getter([0] + at), c))
+        right.append((node_key(op, (m.shape_key(), LEAF_KEY)), items_at(at + [0]), c))
+        left.append((node_key(op, (LEAF_KEY, m.shape_key())), items_at([0] + at), c))
     for perm in perms:
         args = ",".join(perm[1:])
         yield f"{label}({args})*{perm[0]}", [(key, get(perm), c) for key, get, c in right]
@@ -481,10 +475,10 @@ def _reads_cleanly(identities, variables, basis) -> bool:
     ``basis`` cannot raise: no two tags are equal, and each relabeling orbit
     shares its shape keys, so all of it lands in the basis if its first does."""
     names = [ident.name or f"g{idx}" for idx, ident in enumerate(identities)]
-    letters = "".join(v.name for v in variables)
+    letters = [v.name for v in variables]
     # distinct names and letters: a tag parses back to identity, family and permutation
-    if (len(set(names)) < len(names) or not len(set(letters)) == len(letters) == len(variables)
-            or any(ch in word for word in [*names, letters] for ch in "(),*")):
+    if (len(set(names)) < len(names) or len(set(letters)) < len(letters)
+            or any(ch in word for word in [*names, *letters] for ch in "(),*")):
         return False
     try:
         for _, instance in compiled_instances(identities, variables, one_per_family=True):
@@ -517,26 +511,23 @@ def sets_equivalent(
 
     The instance span of a set is closed under relabeling, so it is enough
     to test one canonical instance of each relabeling orbit against the other
-    side: an identity of degree ``degree`` over the variables in order, and
-    one a degree lower as the first lifting of each family, tagged as its
-    liftings are; each side's ``SpanChecker.on_demand`` reads only what they need.
+    side, as ``compiled_instances(..., one_per_family=True)`` yields them: an
+    identity of degree ``degree`` over the variables in order, keyed by its
+    name, and one a degree lower as the first lifting of each family, keyed
+    by its tag; each side's ``SpanChecker.on_demand`` reads only what they need.
     """
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
     basis = MonomialBasis(signature, degree, variables)
     span_a, span_b = (SpanChecker.on_demand(s, variables, basis) for s in (a, b))
 
-    def targets(ident: Identity, name: str):
-        if ident.degree == degree:
-            yield name, relabel(ident.lhs, dict(zip(ident.variables, variables)))
-        else:
-            yield from _lifts(ident.renamed(name), degree, variables, one_per_family=True)
-
     def side(mine, checker: SpanChecker, prefix: str) -> dict:
         return {
-            tag: checker.check(target)
+            name if ident.degree == degree else tag: checker.check(target)
             for idx, ident in enumerate(mine)
-            for tag, target in targets(ident, ident.name or f"{prefix}{idx}")
+            for name in [ident.name or f"{prefix}{idx}"]
+            for tag, target in compiled_instances([ident.renamed(name)], variables,
+                                                  one_per_family=True)
         }
 
     return EquivalenceResult(side(a, span_b, "a"), side(b, span_a, "b"))

@@ -34,6 +34,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
 
 
@@ -142,6 +143,22 @@ class OpSymbol:
 
     def __repr__(self) -> str:
         return f"OpSymbol({self.display()}/{self.arity})"
+
+
+# The paper's two operations: the binary product and the ternary bracket.
+BINARY = OpSymbol("mul", 2)
+TERNARY = OpSymbol("br", 3)
+
+
+def items_at(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """The function from a tuple to the tuple of its items at ``positions``
+    (nonempty, repeats allowed): a slice when they run consecutively, else an
+    ``itemgetter``, so one position still gives a 1-tuple.  Compiled terms,
+    orbit tables and identity roots read their letters or indices with it."""
+    first, width = positions[0], len(positions)
+    if list(positions) == list(range(first, first + width)):
+        return itemgetter(slice(first, first + width))
+    return itemgetter(*positions)
 
 
 # The shape key of a leaf, and of a product node over its children's keys:

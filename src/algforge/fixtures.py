@@ -16,15 +16,14 @@ looked up among them, not parsed.
 
 from __future__ import annotations
 
+from functools import cache
 from pathlib import Path
 
-from .core import Identity, OpSymbol, RewriteRule, apply_rules, rule_from_identity
+# BINARY and TERNARY are core's, and read from here too
+from .core import BINARY, TERNARY, Identity, RewriteRule, apply_rules, rule_from_identity
 from .parsing import parse, parse_file
 from .rightcomm import RCPolynomial, rc_expand
 from .systems import TernaryTable
-
-TERNARY = OpSymbol("br", 3)
-BINARY = OpSymbol("mul", 2)
 
 _IDENTITY_FILES = (
     "varieties/associativity.txt",
@@ -117,8 +116,14 @@ _EXPANSION_3_TEXT = """
 
 
 def expansion_golden(which: str) -> RCPolynomial:
-    """The transcribed straightened expansion for 'lts-b' or 'lts3'."""
-    text = {"lts-b": _EXPANSION_B_TEXT, "lts3": _EXPANSION_3_TEXT}[_norm(which)]
+    """The transcribed straightened expansion for 'lts-b' or 'lts3', parsed
+    once per name: the combination is immutable, so every call shares it."""
+    return _expansion_golden(_norm(which))
+
+
+@cache
+def _expansion_golden(key: str) -> RCPolynomial:
+    text = {"lts-b": _EXPANSION_B_TEXT, "lts3": _EXPANSION_3_TEXT}[key]
     return rc_expand(parse(text, product=BINARY))
 
 

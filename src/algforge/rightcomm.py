@@ -51,10 +51,10 @@ from __future__ import annotations
 import itertools
 import string
 from functools import cache, partial
-from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from .core import (
+    BINARY,
     AlgebraError,
     Identity,
     LinComb,
@@ -65,6 +65,7 @@ from .core import (
     accumulate,
     fold,
     form_tree,
+    items_at,
 )
 from .consequence import (
     MonomialBasis,
@@ -129,9 +130,7 @@ def _types(op: OpSymbol, degree: int) -> _Types:
     for shape in enumerate_shapes([op], degree):
         forms = _orbit(form_tree(shape, letters))
         own, least = forms[0][0], min(key for key, _ in forms)
-        # itemgetter of one position returns the letter, not a 1-tuple
-        orbits[own] = least, tuple(itemgetter(*p) if len(p) > 1 else tuple
-                                   for key, p in forms if key == least)
+        orbits[own] = least, tuple(items_at(p) for key, p in forms if key == least)
         owns[shape] = own
         if own == least:
             types[own] = shape
@@ -244,10 +243,9 @@ def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]
 
 
 def permuted_associator_expand(
-    identity: Union[Identity, Polynomial], product: OpSymbol | None = None
+    identity: Union[Identity, Polynomial], product: OpSymbol = BINARY
 ) -> RCPolynomial:
     """Expand a ternary identity through the permuted associator and straighten."""
-    product = product or OpSymbol("mul", 2)
     p = identity.lhs if isinstance(identity, Identity) else identity
     node = partial(_associator_node, next((op for m in p.terms for op in m.ops()), None))
     out: dict = {}

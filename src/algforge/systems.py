@@ -36,13 +36,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence, Union
 
-from .core import AlgebraError, Identity, LinComb, Monomial, OpSymbol, Polynomial, Variable
-from .core import LEAF_KEY, accumulate, q
+from .core import BINARY, AlgebraError, Identity, LinComb, Monomial, Polynomial, Variable
+from .core import LEAF_KEY, accumulate, items_at, q
 from .parsing import Signature, format_polynomial, parse
 
 
@@ -332,15 +331,6 @@ class BinaryAlgebra(StructureTable):
 SYSTEM_LIMIT = 2 * 10**5
 
 
-def _leaf_getter(slots: Sequence[int]):
-    """The function from a basis tuple to its entries at ``slots``, as a
-    tuple: a slice when the slots run consecutively, else an itemgetter."""
-    first, width = slots[0], len(slots)
-    if list(slots) == list(range(first, first + width)):
-        return operator.itemgetter(slice(first, first + width))
-    return operator.itemgetter(*slots)
-
-
 def _join(partial, index: dict, at: Sequence[int]):
     """Extend each (bound indices, child values) pair by every entry of the
     next child's ``index`` that agrees with it at positions ``at``."""
@@ -455,7 +445,7 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
                 names = (first, *(name for name in names if name != first))
                 if key not in steps:
                     steps[key] = _steps(table, m, tables, [first])
-            roots.append((coeff, _leaf_getter([slot[name] for name in names]), key))
+            roots.append((coeff, items_at([slot[name] for name in names]), key))
         compiled.append((ident, roots))
     for size in sorted({len(ident.variables) for ident in identities}):
         same = [(ident, roots) for ident, roots in compiled if len(ident.variables) == size]
@@ -496,18 +486,20 @@ def check_identities(
     return (not violations), violations
 
 
+def _laws(*names: str) -> list[Identity]:
+    from .fixtures import fixture  # here: fixtures imports this module for its tables
+
+    return [fixture(name) for name in names]
+
+
 def check_lts(table: TernaryTable):
     """Do the two defining five-variable identities hold on all basis tuples?"""
-    from .fixtures import FIXTURES
-
-    return check_identities(table, [FIXTURES["lts-a"], FIXTURES["lts-b"]])
+    return check_identities(table, _laws("lts-a", "lts-b"))
 
 
 def lie_triple_check(table: TernaryTable):
     """Do the three classical ternary identities hold on all basis tuples?"""
-    from .fixtures import FIXTURES
-
-    return check_identities(table, [FIXTURES["l1"], FIXTURES["l2"], FIXTURES["l3"]])
+    return check_identities(table, _laws("l1", "l2", "l3"))
 
 
 def render_grid(basis: Sequence[str], entries: Sequence[Sequence[str]]) -> str:
@@ -567,17 +559,14 @@ def build_envelope(table: TernaryTable) -> BinaryAlgebra:
 
 def check_leibniz(algebra: BinaryAlgebra):
     """Check <<a,b>,c> = <<a,c>,b> + <a,<b,c>> on all basis triples."""
-    from .fixtures import FIXTURES
-
-    _, violations = check_identities(algebra, [FIXTURES["leibniz"]])
+    _, violations = check_identities(algebra, _laws("leibniz"))
     return (not violations), [tup for _, tup in violations]
 
 
 # Ternary products built from a binary one: the iterated bracket <<a,b>,c>,
 # and abc - bac - cab + cba in an associative algebra.
-_MUL = OpSymbol("mul", 2)
-_ITERATED_BRACKET = Identity(parse("(ab)c", product=_MUL))
-_ASSOCIATIVE_TRIPLE = Identity(parse("(ab)c - (ba)c - (ca)b + (cb)a", product=_MUL))
+_ITERATED_BRACKET = Identity(parse("(ab)c", product=BINARY))
+_ASSOCIATIVE_TRIPLE = Identity(parse("(ab)c - (ba)c - (ca)b + (cb)a", product=BINARY))
 
 
 def _induced_table(algebra: BinaryAlgebra, dim: int, template: Identity) -> TernaryTable:
@@ -637,8 +626,6 @@ def symbolic_table(n: int = 2) -> TernaryTable:
 
 def lts_equations(n: int = 2) -> QuadraticSystem:
     """Impose the two defining identities on a symbolic n-dimensional table."""
-    from .fixtures import FIXTURES
-
     table = symbolic_table(n)
     unknowns = sorted(
         {s for vec in table.c.values() for coord in vec.values() for s in coord.symbols()}
@@ -647,7 +634,7 @@ def lts_equations(n: int = 2) -> QuadraticSystem:
     # order; identity by identity: one pass over both would interleave them
     equations = dict.fromkeys(
         coord.normalized()
-        for ident in (FIXTURES["lts-a"], FIXTURES["lts-b"])
+        for ident in _laws("lts-a", "lts-b")
         for _, _, out in evaluations(table, [ident])
         for _, coord in sorted(out.items())
     )

@@ -312,13 +312,14 @@ def reference_lifted(identity, target_degree, variables):
     (op,) = ops
     label = identity.name or "id"
     src = identity.variables
+    times = "" if all(len(v.name) == 1 for v in variables) else "*"
     for v_idx, v in enumerate(src):
         others = src[:v_idx] + src[v_idx + 1:]
         for x, y, *rest in itertools.permutations(variables):
             mapping = dict(zip(others, rest))
             mapping[v] = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
             args = [val.name for val in rest]
-            args.insert(v_idx, x.name + y.name)
+            args.insert(v_idx, x.name + times + y.name)
             yield f"{label}({','.join(args)})", relabel(identity.lhs, mapping)
     for f, *rest in itertools.permutations(variables):
         inst = relabel(identity.lhs, dict(zip(src, rest)))

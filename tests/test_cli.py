@@ -185,10 +185,6 @@ _RJ = next(l for l in data_text("identities/jordan.txt").splitlines() if l.start
       "clash.txt": [_BR, "g1: " + _LTS_A.split(": ", 1)[1], _LTS_B.split(": ", 1)[1]]},
      ["span", "--target", "ta.txt", "--gens", "clash.txt"],
      "error: duplicate generator tag 'g1(a,b,c,d,e)'\n"),
-    # the product of a and b in one slot is tagged as the variable ab is
-    ({"rj.txt": ["op mul/2", _RJ]},
-     ["equiv", "--a", "rj.txt", "--b", "rj.txt", "--vars", "a,b,ab,c,d"],
-     "error: duplicate generator tag 'rj(ab,ab,c,d)'\n"),
 ])
 def test_span_input_refused_up_front(files, command, message, tmp_path, capsys):
     # each would be answered if the generators were read only as far as the
@@ -200,6 +196,24 @@ def test_span_input_refused_up_front(files, command, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_equiv_over_a_multi_letter_variable_answers_as_over_one_letters(tmp_path, capsys):
+    # beside the variable ab, the product of a and b in one slot is tagged
+    # a*b; renaming ab to x and a*b to ab gives the one-letter run's lines
+    rj = tmp_path / "rj.txt"
+    rj.write_text(f"op mul/2\n{_RJ}\n")
+    runs = []
+    for names in ("a,b,ab,c,d", "a,b,x,c,d"):
+        assert main(["equiv", "--a", str(rj), "--b", str(rj), "--degree", "5", "--vars", names]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        runs.append(captured.out.splitlines())
+    multi, single = runs
+    tags = [line.split(": ")[1] for line in multi if "A in span(B)" in line]
+    assert len(set(tags)) == len(tags) == 6 and tags[0] == "rj(a*b,ab,c,d)"
+    assert [re.sub(r"\bab\b", "x", line).replace("a*b", "ab") for line in multi] == single
+    assert single[-1] == "EQUIVALENT"
 
 
 @pytest.mark.parametrize("other, code, verdict", [

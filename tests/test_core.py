@@ -18,6 +18,7 @@ from algforge.core import (
     apply_op,
     apply_rules,
     form_tree,
+    items_at,
     normalize_scalar,
     polarize,
     relabel,
@@ -323,3 +324,27 @@ def test_a_cached_tree_is_made_of_the_cached_subtrees(m):
         for child in node.children:
             assert child is form_tree(child.shape_key(), child.leaf_names())
             stack.append(child)
+
+
+@st.composite
+def sequences_and_positions(draw):
+    """A nonempty tuple and a nonempty list of positions in it: any positions,
+    repeats allowed, or a consecutive run."""
+    seq = tuple(draw(st.lists(st.text("abc", max_size=2), min_size=1, max_size=8)))
+    index = st.integers(0, len(seq) - 1)
+    run = st.builds(lambda start, width: list(range(start, min(start + width, len(seq)))),
+                    index, st.integers(1, 8))
+    return seq, draw(st.one_of(st.lists(index, min_size=1, max_size=8), run))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences_and_positions())
+# one position, a consecutive run and a repeated position (a non-multilinear
+# identity repeats a slot): each a case one of the readers it replaced special-cased
+@example((("a",), [0]))
+@example((("a", "b", "c", "d"), [2]))
+@example((("a", "b", "c", "d"), [1, 2, 3]))
+@example((("a", "b", "c"), [0, 0, 2]))
+def test_items_at_reads_the_tuple_of_the_items_at_its_positions(case):
+    seq, positions = case
+    assert items_at(positions)(seq) == tuple(seq[i] for i in positions)

@@ -1,5 +1,5 @@
 """Print one line per pinned output: the command, its exit code and the
-sha256 of its stdout.
+sha256 of its stdout and of its stderr.
 
 The pinned outputs are the CLI runs, digests of the instance stream, of
 the straightening table, of the degree-5 ternary kernel and of identity
@@ -67,8 +67,8 @@ PER_SYSTEM = [
 # through its liftings; then input that is refused before any answer,
 # although the first instances alone would answer it: a third identity named
 # lts-a with the body of lts-b, a generator with a repeated variable behind
-# lts-a, an identity named g1 beside an unnamed second one, and variables
-# a, b, ab, c, d, under which rj's liftings repeat a tag
+# lts-a, and an identity named g1 beside an unnamed second one; and rj over
+# the variables a, b, ab, c, d, whose liftings tag the product of a and b a*b
 ON_FILES = [
     ["kp", "--in", "associativity.txt"],
     ["kp", "--in", "lie.txt"],
@@ -209,8 +209,10 @@ WRITE_SYSTEM = (
 
 
 def run(argv: list[str], env: dict) -> tuple[int, str]:
+    """The exit code, and the sha256 of stdout and of stderr as listed."""
     proc = subprocess.run(argv, env=env, capture_output=True, cwd=ROOT)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    out, err = (hashlib.sha256(b).hexdigest() for b in (proc.stdout, proc.stderr))
+    return proc.returncode, f"sha256={out}\tstderr_sha256={err}"
 
 
 def pick(text: str, names: set[str]) -> str:
@@ -291,8 +293,8 @@ def main() -> int:
         for demo in demos:
             jobs.append((f"python demos/{demo.name}", [sys.executable, str(demo)]))
         for label, argv in jobs:
-            code, digest = run(argv, env)
-            lines.append(f"{label}\texit={code}\tsha256={digest}")
+            code, digests = run(argv, env)
+            lines.append(f"{label}\texit={code}\t{digests}")
     print("\n".join(lines))
     return 0
 
