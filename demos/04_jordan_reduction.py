@@ -8,16 +8,19 @@ everything or leaves a polynomial that must reduce over lifted instances
 of the two linearized identities.
 """
 
-from algforge.consequence import iter_lifted
-from algforge.core import Polynomial, variables
+from algforge.consequence import compiled_instances
+from algforge.core import variables
 from algforge.fixtures import BINARY, fixture, stated_instances
-from algforge.rightcomm import RCBasis, build_jordan_checker, permuted_associator_expand, rc_expand, symmetry_order
+from algforge.rightcomm import (
+    RCBasis, RCPolynomial, build_jordan_checker, permuted_associator_expand, symmetry_order,
+)
 
 print(__doc__)
 V = variables("abcde")
 orders = [symmetry_order(BINARY, 5, t) for t in range(1, 10)]
 print("symmetry group orders by type:", orders)
-print("canonical degree-5 words:", len(RCBasis(BINARY, 5, V)))
+basis = RCBasis(BINARY, 5, V)
+print("canonical degree-5 words:", len(basis))
 
 print("\nPermuted-associator expansions:")
 for name in ("lts1", "lts2"):
@@ -26,10 +29,9 @@ eb = permuted_associator_expand(fixture("lts-b"))
 print(f"  lts-b: {len(eb.terms)} terms, first two: "
       + ", ".join(f"{'+' if c > 0 else '-'}{w.render()}" for w, c in eb.sorted_terms()[:2]))
 
-lifted = {tag: p for name in ("rj", "ro") for tag, p in iter_lifted(fixture(name), 5, V)}
-stated = Polynomial.linear_image(stated_instances("lts-b"), lifted.__getitem__)
-print("\nThe stated eight-instance combination straightens to the same thing:",
-      rc_expand(stated) == eb)
+lifted = dict(compiled_instances([fixture("rj"), fixture("ro")], V))
+stated = RCPolynomial.linear_image(stated_instances("lts-b"), lambda t: basis.normal(lifted[t]))
+print("\nThe stated eight-instance combination straightens to the same thing:", stated == eb)
 
 checker = build_jordan_checker(fixture("rj"), fixture("ro"), V, BINARY)
 print(f"\nLifted-instance table: {len(checker.generators)} generators, rank {checker.rank}")

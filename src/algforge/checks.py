@@ -21,8 +21,8 @@ from .core import (
     apply_op,
     apply_rules,
     polarize,
-    relabel,
     rename_ops,
+    substitute,
     variables,
 )
 from .consequence import (
@@ -177,7 +177,7 @@ def section_ex25() -> SectionReport:
         claims.append(Claim(f"interchange output {idx+1} reduces to right anticommutativity", res.equivalent))
 
     # square the middle variable of the one-product law, then re-linearize
-    spec = relabel(leib.lhs, {Variable("b"): Variable("c")})
+    spec = substitute(leib.lhs, {Variable("b"): Variable("c")})
     pol = polarize(Identity(spec, name="leibniz-squared"))
     basis = MonomialBasis([BINARY], 3, vs)
     cert = SpanChecker(list(compiled_instances([pol], vs)), basis).check(ra.lhs)
@@ -264,7 +264,7 @@ def section_lem33() -> SectionReport:
 
     def inst(name, perm):
         f = fixture(name)
-        return relabel(f.lhs, dict(zip(f.variables, variables(perm))))
+        return substitute(f.lhs, dict(zip(f.variables, variables(perm))))
 
     s1, s2, s4 = (fixture(n).lhs for n in ("lts1", "lts2", "lts3"))
     sa, sb = fixture("lts-a").lhs, fixture("lts-b").lhs

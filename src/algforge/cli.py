@@ -85,12 +85,6 @@ def cmd_span(args) -> int:
         raise AlgebraError("target file must contain exactly one identity")
     target = targets[0]
     _, gens = _read_identities(args.gens)
-    for idx, g in enumerate(gens):
-        gap = args.degree - g.degree
-        if gap and not (args.lift and gap == 1):
-            hint = ("pass --lift for a one-degree gap" if gap == 1
-                    else "only a one-degree gap can be lifted")
-            raise AlgebraError(f"generator {g.name or f'g{idx}'} has degree {g.degree}; {hint}")
     vs = _parse_vars(args.vars, args.degree)
     basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
     cert = SpanChecker.on_demand(gens, vs, basis).check(target.lhs)
@@ -266,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("span", help="exact span membership with certificate")
     p.add_argument("--target", required=True, help="file with one identity")
-    p.add_argument("--gens", required=True, help="file with generator identities")
+    p.add_argument("--gens", required=True,
+                   help="file with generator identities; one a degree below is lifted")
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--vars", help="comma-separated variables (default a,b,c,...)")
-    p.add_argument("--lift", action="store_true", help="lift generators one degree")
     p.set_defaults(fn=cmd_span)
 
     p = sub.add_parser("equiv", help="mutual span inclusion of two identity sets")

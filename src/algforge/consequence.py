@@ -20,10 +20,10 @@ over the term's.  A shape is its key, so ``enumerate_shapes`` lists keys.
 Every tree that comes from a key is taken from the one bounded cache behind
 ``core.form_tree``, one tree per (shape key, letters) made of its subtrees'
 own entries: the basis's trees, and the tree polynomials that
-``iter_relabelings`` and ``iter_lifted`` render from the compiled stream.
-A rendered instance is thus made of the basis's own tree objects, and its
-basis lookup hits by identity; equality stays structural, so a tree the
-cache has let go, or one built elsewhere, is still found.
+``iter_relabelings`` renders from the compiled stream.  A rendered
+instance is thus made of the basis's own tree objects, and its basis
+lookup hits by identity; equality stays structural, so a tree the cache
+has let go, or one built elsewhere, is still found.
 
 A basis is its element list, their ``index``, and one map from a (shape
 key, letters) pair to its element: the cached tree for ``MonomialBasis``,
@@ -32,8 +32,9 @@ compiled instance's pairs to columns through one memo per basis, filled as
 each pair is first read, and reads anything else through its normal form,
 the combination of the basis's own elements.  A tree polynomial is its own
 normal form for ``MonomialBasis``, and ``RCBasis`` straightens it; a
-compiled instance's is read off its vector.  Membership is decided by exact
-forward elimination, and every positive answer carries a certificate that
+compiled instance's is read off its vector, as is a target's in ``check``,
+so each target is read once.  Membership is decided by exact forward
+elimination, and every positive answer carries a certificate that
 re-expands to the target.  ``SpanChecker`` builds a normal form only for a
 target and for a generator that becomes a pivot, the only ones a
 certificate names; ``on_demand`` feeds one only when an answer needs it.
@@ -227,8 +228,11 @@ class MonomialBasis:
         in the same order, one through columns, one through elements."""
         if not isinstance(p, list):
             return p
-        if vec is None:
-            vec = self.vector(p)
+        return self._combination(self.vector(p) if vec is None else vec)
+
+    def _combination(self, vec: Vec):
+        """The normal form with the coefficient at each column of ``vec`` on
+        that column's element, in the order of ``vec``."""
         monomials = self.monomials
         return self._normal_type._from_terms({monomials[i]: c for i, c in vec.items()})
 
@@ -250,15 +254,15 @@ def _relabelings(identity: Identity, variables: Sequence[Variable]):
 
 def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable],
            *, one_per_family: bool = False):
-    """Yield (tag, compiled instance) for every one-step lifting over a
-    binary signature.  Each is read off a permutation ``perm`` of the target
-    letters: a product ``perm[0]perm[1]`` in one slot with ``perm[2:]`` in the
-    others, or ``perm[1:]`` relabeling the identity beside the factor
-    ``perm[0]``.  Each of those families is one relabeling orbit;
-    ``one_per_family`` reads each off the letters in order only."""
+    """Yield (tag, compiled instance) for every one-step lifting of a named
+    identity over a binary signature.  Each is read off a permutation
+    ``perm`` of the target letters: a product ``perm[0]perm[1]`` in one slot
+    with ``perm[2:]`` in the others, or ``perm[1:]`` relabeling the identity
+    beside the factor ``perm[0]``.  Each of those families is one relabeling
+    orbit; ``one_per_family`` reads each off the letters in order only."""
     variables = tuple(variables)
     d = identity.degree
-    label = identity.name or "id"
+    label = identity.name
     if target_degree < d:
         raise UnsupportedLift(
             f"identity {label} has degree {d}, above the requested degree {target_degree}"
@@ -332,22 +336,12 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
             yield from _lifts(named, len(variables), variables, one_per_family=one_per_family)
 
 
-def _rendered(compiled):
-    """The compiled stream with each instance's tree polynomial."""
-    for tag, terms in compiled:
+def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
+    """Yield (tag, tree polynomial) for every bijective variable relabeling."""
+    for tag, terms in _relabelings(identity, variables):
         yield tag, Polynomial._from_terms(accumulate({}, (
             (_tree(key, letters), c) for key, letters, c in terms
         )))
-
-
-def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
-    """Yield (tag, polynomial) for every bijective variable relabeling."""
-    yield from _rendered(_relabelings(identity, variables))
-
-
-def iter_lifted(identity: Identity, target_degree: int, variables):
-    """Yield (tag, polynomial) one-step liftings over a binary signature."""
-    yield from _rendered(_lifts(identity, target_degree, variables))
 
 
 class SpanCertificate:
@@ -459,8 +453,9 @@ class SpanChecker:
         return self.table.rank
 
     def check(self, target) -> SpanCertificate | NotInSpan:
-        target = self.basis.normal(target)
-        residual, trail = self.table.reduce(self.basis.vector(target))
+        vec = self.basis.vector(target)
+        target = self.basis.normal(target, vec)
+        residual, trail = self.table.reduce(vec)
         while residual and self._read(min(residual)):
             residual, more = self.table.reduce(residual)
             trail += more

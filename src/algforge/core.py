@@ -606,35 +606,14 @@ class Identity:
         return f"<{label}: {self.lhs!r} = 0>"
 
 
-def relabel(p: Polynomial, mapping: Mapping[Variable, Union[Variable, Monomial]]) -> Polynomial:
-    """Put a variable or a whole tree in for each mapped variable, structurally
-    (no expansion): every term maps to exactly one term.
-
-    Renaming variables and a one-step lift (a product tree of fresh variables
-    in one slot) are both this one fold.  The caller keeps the result
-    multilinear: for an injective renaming, or trees over disjoint fresh
-    variables, distinct terms stay distinct and nothing cancels.
-    """
-    byname = {
-        v.name: w if isinstance(w, Monomial) else Monomial.leaf(w) for v, w in mapping.items()
-    }
-
-    def leaf(v: Variable) -> Monomial:
-        m = byname.get(v.name)
-        return m if m is not None else Monomial.leaf(v)
-
-    return Polynomial._from_terms(
-        accumulate({}, ((fold(m, leaf, Monomial.apply), c) for m, c in p.terms.items()))
-    )
-
-
 def substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) -> Polynomial:
     """Plug polynomials in for variables, expanding multilinearly.
 
     Nothing is checked: an unassigned variable passes through, and values
     may share variables or identify two of them, as polarization and
-    rewrite-rule expansion need.  A variable-to-variable map is ``relabel``,
-    which builds no intermediate polynomial.
+    rewrite-rule expansion need.  Renaming variables, or putting a tree in
+    for one as a one-step lift does, is this map too; ``relabel`` is its
+    other name.
     """
     values = {v.name: _as_polynomial(x) for v, x in assignment.items()}
 
@@ -643,6 +622,9 @@ def substitute(p: Polynomial, assignment: Mapping[Variable, PolyLike]) -> Polyno
         return val if val is not None else _as_polynomial(v)
 
     return Polynomial.linear_image(p.terms, lambda m: fold(m, leaf, apply_op))
+
+
+relabel = substitute
 
 
 def rename_ops(p: Polynomial, mapping: Mapping[OpSymbol, OpSymbol]) -> Polynomial:

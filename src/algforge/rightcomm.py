@@ -283,9 +283,10 @@ class RCBasis(MonomialBasis):
         self._slots = _Columns(partial(_compiled_word, op, types.by_shape), self.index)
 
     def normal(self, p, vec=None):
-        """A tree polynomial straightened; anything else as ``MonomialBasis`` reads it."""
+        """A tree polynomial straightened, or read off ``vec`` when it is
+        ``vector(p)``; anything else as ``MonomialBasis`` reads it."""
         if isinstance(p, (Polynomial, Monomial)):
-            return rc_expand(p)
+            return rc_expand(p) if vec is None else self._combination(vec)
         return super().normal(p, vec)
 
 

@@ -3,7 +3,8 @@ dense structure-table product loops, the index-tuple product over a table's
 constants, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
-expansion and canonical word list, the tree-built instance stream, the
+expansion and canonical word list, the structural renaming fold, the
+compiled one-step lifts rendered as trees, the tree-built instance stream, the
 elimination table that updates every combination eagerly, the interchange
 identities over every inner-variant pair, the offset-counting walk of the
 variant re-subscripting, random trees of mixed arity, and the operator
@@ -16,7 +17,7 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from algforge.consequence import DimensionMismatch, UnsupportedLift
+from algforge.consequence import DimensionMismatch, UnsupportedLift, _lifts
 from algforge.core import (
     AlgebraError,
     Identity,
@@ -29,7 +30,6 @@ from algforge.core import (
     fold,
     form_tree,
     q,
-    relabel,
 )
 from algforge.kp import _interchanges
 from algforge.linalg import PivotTable
@@ -277,9 +277,34 @@ def reference_rc_basis_words(op: OpSymbol, degree: int, variables) -> list:
     return sorted(seen, key=RCWord.sort_key)
 
 
+def reference_relabel(p, mapping):
+    """The oracle for ``core.relabel``: a variable or a whole tree put in for
+    each mapped variable by one structural fold, every term to one term."""
+    byname = {
+        v.name: w if isinstance(w, Monomial) else Monomial.leaf(w) for v, w in mapping.items()
+    }
+
+    def leaf(v):
+        m = byname.get(v.name)
+        return m if m is not None else Monomial.leaf(v)
+
+    return Polynomial._from_terms(
+        accumulate({}, ((fold(m, leaf, Monomial.apply), c) for m, c in p.terms.items()))
+    )
+
+
+def iter_lifted(identity, target_degree, variables):
+    """The one-step lifts of a named identity as ``consequence.compiled_instances``
+    compiles them, each rendered as (tag, tree polynomial)."""
+    for tag, terms in _lifts(identity, target_degree, variables):
+        yield tag, Polynomial._from_terms(accumulate({}, (
+            (form_tree(key, letters), c) for key, letters, c in terms
+        )))
+
+
 def reference_relabelings(identity, variables):
     """The oracle for ``consequence.iter_relabelings``: each relabeling is
-    one ``relabel`` fold of the identity's trees."""
+    one ``reference_relabel`` fold of the identity's trees."""
     variables = tuple(variables)
     if len(variables) != len(identity.variables):
         raise DimensionMismatch(
@@ -289,12 +314,12 @@ def reference_relabelings(identity, variables):
     for perm in itertools.permutations(variables):
         mapping = dict(zip(identity.variables, perm))
         tag = f"{label}({','.join(v.name for v in perm)})"
-        yield tag, relabel(identity.lhs, mapping)
+        yield tag, reference_relabel(identity.lhs, mapping)
 
 
 def reference_lifted(identity, target_degree, variables):
-    """The oracle for ``consequence.iter_lifted``: a product tree put in one
-    slot by ``relabel``, or a relabeled instance multiplied by ``apply_op``."""
+    """The oracle for ``iter_lifted``: a product tree put in one slot by
+    ``reference_relabel``, or a relabeled instance multiplied by ``apply_op``."""
     variables = tuple(variables)
     d = identity.degree
     if target_degree < d:
@@ -320,9 +345,9 @@ def reference_lifted(identity, target_degree, variables):
             mapping[v] = Monomial.apply(op, (Monomial.leaf(x), Monomial.leaf(y)))
             args = [val.name for val in rest]
             args.insert(v_idx, x.name + times + y.name)
-            yield f"{label}({','.join(args)})", relabel(identity.lhs, mapping)
+            yield f"{label}({','.join(args)})", reference_relabel(identity.lhs, mapping)
     for f, *rest in itertools.permutations(variables):
-        inst = relabel(identity.lhs, dict(zip(src, rest)))
+        inst = reference_relabel(identity.lhs, dict(zip(src, rest)))
         args = ",".join(v.name for v in rest)
         fpoly = Polynomial({Monomial.leaf(f): 1})
         yield f"{label}({args})*{f.name}", apply_op(op, [inst, fpoly])

@@ -60,27 +60,35 @@ def test_span_lift_and_failure(tmp_path, capsys):
     )
     code = main([
         "span", "--target", str(target), "--gens", str(gens),
-        "--degree", "5", "--lift",
+        "--degree", "5",
     ])
     out = capsys.readouterr().out
     assert code == 1 and out.startswith("NOT IN SPAN")
 
 
-def test_span_degree_gap_needs_lift(tmp_path, capsys):
-    target = tmp_path / "t.txt"
+def test_span_lifts_by_degree_as_equiv_does(tmp_path, capsys):
+    assoc = "mul(mul(a,b),c) - mul(a,mul(b,c))"
+    gens, high = tmp_path / "g.txt", tmp_path / "h.txt"
+    gens.write_text(f"op mul/2\n{assoc}\n")
+    high.write_text(f"op mul/2\nmul({assoc}, mul(d,mul(e,f)))\n")
+    # a generator one degree below is lifted, with no flag
+    lifted = tmp_path / "t4.txt"
+    lifted.write_text("op mul/2\nmul(mul(mul(a,b),c),d) - mul(mul(a,mul(b,c)),d)\n")
+    assert main(["span", "--target", str(lifted), "--gens", str(gens), "--degree", "4"]) == 0
+    assert capsys.readouterr().out.startswith("IN SPAN")
+    # a two-degree gap and a generator above the degree are refused before
+    # any answer, in the line forge equiv prints for the same file
+    target = tmp_path / "t5.txt"
     target.write_text("op mul/2\nmul(mul(mul(mul(a,b),c),d),e)\n")
-    gens = tmp_path / "g.txt"
-    gens.write_text("op mul/2\nmul(mul(a,b),c) - mul(a,mul(b,c))\n")
-    argv = ["span", "--target", str(target), "--gens", str(gens)]
-    one_gap = "error: generator g0 has degree 3; pass --lift for a one-degree gap\n"
-    two_gap = "error: generator g0 has degree 3; only a one-degree gap can be lifted\n"
-    for degree, lift, message in (
-        ("4", [], one_gap),
-        ("5", [], two_gap),
-        ("5", ["--lift"], two_gap),  # a two-degree gap is refused either way
+    for path, message in (
+        (gens, "error: only a one-degree lift is supported, asked 3 -> 5\n"),
+        (high, "error: identity g0 has degree 6, above the requested degree 5\n"),
     ):
-        assert main(argv + ["--degree", degree] + lift) == 2
-        assert capsys.readouterr().err == message
+        for argv in (["span", "--target", str(target), "--gens", str(path)],
+                     ["equiv", "--a", str(path), "--b", str(path)]):
+            assert main(argv + ["--degree", "5"]) == 2
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message)
 
 
 _DEGREE_8 = "op mul/2\nmul(mul(mul(mul(mul(mul(mul(a,b),c),d),e),f),g),h)\n"

@@ -19,7 +19,7 @@ from algforge.core import (
     substitute,
     variables,
 )
-from algforge import consequence, core
+from algforge import consequence, core, rightcomm
 from algforge.consequence import (
     BasisTooLarge,
     DegreeNotExpressible,
@@ -29,7 +29,6 @@ from algforge.consequence import (
     SpanChecker,
     UnsupportedLift,
     compiled_instances,
-    iter_lifted,
     kernel_of_expansion,
     iter_relabelings,
     sets_equivalent,
@@ -39,7 +38,13 @@ from algforge.leibniz import expand_ternary
 from algforge.parsing import parse_file
 from algforge.rightcomm import RCBasis, build_jordan_checker
 
-from helpers import reference_instances, reference_lifted, reference_relabelings, typed_items
+from helpers import (
+    iter_lifted,
+    reference_instances,
+    reference_lifted,
+    reference_relabelings,
+    typed_items,
+)
 
 V5 = variables("abcde")
 V3 = variables("abc")
@@ -554,6 +559,25 @@ def test_a_compiled_instance_reads_as_the_vector_of_its_normal_form(kind):
         assert typed_items(basis.vector(g)) == want
         assert typed_items(basis.vector(basis.normal(g))) == want
         assert typed_items(basis.normal(g).terms) == typed_items(basis.normal(tree).terms)
+        assert typed_items(basis.normal(tree, basis.vector(tree)).terms) == (
+            typed_items(basis.normal(tree).terms))
+
+
+@pytest.mark.parametrize("kind", ["compiled", "tree"])
+def test_check_reads_a_target_once(kind, monkeypatch):
+    checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
+    assert checker.rank  # every generator read, so only the target is read below
+    basis = checker.basis
+    target = next(compiled_instances([fixture("rj")], V5))[1]
+    if kind == "tree":
+        target = next(iter_lifted(fixture("rj"), 5, V5))[1]
+    vectors, straightened = [], []
+    vector, expand = basis.vector, rightcomm.rc_expand
+    monkeypatch.setattr(basis, "vector", lambda p: vectors.append(p) or vector(p))
+    monkeypatch.setattr(rightcomm, "rc_expand", lambda p: straightened.append(p) or expand(p))
+    cert = checker.check(target)
+    assert len(vectors) == 1 and len(straightened) == (kind == "tree")
+    assert cert.ok and cert.verify() and cert.target == basis.normal(target)
 
 
 @pytest.mark.parametrize("kind", ["rc", "planar"])

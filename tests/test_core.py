@@ -29,7 +29,7 @@ from algforge.core import (
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.rightcomm import rc_expand
 
-from helpers import mixed_trees, reference_operator_identities, typed_items
+from helpers import mixed_trees, reference_operator_identities, reference_relabel, typed_items
 
 
 A, B, C, D, E = variables("abcde")
@@ -146,17 +146,22 @@ _LETTERS = st.sampled_from("abcdef")
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(mixed_trees(), st.integers(-3, 3)), min_size=1, max_size=4),
-       st.dictionaries(_LETTERS, _LETTERS))
+       st.dictionaries(_LETTERS, _LETTERS),
+       st.none() | st.tuples(_LETTERS, mixed_trees()))
 @example([(Monomial.apply(BINARY, (Monomial.leaf(A), Monomial.leaf(B))), 1),
-          (Monomial.apply(BINARY, (Monomial.leaf(B), Monomial.leaf(A))), -1)], {"b": "a"})
-def test_relabel_equals_substitute_on_variable_maps(terms, names):
+          (Monomial.apply(BINARY, (Monomial.leaf(B), Monomial.leaf(A))), -1)], {"b": "a"}, None)
+@example([(Monomial.apply(BINARY, (Monomial.leaf(A), Monomial.leaf(B))), 2)], {"b": "e"},
+         ("a", Monomial.apply(BINARY, (Monomial.leaf(C), Monomial.leaf(D)))))
+def test_relabel_equals_substitute_on_variable_maps(terms, names, tree):
     # a map may merge two names, as squaring a variable of the one-product
-    # law does, and the merged terms may then cancel
+    # law does, and the merged terms may then cancel; a tree in one slot is
+    # what a one-step lift puts in
     p = Polynomial._from_terms(core.accumulate({}, terms))
     mapping = {Variable(x): Variable(y) for x, y in names.items()}
-    got = relabel(p, mapping)
-    want = substitute(p, {v: leaf(w) for v, w in mapping.items()})
-    assert typed_items(got.terms) == typed_items(want.terms)
+    if tree is not None:
+        mapping[Variable(tree[0])] = tree[1]
+    got = substitute(p, mapping)
+    assert typed_items(got.terms) == typed_items(reference_relabel(p, mapping).terms)
 
 
 def test_normalize_scalar():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from algforge.consequence import enumerate_shapes, iter_lifted
+from algforge.consequence import enumerate_shapes
 from algforge.core import (
     AlgebraError,
     Monomial,
@@ -36,6 +36,7 @@ from algforge.rightcomm import (
 )
 
 from helpers import (
+    iter_lifted,
     rc_orbit as _orbit,
     rc_order,
     reference_lifted,

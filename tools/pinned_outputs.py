@@ -77,8 +77,8 @@ ON_FILES = [
     ["span", "--target", "lts1.txt", "--gens", "triple-systems.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "lts-ab.txt", "--degree", "5"],
     ["span", "--target", "lts1.txt", "--gens", "unnamed-ab.txt", "--degree", "5"],
-    ["span", "--target", "left-normed.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
-    ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5", "--lift"],
+    ["span", "--target", "left-normed.txt", "--gens", "rj.txt", "--degree", "5"],
+    ["span", "--target", "rj-lifted.txt", "--gens", "rj.txt", "--degree", "5"],
     ["equiv", "--a", "lts-ab.txt", "--b", "triple-systems.txt", "--degree", "5"],
     ["equiv", "--a", "lie.txt", "--b", "lie.txt", "--degree", "3"],
     ["equiv", "--a", "late.txt", "--b", "lts-ab.txt", "--degree", "5"],
@@ -87,14 +87,15 @@ ON_FILES = [
     ["equiv", "--a", "rj.txt", "--b", "rj.txt", "--degree", "5", "--vars", "a,b,ab,c,d"],
 ]
 # a sha256 over every instance the span layer builds, rendered as tree
-# polynomials by iter_lifted and iter_relabelings: tag, terms in insertion
-# order, and each coefficient's type, for the rj/ro lifts, the lts-a/lts-b
-# relabelings and the thm3.2 inner-identity set at degree 5, then the
-# Jordan checker's generators and pivot rows
+# polynomials: tag, terms in insertion order, and each coefficient's type,
+# for the rj/ro lifts of compiled_instances, each term's tree formed from
+# its shape key and letters and summed in order, the lts-a/lts-b
+# relabelings and the thm3.2 inner-identity set at degree 5 from
+# iter_relabelings, then the Jordan checker's generators and pivot rows
 INSTANCE_DIGEST = (
     "import hashlib\n"
-    "from algforge.consequence import iter_lifted, iter_relabelings\n"
-    "from algforge.core import variables\n"
+    "from algforge.consequence import compiled_instances, iter_relabelings\n"
+    "from algforge.core import Polynomial, accumulate, form_tree, variables\n"
     "from algforge.fixtures import BINARY, fixture\n"
     "from algforge.rightcomm import build_jordan_checker\n"
     "vs = variables('abcde')\n"
@@ -104,7 +105,8 @@ INSTANCE_DIGEST = (
     "        terms = [(repr(m), repr(c), type(c).__name__) for m, c in p.terms.items()]\n"
     "        digest.update(repr((tag, terms)).encode())\n"
     "for name in ('rj', 'ro'):\n"
-    "    feed(iter_lifted(fixture(name), 5, vs))\n"
+    "    feed((tag, Polynomial._from_terms(accumulate({}, ((form_tree(k, l), c) for k, l, c in g))))\n"
+    "         for tag, g in compiled_instances([fixture(name)], vs))\n"
     "for name in ('lts-a', 'lts-b'):\n"
     "    feed(iter_relabelings(fixture(name), vs))\n"
     "inner = ('inner2-skew', 'inner2-cyclic', 'inner3-skew', 'inner3-cyclic', 'lts3')\n"
