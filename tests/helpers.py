@@ -294,8 +294,9 @@ def reference_relabel(p, mapping):
 
 
 def iter_lifted(identity, target_degree, variables):
-    """The one-step lifts of a named identity as ``consequence.compiled_instances``
-    compiles them, each rendered as (tag, tree polynomial)."""
+    """The one-step lifts of a named identity as
+    ``consequence.compiled_instances`` compiles them, each rendered as
+    (tag, tree polynomial)."""
     for tag, terms in _lifts(identity, target_degree, variables):
         yield tag, Polynomial._from_terms(accumulate({}, (
             (form_tree(key, letters), c) for key, letters, c in terms
