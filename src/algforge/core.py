@@ -23,9 +23,11 @@ groups terms by association type and orders each group lexicographically,
 which is the convention used throughout the identity fixtures.
 
 A shape is its key, ``Monomial.shape_key``: nested tuples that ``LEAF_KEY``
-and ``node_key`` write, and only ``form_tree`` reads back.  It fills a key
-with leaf letters from one bounded cache of one tree per (shape key,
-letters), whose nodes are made of the cached trees of their children.
+and ``node_key`` write, and only ``form_tree`` and ``fold_shape`` read back.
+``form_tree`` fills a key with leaf letters from one bounded cache of one
+tree per (shape key, letters), whose nodes are made of the cached trees of
+their children; ``fold_shape`` folds a key as ``fold`` folds a tree, with
+leaf positions in place of letters.
 """
 
 from __future__ import annotations
@@ -301,6 +303,22 @@ def _tree(key: tuple, letters: tuple[str, ...]) -> Monomial:
 def form_tree(key: tuple, letters: Sequence[str | Variable]) -> Monomial:
     """The tree of a shape key with these leaf letters, left to right."""
     return _tree(key, tuple(x.name if isinstance(x, Variable) else x for x in letters))
+
+
+def fold_shape(key: tuple, leaf: Callable, node: Callable):
+    """``fold`` over the tree of a shape key with ``leaf(i)`` at its i-th leaf
+    from the left, counted from 0: the image that every tree of the shape
+    has under a map that reads its leaves by position only.  It builds no
+    tree."""
+    slots = itertools.count()
+
+    def walk(k: tuple):
+        if k == LEAF_KEY:
+            return leaf(next(slots))
+        name, arity, variant = k[1]
+        return node(OpSymbol(name, arity, variant or None), [walk(sub) for sub in k[2:]])
+
+    return walk(key)
 
 
 def format_monomial(m: Monomial) -> str:

@@ -14,17 +14,25 @@ law x.(y.z) = (x.y).z - (x.z).y.  Expanding an arbitrary bracketing of a
 binary tree therefore lands back in word form, and a ternary bracket is
 expanded through the iterated product <x,y,z> -> (x.y).z.
 
+With distinct letters the expansion of a tree depends only on its shape:
+each word is a permutation of the tree's leaves.  So a shape is expanded
+once, by the fold of ``free_product`` over its leaf slots, into a table of
+(letter getter, coefficient) pairs, and every later tree of that shape is
+read from the table, one letter map per word.  A tree with a repeated
+letter is expanded by the same fold over its own letters, since its words
+may merge.
+
 Right multiplication by a bracketing of k letters is an iterated commutator
 of k right multiplications, so it turns one word into at most 2 ** (k - 1)
-words.  That bounds, with one fold and nothing expanded, the terms an
-expansion accumulates, and ``EXPANSION_LIMIT`` caps them.
+words.  That bounds, with one fold over each shape and nothing expanded,
+the terms a fold accumulates, and ``EXPANSION_LIMIT`` caps them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from typing import Iterable, Union
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Union
 
 from .core import (
     AlgebraError,
@@ -36,14 +44,19 @@ from .core import (
     VariableClash,
     accumulate,
     fold,
+    fold_shape,
+    items_at,
     variables,
 )
 
 Word = tuple[str, ...]
 
-# The most word terms one expansion may accumulate: at about 5 us a term (a
-# right-nested comb of 12 letters accumulates 699,051 in 3.1 s on a 2-core
-# x86 box under CPython 3.11, of 13 letters 2.8 million), 10**6 take about 5 s.
+# The most word terms one expansion may accumulate, summed over its terms
+# before any shape table is filled: at about 5 us a term (a right-nested comb
+# of 12 letters accumulates 699,051 in 3.1 s on a 2-core x86 box under
+# CPython 3.11, of 13 letters 2.8 million), 10**6 take about 5 s.  That is
+# the cost of the fold, so of a shape's first fill; a later expansion of a
+# filled shape with distinct letters costs one letter map per word.
 EXPANSION_LIMIT = 10**6
 
 
@@ -105,47 +118,79 @@ def free_product(
     return TensorPolynomial._from_terms(terms)
 
 
-def _work(m: Monomial) -> int:
-    """An upper bound on the word terms that expanding ``m`` accumulates,
-    counted by one fold over (degree, bound on its words, terms so far): a
-    product of u and v words, v of degree k, accumulates u * v * 2 ** (k - 1)
-    terms into at most u * 2 ** (k - 1) words."""
+@lru_cache(maxsize=512)
+def _work(key: tuple) -> int:
+    """An upper bound on the word terms that the fold accumulates on a tree of
+    this shape key, counted by one fold over (degree, bound on its words,
+    terms so far): a product of u and v words, v of degree k, accumulates
+    u * v * 2 ** (k - 1) terms into at most u * 2 ** (k - 1) words.  It
+    reads the shape alone, so it is cached like ``_table``."""
 
     def product(left: tuple, right: tuple) -> tuple:
         (dl, wl, tl), (dr, wr, tr) = left, right
         return dl + dr, wl << (dr - 1), tl + tr + (wl * wr << (dr - 1))
 
-    return fold(m, lambda _: (1, 1, 0), lambda _, args: reduce(product, args))[2]
+    return fold_shape(key, lambda _: (1, 1, 0), lambda _, args: reduce(product, args))[2]
 
 
-def _expand(p: Union[Monomial, Polynomial], arity: int, kind: str) -> TensorPolynomial:
+_KINDS = {2: "binary", 3: "ternary"}
+
+
+def _node(arity: int) -> Callable:
+    """The fold's image of a bracket: the left-normalized product of its
+    arguments, for brackets of ``arity`` only."""
+
+    def node(op: OpSymbol, args: list) -> TensorPolynomial:
+        if op.arity != arity:
+            raise AlgebraError(f"{op.display()} is not {_KINDS[arity]}")
+        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
+
+    return node
+
+
+@lru_cache(maxsize=512)
+def _table(key: tuple, arity: int) -> tuple:
+    """The expansion of a shape key's trees with distinct letters, one
+    (``items_at`` getter, coefficient) pair per word in the order the fold
+    lists them: a tree's word is the getter applied to its leaf names.
+
+    Filled by the fold over the shape's leaf slots, so it builds no tree.
+    The cache holds the tables of the 512 shapes expanded last: every
+    binary shape to degree 7 (197) and every ternary one to degree 9 (72)
+    fit together.  A fill that raises leaves no entry."""
+    words = fold_shape(key, lambda i: TensorPolynomial.word((i,)), _node(arity))
+    return tuple((items_at(w), c) for w, c in words.terms.items())
+
+
+def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     """Read brackets of one arity into word form, each bracket the
-    left-normalized product of its arguments."""
+    left-normalized product of its arguments: a tree with distinct letters
+    from its shape's table, any other by the fold."""
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
-    work = sum(map(_work, terms))
+    work = sum(_work(m.shape_key()) for m in terms)
     if work > EXPANSION_LIMIT:
         raise ExpansionTooLarge(
             f"expansion too large: up to {work} word terms, over {EXPANSION_LIMIT}"
         )
-
-    def node(op: OpSymbol, args: list) -> TensorPolynomial:
-        if op.arity != arity:
-            raise AlgebraError(f"{op.display()} is not {kind}")
-        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
-
-    return TensorPolynomial.linear_image(
-        terms, lambda m: fold(m, lambda v: TensorPolynomial.word((v.name,)), node)
-    )
+    out: dict[Word, Fraction] = {}
+    for m, c in terms.items():
+        names = m.leaf_names()
+        if len(set(names)) < len(names):
+            words = fold(m, lambda v: TensorPolynomial.word((v.name,)), _node(arity)).terms.items()
+        else:
+            words = [(get(names), s) for get, s in _table(m.shape_key(), arity)]
+        accumulate(out, words, c)
+    return TensorPolynomial._from_terms(out)
 
 
 def expand_binary_tree(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a bracketing over one binary operation into word form."""
-    return _expand(m, 2, "binary")
+    return _expand(m, 2)
 
 
 def expand_ternary(m: Union[Monomial, Polynomial]) -> TensorPolynomial:
     """Expand a ternary bracketing via the iterated product <x,y,z> = (x.y).z."""
-    return _expand(m, 3, "ternary")
+    return _expand(m, 3)
 
 
 def holds_in_free(identity: Identity) -> bool:

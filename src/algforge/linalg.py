@@ -79,7 +79,9 @@ class PivotTable:
     def store(self, residual: Vec, trail: Trail, tag: Hashable = None) -> None:
         """Keep a nonzero ``reduce`` result of generator ``tag`` as a new pivot."""
         lead = min(residual)
-        scale = q(Fraction(1) / residual[lead])
+        pivot = residual[lead]
+        # a unit is its own inverse, and nearly every lead is one
+        scale = q(pivot if pivot == 1 or pivot == -1 else Fraction(1) / pivot)
         normal = {k: q(c * scale) for k, c in residual.items()}
         # vec = residual + sum(combo); residual = vec - sum(combo)
         combo = self.combination(trail)

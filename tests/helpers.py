@@ -3,12 +3,13 @@ dense structure-table product loops, the index-tuple product over a table's
 constants, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
-expansion and canonical word list, the structural renaming fold, the
-compiled one-step lifts rendered as trees, the tree-built instance stream, the
-elimination table that updates every combination eagerly, the interchange
-identities over every inner-variant pair, the offset-counting walk of the
-variant re-subscripting, random trees of mixed arity, and the operator
-identities op1..op4 built from Python operator helpers."""
+expansion and canonical word list, the structural renaming fold, the free
+expansion by the fold alone, the compiled one-step lifts rendered as trees,
+the tree-built instance stream, the elimination table that updates every
+combination eagerly, the interchange identities over every inner-variant
+pair, the offset-counting walk of the variant re-subscripting, random trees
+of mixed arity, and the operator identities op1..op4 built from Python
+operator helpers."""
 
 import itertools
 import operator
@@ -32,6 +33,7 @@ from algforge.core import (
     q,
 )
 from algforge.kp import _interchanges
+from algforge.leibniz import TensorPolynomial, free_product
 from algforge.linalg import PivotTable
 from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
 from algforge.systems import BinaryAlgebra, QuadraticSystem, SymPoly
@@ -290,6 +292,20 @@ def reference_relabel(p, mapping):
 
     return Polynomial._from_terms(
         accumulate({}, ((fold(m, leaf, Monomial.apply), c) for m, c in p.terms.items()))
+    )
+
+
+def reference_expand(p) -> TensorPolynomial:
+    """The oracle for ``leibniz.expand_binary_tree`` and ``expand_ternary``:
+    every tree by the fold of ``free_product`` over its own letters, term by
+    term, with no shape table and no arity check."""
+    terms = p.terms if isinstance(p, Polynomial) else {p: 1}
+
+    def node(op, args):
+        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
+
+    return TensorPolynomial.linear_image(
+        terms, lambda m: fold(m, lambda v: TensorPolynomial.word((v.name,)), node)
     )
 
 

@@ -2,10 +2,13 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from algforge import leibniz
+from algforge import core, leibniz
 from algforge.consequence import enumerate_shapes
 from algforge.core import (
     AlgebraError,
@@ -27,6 +30,8 @@ from algforge.leibniz import (
     holds_in_free,
 )
 from algforge.parsing import parse_product
+
+from helpers import reference_expand, typed_items
 
 w = TensorPolynomial.word
 
@@ -246,14 +251,19 @@ def test_a_40_letter_comb_is_counted_and_refused_without_expanding(monkeypatch):
 
 
 def test_the_largest_accepted_comb_has_12_letters():
-    assert leibniz._work(_right_comb(variables([f"x{i}" for i in range(12)]))) <= EXPANSION_LIMIT
-    assert leibniz._work(_right_comb(variables([f"x{i}" for i in range(13)]))) > EXPANSION_LIMIT
+    def work(n):
+        return leibniz._work(_right_comb(variables([f"x{i}" for i in range(n)])).shape_key())
+
+    assert work(12) <= EXPANSION_LIMIT
+    assert work(13) > EXPANSION_LIMIT
 
 
 @pytest.mark.parametrize("op, degrees", [(BINARY, range(1, 7)), (TERNARY, (3, 5))])
 def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degrees, monkeypatch):
     # the terms each free_product accumulates: a word of degree k times a
-    # right factor's word gives 2 ** (k - 1) terms
+    # right factor's word gives 2 ** (k - 1) terms.  The table cache is
+    # cleared before each tree, so a tree with distinct letters is counted
+    # by the fill of its shape's table, and any other by its own fold.
     counted = []
     product = leibniz.free_product
 
@@ -267,9 +277,72 @@ def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degree
         for shape in enumerate_shapes([op], degree):
             for names, exact in (("abcdef", True), ("aabbab", False)):
                 m = form_tree(shape, names[:degree])
+                leibniz._table.cache_clear()
                 counted.clear()
-                leibniz._expand(m, op.arity, "of this arity")
+                leibniz._expand(m, op.arity)
                 if exact:
-                    assert leibniz._work(m) == sum(counted), m
+                    assert leibniz._work(shape) == sum(counted), m
                 else:
-                    assert leibniz._work(m) >= sum(counted), m
+                    assert leibniz._work(shape) >= sum(counted), m
+
+
+def test_a_refused_or_mixed_arity_expansion_leaves_the_table_cache_as_it_was():
+    expand_ternary(form_tree(enumerate_shapes([TERNARY], 5)[0], "abcde"))
+    before = leibniz._table.cache_info()
+    with pytest.raises(ExpansionTooLarge):
+        expand_binary_tree(_right_comb(variables([f"x{i}" for i in range(40)])))
+    assert leibniz._table.cache_info() == before
+    a, b, c, d = map(Monomial.leaf, "abcd")
+    mixed = Monomial.apply(TERNARY, (Monomial.apply(BINARY, (a, b)), c, d))
+    for expand, message in ((expand_ternary, "mul is not ternary"),
+                            (expand_binary_tree, "br is not binary")):
+        with pytest.raises(AlgebraError, match=message):
+            expand(mixed)
+        assert leibniz._table.cache_info().currsize == before.currsize
+
+
+def test_a_table_fill_builds_no_tree():
+    m = form_tree(enumerate_shapes([TERNARY], 7)[5], "abcdefg")
+    leibniz._table.cache_clear()
+    before = core._tree.cache_info()
+    assert expand_ternary(m) == reference_expand(m)
+    assert leibniz._table.cache_info().currsize == 1
+    assert core._tree.cache_info() == before
+
+
+# distinct, repeated and multi-letter variable names: "ab" is one letter
+NAMES = ("a", "b", "c", "d", "e", "f", "g", "x1", "y2", "ab")
+EXPANSIONS = {BINARY: expand_binary_tree, TERNARY: expand_ternary}
+COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+
+@st.composite
+def expansion_trees(draw, op):
+    """A tree of one operation of degree at most 7 over ``NAMES``, its
+    letters all distinct or drawn with repeats."""
+    degree = draw(st.sampled_from(range(1, 8) if op.arity == 2 else (1, 3, 5, 7)))
+    shape = draw(st.sampled_from(enumerate_shapes([op], degree)))
+    unique = draw(st.booleans())
+    return form_tree(shape, draw(st.lists(st.sampled_from(NAMES), min_size=degree,
+                                          max_size=degree, unique=unique)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(op=st.sampled_from([BINARY, TERNARY]), data=st.data())
+def test_the_shape_table_expands_as_the_fold(op, data):
+    expand = EXPANSIONS[op]
+    trees = data.draw(st.lists(expansion_trees(op), min_size=1, max_size=4))
+    # one tree: the same words, in the same order, with the same coefficient types
+    assert typed_items(expand(trees[0]).terms) == typed_items(reference_expand(trees[0]).terms)
+    p = Polynomial({m: data.draw(COEFFICIENTS) for m in trees})
+    assert set(typed_items(expand(p).terms)) == set(typed_items(reference_expand(p).terms))
+
+    # once a shape's table is filled, a tree of it with distinct letters is
+    # read from the table, with no product
+    key = trees[0].shape_key()
+    names = data.draw(st.permutations(NAMES))[:trees[0].degree]
+    expand(form_tree(key, names))
+    again = form_tree(key, names[::-1])
+    with mock.patch.object(leibniz, "free_product", side_effect=AssertionError("folded")):
+        got = expand(again)
+    assert typed_items(got.terms) == typed_items(reference_expand(again).terms)
