@@ -27,17 +27,18 @@ has let go, or one built elsewhere, is still found.
 
 A basis is its element list, their ``index``, and one map from a (shape
 key, letters) pair to its element: the cached tree for ``MonomialBasis``,
-the straightened word for ``rightcomm.RCBasis``.  ``basis.vector`` maps a
-compiled instance's pairs to columns through one memo per basis, filled as
-each pair is first read, and reads anything else through its normal form,
-the combination of the basis's own elements.  A tree polynomial is its own
-normal form for ``MonomialBasis``, and ``RCBasis`` straightens it; a
-compiled instance's is read off its vector, as is a target's in ``check``,
-so each target is read once.  Membership is decided by exact forward
-elimination, and every positive answer carries a certificate that
-re-expands to the target.  ``SpanChecker`` builds a normal form only for a
-target and for a generator that becomes a pivot, the only ones a
-certificate names; ``on_demand`` feeds one only when an answer needs it.
+the straightened word for ``rightcomm.RCBasis``.  ``basis.vector`` reads
+the basis's own combinations by ``index``, a tree polynomial being one for
+``MonomialBasis``, and anything else by its pairs through one memo per
+basis, filled as each pair is first read: a compiled instance's triples,
+or for ``RCBasis`` a tree polynomial's terms.  The normal form is the
+combination of the basis's own elements, read off the vector, as a
+target's is in ``check``, so each target is read once.  Membership is
+decided by exact forward elimination, and every positive answer carries a
+certificate that re-expands to the target.  ``SpanChecker`` builds a
+normal form only for a target and for a generator that becomes a pivot,
+the only ones a certificate names; ``on_demand`` feeds one only when an
+answer needs it.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -207,26 +208,28 @@ class MonomialBasis:
         return len(self.monomials)
 
     def vector(self, p) -> Vec:
-        """The column vector of ``p``: a compiled instance's (shape key,
-        letters) pairs are looked up in ``_slots``, with no polynomial built;
-        any other ``p`` is read through its normal form."""
-        if isinstance(p, list):
-            slots = self._slots
-            return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
-        vec: Vec = {}
-        for m, c in self.normal(p).terms.items():
-            i = self.index.get(m)
-            if i is None:
-                raise DimensionMismatch(f"monomial {m!r} is outside this basis")
-            vec[i] = c
-        return vec
+        """The column vector of ``p``: a normal form's terms are looked up in
+        ``index``, and anything else is read by its (shape key, letters)
+        pairs in ``_slots``, a compiled instance's as given, a tree
+        polynomial's from its terms, with no other polynomial built."""
+        if not isinstance(p, list):
+            if isinstance(p, self._normal_type):
+                vec: Vec = {}
+                for m, c in p.terms.items():
+                    i = self.index.get(m)
+                    if i is None:
+                        raise DimensionMismatch(f"monomial {m!r} is outside this basis")
+                    vec[i] = c
+                return vec
+            p = [(m.shape_key(), m.leaf_names(), c) for m, c in p.terms.items()]
+        slots = self._slots
+        return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
 
     def normal(self, p, vec: Vec | None = None):
-        """The form of ``p`` whose terms are basis elements: ``p`` itself, or
-        for a compiled instance the combination of the elements its columns
-        index, read off ``vec`` when it is ``vector(p)``.  Both sum the terms
-        in the same order, one through columns, one through elements."""
-        if not isinstance(p, list):
+        """The form of ``p`` whose terms are basis elements: ``p`` itself if
+        it is one, else the combination of the elements its columns index,
+        read off ``vec`` when it is ``vector(p)``."""
+        if isinstance(p, self._normal_type):
             return p
         return self._combination(self.vector(p) if vec is None else vec)
 
@@ -238,13 +241,14 @@ class MonomialBasis:
 
 
 def _relabelings(identity: Identity, variables: Sequence[Variable]):
-    """Yield (tag, compiled instance) for every bijective variable relabeling."""
+    """Yield (tag, compiled instance) for every bijective variable relabeling
+    of a named identity."""
     variables = tuple(variables)
     if len(variables) != len(identity.variables):
         raise DimensionMismatch(
             f"identity has {len(identity.variables)} variables, got {len(variables)}"
         )
-    label = identity.name or "id"
+    label = identity.name
     slot = {v.name: i for i, v in enumerate(identity.variables)}
     terms = [(m.shape_key(), items_at([slot[x] for x in m.leaf_names()]), c)
              for m, c in identity.lhs.terms.items()]
@@ -337,8 +341,10 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
-    """Yield (tag, tree polynomial) for every bijective variable relabeling."""
-    for tag, terms in _relabelings(identity, variables):
+    """Yield (tag, tree polynomial) for every bijective variable relabeling,
+    an unnamed identity named ``g0`` as ``compiled_instances`` names it."""
+    named = identity if identity.name else identity.renamed("g0")
+    for tag, terms in _relabelings(named, variables):
         yield tag, Polynomial._from_terms(accumulate({}, (
             (_tree(key, letters), c) for key, letters, c in terms
         )))
@@ -468,18 +474,17 @@ class SpanChecker:
 def _reads_cleanly(identities, variables, basis) -> bool:
     """Whether feeding ``compiled_instances(identities, variables)`` to
     ``basis`` cannot raise: no two tags are equal, and each relabeling orbit
-    shares its shape keys, so all of it lands in the basis if its first does."""
+    shares its shape keys, so all of it lands in the basis if its first does.
+    A first that does not raises the constructor's own error, since the
+    stream reaches the same instance first."""
     names = [ident.name or f"g{idx}" for idx, ident in enumerate(identities)]
     letters = [v.name for v in variables]
     # distinct names and letters: a tag parses back to identity, family and permutation
     if (len(set(names)) < len(names) or len(set(letters)) < len(letters)
             or any(ch in word for word in [*names, *letters] for ch in "(),*")):
         return False
-    try:
-        for _, instance in compiled_instances(identities, variables, one_per_family=True):
-            basis.vector(instance)
-    except Exception:  # the constructor's loop raises its own error
-        return False
+    for _, instance in compiled_instances(identities, variables, one_per_family=True):
+        basis.vector(instance)
     return True
 
 

@@ -14,18 +14,18 @@ law x.(y.z) = (x.y).z - (x.z).y.  Expanding an arbitrary bracketing of a
 binary tree therefore lands back in word form, and a ternary bracket is
 expanded through the iterated product <x,y,z> -> (x.y).z.
 
-With distinct letters the expansion of a tree depends only on its shape:
-each word is a permutation of the tree's leaves.  So a shape is expanded
-once, by the fold of ``free_product`` over its leaf slots, into a table of
-(letter getter, coefficient) pairs, and every later tree of that shape is
-read from the table, one letter map per word.  A tree with a repeated
-letter is expanded by the same fold over its own letters, since its words
-may merge.
+Every word of a tree's expansion is a permutation of its leaves, so the
+expansion depends only on the tree's shape.  A shape is expanded once, by
+the fold of ``free_product`` over its leaf slots, into a table of (letter
+getter, coefficient) pairs, and every tree of that shape is read from the
+table, one letter map per word; with a repeated letter, equal words merge
+as they are summed.
 
 Right multiplication by a bracketing of k letters is an iterated commutator
 of k right multiplications, so it turns one word into at most 2 ** (k - 1)
 words.  That bounds, with one fold over each shape and nothing expanded,
-the terms a fold accumulates, and ``EXPANSION_LIMIT`` caps them.
+the terms a shape's fill accumulates and the words a tree reads, and
+``EXPANSION_LIMIT`` caps their sum.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .core import (
     Polynomial,
     VariableClash,
     accumulate,
-    fold,
     fold_shape,
     items_at,
     variables,
@@ -51,12 +50,11 @@ from .core import (
 
 Word = tuple[str, ...]
 
-# The most word terms one expansion may accumulate, summed over its terms
-# before any shape table is filled: at about 5 us a term (a right-nested comb
-# of 12 letters accumulates 699,051 in 3.1 s on a 2-core x86 box under
-# CPython 3.11, of 13 letters 2.8 million), 10**6 take about 5 s.  That is
-# the cost of the fold, so of a shape's first fill; a later expansion of a
-# filled shape with distinct letters costs one letter map per word.
+# The most word terms one expansion may accumulate before any shape table is
+# filled: one fill per distinct shape key, cached or not, plus each term's
+# bound on its words.  At about 5 us a term (a right-nested comb of 12
+# letters accumulates 699,051 in 3.1 s on a 2-core x86 box under CPython
+# 3.11, of 13 letters 2.8 million), 10**6 take about 5 s.
 EXPANSION_LIMIT = 10**6
 
 
@@ -119,9 +117,9 @@ def free_product(
 
 
 @lru_cache(maxsize=512)
-def _work(key: tuple) -> int:
-    """An upper bound on the word terms that the fold accumulates on a tree of
-    this shape key, counted by one fold over (degree, bound on its words,
+def _work(key: tuple) -> tuple[int, int]:
+    """(a bound on the words, the word terms the fill accumulates) of a tree
+    of this shape key, counted by one fold over (degree, bound on its words,
     terms so far): a product of u and v words, v of degree k, accumulates
     u * v * 2 ** (k - 1) terms into at most u * 2 ** (k - 1) words.  It
     reads the shape alone, so it is cached like ``_table``."""
@@ -130,7 +128,7 @@ def _work(key: tuple) -> int:
         (dl, wl, tl), (dr, wr, tr) = left, right
         return dl + dr, wl << (dr - 1), tl + tr + (wl * wr << (dr - 1))
 
-    return fold_shape(key, lambda _: (1, 1, 0), lambda _, args: reduce(product, args))[2]
+    return fold_shape(key, lambda _: (1, 1, 0), lambda _, args: reduce(product, args))[1:]
 
 
 _KINDS = {2: "binary", 3: "ternary"}
@@ -150,9 +148,9 @@ def _node(arity: int) -> Callable:
 
 @lru_cache(maxsize=512)
 def _table(key: tuple, arity: int) -> tuple:
-    """The expansion of a shape key's trees with distinct letters, one
-    (``items_at`` getter, coefficient) pair per word in the order the fold
-    lists them: a tree's word is the getter applied to its leaf names.
+    """The expansion of a shape key's trees, one (``items_at`` getter,
+    coefficient) pair per word in the order the fold lists them over
+    distinct letters: a tree's word is the getter applied to its leaf names.
 
     Filled by the fold over the shape's leaf slots, so it builds no tree.
     The cache holds the tables of the 512 shapes expanded last: every
@@ -164,10 +162,15 @@ def _table(key: tuple, arity: int) -> tuple:
 
 def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     """Read brackets of one arity into word form, each bracket the
-    left-normalized product of its arguments: a tree with distinct letters
-    from its shape's table, any other by the fold."""
+    left-normalized product of its arguments, every tree from its shape's
+    table."""
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
-    work = sum(_work(m.shape_key()) for m in terms)
+    # each term reads its words, and each distinct shape is filled once
+    work, fills = 0, {}
+    for m in terms:
+        words, fills[m.shape_key()] = _work(m.shape_key())
+        work += words
+    work += sum(fills.values())
     if work > EXPANSION_LIMIT:
         raise ExpansionTooLarge(
             f"expansion too large: up to {work} word terms, over {EXPANSION_LIMIT}"
@@ -175,11 +178,7 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     out: dict[Word, Fraction] = {}
     for m, c in terms.items():
         names = m.leaf_names()
-        if len(set(names)) < len(names):
-            words = fold(m, lambda v: TensorPolynomial.word((v.name,)), _node(arity)).terms.items()
-        else:
-            words = [(get(names), s) for get, s in _table(m.shape_key(), arity)]
-        accumulate(out, words, c)
+        accumulate(out, [(get(names), s) for get, s in _table(m.shape_key(), arity)], c)
     return TensorPolynomial._from_terms(out)
 
 

@@ -34,16 +34,17 @@ spine whose two factors have the same shape (type 6 has 4 equal forms,
 type 9 has 8); the tests check the least forms and the counts against a
 brute-force orbit closure.
 
-``RCBasis`` is the ``consequence.MonomialBasis`` of the canonical words: its
-normal form is ``rc_expand`` for a tree polynomial, so the straightening of
-span generators and targets happens here and nowhere else.  A compiled
-instance, (shape key, letters, coefficient) triples, straightens with no tree
-built: the element of each (shape key, letters) pair is one ``.get`` of its
-shape key on the ``by_shape`` table and one ``_word`` read of its letters,
-and the basis's one column memo, shared with ``MonomialBasis``, keeps the
-column of each pair it has read, so a pair that recurs across instances is
-one lookup.  A key that misses the table (another operation or degree) is
-straightened as its tree, which keeps the tree's error.
+``RCBasis`` is the ``consequence.MonomialBasis`` of the canonical words, so
+the straightening of span generators and targets happens here and nowhere
+else.  A basis reads a compiled instance, (shape key, letters, coefficient)
+triples, and a tree polynomial, by the (shape key, letters) pair of each
+term, and straightens with no tree built: the element of a pair is one
+``.get`` of its shape key on the ``by_shape`` table and one ``_word`` read
+of its letters, and the basis's one column memo, shared with
+``MonomialBasis``, keeps the column of each pair it has read, so a pair
+that recurs across instances and targets is one lookup.  A key that misses
+the table (another operation or degree) is straightened as its tree, which
+keeps the tree's error.
 """
 
 from __future__ import annotations
@@ -258,10 +259,10 @@ def permuted_associator_expand(
 
 
 class RCBasis(MonomialBasis):
-    """All canonical words of one degree over fixed variables, sorted.  A
-    compiled term's element is its straightened word, and a tree
-    polynomial's normal form straightens it, so a ``SpanChecker`` over it
-    takes raw instances and targets."""
+    """All canonical words of one degree over fixed variables, sorted.  The
+    element of a (shape key, letters) pair, a compiled term's or a tree's,
+    is its straightened word, so a ``SpanChecker`` over it takes raw
+    instances and targets."""
 
     _normal_type = RCPolynomial
 
@@ -282,17 +283,11 @@ class RCBasis(MonomialBasis):
         self.index = {w: i for i, w in enumerate(self.monomials)}
         self._slots = _Columns(partial(_compiled_word, op, types.by_shape), self.index)
 
-    def normal(self, p, vec=None):
-        """A tree polynomial straightened, or read off ``vec`` when it is
-        ``vector(p)``; anything else as ``MonomialBasis`` reads it."""
-        if isinstance(p, (Polynomial, Monomial)):
-            return rc_expand(p) if vec is None else self._combination(vec)
-        return super().normal(p, vec)
-
 
 def _compiled_word(op: OpSymbol, by_shape: dict, key: tuple, letters: tuple) -> RCWord:
-    """The word of a compiled term; a shape outside the ``by_shape`` table
-    (another operation or degree) straightens, or fails, as its tree."""
+    """The word of a (shape key, letters) pair; a shape outside the
+    ``by_shape`` table (another operation or degree) straightens, or fails,
+    as its tree."""
     entry = by_shape.get(key)
     if entry is None:
         return rc_straighten(form_tree(key, letters))

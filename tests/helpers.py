@@ -327,7 +327,7 @@ def reference_relabelings(identity, variables):
         raise DimensionMismatch(
             f"identity has {len(identity.variables)} variables, got {len(variables)}"
         )
-    label = identity.name or "id"
+    label = identity.name or "g0"
     for perm in itertools.permutations(variables):
         mapping = dict(zip(identity.variables, perm))
         tag = f"{label}({','.join(v.name for v in perm)})"
@@ -352,7 +352,7 @@ def reference_lifted(identity, target_degree, variables):
     if any(op.arity != 2 for op in ops) or len(ops) != 1:
         raise UnsupportedLift("lifting requires a single binary operation")
     (op,) = ops
-    label = identity.name or "id"
+    label = identity.name or "g0"
     src = identity.variables
     times = "" if all(len(v.name) == 1 for v in variables) else "*"
     for v_idx, v in enumerate(src):

@@ -16,6 +16,7 @@ from algforge.core import (
     OpSymbol,
     Polynomial,
     apply_op,
+    form_tree,
     substitute,
     variables,
 )
@@ -466,11 +467,10 @@ def test_compiled_stream_equals_the_tree_built_oracle(data):
     lifted = _identity(data, [data.draw(st.sampled_from([_MUL, _DOT]))], degree - 1,
                        data.draw(names))
 
-    ident = lifted.renamed(lifted.name or "id")
+    ident = lifted.renamed(lifted.name or "g0")
     assert _listing(iter_lifted(ident, degree, vs)) == _listing(
         reference_lifted(ident, degree, vs))
-    ident = same.renamed(same.name or "id")
-    assert _listing(iter_relabelings(ident, vs)) == _listing(reference_relabelings(ident, vs))
+    assert _listing(iter_relabelings(same, vs)) == _listing(reference_relabelings(same, vs))
 
     idents = data.draw(st.permutations([same, lifted]))
     oracle = list(reference_instances(idents, vs))
@@ -563,6 +563,17 @@ def test_a_compiled_instance_reads_as_the_vector_of_its_normal_form(kind):
             typed_items(basis.normal(tree).terms))
 
 
+def test_an_unnamed_identity_is_tagged_alike_by_both_streams():
+    ident = Identity(fixture("lts-a").lhs)
+    rendered = list(iter_relabelings(ident, V5))
+    compiled = list(compiled_instances([ident], V5))
+    assert [tag for tag, _ in rendered] == [tag for tag, _ in compiled]
+    assert rendered[0][0] == "g0(a,b,c,d,e)"
+    for (_, p), (_, terms) in zip(rendered, compiled):
+        assert repr(p) == repr(Polynomial({form_tree(key, letters): c
+                                           for key, letters, c in terms}))
+
+
 @pytest.mark.parametrize("kind", ["compiled", "tree"])
 def test_check_reads_a_target_once(kind, monkeypatch):
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
@@ -576,7 +587,8 @@ def test_check_reads_a_target_once(kind, monkeypatch):
     monkeypatch.setattr(basis, "vector", lambda p: vectors.append(p) or vector(p))
     monkeypatch.setattr(rightcomm, "rc_expand", lambda p: straightened.append(p) or expand(p))
     cert = checker.check(target)
-    assert len(vectors) == 1 and len(straightened) == (kind == "tree")
+    # a tree target is read by its (shape key, letters) pairs, as a compiled one
+    assert len(vectors) == 1 and not straightened
     assert cert.ok and cert.verify() and cert.target == basis.normal(target)
 
 

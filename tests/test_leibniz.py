@@ -242,28 +242,45 @@ def test_a_40_letter_comb_is_counted_and_refused_without_expanding(monkeypatch):
         raise AssertionError("the expansion started")
 
     monkeypatch.setattr(leibniz, "free_product", no_product)
-    comb = _right_comb(variables([f"x{i}" for i in range(40)]))
     message = r"^expansion too large: up to \d+ word terms, over 1000000$"
-    with pytest.raises(ExpansionTooLarge, match=message):
-        expand_binary_tree(comb)
-    with pytest.raises(ExpansionTooLarge):
-        expand_binary_tree(Polynomial({comb: 1}))
+    # distinct letters, and one letter repeated: both fill the shape's table
+    for names in ([f"x{i}" for i in range(40)], ["x"] * 40):
+        comb = _right_comb(variables(names))
+        assert comb.degree == 40
+        with pytest.raises(ExpansionTooLarge, match=message):
+            expand_binary_tree(comb)
+        with pytest.raises(ExpansionTooLarge):
+            expand_binary_tree(Polynomial({comb: 1}))
 
 
 def test_the_largest_accepted_comb_has_12_letters():
+    # (bound on the words, terms of the shape's fill), summed for one comb
     def work(n):
         return leibniz._work(_right_comb(variables([f"x{i}" for i in range(n)])).shape_key())
 
-    assert work(12) <= EXPANSION_LIMIT
-    assert work(13) > EXPANSION_LIMIT
+    assert work(12) == (1024, 699051) and sum(work(12)) == 700075 <= EXPANSION_LIMIT
+    assert work(13) == (2048, 2796203) and sum(work(13)) == 2798251 > EXPANSION_LIMIT
+
+
+def test_two_combs_of_one_shape_are_counted_one_fill_and_expand_as_the_fold():
+    # the two 12-letter right combs over the same letters in opposite orders
+    # share a shape key, so one fill and two reads: 699,051 + 2 * 1,024
+    names = variables([f"x{i}" for i in range(12)])
+    p = Polynomial({_right_comb(names): 1, _right_comb(names[::-1]): 1})
+    got = expand_binary_tree(p)
+    assert got == reference_expand(p) and len(got.terms) == 2048
+    mock_limit = mock.patch.object(leibniz, "EXPANSION_LIMIT", 701_098)
+    with mock_limit, pytest.raises(ExpansionTooLarge, match="up to 701099 word terms"):
+        expand_binary_tree(p)
 
 
 @pytest.mark.parametrize("op, degrees", [(BINARY, range(1, 7)), (TERNARY, (3, 5))])
 def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degrees, monkeypatch):
     # the terms each free_product accumulates: a word of degree k times a
     # right factor's word gives 2 ** (k - 1) terms.  The table cache is
-    # cleared before each tree, so a tree with distinct letters is counted
-    # by the fill of its shape's table, and any other by its own fold.
+    # cleared before each tree, so every tree is counted by the fill of its
+    # shape's table; its words number the bound when its letters are
+    # distinct, and merge below it when one repeats.
     counted = []
     product = leibniz.free_product
 
@@ -279,11 +296,13 @@ def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degree
                 m = form_tree(shape, names[:degree])
                 leibniz._table.cache_clear()
                 counted.clear()
-                leibniz._expand(m, op.arity)
+                words, fill = leibniz._work(shape)
+                got = leibniz._expand(m, op.arity)
+                assert fill == sum(counted), m
                 if exact:
-                    assert leibniz._work(shape) == sum(counted), m
+                    assert words == len(got.terms), m
                 else:
-                    assert leibniz._work(shape) >= sum(counted), m
+                    assert words >= len(got.terms), m
 
 
 def test_a_refused_or_mixed_arity_expansion_leaves_the_table_cache_as_it_was():
@@ -332,17 +351,47 @@ def expansion_trees(draw, op):
 def test_the_shape_table_expands_as_the_fold(op, data):
     expand = EXPANSIONS[op]
     trees = data.draw(st.lists(expansion_trees(op), min_size=1, max_size=4))
-    # one tree: the same words, in the same order, with the same coefficient types
-    assert typed_items(expand(trees[0]).terms) == typed_items(reference_expand(trees[0]).terms)
+    # one tree: the same words with the same coefficient types, in the same
+    # order when its letters are distinct; merged words may come in another
+    # order, which no output shows (repr sorts, kernels read multilinear bases)
+    got, want = typed_items(expand(trees[0]).terms), typed_items(reference_expand(trees[0]).terms)
+    distinct = len(set(trees[0].leaf_names())) == trees[0].degree
+    assert got == want if distinct else set(got) == set(want)
     p = Polynomial({m: data.draw(COEFFICIENTS) for m in trees})
     assert set(typed_items(expand(p).terms)) == set(typed_items(reference_expand(p).terms))
 
-    # once a shape's table is filled, a tree of it with distinct letters is
-    # read from the table, with no product
-    key = trees[0].shape_key()
-    names = data.draw(st.permutations(NAMES))[:trees[0].degree]
+    # once a shape's table is filled, every tree of it, with distinct or
+    # repeated letters, is read from the table, with no product
+    key, degree = trees[0].shape_key(), trees[0].degree
+    names = data.draw(st.permutations(NAMES))[:degree]
     expand(form_tree(key, names))
     again = form_tree(key, names[::-1])
+    repeated = form_tree(key, data.draw(st.lists(st.sampled_from("ab"), min_size=degree,
+                                                 max_size=degree)))
     with mock.patch.object(leibniz, "free_product", side_effect=AssertionError("folded")):
-        got = expand(again)
+        got, merged = expand(again), expand(repeated)
     assert typed_items(got.terms) == typed_items(reference_expand(again).terms)
+    assert set(typed_items(merged.terms)) == set(typed_items(reference_expand(repeated).terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=st.sampled_from([BINARY, TERNARY]), data=st.data())
+def test_the_budget_answers_alike_with_the_tables_cleared_and_warm(op, data):
+    expand = EXPANSIONS[op]
+    trees = data.draw(st.lists(expansion_trees(op), min_size=1, max_size=4))
+    p = Polynomial({m: data.draw(COEFFICIENTS) for m in trees})
+    # a limit near the count, so that both answers are drawn
+    limit = data.draw(st.integers(0, 2 * sum(sum(leibniz._work(m.shape_key())) for m in trees)))
+
+    def answer():
+        with mock.patch.object(leibniz, "EXPANSION_LIMIT", limit):
+            try:
+                return typed_items(expand(p).terms)
+            except ExpansionTooLarge as err:
+                return str(err)
+
+    leibniz._table.cache_clear()
+    cold = answer()
+    for m in trees:
+        expand(m)
+    assert answer() == cold

@@ -44,6 +44,7 @@ CLI = [
     ["free-expand", "--expr", "(a*(b*c))*d"],
     ["free-expand", "--expr", "(ab)(c(de))"],
     ["free-expand", "--expr", "(x1*y2)*z"],
+    ["free-expand", "--expr", "((ab)a)(ba)"],
     ["fixtures"],
 ]
 # two fixture systems; the 3-dimensional system abc - bac - cab + cba of the
