@@ -9,14 +9,16 @@ variable relabelings at equal degree, and one-step liftings (a product of
 two fresh variables in place of one variable, or a fresh variable as a
 factor) when the degree grows by one.
 
-Instances are compiled, not built.  Each identity is compiled once per call
-into (shape key, leaf slots, coefficient) terms, and every instance is
-emitted as (shape key, letters, coefficient) triples, the shape key being
+Instances are compiled, not built.  One compiler, ``_families``, turns an
+identity once per call into its instance families: the relabelings, or one
+family per slot that takes the product and one of the fresh factor on
+either side.  Each family is its tags and its rows (shape key, ``items_at``
+letter getter, coefficient), and ``compiled_instances`` is the one loop
+that reads every family at each permutation of the letters, emitting each
+instance as (shape key, letters, coefficient) triples, the shape key being
 ``Monomial.shape_key`` of the tree the term stands for (``core.node_key``
-builds every key): a relabeling reads its letters with ``items_at`` getters
-over the permutation, a product in one slot uses a spliced key and a letter
-getter made once per (term, slot), and a fresh factor is one product key
-over the term's.  A shape is its key, so ``enumerate_shapes`` lists keys.
+builds every key, a product slot's spliced key and a factor's product key
+alike).  A shape is its key, so ``enumerate_shapes`` lists keys.
 Every tree that comes from a key is taken from the one bounded cache behind
 ``core.form_tree``, one tree per (shape key, letters) made of its subtrees'
 own entries: the basis's trees, and the tree polynomials that
@@ -211,7 +213,8 @@ class MonomialBasis:
         """The column vector of ``p``: a normal form's terms are looked up in
         ``index``, and anything else is read by its (shape key, letters)
         pairs in ``_slots``, a compiled instance's as given, a tree
-        polynomial's from its terms, with no other polynomial built."""
+        polynomial's from its terms, a bare tree as its one term with
+        coefficient 1, with no other polynomial built."""
         if not isinstance(p, list):
             if isinstance(p, self._normal_type):
                 vec: Vec = {}
@@ -221,7 +224,8 @@ class MonomialBasis:
                         raise DimensionMismatch(f"monomial {m!r} is outside this basis")
                     vec[i] = c
                 return vec
-            p = [(m.shape_key(), m.leaf_names(), c) for m, c in p.terms.items()]
+            terms = {p: 1} if isinstance(p, Monomial) else p.terms
+            p = [(m.shape_key(), m.leaf_names(), c) for m, c in terms.items()]
         slots = self._slots
         return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
 
@@ -240,80 +244,76 @@ class MonomialBasis:
         return self._normal_type._from_terms({monomials[i]: c for i, c in vec.items()})
 
 
-def _relabelings(identity: Identity, variables: Sequence[Variable]):
-    """Yield (tag, compiled instance) for every bijective variable relabeling
-    of a named identity."""
-    variables = tuple(variables)
-    if len(variables) != len(identity.variables):
-        raise DimensionMismatch(
-            f"identity has {len(identity.variables)} variables, got {len(variables)}"
-        )
-    label = identity.name
-    slot = {v.name: i for i, v in enumerate(identity.variables)}
-    terms = [(m.shape_key(), items_at([slot[x] for x in m.leaf_names()]), c)
-             for m, c in identity.lhs.terms.items()]
-    for perm in itertools.permutations(v.name for v in variables):
-        yield f"{label}({','.join(perm)})", [(key, get(perm), c) for key, get, c in terms]
+def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
+    """The instance families of a named identity read at ``perms``, the
+    permutations of the letters (the letters in order first), in stream
+    order; any degree but the letters' or one below raises ``AlgebraError``.
 
+    A family is (tags, permutations, rows) compiled once, read in step by
+    ``compiled_instances``: its k-th instance is tagged ``tags[k]`` and has
+    a term (shape key, ``get(perm)``, coefficient) per row (shape key,
+    ``items_at`` getter ``get``, coefficient) of its k-th rows, ``perm``
+    being its k-th permutation.  At the identity's degree the one family is
+    its relabelings.  One degree lower, over one binary operation, there is
+    one family per variable, the product ``perm[0]perm[1]`` in its slot and
+    ``perm[2:]`` in the others, then one of the identity over ``perm[1:]``
+    times ``perm[0]``, on the right and then on the left at each ``perm``."""
+    n, d, src, label = len(perms[0]), identity.degree, identity.variables, identity.name
+    if d == n:
+        _same_count(identity, n)
+    else:
+        if n < d:
+            raise UnsupportedLift(f"identity {label} has degree {d}, above the requested degree {n}")
+        if n != d + 1:
+            raise UnsupportedLift(f"only a one-degree lift is supported, asked {d} -> {n}")
+        ops = set(identity.signature)
+        if any(op.arity != 2 for op in ops) or len(ops) != 1:
+            raise UnsupportedLift("lifting requires a single binary operation")
+        if len(src) != d:
+            raise DimensionMismatch(f"identity of degree {d} has {len(src)} variables")
+        (op,) = ops
 
-def _lifts(identity: Identity, target_degree: int, variables: Sequence[Variable],
-           *, one_per_family: bool = False):
-    """Yield (tag, compiled instance) for every one-step lifting of a named
-    identity over a binary signature.  Each is read off a permutation
-    ``perm`` of the target letters: a product ``perm[0]perm[1]`` in one slot
-    with ``perm[2:]`` in the others, or ``perm[1:]`` relabeling the identity
-    beside the factor ``perm[0]``.  Each of those families is one relabeling
-    orbit; ``one_per_family`` reads each off the letters in order only."""
-    variables = tuple(variables)
-    d = identity.degree
-    label = identity.name
-    if target_degree < d:
-        raise UnsupportedLift(
-            f"identity {label} has degree {d}, above the requested degree {target_degree}"
-        )
-    if target_degree != d + 1:
-        raise UnsupportedLift(
-            f"only a one-degree lift is supported, asked {d} -> {target_degree}"
-        )
-    if len(variables) != target_degree:
-        raise DimensionMismatch("need target_degree variables")
-    ops = {op for op in identity.signature}
-    if any(op.arity != 2 for op in ops) or len(ops) != 1:
-        raise UnsupportedLift("lifting requires a single binary operation")
-    if len(identity.variables) != d:
-        raise DimensionMismatch(f"identity of degree {d} has {len(identity.variables)} variables")
-    (op,) = ops
-    src = identity.variables
-    terms = identity.lhs.terms.items()
-    names = tuple(v.name for v in variables)
-    perms = [names] if one_per_family else list(itertools.permutations(names))
-    times = "" if all(len(x) == 1 for x in names) else "*"
+    def rows(slot: dict, glued: str | None = None, side: str | None = None) -> list[tuple]:
+        """Each term with every variable ``w`` read as the letter at
+        ``slot[w.name]``, but ``glued`` as the product of the letters at 0
+        and 1; with a ``side``, times the letter at 0 on that side."""
+        out = []
+        for m, c in identity.lhs.terms.items():
+            key = m.shape_key() if glued is None else fold(
+                m, lambda w: product if w.name == glued else LEAF_KEY, node_key)
+            at = [i for x in m.leaf_names() for i in ((0, 1) if x == glued else (slot[x],))]
+            if side == "right":
+                key, at = node_key(op, (key, LEAF_KEY)), at + [0]
+            elif side == "left":
+                key, at = node_key(op, (LEAF_KEY, key)), [0] + at
+            out.append((key, items_at(at), c))
+        return out
+
+    if d == n:
+        slot = {w.name: i for i, w in enumerate(src)}
+        return [([f"{label}({','.join(p)})" for p in perms], perms, itertools.repeat(rows(slot)))]
+    times = "" if all(len(x) == 1 for x in perms[0]) else "*"
     product = node_key(op, (LEAF_KEY, LEAF_KEY))
-
-    # (i) an ordered product of two fresh variables in place of one variable
+    families = []
+    glued = [(p[0] + times + p[1], *p[2:]) for p in perms]  # each product, then the rest
     for v_idx, v in enumerate(src):
         slot = {w.name: 2 + j for j, w in enumerate(src[:v_idx] + src[v_idx + 1:])}
-        spliced = []
-        for m, c in terms:
-            key = fold(m, lambda w: product if w.name == v.name else LEAF_KEY, node_key)
-            at = [i for x in m.leaf_names() for i in ((0, 1) if x == v.name else (slot[x],))]
-            spliced.append((key, items_at(at), c))
-        for perm in perms:
-            args = list(perm[2:])
-            args.insert(v_idx, perm[0] + times + perm[1])
-            yield f"{label}({','.join(args)})", [(key, get(perm), c) for key, get, c in spliced]
-
-    # (ii) a relabeled instance times the leftover variable, on either side
+        args = items_at([*range(1, v_idx + 1), 0, *range(v_idx + 1, d)])
+        tags = [f"{label}({','.join(args(g))})" for g in glued]
+        families.append((tags, perms, itertools.repeat(rows(slot, v.name))))
     slot = {w.name: 1 + j for j, w in enumerate(src)}
-    right, left = [], []
-    for m, c in terms:
-        at = [slot[x] for x in m.leaf_names()]
-        right.append((node_key(op, (m.shape_key(), LEAF_KEY)), items_at(at + [0]), c))
-        left.append((node_key(op, (LEAF_KEY, m.shape_key())), items_at([0] + at), c))
-    for perm in perms:
-        args = ",".join(perm[1:])
-        yield f"{label}({args})*{perm[0]}", [(key, get(perm), c) for key, get, c in right]
-        yield f"{perm[0]}*{label}({args})", [(key, get(perm), c) for key, get, c in left]
+    tags = [tag for p in perms for args in [",".join(p[1:])]
+            for tag in (f"{label}({args})*{p[0]}", f"{p[0]}*{label}({args})")]
+    twice = [p for p in perms for _ in (0, 1)]
+    sides = itertools.cycle([rows(slot, side="right"), rows(slot, side="left")])
+    return families + [(tags, twice, sides)]
+
+
+def _same_count(identity: Identity, n: int) -> None:
+    """Refuse to relabel an identity over ``n`` letters unless it has ``n``
+    variables."""
+    if len(identity.variables) != n:
+        raise DimensionMismatch(f"identity has {len(identity.variables)} variables, got {n}")
 
 
 def compiled_instances(identities: Iterable[Identity], variables: Sequence[Variable],
@@ -321,30 +321,33 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
     """Yield (tag, compiled instance) for every instance of the identities
     over ``variables``: the relabelings of an identity of degree
     ``len(variables)`` and the one-step liftings of one a degree lower, or
-    with ``one_per_family`` the first of each relabeling orbit.  An unnamed
-    identity is named by its position, ``g0``, ``g1``, ...; any other
-    degree raises ``AlgebraError``.
+    with ``one_per_family`` what each family reads at the letters in order
+    only.  An unnamed identity is named by its position, ``g0``, ``g1``,
+    ...; any other degree raises ``AlgebraError``.
 
     A compiled instance is a list of (shape key, letters, coefficient)
     triples, one per term in the order its tree polynomial lists them: the
     ``Monomial.shape_key`` and leaf names of the term's tree.  Each identity
-    is compiled once per call, so an instance costs one getter call per term
-    and builds no tree; a basis's ``vector`` reads it."""
-    variables = tuple(variables)
+    is compiled once per call into its ``_families``, and this is the one
+    loop that reads them, so an instance costs one getter call per term and
+    builds no tree; a basis's ``vector`` reads it."""
+    names = tuple(v.name for v in variables)
+    perms = [names] if one_per_family else list(itertools.permutations(names))
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")
-        if ident.degree == len(variables):
-            relabelings = _relabelings(named, variables)
-            yield from itertools.islice(relabelings, 1) if one_per_family else relabelings
-        else:
-            yield from _lifts(named, len(variables), variables, one_per_family=one_per_family)
+        for tags, letters, compiled in _families(named, perms):
+            for tag, perm, rows in zip(tags, letters, compiled):
+                yield tag, [(key, get(perm), c) for key, get, c in rows]
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
     """Yield (tag, tree polynomial) for every bijective variable relabeling,
-    an unnamed identity named ``g0`` as ``compiled_instances`` names it."""
-    named = identity if identity.name else identity.renamed("g0")
-    for tag, terms in _relabelings(named, variables):
+    rendered from ``compiled_instances``, so an unnamed identity is named
+    ``g0``.  An identity with another number of variables is refused, never
+    lifted."""
+    variables = tuple(variables)
+    _same_count(identity, len(variables))
+    for tag, terms in compiled_instances([identity], variables):
         yield tag, Polynomial._from_terms(accumulate({}, (
             (_tree(key, letters), c) for key, letters, c in terms
         )))
@@ -473,10 +476,11 @@ class SpanChecker:
 
 def _reads_cleanly(identities, variables, basis) -> bool:
     """Whether feeding ``compiled_instances(identities, variables)`` to
-    ``basis`` cannot raise: no two tags are equal, and each relabeling orbit
-    shares its shape keys, so all of it lands in the basis if its first does.
-    A first that does not raises the constructor's own error, since the
-    stream reaches the same instance first."""
+    ``basis`` cannot raise: no two tags are equal, and a family reads the
+    same shape keys at every permutation, so all of it lands in the basis
+    if what it reads at the letters in order does.  A read that does not
+    raises the constructor's own error, since the stream reaches the same
+    instance first."""
     names = [ident.name or f"g{idx}" for idx, ident in enumerate(identities)]
     letters = [v.name for v in variables]
     # distinct names and letters: a tag parses back to identity, family and permutation

@@ -416,7 +416,8 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
     tuple a term reads one entry and adds it, times its coefficient, into
     the identity's value.  A block's tables are freed before the next
     block's are filled, so a root key holds at most dim**(k - 1) entries on
-    k-variable tuples."""
+    k-variable tuples.  A value's scalars are in the types a table stores:
+    an integral one is its ``int``, whatever order its terms added in."""
     dim = table.dim if dim is None else dim
     if not 1 <= dim <= table.dim:
         raise AlgebraError(f"cannot evaluate on the first {dim} basis elements of a"
@@ -460,8 +461,9 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
 
 def _block(tuples, compiled: list, tables: dict):
     """Yield (identity, tuple, value) on ``tuples`` for the compiled
-    identities, each term reading its root table from ``tables``.  The
-    tables are read once, up front, and dropped with this generator."""
+    identities, each term reading its root table from ``tables``, each
+    nonempty value's scalars put through ``_scalar``.  The tables are read
+    once, up front, and dropped with this generator."""
     reads = [(ident, [(coeff, get, tables[key]) for coeff, get, key in roots])
              for ident, roots in compiled]
     for tup in tuples:
@@ -471,7 +473,7 @@ def _block(tuples, compiled: list, tables: dict):
                 vec = values.get(get(tup))
                 if vec is not None:
                     accumulate(out, vec.items(), coeff)
-            yield ident, tup, out
+            yield ident, tup, {l: _scalar(x) for l, x in out.items()} if out else out
 
 
 def check_identities(

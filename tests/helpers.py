@@ -18,7 +18,7 @@ from functools import reduce
 
 from hypothesis import strategies as st
 
-from algforge.consequence import DimensionMismatch, UnsupportedLift, _lifts
+from algforge.consequence import DimensionMismatch, UnsupportedLift, compiled_instances
 from algforge.core import (
     AlgebraError,
     Identity,
@@ -310,10 +310,13 @@ def reference_expand(p) -> TensorPolynomial:
 
 
 def iter_lifted(identity, target_degree, variables):
-    """The one-step lifts of a named identity as
-    ``consequence.compiled_instances`` compiles them, each rendered as
-    (tag, tree polynomial)."""
-    for tag, terms in _lifts(identity, target_degree, variables):
+    """The one-step lifts of an identity to ``target_degree``: the stream
+    ``consequence.compiled_instances`` yields for it alone over one more
+    variable than its degree, each instance rendered as (tag, tree
+    polynomial)."""
+    variables = tuple(variables)
+    assert identity.degree < target_degree == len(variables)
+    for tag, terms in compiled_instances([identity], variables):
         yield tag, Polynomial._from_terms(accumulate({}, (
             (form_tree(key, letters), c) for key, letters, c in terms
         )))

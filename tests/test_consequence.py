@@ -36,7 +36,7 @@ from algforge.consequence import (
 )
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
-from algforge.parsing import parse_file
+from algforge.parsing import parse_file, parse_product
 from algforge.rightcomm import RCBasis, build_jordan_checker
 
 from helpers import (
@@ -480,6 +480,44 @@ def test_compiled_stream_equals_the_tree_built_oracle(data):
         [type(c) for c in p.terms.values()] for _, p in oracle]
 
 
+def _typed(stream):
+    return [(tag, [(key, letters, c, type(c)) for key, letters, c in g]) for tag, g in stream]
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_one_per_family_yields_the_first_instance_of_each_family(data):
+    names = st.sampled_from(["rj", "x-1", None])
+    ops = data.draw(st.sampled_from([[_BR], [_BR, _TR_2], [_MUL, _BR], [_MUL, _BR, _NEG]]))
+    degree = data.draw(st.sampled_from([3, 5] if _MUL not in ops else [2, 3, 4]))
+    letters = data.draw(st.sampled_from(["abcde", ["a", "b", "ab", "c", "d"]]))
+    vs = variables(data.draw(st.permutations(letters))[:degree])
+    same = _identity(data, ops, degree, data.draw(names))
+    lifted = _identity(data, [data.draw(st.sampled_from([_MUL, _DOT]))], degree - 1,
+                       data.draw(names))
+    idents = data.draw(st.permutations([same, lifted]))
+    full = list(compiled_instances(idents, vs))
+    # each family is read at every permutation, the letters in order first:
+    # the relabelings, each slot of a lift, and its factor on the right and
+    # on the left, read in step
+    orders, want = len(list(itertools.permutations(vs))), []
+    for ident in idents:
+        for width in [1] if ident is same else [1] * (degree - 1) + [2]:
+            want += full[:width]
+            full = full[width * orders:]
+    assert full == []
+    assert _typed(compiled_instances(idents, vs, one_per_family=True)) == _typed(want)
+
+
+def test_iter_relabelings_refuses_an_identity_of_another_degree_rather_than_lift_it():
+    # compiled_instances lifts rj over five letters; iter_relabelings only relabels
+    assert len(list(compiled_instances([fixture("rj")], V5))) == 720
+    for ident, vs in [(fixture("rj"), V5), (fixture("lts1"), V3)]:
+        with pytest.raises(DimensionMismatch) as err:
+            next(iter_relabelings(ident, vs))
+        assert str(err.value) == f"identity has {len(ident.variables)} variables, got {len(vs)}"
+
+
 def _same_checker(got, want):
     assert [(t, list(g.terms.items())) for t, g in got.generators.items()] == [
         (t, list(g.terms.items())) for t, g in want.generators.items()]
@@ -572,6 +610,25 @@ def test_an_unnamed_identity_is_tagged_alike_by_both_streams():
     for (_, p), (_, terms) in zip(rendered, compiled):
         assert repr(p) == repr(Polynomial({form_tree(key, letters): c
                                            for key, letters, c in terms}))
+
+
+@pytest.mark.parametrize("kind", ["planar", "rc"])
+def test_a_bare_tree_target_is_read_as_its_one_term_polynomial(kind):
+    rj, ro = fixture("rj"), fixture("ro")
+    if kind == "planar":
+        checker = SpanChecker(compiled_instances([rj, ro], V5), MonomialBasis([BINARY], 5, V5))
+    else:
+        checker = build_jordan_checker(rj, ro, V5, BINARY)
+    basis, tree = checker.basis, parse_product("(ab)(c(de))", BINARY)
+    poly = Polynomial({tree: 1})
+    assert typed_items(basis.vector(tree)) == typed_items(basis.vector(poly))
+    assert typed_items(basis.normal(tree).terms) == typed_items(basis.normal(poly).terms)
+    got, want = checker.check(tree), checker.check(poly)
+    assert not got.ok and repr(got.witness) == repr(want.witness)
+    # a tree the basis does not hold is refused as its polynomial is
+    outside = parse_product("(ab)(c(da))", BINARY)
+    refusals = {_refusal(lambda: checker.check(t)) for t in (outside, Polynomial({outside: 1}))}
+    assert len(refusals) == 1
 
 
 @pytest.mark.parametrize("kind", ["compiled", "tree"])

@@ -621,6 +621,24 @@ def test_compiled_evaluations_match_the_fold_per_tuple_oracle(case):
     assert got == list(helpers.reference_evaluations(table, identities, below))
 
 
+def test_evaluated_scalars_are_stored_as_a_table_stores_them():
+    # an exact sum of int and Fraction terms may end as Fraction(n, 1),
+    # depending on the order it adds them; every yielded scalar is its q
+    rng = random.Random(1106)
+    for cls, dim in itertools.product((BinaryAlgebra, TernaryTable), (2, 3)):
+        choices = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-2, 3)]
+        constants = {
+            idx: {l: rng.choice(choices) for l in range(dim) if rng.random() < 0.6}
+            for idx in itertools.product(range(dim), repeat=cls.arity) if rng.random() < 0.6
+        }
+        table = cls(dim, [f"e{i}" for i in range(dim)], constants)
+        identities = [fixture(name) for name in IDENTITIES[cls.arity]]
+        got = list(evaluations(table, identities))
+        assert got == list(helpers.reference_evaluations(table, identities))
+        scalars = [x for _, _, value in got for x in value.values()]
+        assert scalars and all(type(x) is int or x.denominator > 1 for x in scalars)
+
+
 def test_evaluations_refuses_a_tuple_range_outside_the_basis():
     table = system_table("sys2d-1")
     for dim in (0, -1, 3, 5):

@@ -90,9 +90,11 @@ ON_FILES = [
 # a sha256 over every instance the span layer builds, rendered as tree
 # polynomials: tag, terms in insertion order, and each coefficient's type,
 # for the rj/ro lifts of compiled_instances, each term's tree formed from
-# its shape key and letters and summed in order, the lts-a/lts-b
-# relabelings and the thm3.2 inner-identity set at degree 5 from
-# iter_relabelings, then the Jordan checker's generators and pivot rows
+# its shape key and letters and summed in order, rj's lifts over the
+# variables a, b, ab, c, d, and the one_per_family streams of lts-a/lts-b
+# and of rj/ro, then the lts-a/lts-b relabelings and the thm3.2
+# inner-identity set at degree 5 from iter_relabelings, then the Jordan
+# checker's generators and pivot rows
 INSTANCE_DIGEST = (
     "import hashlib\n"
     "from algforge.consequence import compiled_instances, iter_relabelings\n"
@@ -105,9 +107,15 @@ INSTANCE_DIGEST = (
     "    for tag, p in pairs:\n"
     "        terms = [(repr(m), repr(c), type(c).__name__) for m, c in p.terms.items()]\n"
     "        digest.update(repr((tag, terms)).encode())\n"
-    "for name in ('rj', 'ro'):\n"
+    "def compiled(names, letters=vs, **options):\n"
+    "    stream = compiled_instances([fixture(n) for n in names], letters, **options)\n"
     "    feed((tag, Polynomial._from_terms(accumulate({}, ((form_tree(k, l), c) for k, l, c in g))))\n"
-    "         for tag, g in compiled_instances([fixture(name)], vs))\n"
+    "         for tag, g in stream)\n"
+    "for name in ('rj', 'ro'):\n"
+    "    compiled([name])\n"
+    "compiled(['rj'], variables(['a', 'b', 'ab', 'c', 'd']))\n"
+    "compiled(['lts-a', 'lts-b'], one_per_family=True)\n"
+    "compiled(['rj', 'ro'], one_per_family=True)\n"
     "for name in ('lts-a', 'lts-b'):\n"
     "    feed(iter_relabelings(fixture(name), vs))\n"
     "inner = ('inner2-skew', 'inner2-cyclic', 'inner3-skew', 'inner3-cyclic', 'lts3')\n"
@@ -164,9 +172,7 @@ KERNEL_DIGEST = (
 # Fraction constants each, evaluated on every fixture of the table's arity in
 # one call; per (identity, tuple, value) triple, in yield order, the
 # identity's name, the tuple and the value's items in index order, each
-# scalar with its type; an integral Fraction is read as its int, since
-# whether an exact sum of int and Fraction terms ends as one or the other
-# depends on the order in which it adds them
+# scalar with its type, which is canonical: an integral value is its int
 EVALUATION_DIGEST = (
     "import hashlib, itertools, random\n"
     "from fractions import Fraction\n"
@@ -186,9 +192,7 @@ EVALUATION_DIGEST = (
     "    identities = [ident for ident in FIXTURES.values()\n"
     "                  if all(op.arity == cls.arity for op in ident.signature)]\n"
     "    for ident, tup, value in evaluations(table, identities):\n"
-    "        items = [(l, x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x)\n"
-    "                 for l, x in sorted(value.items())]\n"
-    "        items = [(l, repr(x), type(x).__name__) for l, x in items]\n"
+    "        items = [(l, repr(x), type(x).__name__) for l, x in sorted(value.items())]\n"
     "        digest.update(repr((ident.name, tup, items)).encode())\n"
     "        count += 1\n"
     "print(count, digest.hexdigest())\n"
