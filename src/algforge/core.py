@@ -23,7 +23,8 @@ groups terms by association type and orders each group lexicographically,
 which is the convention used throughout the identity fixtures.
 
 A shape is its key, ``Monomial.shape_key``: nested tuples that ``LEAF_KEY``
-and ``node_key`` write, and only ``form_tree`` and ``fold_shape`` read back.
+and ``node_key`` write, and only ``form_tree`` and ``fold_shape`` read back;
+``read_tree`` computes a tree's key and leaf names without caching either.
 ``form_tree`` fills a key with leaf letters from one bounded cache of one
 tree per (shape key, letters), whose nodes are made of the cached trees of
 their children; ``fold_shape`` folds a key as ``fold`` folds a tree, with
@@ -103,20 +104,34 @@ class OpSymbol:
 
     Plain input operations carry ``variant=None``; the variant transform
     produces subscripted families ``name_1 .. name_n`` with ``variant=k``.
-    ``(name, arity, variant)`` identifies the symbol uniquely.
+    ``(name, arity, variant)`` identifies the symbol uniquely: the class
+    keeps one interned symbol per triple, so two symbols are equal exactly
+    when they are the same object, and they hash and compare by identity
+    at C speed in every tree, word and cache key.
     """
 
-    __slots__ = ("name", "arity", "variant", "_hash")
+    __slots__ = ("name", "arity", "variant", "_key")
 
-    def __init__(self, name: str, arity: int, variant: int | None = None):
+    _interned: dict[tuple, "OpSymbol"] = {}
+
+    def __new__(cls, name: str, arity: int, variant: int | None = None):
+        found = cls._interned.get((name, arity, variant))
+        if found is not None:
+            return found
         if arity < 1:
             raise ArityError(f"arity must be positive, got {arity}")
         if variant is not None and variant < 1:
             raise AlgebraError(f"variant must be positive, got {variant}")
+        self = super().__new__(cls)
         self.name = name
         self.arity = arity
         self.variant = variant
-        self._hash = hash(("op", name, arity, variant))
+        self._key = (name, arity, 0 if variant is None else variant)
+        # setdefault keeps the first symbol when two threads make one at once
+        return cls._interned.setdefault((name, arity, variant), self)
+
+    def __reduce__(self):
+        return OpSymbol, (self.name, self.arity, self.variant)
 
     def display(self) -> str:
         if self.variant is None:
@@ -124,21 +139,10 @@ class OpSymbol:
         return f"{self.name}_{self.variant}"
 
     def key(self) -> tuple:
-        return (self.name, self.arity, 0 if self.variant is None else self.variant)
+        return self._key
 
     def with_variant(self, variant: int | None) -> "OpSymbol":
         return OpSymbol(self.name, self.arity, variant)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, OpSymbol)
-            and self.name == other.name
-            and self.arity == other.arity
-            and self.variant == other.variant
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __lt__(self, other: "OpSymbol") -> bool:
         return self.key() < other.key()
@@ -275,6 +279,20 @@ def fold(m: Monomial, leaf: Callable, node: Callable):
     if m.op is None:
         return leaf(m.var)
     return node(m.op, [fold(c, leaf, node) for c in m.children])
+
+
+def read_tree(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
+    """(``m.shape_key()``, ``m.leaf_names()``) in one walk that caches
+    nothing on the tree, for trees read once, as query targets are."""
+    names: list[str] = []
+
+    def walk(n: Monomial) -> tuple:
+        if n.op is None:
+            names.append(n.var.name)
+            return LEAF_KEY
+        return (1, n.op._key, *map(walk, n.children))
+
+    return walk(m), tuple(names)
 
 
 def _key_degree(key: tuple) -> int:
@@ -497,6 +515,8 @@ PolyLike = Union["Polynomial", Monomial, Variable]
 
 
 def _as_polynomial(x: PolyLike) -> "Polynomial":
+    if isinstance(x, Polynomial):
+        return x
     p = Polynomial._coerce(x)
     if p is None:
         raise AlgebraError(f"cannot interpret {x!r} as a polynomial")
@@ -561,6 +581,16 @@ def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
     polys = [_as_polynomial(a) for a in args]
     if len(polys) != op.arity:
         raise ArityError(f"{op.display()} expects {op.arity} arguments")
+    # one term per argument, as at every node of a renaming: nothing to merge
+    c, kids = 1, []
+    for p in polys:
+        if len(p.terms) != 1:
+            break
+        (m, c2), = p.terms.items()
+        kids.append(m)
+        c = c * c2
+    else:
+        return Polynomial._from_terms({Monomial(None, op, tuple(kids)): c})
     combos: list[tuple[list[Monomial], Fraction]] = [([], 1)]
     for p in polys:
         nxt = []

@@ -14,10 +14,18 @@ each shape's orbit, listed with numbered leaves on the shape's tree from
 ``core.form_tree``, maps the shape to its type and the letter orders of its
 orbit members of that type.  It is indexed twice: by shape key
 (``by_shape``), so that a tree straightens by one lookup of its cached shape
-key and leaf names, and by a compact (right degree, left, right) key, which
-the permuted-associator expansion folds ternary trees into with no binary
-tree built.  The types are listed as keys (``canonical_shapes``), and a
-word's tree is its type's key filled with its letters by ``form_tree``.
+key and leaf names, and by a compact (right degree, left, right) key.  The
+types are listed as keys (``canonical_shapes``), and a word's tree is its
+type's key filled with its letters by ``form_tree``.
+
+The permuted-associator expansion of a ternary tree depends only on its
+shape, as the free expansion of ``leibniz`` does.  One table per (ternary
+shape key, bracket, product) is filled once by folding the shape's leaf
+positions into compact keys, with no binary tree built; each entry is one
+output word: its sign, its (operation, degree, type) head, and its orbit
+table getters read at its leaf positions.  A tree is read once by
+``core.read_tree``, which caches nothing on it, so the expansion of a term
+is one read, one table lookup and one ``min`` of getter reads per word.
 
 Association types per degree are derived, not hard-coded: a binary shape
 is a type when it is its own least form, and the types are numbered in
@@ -51,7 +59,7 @@ from __future__ import annotations
 
 import itertools
 import string
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 from typing import NamedTuple, Sequence, Union
 
 from .core import (
@@ -65,8 +73,10 @@ from .core import (
     Variable,
     accumulate,
     fold,
+    fold_shape,
     form_tree,
     items_at,
+    read_tree,
 )
 from .consequence import (
     MonomialBasis,
@@ -191,7 +201,7 @@ def _word(op: OpSymbol, entry: tuple, letters: tuple) -> RCWord:
 
 def _one_operation(op: OpSymbol, o: OpSymbol, _) -> None:
     """A fold node that refuses every operation but ``op``."""
-    if o is not op and o != op:
+    if o is not op:
         raise AlgebraError(
             f"straightening needs one operation, found {o.display()} in {op.display()}"
         )
@@ -227,7 +237,7 @@ def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]
     ``ternary`` is the one operation it reads as the bracket."""
     if op.arity != 3:
         raise AlgebraError(f"{op.display()} is not ternary")
-    if op is not ternary and op != ternary:
+    if op is not ternary:
         raise AlgebraError(
             f"the permuted associator needs one ternary operation,"
             f" found {op.display()} in {ternary.display()}"
@@ -243,18 +253,42 @@ def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]
     return plus + minus
 
 
+@lru_cache(maxsize=512)
+def _associator_table(key: tuple, ternary: OpSymbol, product: OpSymbol) -> tuple:
+    """The permuted-associator expansion of a ternary shape key's trees, one
+    (sign, word head, letter getters) entry per word in the order the fold
+    lists them: a tree's word is its head (operation, degree, type index)
+    and the least of the getters applied to its leaf names.
+
+    Filled by the fold of ``_associator_node`` over the shape's leaf
+    positions, so it builds no tree; a word's getters are the orbit table's
+    getters for its compact key, composed with its leaf positions.  The
+    cache holds the tables of the 512 shapes expanded last, like
+    ``leibniz._table``; a fill that raises leaves no entry."""
+    image = fold_shape(key, lambda i: [(1, (), (i,))], partial(_associator_node, ternary))
+    degree = len(image[0][2])  # every word has the shape's degree
+    table = _types(product, degree).table
+    op = product if degree > 1 else _LEAF
+    out = []
+    for sign, compact, positions in image:
+        type_index, perms = table[compact]
+        out.append((sign, (op, degree, type_index),
+                    tuple(items_at(letters_of(positions)) for letters_of in perms)))
+    return tuple(out)
+
+
 def permuted_associator_expand(
     identity: Union[Identity, Polynomial], product: OpSymbol = BINARY
 ) -> RCPolynomial:
-    """Expand a ternary identity through the permuted associator and straighten."""
+    """Expand a ternary identity through the permuted associator and straighten,
+    every tree read once by ``read_tree`` and expanded from its shape's table."""
     p = identity.lhs if isinstance(identity, Identity) else identity
-    node = partial(_associator_node, next((op for m in p.terms for op in m.ops()), None))
+    ternary = next((op for m in p.terms for op in m.ops()), None)
     out: dict = {}
     for m, c in p.terms.items():
-        image = fold(m, lambda v: [(1, (), (v.name,))], node)
-        table = _types(product, len(image[0][2])).table  # every term has m's degree
-        accumulate(out, ((_word(product, table[key], letters), sign)
-                         for sign, key, letters in image), c)
+        key, names = read_tree(m)
+        accumulate(out, ((RCWord(*head, min([get(names) for get in gets])), sign)
+                         for sign, head, gets in _associator_table(key, ternary, product)), c)
     return RCPolynomial._from_terms(out)
 
 

@@ -1,7 +1,10 @@
 """Core polynomial algebra: substitution, polarization, rewriting."""
 
+import itertools
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from algforge import core
 from algforge.core import (
     AlgebraError,
+    ArityError,
     CyclicRules,
     Monomial,
     OpSymbol,
@@ -21,6 +25,7 @@ from algforge.core import (
     items_at,
     normalize_scalar,
     polarize,
+    read_tree,
     relabel,
     rule_from_identity,
     substitute,
@@ -353,3 +358,97 @@ def sequences_and_positions(draw):
 def test_items_at_reads_the_tuple_of_the_items_at_its_positions(case):
     seq, positions = case
     assert items_at(positions)(seq) == tuple(seq[i] for i in positions)
+
+
+def _nodes(m):
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_trees())
+def test_read_tree_reads_the_shape_key_and_leaves_and_caches_nothing(m):
+    fresh = core.fold(m, Monomial.leaf, Monomial.apply)  # no node of it has read itself
+    got = read_tree(fresh)
+    assert all(n._shape is None and n._leaves is None for n in _nodes(fresh))
+    assert got == (m.shape_key(), m.leaf_names())
+
+
+_COEFFICIENTS = st.one_of(st.sampled_from([1, -1, 2, -3]),
+                          st.fractions(-2, 2, max_denominator=3).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(mixed_trees(), _COEFFICIENTS), min_size=1, max_size=4),
+       st.permutations("abcdef"), st.none() | st.tuples(_LETTERS, mixed_trees()))
+def test_relabel_keeps_the_terms_order_and_coefficient_types_of_the_structural_fold(
+    terms, perm, tree
+):
+    # every node of a renaming has one-term arguments, the path apply_op
+    # takes without building combinations
+    p = Polynomial._from_terms(core.accumulate({}, terms))
+    mapping = {Variable(x): Variable(y) for x, y in zip("abcdef", perm)}
+    if tree is not None:
+        mapping[Variable(tree[0])] = tree[1]
+    assert typed_items(relabel(p, mapping).terms) == typed_items(reference_relabel(p, mapping).terms)
+
+
+def test_every_relabeling_of_lts_a_is_the_structural_fold():
+    f = fixture("lts-a")
+    for perm in itertools.permutations(variables("abcde")):
+        mapping = dict(zip(f.variables, perm))
+        want = reference_relabel(f.lhs, mapping)
+        assert typed_items(relabel(f.lhs, mapping).terms) == typed_items(want.terms)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([OpSymbol("neg", 1), BINARY, TERNARY]).flatmap(
+    lambda op: st.tuples(st.just(op), st.lists(st.tuples(mixed_trees(), _COEFFICIENTS),
+                                               min_size=op.arity, max_size=op.arity))))
+@example((BINARY, [(Monomial.leaf(A), Fraction(1, 2)), (Monomial.leaf(B), 2)]))
+def test_apply_op_on_one_term_arguments_is_one_term_with_the_product_coefficient(case):
+    # Fraction(1, 2) * 2 stays the Fraction 1, as the combination loop keeps it
+    op, args = case
+    got = apply_op(op, [Polynomial._from_terms({m: c}) for m, c in args])
+    want = {Monomial.apply(op, [m for m, _ in args]): reduce(operator.mul, [c for _, c in args], 1)}
+    assert typed_items(got.terms) == typed_items(want)
+
+
+_NAMES = st.sampled_from(["mul", "br", "dot", "x", "tr"])
+_TRIPLES = st.tuples(_NAMES, st.integers(1, 4), st.none() | st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TRIPLES, _TRIPLES)
+def test_an_operation_symbol_is_interned_per_name_arity_and_variant(t, u):
+    a, b = OpSymbol(*t), OpSymbol(*u)
+    assert a is OpSymbol(*t) and (a.name, a.arity, a.variant) == t
+    assert (a == b) == (a is b) == (t == u)
+    assert (hash(a) == hash(b)) if t == u else a != b
+    assert a.with_variant(b.variant) is OpSymbol(t[0], t[1], u[2])
+    assert a.with_variant(a.variant) is a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_TRIPLES, max_size=8))
+def test_operation_symbols_sort_by_name_arity_then_variant(triples):
+    ops = [OpSymbol(*t) for t in triples]
+    # the order of the key tuples, with no variant before variant 1
+    assert sorted(ops) == sorted(ops, key=lambda o: (o.name, o.arity, o.variant or 0))
+    assert [o.key() for o in sorted(ops)] == sorted((n, a, v or 0) for n, a, v in triples)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_NAMES, st.integers(-2, 0), st.integers(-2, 0))
+def test_a_refused_operation_symbol_leaves_no_registry_entry(name, arity, variant):
+    before = dict(OpSymbol._interned)
+    with pytest.raises(ArityError, match=f"^arity must be positive, got {arity}$"):
+        OpSymbol(name, arity)
+    with pytest.raises(AlgebraError, match=f"^variant must be positive, got {variant}$"):
+        OpSymbol(name, 2, variant)
+    with pytest.raises(AlgebraError, match=f"^variant must be positive, got {variant}$"):
+        BINARY.with_variant(variant)
+    assert OpSymbol._interned == before

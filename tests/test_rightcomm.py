@@ -1,11 +1,14 @@
 """Straightening, association types, permuted-associator expansions."""
 
 import itertools
+import re
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from algforge import rightcomm
 from algforge.consequence import enumerate_shapes
 from algforge.core import (
     AlgebraError,
@@ -14,6 +17,7 @@ from algforge.core import (
     Polynomial,
     Variable,
     form_tree,
+    relabel,
     variables,
 )
 from algforge.fixtures import (
@@ -37,6 +41,7 @@ from algforge.rightcomm import (
 
 from helpers import (
     iter_lifted,
+    typed_items,
     rc_orbit as _orbit,
     rc_order,
     reference_lifted,
@@ -180,6 +185,40 @@ def test_permuted_associator_expand_refuses_a_second_ternary_operation(text, sec
         permuted_associator_expand(parse(text, ops), BINARY)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("br(br(br(a,b,c),d,e),f,g)", "degree 7 exceeds 5"),
+    ("br(mul(a,b),c,d)", "mul is not ternary"),
+    ("br(tr(a,b,c),d,e)", "the permuted associator needs one ternary operation, found tr in br"),
+])
+def test_a_refused_expansion_leaves_the_table_cache_as_it_was(text, message):
+    permuted_associator_expand(fixture("lts-a"))
+    before = rightcomm._associator_table.cache_info().currsize
+    with pytest.raises(AlgebraError, match=f"^{re.escape(message)}$"):
+        permuted_associator_expand(parse(text, [TERNARY, BINARY, OpSymbol("tr", 3)]), BINARY)
+    assert rightcomm._associator_table.cache_info().currsize == before
+
+
+def _nodes(m):
+    stack = [m]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(node.children)
+
+
+def test_an_expansion_caches_nothing_on_the_trees_it_reads():
+    # a query target as the Jordan workload builds one: relabelings of lts-a
+    # and lts-b, scaled and summed, every tree fresh from the renaming
+    a, b = fixture("lts-a"), fixture("lts-b")
+    target = (relabel(a.lhs, dict(zip(a.variables, variables("edcba")))).scale(2)
+              - relabel(b.lhs, dict(zip(b.variables, variables("cabed")))))
+    trees = [n for m in target.terms for n in _nodes(m)]
+    assert trees and all(n._shape is None and n._leaves is None for n in trees)
+    got = permuted_associator_expand(target, BINARY)
+    assert all(n._shape is None and n._leaves is None for n in trees)
+    assert got == reference_permuted_associator_expand(target, BINARY)
+
+
 # ternary terms of degree 1, 3 and 5 over a few letters, so letters repeat,
 # some of them longer than one character
 _LEAVES = st.sampled_from(["a", "b", "c", "x1", "foo"]).map(lambda n: Monomial.leaf(Variable(n)))
@@ -319,3 +358,17 @@ def test_jordan_zero_target_gives_empty_certificate():
     checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
     cert = checker.check(rc_expand(Polynomial.zero()))
     assert cert.ok and cert.coefficients == {}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree=st.one_of(_LEAVES, _DEG3, _DEG5), product=st.sampled_from([BINARY, OpSymbol("dot", 2)]),
+       data=st.data())
+def test_a_second_tree_of_a_filled_shape_is_read_from_its_table(tree, product, data):
+    permuted_associator_expand(Polynomial({tree: 1}), product)
+    names = data.draw(st.lists(st.sampled_from(["a", "b", "c", "x1", "foo"]),
+                               min_size=tree.degree, max_size=tree.degree))
+    again = Polynomial({form_tree(tree.shape_key(), names): 1})
+    with mock.patch.object(rightcomm, "_associator_node", side_effect=AssertionError("folded")):
+        got = permuted_associator_expand(again, product)
+    want = reference_permuted_associator_expand(again, product)
+    assert typed_items(dict(got.sorted_terms())) == typed_items(dict(want.sorted_terms()))

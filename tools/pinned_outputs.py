@@ -2,8 +2,9 @@
 sha256 of its stdout and of its stderr.
 
 The pinned outputs are the CLI runs, digests of the instance stream, of
-the straightening table, of the degree-5 ternary kernel and of identity
-evaluations on structure-constant tables, and the demos,
+the straightening table, of the permuted-associator expansion, of the
+degree-5 ternary kernel and of identity evaluations on structure-constant
+tables, and the demos,
 whose bytes must not change when the library is refactored.  Run the
 script once against each source tree and diff the two listings:
 
@@ -150,6 +151,26 @@ STRAIGHTENING_DIGEST = (
     "            digest.update(repr((m, tuple(rc_straighten(m)))).encode())\n"
     "print(digest.hexdigest())\n"
 )
+# a sha256 over the permuted-associator expansion into straightened words:
+# each of the 360 ternary degree-5 basis monomials over a-e alone, then the
+# lts* fixtures, each expansion's (word, coefficient, type) items in
+# insertion order, unsorted
+ASSOCIATOR_DIGEST = (
+    "import hashlib\n"
+    "from algforge.consequence import MonomialBasis\n"
+    "from algforge.core import Polynomial, variables\n"
+    "from algforge.fixtures import BINARY, TERNARY, fixture\n"
+    "from algforge.rightcomm import permuted_associator_expand\n"
+    "basis = MonomialBasis([TERNARY], 5, variables('abcde'))\n"
+    "targets = [Polynomial({m: 1}) for m in basis.monomials]\n"
+    "targets += [fixture(n).lhs for n in ('lts1', 'lts2', 'lts3', 'lts-a', 'lts-b')]\n"
+    "digest = hashlib.sha256()\n"
+    "for p in targets:\n"
+    "    image = permuted_associator_expand(p, BINARY)\n"
+    "    items = [(repr(w), repr(c), type(c).__name__) for w, c in image.terms.items()]\n"
+    "    digest.update(repr(items).encode())\n"
+    "print(len(targets), digest.hexdigest())\n"
+)
 # a sha256 over the kernel of the free ternary expansion at degree 5: each
 # of its 240 polynomials in order, terms in insertion order with each
 # coefficient's type
@@ -294,6 +315,8 @@ def main() -> int:
         jobs.append(("python -c <instance stream digest>", [sys.executable, "-c", INSTANCE_DIGEST]))
         jobs.append(("python -c <straightening table digest>",
                      [sys.executable, "-c", STRAIGHTENING_DIGEST]))
+        jobs.append(("python -c <permuted associator digest>",
+                     [sys.executable, "-c", ASSOCIATOR_DIGEST]))
         jobs.append(("python -c <ternary kernel digest>", [sys.executable, "-c", KERNEL_DIGEST]))
         jobs.append(("python -c <identity evaluation digest>",
                      [sys.executable, "-c", EVALUATION_DIGEST]))
