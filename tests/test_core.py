@@ -1,7 +1,9 @@
 """Core polynomial algebra: substitution, polarization, rewriting."""
 
+import copy
 import itertools
 import operator
+import pickle
 import random
 from fractions import Fraction
 from functools import reduce
@@ -430,6 +432,7 @@ def test_an_operation_symbol_is_interned_per_name_arity_and_variant(t, u):
     assert (hash(a) == hash(b)) if t == u else a != b
     assert a.with_variant(b.variant) is OpSymbol(t[0], t[1], u[2])
     assert a.with_variant(a.variant) is a
+    assert pickle.loads(pickle.dumps(a)) is a and copy.deepcopy(a) is a
 
 
 @settings(max_examples=100, deadline=None)
