@@ -79,6 +79,13 @@ def _parse_vars(spec: str | None, degree: int):
     return variables("abcdefghijklmnopqrstuvwxyz"[:degree])
 
 
+def _verify(cert, name: str) -> None:
+    """Refuse a certificate that does not re-expand to its target, so that a
+    "yes" is printed only with a verified certificate."""
+    if cert.ok and not cert.verify():
+        raise AlgebraError(f"the certificate for {name} does not re-expand to its target")
+
+
 def cmd_span(args) -> int:
     _, targets = _read_identities(args.target)
     if len(targets) != 1:
@@ -88,8 +95,10 @@ def cmd_span(args) -> int:
     vs = _parse_vars(args.vars, args.degree)
     basis = MonomialBasis(target.signature.union(*(g.signature for g in gens)), args.degree, vs)
     cert = SpanChecker.on_demand(gens, vs, basis).check(target.lhs)
+    name = target.name or "target"
+    _verify(cert, name)
     if cert.ok:
-        print(f"IN SPAN: {target.name or 'target'} ({len(cert.coefficients)} certificate terms)")
+        print(f"IN SPAN: {name} ({len(cert.coefficients)} certificate terms)")
         for line in cert.lines():
             print(f"  {line}")
         return 0
@@ -102,7 +111,12 @@ def cmd_equiv(args) -> int:
     _, set_b = _read_identities(args.b)
     vs = _parse_vars(args.vars, args.degree)
     res = sets_equivalent(set_a, set_b, args.degree, vs)
-    for label, results in (("A in span(B)", res.forward), ("B in span(A)", res.backward)):
+    sides = (("A in span(B)", res.forward), ("B in span(A)", res.backward))
+    # every certificate is verified before the first line is printed
+    for _, results in sides:
+        for name, cert in results.items():
+            _verify(cert, name)
+    for label, results in sides:
         for name, cert in results.items():
             status = "PASS" if cert.ok else "FAIL"
             print(f"{status}  {label}: {name}")

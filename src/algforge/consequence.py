@@ -66,9 +66,10 @@ from .core import (
     Variable,
     _tree,
     accumulate,
-    fold,
+    fold_shape,
     items_at,
     node_key,
+    read_tree,
 )
 from .linalg import PivotTable, Vec
 
@@ -225,7 +226,7 @@ class MonomialBasis:
                     vec[i] = c
                 return vec
             terms = {p: 1} if isinstance(p, Monomial) else p.terms
-            p = [(m.shape_key(), m.leaf_names(), c) for m, c in terms.items()]
+            p = [(*read_tree(m), c) for m, c in terms.items()]
         slots = self._slots
         return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
 
@@ -279,9 +280,10 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
         and 1; with a ``side``, times the letter at 0 on that side."""
         out = []
         for m, c in identity.lhs.terms.items():
-            key = m.shape_key() if glued is None else fold(
-                m, lambda w: product if w.name == glued else LEAF_KEY, node_key)
-            at = [i for x in m.leaf_names() for i in ((0, 1) if x == glued else (slot[x],))]
+            key, names = read_tree(m)
+            if glued is not None:
+                key = fold_shape(key, lambda i: product if names[i] == glued else LEAF_KEY, node_key)
+            at = [i for x in names for i in ((0, 1) if x == glued else (slot[x],))]
             if side == "right":
                 key, at = node_key(op, (key, LEAF_KEY)), at + [0]
             elif side == "left":

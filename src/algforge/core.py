@@ -23,12 +23,14 @@ groups terms by association type and orders each group lexicographically,
 which is the convention used throughout the identity fixtures.
 
 A shape is its key, ``Monomial.shape_key``: nested tuples that ``LEAF_KEY``
-and ``node_key`` write, and only ``form_tree`` and ``fold_shape`` read back;
-``read_tree`` computes a tree's key and leaf names without caching either.
-``form_tree`` fills a key with leaf letters from one bounded cache of one
-tree per (shape key, letters), whose nodes are made of the cached trees of
-their children; ``fold_shape`` folds a key as ``fold`` folds a tree, with
-leaf positions in place of letters.
+and ``node_key`` write, and only ``form_tree`` and ``fold_shape`` read back.
+``read_tree`` is the one reader of a tree's key and leaf names: it walks the
+tree once and keeps nothing on it, and ``shape_key``, ``leaf_names``,
+``sort_key`` and ``degree`` are views of it.  ``form_tree`` fills a key
+with leaf letters from one bounded cache of one tree per (shape key,
+letters), whose nodes are made of the cached trees of their children;
+``fold_shape`` folds a key as ``fold`` folds a tree, with leaf positions in
+place of letters.
 """
 
 from __future__ import annotations
@@ -168,8 +170,8 @@ def items_at(positions: Sequence[int]) -> Callable[[tuple], tuple]:
 
 
 # The shape key of a leaf, and of a product node over its children's keys:
-# ``Monomial.shape_key`` and every compiled term's key are built from these,
-# and ``form_tree`` reads them back.
+# every key is built from these (``read_tree`` inlines ``node_key``), and
+# ``form_tree`` and ``fold_shape`` read them back.
 LEAF_KEY = (0,)
 
 
@@ -181,19 +183,17 @@ class Monomial:
     """A planar operation tree over variables.
 
     Use ``Monomial.leaf(v)`` and ``Monomial.apply(op, children)``; the raw
-    constructor is internal.  Monomials hash and compare structurally and
-    cache their leaf sequence and shape key.
+    constructor is internal.  Monomials hash and compare structurally; their
+    shape key and leaf sequence are read by ``read_tree`` on each call.
     """
 
-    __slots__ = ("var", "op", "children", "_hash", "_leaves", "_shape")
+    __slots__ = ("var", "op", "children", "_hash")
 
     def __init__(self, var, op, children):
         self.var = var
         self.op = op
         self.children = children
         self._hash = hash((var, op, children))
-        self._leaves = None
-        self._shape = None
 
     @staticmethod
     def leaf(var: Variable) -> "Monomial":
@@ -216,28 +216,16 @@ class Monomial:
 
     @property
     def degree(self) -> int:
-        return len(self.leaf_names())
+        return len(read_tree(self)[1])
 
     def leaf_names(self) -> tuple[str, ...]:
-        if self._leaves is None:
-            if self.is_leaf:
-                self._leaves = (self.var.name,)
-            else:
-                out = []
-                for c in self.children:
-                    out.extend(c.leaf_names())
-                self._leaves = tuple(out)
-        return self._leaves
+        return read_tree(self)[1]
 
     def shape_key(self) -> tuple:
-        if self._shape is None:
-            self._shape = LEAF_KEY if self.is_leaf else node_key(
-                self.op, [c.shape_key() for c in self.children]
-            )
-        return self._shape
+        return read_tree(self)[0]
 
     def sort_key(self) -> tuple:
-        return (self.shape_key(), self.leaf_names())
+        return read_tree(self)
 
     def ops(self) -> Iterator[OpSymbol]:
         """Yield every operation occurrence, root first."""
@@ -282,8 +270,8 @@ def fold(m: Monomial, leaf: Callable, node: Callable):
 
 
 def read_tree(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
-    """(``m.shape_key()``, ``m.leaf_names()``) in one walk that caches
-    nothing on the tree, for trees read once, as query targets are."""
+    """(shape key, leaf names left to right) of a tree, in one walk that
+    keeps nothing on the tree; a reader that needs both reads them once."""
     names: list[str] = []
 
     def walk(n: Monomial) -> tuple:

@@ -45,6 +45,7 @@ from .core import (
     accumulate,
     fold_shape,
     items_at,
+    read_tree,
     variables,
 )
 
@@ -165,10 +166,11 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     left-normalized product of its arguments, every tree from its shape's
     table."""
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
+    read = [(read_tree(m), c) for m, c in terms.items()]
     # each term reads its words, and each distinct shape is filled once
     work, fills = 0, {}
-    for m in terms:
-        words, fills[m.shape_key()] = _work(m.shape_key())
+    for (key, _), _ in read:
+        words, fills[key] = _work(key)
         work += words
     work += sum(fills.values())
     if work > EXPANSION_LIMIT:
@@ -176,9 +178,8 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
             f"expansion too large: up to {work} word terms, over {EXPANSION_LIMIT}"
         )
     out: dict[Word, Fraction] = {}
-    for m, c in terms.items():
-        names = m.leaf_names()
-        accumulate(out, [(get(names), s) for get, s in _table(m.shape_key(), arity)], c)
+    for (key, names), c in read:
+        accumulate(out, [(get(names), s) for get, s in _table(key, arity)], c)
     return TensorPolynomial._from_terms(out)
 
 

@@ -9,23 +9,24 @@ never changes.  So the orbit of a monomial, its set of equal monomials, is
 every independent choice of order at the products off the left spine.
 Each orbit keeps one canonical member, its least: least association type
 first, then lexicographically least letter sequence.  A shape is its key,
-``Monomial.shape_key``.  A table built once per (operation, degree) from
-each shape's orbit, listed with numbered leaves on the shape's tree from
-``core.form_tree``, maps the shape to its type and the letter orders of its
-orbit members of that type.  It is indexed twice: by shape key
-(``by_shape``), so that a tree straightens by one lookup of its cached shape
-key and leaf names, and by a compact (right degree, left, right) key.  The
-types are listed as keys (``canonical_shapes``), and a word's tree is its
-type's key filled with its letters by ``form_tree``.
+``Monomial.shape_key``.  One table per (operation, degree), ``by_shape``,
+maps each shape key to its orbit's type and the letter orders of its orbit
+members of that type.  It is built from each shape's orbit, listed by
+``core.fold_shape`` over the key's leaf positions and ordered by a compact
+(right degree, left, right) key, so no tree is built; a tree straightens by
+one ``core.read_tree`` of its shape key and leaf names and one lookup.  The
+types are listed as keys (``canonical_shapes``); a word's tree is its
+type's key filled with its letters by ``form_tree``, and a word renders by
+folding that key over its letters.
 
 The permuted-associator expansion of a ternary tree depends only on its
 shape, as the free expansion of ``leibniz`` does.  One table per (ternary
 shape key, bracket, product) is filled once by folding the shape's leaf
-positions into compact keys, with no binary tree built; each entry is one
-output word: its sign, its (operation, degree, type) head, and its orbit
-table getters read at its leaf positions.  A tree is read once by
-``core.read_tree``, which caches nothing on it, so the expansion of a term
-is one read, one table lookup and one ``min`` of getter reads per word.
+positions into the shape keys of its binary words, with no binary tree
+built; each entry is one output word: its sign, its (operation, degree,
+type) head, and its ``by_shape`` getters read at its leaf positions.  A
+tree is read once by ``core.read_tree``, so the expansion of a term is one
+read, one table lookup and one ``min`` of getter reads per word.
 
 Association types per degree are derived, not hard-coded: a binary shape
 is a type when it is its own least form, and the types are numbered in
@@ -58,12 +59,12 @@ keeps the tree's error.
 from __future__ import annotations
 
 import itertools
-import string
 from functools import cache, lru_cache, partial
 from typing import NamedTuple, Sequence, Union
 
 from .core import (
     BINARY,
+    LEAF_KEY,
     AlgebraError,
     Identity,
     LinComb,
@@ -76,6 +77,7 @@ from .core import (
     fold_shape,
     form_tree,
     items_at,
+    node_key,
     read_tree,
 )
 from .consequence import (
@@ -103,12 +105,12 @@ def _join(left: tuple, right: tuple) -> tuple:
     return (len(lr), kl, kr), ll + lr
 
 
-def _orbit(m: Monomial) -> list[tuple]:
-    """(compact key, leaf positions) of each orbit member of a tree, itself first."""
-    position = itertools.count()
+def _orbit(key: tuple) -> list[tuple]:
+    """(compact key, leaf positions) of each orbit member of a shape key's
+    trees, itself first."""
 
-    def leaf(_) -> tuple:
-        forms = [((), (next(position),))]
+    def leaf(i: int) -> tuple:
+        forms = [((), (i,))]
         return forms, forms
 
     def node(_, kids: list) -> tuple:
@@ -118,14 +120,13 @@ def _orbit(m: Monomial) -> list[tuple]:
         return ([_join(l, r) for l in l_spine for r in r_off],
                 [_join(l, r) for l, r in pairs] + [_join(r, l) for l, r in pairs])
 
-    return fold(m, leaf, node)[0]
+    return fold_shape(key, leaf, node)[0]
 
 
 class _Types(NamedTuple):
     shapes: list[tuple]  # the types' shape keys
     perms: list[tuple]  # per type, letter getters of its orbit members of its shape
-    table: dict[tuple, tuple[int, tuple]]  # compact key -> (orbit's type, getters for it)
-    by_shape: dict[tuple, tuple[int, tuple]]  # the same entries by Monomial.shape_key
+    by_shape: dict[tuple, tuple[int, tuple]]  # shape key -> (orbit's type, getters for it)
 
 
 @cache
@@ -136,19 +137,17 @@ def _types(op: OpSymbol, degree: int) -> _Types:
         raise AlgebraError("right commutativity concerns binary operations")
     if degree > MAX_DEGREE:
         raise DegreeTooLarge(f"degree {degree} exceeds {MAX_DEGREE}")
-    orbits, types, owns = {}, {}, {}
-    letters = string.ascii_lowercase[:degree]
+    orbits, types = {}, {}
     for shape in enumerate_shapes([op], degree):
-        forms = _orbit(form_tree(shape, letters))
+        forms = _orbit(shape)
         own, least = forms[0][0], min(key for key, _ in forms)
-        orbits[own] = least, tuple(items_at(p) for key, p in forms if key == least)
-        owns[shape] = own
+        orbits[shape] = least, tuple(items_at(p) for key, p in forms if key == least)
         if own == least:
             types[own] = shape
     index = {key: i for i, key in enumerate(sorted(types), start=1)}
-    table = {own: (index[least], perms) for own, (least, perms) in orbits.items()}
-    return _Types([types[key] for key in index], [orbits[key][1] for key in index], table,
-                  {shape_key: table[own] for shape_key, own in owns.items()})
+    by_shape = {shape: (index[least], perms) for shape, (least, perms) in orbits.items()}
+    shapes = [types[key] for key in index]
+    return _Types(shapes, [by_shape[shape][1] for shape in shapes], by_shape)
 
 
 def canonical_shapes(op: OpSymbol, degree: int) -> list[tuple]:
@@ -173,7 +172,8 @@ class RCWord(NamedTuple):
                          self.letters)
 
     def render(self) -> str:
-        body = fold(self.monomial(), lambda v: v.name, lambda _, args: f"({args[0]}{args[1]})")
+        key = canonical_shapes(self.op, self.degree)[self.type_index - 1]
+        body = fold_shape(key, self.letters.__getitem__, lambda _, args: f"({args[0]}{args[1]})")
         return body[1:-1] if self.degree > 1 else body
 
     def __repr__(self) -> str:
@@ -212,9 +212,9 @@ def rc_straighten(m: Monomial) -> RCWord:
     op = _LEAF if m.is_leaf else m.op
     if op.arity != 2:
         raise AlgebraError("straightening requires a binary operation")
-    letters = m.leaf_names()
+    key, letters = read_tree(m)
     try:
-        entry = _types(op, len(letters)).by_shape[m.shape_key()]
+        entry = _types(op, len(letters)).by_shape[key]
     except (KeyError, DegreeTooLarge):
         # a second operation is named before the degree
         fold(m, lambda v: None, partial(_one_operation, op))
@@ -231,8 +231,9 @@ def rc_expand(p: Union[Polynomial, Monomial]) -> RCPolynomial:
     )
 
 
-def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]:
-    """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, compact key, letters)
+def _associator_node(ternary: OpSymbol, product: OpSymbol, op: OpSymbol,
+                     args: list) -> list[tuple]:
+    """<x,y,z> -> (x,z,y) = (xz)y - x(zy) on (sign, shape key, letters)
     terms, listed in the order that multiplying out the trees lists them;
     ``ternary`` is the one operation it reads as the bracket."""
     if op.arity != 3:
@@ -248,8 +249,8 @@ def _associator_node(ternary: OpSymbol, op: OpSymbol, args: list) -> list[tuple]
         for sz, kz, lz in z:
             for sy, ky, ly in y:
                 sign, letters = sx * sz * sy, lx + lz + ly
-                plus.append((sign, (len(ly), (len(lz), kx, kz), ky), letters))
-                minus.append((-sign, (len(lz) + len(ly), kx, (len(ly), kz, ky)), letters))
+                plus.append((sign, node_key(product, (node_key(product, (kx, kz)), ky)), letters))
+                minus.append((-sign, node_key(product, (kx, node_key(product, (kz, ky)))), letters))
     return plus + minus
 
 
@@ -261,17 +262,18 @@ def _associator_table(key: tuple, ternary: OpSymbol, product: OpSymbol) -> tuple
     and the least of the getters applied to its leaf names.
 
     Filled by the fold of ``_associator_node`` over the shape's leaf
-    positions, so it builds no tree; a word's getters are the orbit table's
-    getters for its compact key, composed with its leaf positions.  The
+    positions, so it builds no tree; a word's getters are the ``by_shape``
+    getters for its shape key, composed with its leaf positions.  The
     cache holds the tables of the 512 shapes expanded last, like
     ``leibniz._table``; a fill that raises leaves no entry."""
-    image = fold_shape(key, lambda i: [(1, (), (i,))], partial(_associator_node, ternary))
+    image = fold_shape(key, lambda i: [(1, LEAF_KEY, (i,))],
+                       partial(_associator_node, ternary, product))
     degree = len(image[0][2])  # every word has the shape's degree
-    table = _types(product, degree).table
+    by_shape = _types(product, degree).by_shape
     op = product if degree > 1 else _LEAF
     out = []
-    for sign, compact, positions in image:
-        type_index, perms = table[compact]
+    for sign, shape, positions in image:
+        type_index, perms = by_shape[shape]
         out.append((sign, (op, degree, type_index),
                     tuple(items_at(letters_of(positions)) for letters_of in perms)))
     return tuple(out)

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Mapping, Sequence, Union
 
 from .core import BINARY, AlgebraError, Identity, LinComb, Monomial, Polynomial, Variable
-from .core import LEAF_KEY, accumulate, items_at, q
+from .core import LEAF_KEY, accumulate, items_at, q, read_tree
 from .parsing import Signature, format_polynomial, parse
 
 
@@ -377,9 +377,9 @@ def _products(table: StructureTable, steps: list, start: tuple = ()) -> dict:
 def _pattern(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
     """The (shape key, leaf pattern) of ``m`` and its distinct variables in
     order of first occurrence; the pattern numbers each leaf's variable."""
-    leaves = m.leaf_names()
+    key, leaves = read_tree(m)
     names = tuple(dict.fromkeys(leaves))
-    return (m.shape_key(), tuple(names.index(name) for name in leaves)), names
+    return (key, tuple(names.index(name) for name in leaves)), names
 
 
 def _fill(table: StructureTable, m: Monomial, tables: dict) -> tuple[dict, tuple[str, ...]]:

@@ -5,11 +5,13 @@ import io
 import json
 import re
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from algforge.cli import main
+from algforge.consequence import SpanCertificate
 from algforge.fixtures import data_text
 
 
@@ -128,6 +130,23 @@ def test_equiv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "EQUIVALENT" in out
+
+
+@pytest.mark.parametrize("command", [
+    ["span", "--target", "{f}", "--gens", "{f}"],
+    ["equiv", "--a", "{f}", "--b", "{f}"],
+])
+def test_a_certificate_that_does_not_re_expand_is_an_error_not_a_yes(command, tmp_path, capsys):
+    path = tmp_path / "assoc.txt"
+    path.write_text("op mul/2\nassoc: mul(mul(a,b),c) - mul(a,mul(b,c))\n")
+    argv = [arg.format(f=path) for arg in command] + ["--degree", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with mock.patch.object(SpanCertificate, "verify", return_value=False):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the certificate for assoc does not re-expand to its target\n")
 
 
 def test_equiv_refuses_an_identity_above_the_degree(tmp_path, capsys):

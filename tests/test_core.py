@@ -362,21 +362,16 @@ def test_items_at_reads_the_tuple_of_the_items_at_its_positions(case):
     assert items_at(positions)(seq) == tuple(seq[i] for i in positions)
 
 
-def _nodes(m):
-    stack = [m]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node.children)
-
-
 @settings(max_examples=200, deadline=None)
 @given(mixed_trees())
 def test_read_tree_reads_the_shape_key_and_leaves_and_caches_nothing(m):
-    fresh = core.fold(m, Monomial.leaf, Monomial.apply)  # no node of it has read itself
-    got = read_tree(fresh)
-    assert all(n._shape is None and n._leaves is None for n in _nodes(fresh))
-    assert got == (m.shape_key(), m.leaf_names())
+    # a node has no slot to keep a key or leaves in
+    assert Monomial.__slots__ == ("var", "op", "children", "_hash")
+    key = core.fold(m, lambda v: core.LEAF_KEY, core.node_key)
+    leaves = core.fold(m, lambda v: (v.name,), lambda _, kids: sum(kids, ()))
+    assert read_tree(m) == (key, leaves)
+    assert (m.shape_key(), m.leaf_names(), m.sort_key(), m.degree) == (
+        key, leaves, (key, leaves), len(leaves))
 
 
 _COEFFICIENTS = st.one_of(st.sampled_from([1, -1, 2, -3]),

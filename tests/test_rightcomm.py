@@ -16,6 +16,7 @@ from algforge.core import (
     OpSymbol,
     Polynomial,
     Variable,
+    fold,
     form_tree,
     relabel,
     variables,
@@ -212,10 +213,12 @@ def test_an_expansion_caches_nothing_on_the_trees_it_reads():
     a, b = fixture("lts-a"), fixture("lts-b")
     target = (relabel(a.lhs, dict(zip(a.variables, variables("edcba")))).scale(2)
               - relabel(b.lhs, dict(zip(b.variables, variables("cabed")))))
-    trees = [n for m in target.terms for n in _nodes(m)]
-    assert trees and all(n._shape is None and n._leaves is None for n in trees)
+    nodes = [n for m in target.terms for n in _nodes(m)]
+    built = [[getattr(n, slot) for slot in Monomial.__slots__] for n in nodes]
     got = permuted_associator_expand(target, BINARY)
-    assert all(n._shape is None and n._leaves is None for n in trees)
+    # every node keeps the slots it was built with, and has no others
+    assert built and [[getattr(n, slot) for slot in Monomial.__slots__] for n in nodes] == built
+    assert not any(hasattr(n, "__dict__") for n in nodes)
     assert got == reference_permuted_associator_expand(target, BINARY)
 
 
@@ -302,6 +305,14 @@ def test_expansion_term_order_matches_type_then_lex():
     keys = [(w.type_index, w.letters) for w, _ in terms]
     assert keys == sorted(keys)
     assert [w.render() for w, c in terms[:2]] == ["(((ac)b)e)d", "(((ad)b)e)c"]
+
+
+def test_a_word_renders_as_its_tree_with_juxtaposed_products():
+    # the oracle folds the word's tree, which ``render`` does not build
+    for degree in range(1, 6):
+        for w in RCBasis(BINARY, degree, V5[:degree]).monomials:
+            body = fold(w.monomial(), lambda v: v.name, lambda _, args: f"({args[0]}{args[1]})")
+            assert repr(w) == (body[1:-1] if degree > 1 else body), w.sort_key()
 
 
 def test_stated_combinations_straighten_to_expansions():

@@ -129,8 +129,8 @@ INSTANCE_DIGEST = (
 )
 # a sha256 over the right-commutative straightening of mul in degrees 1-5:
 # the association types in order, each rendered as its shape key's tree over
-# the letters p0, p1, ..., every symmetry order, the RCBasis words, and the
-# word of every planar monomial over the first d letters
+# the letters p0, p1, ..., every symmetry order, the RCBasis words with
+# their repr, and the word of every planar monomial over the first d letters
 STRAIGHTENING_DIGEST = (
     "import hashlib, itertools\n"
     "from algforge.consequence import enumerate_shapes\n"
@@ -143,7 +143,7 @@ STRAIGHTENING_DIGEST = (
     "    placeholders = [f'p{i}' for i in range(d)]\n"
     "    types = [form_tree(k, placeholders) for k in canonical_shapes(BINARY, d)]\n"
     "    orders = [symmetry_order(BINARY, d, t) for t in range(1, len(types) + 1)]\n"
-    "    words = [tuple(w) for w in RCBasis(BINARY, d, vs).monomials]\n"
+    "    words = [(tuple(w), repr(w)) for w in RCBasis(BINARY, d, vs).monomials]\n"
     "    digest.update(repr((d, types, orders, words)).encode())\n"
     "    for shape in enumerate_shapes([BINARY], d):\n"
     "        for perm in itertools.permutations(vs):\n"
