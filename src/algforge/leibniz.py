@@ -166,10 +166,10 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     left-normalized product of its arguments, every tree from its shape's
     table."""
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
-    read = [(read_tree(m), c) for m, c in terms.items()]
+    read = [(*read_tree(m), c) for m, c in terms.items()]
     # each term reads its words, and each distinct shape is filled once
     work, fills = 0, {}
-    for (key, _), _ in read:
+    for key, _, _ in read:
         words, fills[key] = _work(key)
         work += words
     work += sum(fills.values())
@@ -178,7 +178,7 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
             f"expansion too large: up to {work} word terms, over {EXPANSION_LIMIT}"
         )
     out: dict[Word, Fraction] = {}
-    for (key, names), c in read:
+    for key, names, c in read:
         accumulate(out, [(get(names), s) for get, s in _table(key, arity)], c)
     return TensorPolynomial._from_terms(out)
 
