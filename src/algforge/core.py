@@ -594,7 +594,7 @@ def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
 class Identity:
     """A polynomial asserted identically zero, with its variables and signature."""
 
-    __slots__ = ("lhs", "variables", "signature", "name")
+    __slots__ = ("lhs", "variables", "signature", "name", "_degree")
 
     def __init__(
         self,
@@ -604,21 +604,25 @@ class Identity:
         name: str | None = None,
     ):
         lhs = _as_polynomial(lhs)
-        if variables is None:
-            variables = lhs.variables()
-        variables = tuple(variables)
+        used = lhs.variables()
+        variables = used if variables is None else tuple(variables)
         have = {v.name for v in variables}
-        for v in lhs.variables():
+        for v in used:
             if v.name not in have:
                 raise AlgebraError(f"variable {v.name} of lhs missing from list")
         self.lhs = lhs
         self.variables = variables
         self.signature = frozenset(signature) if signature is not None else lhs.signature()
         self.name = name
+        self._degree = None
 
     @property
     def degree(self) -> int:
-        return self.lhs.degree()
+        """The lhs's common degree, read on first use and kept; a
+        non-homogeneous lhs raises on each read."""
+        if self._degree is None:
+            self._degree = self.lhs.degree()
+        return self._degree
 
     def is_multilinear(self) -> bool:
         if not self.lhs.is_multilinear():

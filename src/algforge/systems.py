@@ -5,21 +5,27 @@ e_i e_j = c[i, j] are structure-constant tables over named, distinct basis
 elements with exact entries, sharing one base class: a scalar is an ``int``,
 a ``Fraction`` or a symbolic ``SymPoly``.  A vector is a sparse dict from
 basis index to nonzero scalar ({} is zero), and ``c`` maps index tuples to
-nonzero vectors.  One multilinear loop (``StructureTable.multiply_into``) is
-the product for every arity: it walks a row index over ``c``, built on the
-first product, one factor at a time, and drops an index prefix that has no
-row before it reads the later factors.
+nonzero vectors.  One product step (``_extend``) serves every arity: a
+level of (row, coefficient) pairs over a row index of ``c``, built on the
+first product, goes one factor on at a time, and an index prefix without a
+row is dropped before the later factors are read; ``multiply_into`` takes
+its factors through it.
 
 ``evaluations`` evaluates identities on all basis tuples: it checks the
 defining identities and the one-product law, and builds the ternary
 products <<a,b>,c> and abc - bac - cab + cba of a binary algebra.  Before
 the first tuple it fills one shape table per proper subterm, bottom-up: the
 nonzero values of the subterm on every choice of basis indices for its
-variables, each formed from a nonzero combination of its children's
-entries, and shared by every identity and variable order of the call.
-Roots are tabled one block of tuples at a time, a block being the tuples
-that share their first index, so a call holds the proper subterms' tables
-and one block's root tables.  ``SYSTEM_LIMIT`` bounds the work one check or
+variables, shared by every identity and variable order of the call.  A
+table is filled by one walk over its children that keeps a level per bound
+index prefix, so a partial product is formed once for all the later
+children's entries, and a fresh bare variable reads the rows' own indices
+instead of probing each.  Roots are tabled one block of tuples at a time, a
+block being the tuples that share their first index; each root table is
+added, times its terms' coefficients, into one value table per identity,
+keyed by tuple, and freed, and every tuple of the block reads its value
+there.  So a call holds the proper subterms' tables, one block's value
+tables and one root table.  ``SYSTEM_LIMIT`` bounds the work one check or
 envelope may take on.  The enveloping binary algebra has dimension n(n+1), on
 the basis e_1..e_n followed by the pairs e_i e_j (row-major); tables render
 aligned, "." for zero entries.
@@ -275,27 +281,35 @@ class StructureTable:
         return rows
 
     def multiply_into(self, vectors: Sequence[Vector]) -> Vector:
-        """The product of ``vectors``, as a new vector.  This is the one
-        product loop: it walks the row index one factor at a time, so an
-        index prefix without a row is dropped before the later factors are
-        read."""
+        """The product of ``vectors``, as a new vector: the row index walked
+        one factor at a time through ``_extend``, the product step that
+        ``evaluations`` shares, so an index prefix without a row is dropped
+        before the later factors are read."""
         if len(vectors) != self.arity:
             raise AlgebraError(f"arity-{self.arity} table multiplies {self.arity} vectors only")
-        level = [(self.rows, 1)]  # (row of an index prefix, its coefficient)
+        level = [(self.rows, 1)]
         for vec in vectors:
-            longer = []
-            for row, coeff in level:
-                for i, x in vec.items():
-                    sub = row.get(i)
-                    if sub:
-                        longer.append((sub, coeff * x))
-            if not longer:
-                return {}
-            level = longer
-        out: Vector = {}
-        for cvec, coeff in level:
-            accumulate(out, cvec.items(), coeff)
-        return out
+            level = _extend(level, vec)
+        return _sum(level)
+
+
+def _extend(level: list, vec: Vector) -> list:
+    """A level one factor on.  A level lists the (row, coefficient) pairs of
+    one bound index prefix, a row being the row index below that prefix (a
+    vector once every factor is bound); each row's sub-row at every index of
+    ``vec`` that has one is kept, its coefficient times the entry.  This is
+    the one product step of every arity and caller."""
+    return [(sub, coeff * x) for row, coeff in level for i, x in vec.items()
+            if (sub := row.get(i))]
+
+
+def _sum(level: list) -> Vector:
+    """The vector of a level whose factors are all bound: its rows, now
+    vectors, each times its coefficient."""
+    out: Vector = {}
+    for vec, coeff in level:
+        accumulate(out, vec.items(), coeff)
+    return out
 
 
 class TernaryTable(StructureTable):
@@ -321,32 +335,32 @@ class BinaryAlgebra(StructureTable):
 
 # The most identity-tuple pairs one ``evaluations`` call, or pair products
 # one ``build_envelope``, may take on.  Measured on dense tables (every
-# constant nonzero) on a 2-core x86_64 host under CPython 3.11: a check costs
-# up to about 70 us and 250 bytes of peak memory per pair, the memory mostly
-# one block's root tables (``check_lts`` on a 10-dimensional table:
-# 2 * 10**5 pairs in 13 s, peak 47 MB; ``check_leibniz`` on a 56-dimensional
-# envelope: 1.8 * 10**5 pairs in 12 s, peak 30 MB with its violation list),
-# and an envelope about 14 us and 1.3 kB per pair product (n = 16:
-# 6.6 * 10**4 products in 0.9 s, peak 83 MB).
+# constant a random nonzero int) on a shared 2-core x86_64 host under
+# CPython 3.11, whose speed moves by up to about 1.6 times with its load, a
+# check costs about 35-45 us and 200 bytes of ``tracemalloc`` peak per pair,
+# the memory mostly its violation list and one block's value tables
+# (``check_lts`` on a 10-dimensional table: 2 * 10**5 pairs in 6.7 s, peak
+# 40 MB; ``check_leibniz`` on a 56-dimensional envelope: 1.8 * 10**5 pairs
+# in 7.8 s, peak 31 MB), and an envelope about 8 us and 1.3 kB per pair
+# product (n = 16: 6.6 * 10**4 products in 0.5 s, peak 79 MB).
 SYSTEM_LIMIT = 2 * 10**5
 
 
-def _join(partial, index: dict, at: Sequence[int]):
-    """Extend each (bound indices, child values) pair by every entry of the
-    next child's ``index`` that agrees with it at positions ``at``."""
-    for prefix, vecs in partial:
-        for more, vec in index.get(tuple(prefix[a] for a in at), ()):
-            yield prefix + more, [*vecs, vec]
-
-
-def _steps(table: StructureTable, m: Monomial, tables: dict, bound: list[str]) -> list:
-    """The join steps of ``m``'s children after the variables ``bound``:
-    per child, its entries indexed by the indices of its variables bound
-    before it, and those variables' positions in ``bound``.  ``bound`` grows
-    in place by the other variables of ``m``, in order of first occurrence."""
+def _steps(table: StructureTable, m: Monomial, tables: dict, bound: list[str],
+           below: int) -> list:
+    """The walk steps of ``m``'s children after the variables ``bound``: per
+    child, its entries indexed by the indices of its variables bound before
+    it, and those variables' positions in ``bound``; a child that is a bare
+    variable not bound before it is the step (None, ``below``), which reads
+    its indices from the rows themselves.  ``bound`` grows in place by the
+    other variables of ``m``, in order of first occurrence."""
     steps = []
     for child in m.children:
-        child_values, child_names = _fill(table, child, tables)
+        if child.is_leaf and child.var.name not in bound:
+            steps.append((None, below))
+            bound.append(child.var.name)
+            continue
+        child_values, child_names = _fill(table, child, tables, below)
         pos = {name: p for p, name in enumerate(bound)}
         old = [k for k, name in enumerate(child_names) if name in pos]
         new = [k for k, name in enumerate(child_names) if name not in pos]
@@ -360,18 +374,48 @@ def _steps(table: StructureTable, m: Monomial, tables: dict, bound: list[str]) -
 
 
 def _products(table: StructureTable, steps: list, start: tuple = ()) -> dict:
-    """The nonzero products of every combination of child entries that the
-    join ``steps`` admit after the indices ``start``, keyed by the indices
-    of all the variables bound."""
-    partial = iter([(start, [])])  # (indices of the variables bound so far, child values)
+    """The nonzero products that the walk ``steps`` reaches after the indices
+    ``start``, keyed by the indices of all the variables bound.
+
+    The walk keeps one level (``_extend``) per bound index prefix and takes
+    every prefix one child on at a time, so a partial product is formed once
+    for all the later children's entries, and a prefix whose level empties
+    is dropped before a later child is read.  A fresh bare variable reads
+    the level's rows at each of their indices below the tuple range instead
+    of probing every index."""
+    partial = iter([(start, [(table.rows, 1)])])  # (indices bound so far, their level)
     for index, at in steps:
-        partial = _join(partial, index, at)
-    values = {}
-    for prefix, vecs in partial:
-        vec = table.multiply_into(vecs)
-        if vec:
-            values[prefix] = vec
-    return values
+        partial = _walk(partial, index, at)
+    return {prefix: vec for prefix, level in partial if (vec := _sum(level))}
+
+
+def _walk(partial, index, at):
+    """Each (bound indices, level) pair of ``partial`` one child on: by every
+    entry of the child's ``index`` that agrees with the indices at positions
+    ``at``, or, for a fresh bare variable, by its columns below ``at``.  A
+    pair is yielded only with a nonempty level."""
+    for prefix, level in partial:
+        if index is None:
+            for i, longer in _columns(level, at).items():
+                yield prefix + (i,), longer
+        else:
+            for more, vec in index.get(tuple(prefix[a] for a in at), ()):
+                longer = _extend(level, vec)
+                if longer:
+                    yield prefix + more, longer
+
+
+def _columns(level: list, below: int) -> dict:
+    """The levels one fresh bare variable on, by its index: each row's
+    sub-row at every index below ``below`` that the row holds, at the row's
+    coefficient.  It is ``_extend`` by each basis vector under ``below``,
+    read off the rows rather than probed."""
+    out: dict[int, list] = {}
+    for row, coeff in level:
+        for i, sub in row.items():
+            if i < below:
+                out.setdefault(i, []).append((sub, coeff))
+    return out
 
 
 def _pattern(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
@@ -382,20 +426,22 @@ def _pattern(m: Monomial) -> tuple[tuple, tuple[str, ...]]:
     return (key, tuple(names.index(name) for name in leaves)), names
 
 
-def _fill(table: StructureTable, m: Monomial, tables: dict) -> tuple[dict, tuple[str, ...]]:
-    """The value table of subterm ``m`` and the variables that key it.
+def _fill(table: StructureTable, m: Monomial, tables: dict,
+          below: int) -> tuple[dict, tuple[str, ...]]:
+    """The value table of subterm ``m`` on indices below ``below`` and the
+    variables that key it.
 
     A subterm's value depends only on its shape, on which of its leaves
     carry one variable, and on the basis indices its variables take; so
     ``tables`` holds one table per (shape key, leaf pattern), mapping the
     indices of the distinct variables (in order of first occurrence) to the
-    nonzero value.  A table is filled bottom-up, its children's first, with
-    one product per nonzero combination of their entries that agrees on the
-    variables they share."""
+    nonzero value.  A table is filled bottom-up, its children's first, by
+    one walk (``_products``) over the nonzero combinations of their entries
+    that agree on the variables they share."""
     key, names = _pattern(m)
     values = tables.get(key)
     if values is None:
-        values = tables[key] = _products(table, _steps(table, m, tables, []))
+        values = tables[key] = _products(table, _steps(table, m, tables, [], below))
     return values, names
 
 
@@ -408,14 +454,16 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
     Proper subterm values come from shape tables filled once per call and
     shared by every identity and variable order (``_fill``).  Roots are
     tabled by blocks: the tuples that share their first index form one
-    block, and before a block starts, one root table per (shape key, leaf
-    pattern, position of the identity's first variable) is filled from the
-    subterm tables with that variable bound to the block's index, and shared
-    by every term and identity of that key.  A bare variable, or a root
-    without the first variable, reads one table for the whole call.  On each
-    tuple a term reads one entry and adds it, times its coefficient, into
-    the identity's value.  A block's tables are freed before the next
-    block's are filled, so a root key holds at most dim**(k - 1) entries on
+    block, and before a block's first tuple, one root table per (shape key,
+    leaf pattern, position of the identity's first variable) is filled from
+    the subterm tables with that variable bound to the block's index.  Every
+    term and identity of that key adds the table's entries, times its
+    coefficient, into its identity's value table for the block, keyed by
+    tuple (``_add``), and the root table is freed before the next is filled.
+    A bare variable, or a root without the first variable, adds from one
+    table for the whole call, spread over the indices it lacks.  Each tuple
+    then reads its value from the value table (``_block``), so an identity's
+    value table, like a root table, holds at most dim**(k - 1) entries on
     k-variable tuples.  A value's scalars are in the types a table stores:
     an integral one is its ``int``, whatever order its terms added in."""
     dim = table.dim if dim is None else dim
@@ -431,49 +479,64 @@ def evaluations(table: StructureTable, identities: Sequence[Identity], dim: int 
            for ident in identities for m in ident.lhs.terms for op in m.ops()):
         raise AlgebraError(f"arity-{table.arity} table multiplies {table.arity} vectors only")
     tables = {(LEAF_KEY, (0,)): {(i,): {i: 1} for i in range(dim)}}
-    steps = {}  # root key -> the join steps of its roots after the first variable
-    compiled = []
+    steps = {}  # root key -> the walk steps of its roots after the first variable
+    groups: dict[int, tuple[list, dict]] = {}  # tuple size -> (identities, root key -> terms)
     for ident in identities:
+        same, roots = groups.setdefault(len(ident.variables), ([], {}))
         slot = {v.name: p for p, v in enumerate(ident.variables)}
         first = next((name for name, p in slot.items() if p == 0), None)
-        roots = []
         for m, coeff in ident.lhs.terms.items():
             key, names = _pattern(m)
             if m.is_leaf or first not in names:
-                _fill(table, m, tables)
+                _fill(table, m, tables, dim)
             else:
                 key = (*key, names.index(first))
                 names = (first, *(name for name in names if name != first))
                 if key not in steps:
-                    steps[key] = _steps(table, m, tables, [first])
-            roots.append((coeff, items_at([slot[name] for name in names]), key))
-        compiled.append((ident, roots))
-    for size in sorted({len(ident.variables) for ident in identities}):
-        same = [(ident, roots) for ident, roots in compiled if len(ident.variables) == size]
-        keys = {key for _, roots in same for _, _, key in roots if key in steps}
+                    steps[key] = _steps(table, m, tables, [first], dim)
+            roots.setdefault(key, []).append((len(same), coeff, [slot[name] for name in names]))
+        same.append(ident)
+    for size in sorted(groups):
+        same, roots = groups[size]
         for head in itertools.product(range(dim), repeat=min(size, 1)):
-            tables.update((key, _products(table, steps[key], head)) for key in keys)
-            rests = itertools.product(range(dim), repeat=size - len(head))
-            yield from _block((head + rest for rest in rests), same, tables)
-            for key in keys:  # free this block's root tables before the next block's are filled
-                del tables[key]
+            sums = [{} for _ in same]  # per identity, its value table on this block
+            for key, terms in roots.items():
+                # a block's root table is filled here and freed once its terms are added
+                values = _products(table, steps[key], head) if key in steps else tables[key]
+                for n, coeff, positions in terms:
+                    _add(sums[n], values, coeff, positions, size, head, dim)
+                del values
+            yield from _block(head, size, same, sums, dim)
 
 
-def _block(tuples, compiled: list, tables: dict):
-    """Yield (identity, tuple, value) on ``tuples`` for the compiled
-    identities, each term reading its root table from ``tables``, each
-    nonempty value's scalars put through ``_scalar``.  The tables are read
-    once, up front, and dropped with this generator."""
-    reads = [(ident, [(coeff, get, tables[key]) for coeff, get, key in roots])
-             for ident, roots in compiled]
-    for tup in tuples:
-        for ident, roots in reads:
-            out: Vector = {}
-            for coeff, get, values in roots:
-                vec = values.get(get(tup))
-                if vec is not None:
-                    accumulate(out, vec.items(), coeff)
-            yield ident, tup, {l: _scalar(x) for l, x in out.items()} if out else out
+def _add(acc: dict, values: dict, coeff, positions: list[int], size: int, head: tuple,
+         dim: int) -> None:
+    """Add a root table's entries, times ``coeff``, into the value table
+    ``acc`` of ``head``'s block, keyed by ``size``-index tuple.  An entry's
+    indices sit at ``positions`` of the tuple; a position that the root
+    lacks takes ``head``'s index if it is the first, else every index below
+    ``dim``.  A root table of the whole call holds the entries of other
+    blocks too, which are passed over."""
+    lacks = [p for p in range(size) if p not in positions]
+    order = items_at(sorted(range(size), key=[*positions, *lacks].__getitem__))
+    fills = list(itertools.product(*(head if p == 0 else range(dim) for p in lacks)))
+    at = positions.index(0) if 0 in positions else None
+    for idx, vec in values.items():
+        if at is None or idx[at] == head[0]:
+            for fill in fills:
+                accumulate(acc.setdefault(order(idx + fill), {}), vec.items(), coeff)
+
+
+def _block(head: tuple, size: int, identities: list, sums: list, dim: int):
+    """Yield (identity, tuple, value) on the ``size``-index tuples below
+    ``dim`` that start with ``head``, in lexicographic order, each value read
+    from its identity's value table in ``sums``, and each nonempty value's
+    scalars put through ``_scalar``."""
+    for rest in itertools.product(range(dim), repeat=size - len(head)):
+        tup = head + rest
+        for ident, acc in zip(identities, sums):
+            out = acc.get(tup)
+            yield ident, tup, {l: _scalar(x) for l, x in out.items()} if out else {}
 
 
 def check_identities(

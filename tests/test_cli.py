@@ -321,6 +321,15 @@ def test_jordan(capsys):
     assert "rj(" in out  # certificate lines mention lifted instances
 
 
+def test_jordan_refuses_a_certificate_that_does_not_re_expand_before_printing(capsys):
+    argv = ["jordan", "--check", "lts-a,lts-b,lts1,lts2,lts3", "--emit-certificate"]
+    with mock.patch.object(SpanCertificate, "verify", return_value=False):
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the certificate for lts-a does not re-expand to its target\n")
+
+
 def test_jordan_checks_every_name_before_printing(capsys):
     assert main(["jordan", "--check", "lts1,nope"]) == 2
     captured = capsys.readouterr()

@@ -16,6 +16,7 @@ from algforge.core import (
     AlgebraError,
     ArityError,
     CyclicRules,
+    Identity,
     Monomial,
     OpSymbol,
     Polynomial,
@@ -450,3 +451,25 @@ def test_a_refused_operation_symbol_leaves_no_registry_entry(name, arity, varian
     with pytest.raises(AlgebraError, match=f"^variant must be positive, got {variant}$"):
         BINARY.with_variant(variant)
     assert OpSymbol._interned == before
+
+
+def test_an_identity_reads_its_variables_once_and_keeps_its_degree(monkeypatch):
+    lhs = fixture("lts-a").lhs
+    reads = []
+    real_variables, real_degree = Polynomial.variables, Polynomial.degree
+    monkeypatch.setattr(Polynomial, "variables", lambda p: reads.append("v") or real_variables(p))
+    monkeypatch.setattr(Polynomial, "degree", lambda p: reads.append("d") or real_degree(p))
+    ident = Identity(lhs)
+    assert reads == ["v"] and ident.variables == real_variables(lhs)
+    assert ident.degree == ident.degree == 5 and reads == ["v", "d"]
+    assert Identity(lhs, variables("edcba")).variables == variables("edcba")
+    assert pickle.loads(pickle.dumps(ident)).degree == 5
+
+
+def test_a_non_homogeneous_identity_raises_only_when_its_degree_is_read():
+    a, b = (Monomial.leaf(v) for v in variables("ab"))
+    ident = Identity(Polynomial({a: 1, Monomial.apply(BINARY, [a, b]): 1}))
+    assert ident.variables == variables("ab")
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="not homogeneous: degrees \\[1, 2\\]"):
+            ident.degree

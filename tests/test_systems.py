@@ -156,6 +156,19 @@ def test_multiply_into_matches_the_index_tuple_product(case):
     assert helpers.typed_items(got) == helpers.typed_items(want)
 
 
+def test_multiply_into_and_evaluations_share_one_product_step(monkeypatch):
+    calls = []
+    step = systems._extend
+    monkeypatch.setattr(systems, "_extend", lambda level, vec: calls.append(vec) or step(level, vec))
+    table = system_table("sys2d-1")
+    factors = [{0: 1, 1: Fraction(1, 2)}, {1: 3}, {0: -1, 1: SymPoly.symbol("u")}]
+    got = table.multiply_into(factors)
+    assert calls == factors
+    assert helpers.typed_items(got) == helpers.typed_items(helpers.reference_multiply(table, factors))
+    calls.clear()
+    assert check_lts(table) == (True, []) and calls
+
+
 @st.composite
 def tables_and_factors(draw):
     """A random table of arity 2 or 3 and dimension 1-4, the constants it was
@@ -575,6 +588,8 @@ DEGREE_ONE = Identity(Polynomial({A: 2, Monomial.apply(BINARY, [A, B]): -1}))  #
 REPEATED = Identity(parse("(a(ba))b - 2*b(a(ab))", product=BINARY))
 # a term without the first variable, whose root table serves the whole call
 LACKS_FIRST = Identity(parse("(ab)c - b(cb) + 2*c(bb)", product=BINARY))
+# a term without a later variable, whose entries spread over its indices
+LACKS_LATER = Identity(parse("(ab)c - 2*(ab)b", product=BINARY))
 # the first variable in a later child of one root, and in either order
 LATER_FIRST = Identity(parse("b(ca) + (ab)c", product=BINARY), variables=variables("abc"))
 LATER_FIRST_CAB = Identity(LATER_FIRST.lhs, variables=variables("cab"))
@@ -614,11 +629,35 @@ def tables_and_identities(draw):
 @example((helpers.full_2x2_matrices(), [LACKS_FIRST, fixture("leibniz")], 4))
 @example((build_envelope(system_table("sys2d-2")), [LATER_FIRST, LATER_FIRST_CAB], 5))
 @example((helpers.upper_triangular_2x2(), [fixture("leibniz"), BARE_AND_BINARY], 3))
+@example((helpers.full_2x2_matrices(), [LACKS_LATER, fixture("leibniz")], 4))
+# rows that hold columns at and above the tuple range, which a fresh leaf drops
+@example((build_envelope(system_table("sys2d-1")),
+          [fixture("leibniz"), LACKS_LATER, fixture("jordan-right")], 2))
+@example((symbolic_table(2), [fixture("lts-a")], 2))
 def test_compiled_evaluations_match_the_fold_per_tuple_oracle(case):
     table, identities, below = case
     # (identity, tuple, value) triples, compared in yield order
     got = list(evaluations(table, identities, below))
     assert got == list(helpers.reference_evaluations(table, identities, below))
+
+
+def test_a_tuple_range_below_the_dimension_tables_no_index_above_it(monkeypatch):
+    # the envelope's rows hold pair columns, which a bare variable over the
+    # generators x, y never takes: its walk drops them, keeping the tables small
+    keys = []
+    products = systems._products
+
+    def spy(*args):
+        values = products(*args)
+        keys.extend(values)
+        return values
+
+    monkeypatch.setattr(systems, "_products", spy)
+    env = build_envelope(system_table("sys2d-1"))
+    identities = [fixture("leibniz"), LACKS_LATER, fixture("jordan-right")]
+    assert list(evaluations(env, identities, 2)) == list(
+        helpers.reference_evaluations(env, identities, 2))
+    assert keys and all(i < 2 for key in keys for i in key)
 
 
 def test_evaluated_scalars_are_stored_as_a_table_stores_them():
