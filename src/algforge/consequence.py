@@ -274,13 +274,14 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
             raise DimensionMismatch(f"identity of degree {d} has {len(src)} variables")
         (op,) = ops
 
+    terms = [(*read_tree(m), c) for m, c in identity.lhs.terms.items()]
+
     def rows(slot: dict, glued: str | None = None, side: str | None = None) -> list[tuple]:
         """Each term with every variable ``w`` read as the letter at
         ``slot[w.name]``, but ``glued`` as the product of the letters at 0
         and 1; with a ``side``, times the letter at 0 on that side."""
         out = []
-        for m, c in identity.lhs.terms.items():
-            key, names = read_tree(m)
+        for key, names, c in terms:
             if glued is not None:
                 key = fold_shape(key, lambda i: product if names[i] == glued else LEAF_KEY, node_key)
             at = [i for x in names for i in ((0, 1) if x == glued else (slot[x],))]

@@ -3,36 +3,41 @@
 Basis monomials are plain words v1 v2 ... vm (tensor symbols omitted): the
 word of length m stands for the left-normalized product
 ((...((v1.v2).v3)...).vm), and one association type per degree suffices.
-The product is bilinear and defined on words by recursion on the length of
-the right factor:
+The product is bilinear, and the law x.(y.z) = (x.y).z - (x.z).y says that
+right multiplications satisfy R(y.z) = R(y) R(z) - R(z) R(y), acting on the
+right (Loday, Enseign. Math. 39 (1993)).  So right multiplication by any
+bracketing is an iterated commutator of one-letter operators, and applying
+an operator word to a word appends it: concatenation is the module's one
+product.  The words of node(a1, ..., ak) are those of a1 followed by
+R(a2) ... R(ak), with
 
-    w . (single letter z)  =  w z                      (append)
-    w . (Y z)              =  (w . Y) z  -  (w z) . Y  (split off last letter)
+    R(leaf z)               =  z
+    R(node(a1, ..., ak))    =  [[R(a1), R(a2)], ..., R(ak)],
 
-which is the unique bilinear product satisfying the append rule and the
-law x.(y.z) = (x.y).z - (x.z).y.  Expanding an arbitrary bracketing of a
-binary tree therefore lands back in word form, and a ternary bracket is
-expanded through the iterated product <x,y,z> -> (x.y).z.
+and ``free_product`` applies to each word of its right factor the iterated
+commutator of that word's letters.  An arbitrary bracketing of a binary
+tree thus lands back in word form, and a ternary bracket is expanded
+through the iterated product <x,y,z> -> (x.y).z.
 
 Every word of a tree's expansion is a permutation of its leaves, so the
 expansion depends only on the tree's shape.  A shape is expanded once, by
-the fold of ``free_product`` over its leaf slots, into a table of (letter
-getter, coefficient) pairs, and every tree of that shape is read from the
-table, one letter map per word; with a repeated letter, equal words merge
-as they are summed.
+that rule folded over its leaf slots, into a table of (letter getter,
+coefficient) pairs, and every tree of that shape is read from the table,
+one letter map per word; with a repeated letter, equal words merge as they
+are summed.
 
-Right multiplication by a bracketing of k letters is an iterated commutator
-of k right multiplications, so it turns one word into at most 2 ** (k - 1)
-words.  That bounds, with one fold over each shape and nothing expanded,
-the terms a shape's fill accumulates and the words a tree reads, and
-``EXPANSION_LIMIT`` caps their sum.
+R of a bracketing of k letters has at most 2 ** (k - 1) words, so one fold
+over each shape, with nothing expanded, bounds the words a tree of it
+reads; a fill forms at most 2 (k - 1) times its shape's bound, and
+``EXPANSION_LIMIT`` caps each term's bound plus one bound per distinct
+shape.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .core import (
     AlgebraError,
@@ -51,16 +56,17 @@ from .core import (
 
 Word = tuple[str, ...]
 
-# The most word terms one expansion may accumulate before any shape table is
-# filled: one fill per distinct shape key, cached or not, plus each term's
-# bound on its words.  At about 5 us a term (a right-nested comb of 12
-# letters accumulates 699,051 in 3.1 s on a 2-core x86 box under CPython
-# 3.11, of 13 letters 2.8 million), 10**6 take about 5 s.
+# The most words one expansion may count before any shape table is filled:
+# each term's bound on its words, plus one bound per distinct shape for its
+# fill, cached or not.  At 2 to 4 us a counted word (a right-nested comb of
+# 20 letters counts 524,288 and expands in 2.0 s on a 2-core x86 box under
+# CPython 3.11, a balanced tree of 23 letters as many in 1.2 s), 10**6 take
+# about 4 s; a comb of 21 letters counts 1,048,576 and is refused.
 EXPANSION_LIMIT = 10**6
 
 
 class ExpansionTooLarge(AlgebraError):
-    """An expansion would accumulate more than ``EXPANSION_LIMIT`` word terms."""
+    """An expansion would count more than ``EXPANSION_LIMIT`` words."""
 
 
 class TensorPolynomial(LinComb):
@@ -91,19 +97,23 @@ class TensorPolynomial(LinComb):
         return {x for w in self.terms for x in w}
 
 
-def _word_product(w: Word, v: Word) -> dict[Word, Fraction]:
-    if len(v) == 1:
-        return {w + v: 1}
-    head, last = v[:-1], v[-1:]
-    # appending a letter is injective, so the first part needs no merging
-    out = {u + last: c for u, c in _word_product(w, head).items()}
-    return accumulate(out, _word_product(w + last, head).items(), -1)
+def _concat(out: dict, x: dict, y: dict, scale=None) -> dict:
+    """Add ``scale`` times the concatenation product of the word dicts ``x``
+    and ``y`` into ``out``, and return ``out``: applying an operator word to
+    a word appends it, and this is the one product the module forms."""
+    return accumulate(out, ((u + v, a * b) for u, a in x.items() for v, b in y.items()), scale)
+
+
+def _commutator(x: dict, y: dict) -> dict:
+    """The operator x y - y x, both by ``_concat``."""
+    return _concat(_concat({}, x, y), y, x, -1)
 
 
 def free_product(
     u: TensorPolynomial, v: TensorPolynomial, *, check_disjoint: bool = True
 ) -> TensorPolynomial:
-    """Bilinear Leibniz product of tensor polynomials."""
+    """Bilinear Leibniz product of tensor polynomials: each word of ``v``
+    multiplies on the right as the iterated commutator of its letters."""
     if check_disjoint:
         shared = u.letters() & v.letters()
         if shared:
@@ -111,54 +121,53 @@ def free_product(
                 f"factors share letters {sorted(shared)} in multilinear mode"
             )
     terms: dict[Word, Fraction] = {}
-    for wu, cu in u.terms.items():
-        for wv, cv in v.terms.items():
-            accumulate(terms, _word_product(wu, wv).items(), cu * cv)
+    for wv, cv in v.terms.items():
+        _concat(terms, u.terms, reduce(_commutator, ({(x,): 1} for x in wv)), cv)
     return TensorPolynomial._from_terms(terms)
 
 
 @lru_cache(maxsize=512)
-def _work(key: tuple) -> tuple[int, int]:
-    """(a bound on the words, the word terms the fill accumulates) of a tree
-    of this shape key, counted by one fold over (degree, bound on its words,
-    terms so far): a product of u and v words, v of degree k, accumulates
-    u * v * 2 ** (k - 1) terms into at most u * 2 ** (k - 1) words.  It
-    reads the shape alone, so it is cached like ``_table``."""
+def _work(key: tuple) -> int:
+    """A bound on the words of a tree of this shape key, exact when its
+    letters are distinct: node(a1, ..., ak) has at most words(a1) times
+    2 ** (d_i - 1) words for each later argument a_i of degree d_i.  One
+    fold over (degree, bound) reads the shape alone, so it is cached like
+    ``_table``."""
 
     def product(left: tuple, right: tuple) -> tuple:
-        (dl, wl, tl), (dr, wr, tr) = left, right
-        return dl + dr, wl << (dr - 1), tl + tr + (wl * wr << (dr - 1))
+        (dl, wl), (dr, _) = left, right
+        return dl + dr, wl << (dr - 1)
 
-    return fold_shape(key, lambda _: (1, 1, 0), lambda _, args: reduce(product, args))[1:]
+    return fold_shape(key, lambda _: (1, 1), lambda _, args: reduce(product, args))[1]
 
 
 _KINDS = {2: "binary", 3: "ternary"}
 
 
-def _node(arity: int) -> Callable:
-    """The fold's image of a bracket: the left-normalized product of its
-    arguments, for brackets of ``arity`` only."""
-
-    def node(op: OpSymbol, args: list) -> TensorPolynomial:
-        if op.arity != arity:
-            raise AlgebraError(f"{op.display()} is not {_KINDS[arity]}")
-        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
-
-    return node
-
-
 @lru_cache(maxsize=512)
 def _table(key: tuple, arity: int) -> tuple:
     """The expansion of a shape key's trees, one (``items_at`` getter,
-    coefficient) pair per word in the order the fold lists them over
-    distinct letters: a tree's word is the getter applied to its leaf names.
+    coefficient) pair per word: a tree's word is the getter applied to its
+    leaf names.
 
-    Filled by the fold over the shape's leaf slots, so it builds no tree.
-    The cache holds the tables of the 512 shapes expanded last: every
-    binary shape to degree 7 (197) and every ternary one to degree 9 (72)
-    fit together.  A fill that raises leaves no entry."""
-    words = fold_shape(key, lambda i: TensorPolynomial.word((i,)), _node(arity))
-    return tuple((items_at(w), c) for w, c in words.terms.items())
+    Filled by the module's rule folded over the shape's leaf slots, so it
+    builds no tree: each bracket, of ``arity`` only, gives its words and a
+    thunk for its R, the one-letter word i at leaf i.  Each thunk runs at
+    most once, and the root's never.  The cache holds the tables of the
+    512 shapes expanded last: every binary shape to degree 7 (197) and
+    every ternary one to degree 9 (72) fit together.  A fill that raises
+    leaves no entry."""
+
+    def node(op: OpSymbol, args: list) -> tuple:
+        if op.arity != arity:
+            raise AlgebraError(f"{op.display()} is not {_KINDS[arity]}")
+        (words, first), rest = args[0], [r() for _, r in args[1:]]
+        for r in rest:
+            words = _concat({}, words, r)
+        return words, lambda: reduce(_commutator, rest, first())
+
+    words, _ = fold_shape(key, lambda i: ({(i,): 1}, lambda: {(i,): 1}), node)
+    return tuple((items_at(w), c) for w, c in words.items())
 
 
 def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
@@ -168,11 +177,8 @@ def _expand(p: Union[Monomial, Polynomial], arity: int) -> TensorPolynomial:
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
     read = [(*read_tree(m), c) for m, c in terms.items()]
     # each term reads its words, and each distinct shape is filled once
-    work, fills = 0, {}
-    for key, _, _ in read:
-        words, fills[key] = _work(key)
-        work += words
-    work += sum(fills.values())
+    keys = [key for key, _, _ in read]
+    work = sum(map(_work, keys)) + sum(map(_work, set(keys)))
     if work > EXPANSION_LIMIT:
         raise ExpansionTooLarge(
             f"expansion too large: up to {work} word terms, over {EXPANSION_LIMIT}"

@@ -4,12 +4,12 @@ constants, the fold-per-tuple identity evaluation,
 the term-by-term evaluation mod p and the F_p search built on it, the
 brute-force right-commutativity orbit, the tree-built permuted-associator
 expansion and canonical word list, the structural renaming fold, the free
-expansion by the fold alone, the compiled one-step lifts rendered as trees,
-the tree-built instance stream, the elimination table that updates every
-combination eagerly, the interchange identities over every inner-variant
-pair, the offset-counting walk of the variant re-subscripting, random trees
-of mixed arity, and the operator identities op1..op4 built from Python
-operator helpers."""
+Leibniz product by recursion on words and the expansion by its fold alone,
+the compiled one-step lifts rendered as trees, the tree-built instance
+stream, the elimination table that updates every combination eagerly, the
+interchange identities over every inner-variant pair, the offset-counting
+walk of the variant re-subscripting, random trees of mixed arity, and the
+operator identities op1..op4 built from Python operator helpers."""
 
 import itertools
 import operator
@@ -33,7 +33,7 @@ from algforge.core import (
     q,
 )
 from algforge.kp import _interchanges
-from algforge.leibniz import TensorPolynomial, free_product
+from algforge.leibniz import TensorPolynomial
 from algforge.linalg import PivotTable
 from algforge.rightcomm import RCPolynomial, RCWord, canonical_shapes, rc_expand, rc_straighten
 from algforge.systems import BinaryAlgebra, QuadraticSystem, SymPoly
@@ -295,14 +295,37 @@ def reference_relabel(p, mapping):
     )
 
 
+def reference_word_product(w: tuple, v: tuple) -> dict:
+    """The oracle for the free Leibniz product of two words, by recursion on
+    the length of the right factor: w . z = w z for a letter z, and
+    w . (Y z) = (w . Y) z - (w z) . Y, the law x.(y.z) = (x.y).z - (x.z).y
+    read with z a letter."""
+    if len(v) == 1:
+        return {w + v: 1}
+    head, last = v[:-1], v[-1:]
+    # appending a letter is injective, so the first part needs no merging
+    out = {u + last: c for u, c in reference_word_product(w, head).items()}
+    return accumulate(out, reference_word_product(w + last, head).items(), -1)
+
+
+def reference_free_product(u: TensorPolynomial, v: TensorPolynomial) -> TensorPolynomial:
+    """The oracle for ``leibniz.free_product`` with no letter check: the
+    recursive word product, extended bilinearly."""
+    terms: dict = {}
+    for wu, cu in u.terms.items():
+        for wv, cv in v.terms.items():
+            accumulate(terms, reference_word_product(wu, wv).items(), cu * cv)
+    return TensorPolynomial._from_terms(terms)
+
+
 def reference_expand(p) -> TensorPolynomial:
     """The oracle for ``leibniz.expand_binary_tree`` and ``expand_ternary``:
-    every tree by the fold of ``free_product`` over its own letters, term by
-    term, with no shape table and no arity check."""
+    every tree by the fold of ``reference_free_product`` over its own
+    letters, term by term, with no shape table and no arity check."""
     terms = p.terms if isinstance(p, Polynomial) else {p: 1}
 
     def node(op, args):
-        return reduce(lambda u, v: free_product(u, v, check_disjoint=False), args)
+        return reduce(reference_free_product, args)
 
     return TensorPolynomial.linear_image(
         terms, lambda m: fold(m, lambda v: TensorPolynomial.word((v.name,)), node)

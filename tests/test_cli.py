@@ -499,9 +499,16 @@ def test_free_expand_refuses_an_oversized_expansion(capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_free_expand_of_a_13_letter_comb_prints_its_2048_words(capsys):
+    assert main(["free-expand", "--expr", _comb_text(13)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(re.split(r" [-+] ", captured.out.strip())) == 2048
+
+
 def test_free_check_refuses_an_oversized_expansion(tmp_path, capsys):
     path = tmp_path / "comb.txt"
-    comb = _comb_text(20).replace("*", ",").replace("(", "mul(")
+    comb = _comb_text(40).replace("*", ",").replace("(", "mul(")
     path.write_text(f"op mul/2\ncomb: {comb}\n")
     assert main(["free-check", "--identities", str(path)]) == 2
     captured = capsys.readouterr()

@@ -200,6 +200,16 @@ def test_lifts_by_relabeling_equal_lifts_by_substitution(name, letters):
     assert len(got) == (len(ident.variables) + 2) * len(list(itertools.permutations(vs)))
 
 
+def test_a_lift_reads_each_term_of_its_identity_once(monkeypatch):
+    # one family per variable and two of products by a letter, all compiled
+    # from one read of the identity's terms
+    reads, read_tree = [], consequence.read_tree
+    monkeypatch.setattr(consequence, "read_tree", lambda m: reads.append(m) or read_tree(m))
+    rj = fixture("rj")
+    assert len(list(compiled_instances([rj], V5))) == (len(rj.variables) + 2) * 120
+    assert sorted(reads) == sorted(rj.lhs.terms)
+
+
 def test_lifting_nothing_gives_nothing():
     gens = []
     for ident in []:

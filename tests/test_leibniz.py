@@ -31,7 +31,7 @@ from algforge.leibniz import (
 )
 from algforge.parsing import parse_product
 
-from helpers import reference_expand, typed_items
+from helpers import reference_expand, reference_free_product, typed_items
 
 w = TensorPolynomial.word
 
@@ -241,7 +241,7 @@ def test_a_40_letter_comb_is_counted_and_refused_without_expanding(monkeypatch):
     def no_product(*args, **kwargs):
         raise AssertionError("the expansion started")
 
-    monkeypatch.setattr(leibniz, "free_product", no_product)
+    monkeypatch.setattr(leibniz, "_concat", no_product)
     message = r"^expansion too large: up to \d+ word terms, over 1000000$"
     # distinct letters, and one letter repeated: both fill the shape's table
     for names in ([f"x{i}" for i in range(40)], ["x"] * 40):
@@ -253,52 +253,53 @@ def test_a_40_letter_comb_is_counted_and_refused_without_expanding(monkeypatch):
             expand_binary_tree(Polynomial({comb: 1}))
 
 
-def test_the_largest_accepted_comb_has_12_letters():
-    # (bound on the words, terms of the shape's fill), summed for one comb
-    def work(n):
-        return leibniz._work(_right_comb(variables([f"x{i}" for i in range(n)])).shape_key())
+def test_the_largest_accepted_comb_has_20_letters():
+    # one comb counts its bound on the words twice: once read, once filled
+    def comb(n):
+        return _right_comb(variables([f"x{i}" for i in range(n)]))
 
-    assert work(12) == (1024, 699051) and sum(work(12)) == 700075 <= EXPANSION_LIMIT
-    assert work(13) == (2048, 2796203) and sum(work(13)) == 2798251 > EXPANSION_LIMIT
+    assert leibniz._work(comb(20).shape_key()) == 2**18 and 2 * 2**18 <= EXPANSION_LIMIT
+    assert leibniz._work(comb(21).shape_key()) == 2**19 and 2 * 2**19 > EXPANSION_LIMIT
+    with pytest.raises(ExpansionTooLarge, match="up to 1048576 word terms"):
+        expand_binary_tree(comb(21))
 
 
 def test_two_combs_of_one_shape_are_counted_one_fill_and_expand_as_the_fold():
     # the two 12-letter right combs over the same letters in opposite orders
-    # share a shape key, so one fill and two reads: 699,051 + 2 * 1,024
+    # share a shape key, so one fill and two reads: 3 * 1,024
     names = variables([f"x{i}" for i in range(12)])
     p = Polynomial({_right_comb(names): 1, _right_comb(names[::-1]): 1})
     got = expand_binary_tree(p)
     assert got == reference_expand(p) and len(got.terms) == 2048
-    mock_limit = mock.patch.object(leibniz, "EXPANSION_LIMIT", 701_098)
-    with mock_limit, pytest.raises(ExpansionTooLarge, match="up to 701099 word terms"):
+    mock_limit = mock.patch.object(leibniz, "EXPANSION_LIMIT", 3 * 1024 - 1)
+    with mock_limit, pytest.raises(ExpansionTooLarge, match="up to 3072 word terms"):
         expand_binary_tree(p)
 
 
 @pytest.mark.parametrize("op, degrees", [(BINARY, range(1, 7)), (TERNARY, (3, 5))])
 def test_work_count_is_exact_on_multilinear_trees_and_bounds_the_rest(op, degrees, monkeypatch):
-    # the terms each free_product accumulates: a word of degree k times a
-    # right factor's word gives 2 ** (k - 1) terms.  The table cache is
-    # cleared before each tree, so every tree is counted by the fill of its
-    # shape's table; its words number the bound when its letters are
+    # the terms each concatenation forms, one per pair of its factors' words.
+    # The table cache is cleared before each tree, so every tree is counted
+    # by the fill of its shape's table, which forms at most 2 (degree - 1)
+    # times the bound; its words number the bound when its letters are
     # distinct, and merge below it when one repeats.
     counted = []
-    product = leibniz.free_product
+    concat = leibniz._concat
 
-    def counting(u, v, **kwargs):
-        k = len(next(iter(v.terms), ()))
-        counted.append(len(u.terms) * len(v.terms) << (k - 1) if k else 0)
-        return product(u, v, **kwargs)
+    def counting(out, x, y, scale=None):
+        counted.append(len(x) * len(y))
+        return concat(out, x, y, scale)
 
-    monkeypatch.setattr(leibniz, "free_product", counting)
+    monkeypatch.setattr(leibniz, "_concat", counting)
     for degree in degrees:
         for shape in enumerate_shapes([op], degree):
             for names, exact in (("abcdef", True), ("aabbab", False)):
                 m = form_tree(shape, names[:degree])
                 leibniz._table.cache_clear()
                 counted.clear()
-                words, fill = leibniz._work(shape)
+                words = leibniz._work(shape)
                 got = leibniz._expand(m, op.arity)
-                assert fill == sum(counted), m
+                assert sum(counted) <= 2 * (degree - 1) * words, m
                 if exact:
                     assert words == len(got.terms), m
                 else:
@@ -336,6 +337,22 @@ COEFFICIENTS = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator
 
 
 @st.composite
+def word_polynomials(draw):
+    """A tensor polynomial of up to three words of length 1 to 4 over four
+    letters, repeats allowed, with int or Fraction coefficients."""
+    words = draw(st.lists(st.lists(st.sampled_from("abcd"), min_size=1, max_size=4),
+                          min_size=1, max_size=3))
+    return TensorPolynomial({tuple(x): draw(COEFFICIENTS.filter(bool)) for x in words})
+
+
+@settings(max_examples=150, deadline=None)
+@given(u=word_polynomials(), v=word_polynomials())
+def test_free_product_is_the_recursive_word_product(u, v):
+    got = free_product(u, v, check_disjoint=False)
+    assert set(typed_items(got.terms)) == set(typed_items(reference_free_product(u, v).terms))
+
+
+@st.composite
 def expansion_trees(draw, op):
     """A tree of one operation of degree at most 7 over ``NAMES``, its
     letters all distinct or drawn with repeats."""
@@ -351,26 +368,24 @@ def expansion_trees(draw, op):
 def test_the_shape_table_expands_as_the_fold(op, data):
     expand = EXPANSIONS[op]
     trees = data.draw(st.lists(expansion_trees(op), min_size=1, max_size=4))
-    # one tree: the same words with the same coefficient types, in the same
-    # order when its letters are distinct; merged words may come in another
-    # order, which no output shows (repr sorts, kernels read multilinear bases)
+    # one tree: the same words with the same coefficient types, in any
+    # order, which no output shows (repr sorts, kernels are reduced echelon)
     got, want = typed_items(expand(trees[0]).terms), typed_items(reference_expand(trees[0]).terms)
-    distinct = len(set(trees[0].leaf_names())) == trees[0].degree
-    assert got == want if distinct else set(got) == set(want)
+    assert set(got) == set(want)
     p = Polynomial({m: data.draw(COEFFICIENTS) for m in trees})
     assert set(typed_items(expand(p).terms)) == set(typed_items(reference_expand(p).terms))
 
     # once a shape's table is filled, every tree of it, with distinct or
-    # repeated letters, is read from the table, with no product
+    # repeated letters, is read from the table, with no concatenation
     key, degree = trees[0].shape_key(), trees[0].degree
     names = data.draw(st.permutations(NAMES))[:degree]
     expand(form_tree(key, names))
     again = form_tree(key, names[::-1])
     repeated = form_tree(key, data.draw(st.lists(st.sampled_from("ab"), min_size=degree,
                                                  max_size=degree)))
-    with mock.patch.object(leibniz, "free_product", side_effect=AssertionError("folded")):
+    with mock.patch.object(leibniz, "_concat", side_effect=AssertionError("filled")):
         got, merged = expand(again), expand(repeated)
-    assert typed_items(got.terms) == typed_items(reference_expand(again).terms)
+    assert set(typed_items(got.terms)) == set(typed_items(reference_expand(again).terms))
     assert set(typed_items(merged.terms)) == set(typed_items(reference_expand(repeated).terms))
 
 
@@ -381,7 +396,7 @@ def test_the_budget_answers_alike_with_the_tables_cleared_and_warm(op, data):
     trees = data.draw(st.lists(expansion_trees(op), min_size=1, max_size=4))
     p = Polynomial({m: data.draw(COEFFICIENTS) for m in trees})
     # a limit near the count, so that both answers are drawn
-    limit = data.draw(st.integers(0, 2 * sum(sum(leibniz._work(m.shape_key())) for m in trees)))
+    limit = data.draw(st.integers(0, 4 * sum(leibniz._work(m.shape_key()) for m in trees)))
 
     def answer():
         with mock.patch.object(leibniz, "EXPANSION_LIMIT", limit):
