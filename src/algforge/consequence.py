@@ -12,13 +12,15 @@ factor) when the degree grows by one.
 Instances are compiled, not built.  One compiler, ``_families``, turns an
 identity once per call into its instance families: the relabelings, or one
 family per slot that takes the product and one of the fresh factor on
-either side.  Each family is its tags and its rows (shape key, ``items_at``
-letter getter, coefficient), and ``compiled_instances`` is the one loop
-that reads every family at each permutation of the letters, emitting each
-instance as (shape key, letters, coefficient) triples, the shape key being
+either side.  Each family is its tags and one or two row lists, each row
+(shape key, ``items_at`` letter getter, coefficient), the shape key being
 ``Monomial.shape_key`` of the tree the term stands for (``core.node_key``
 builds every key, a product slot's spliced key and a factor's product key
-alike).  A shape is its key, so ``enumerate_shapes`` lists keys.
+alike).  One loop reads every family at each permutation of the letters,
+resolving each of its row lists once: ``compiled_instances`` emits each
+instance as (shape key, letters, coefficient) triples, and
+``instance_vectors`` as its column vector in a basis.  A shape is its key,
+so ``enumerate_shapes`` lists keys.
 Every tree that comes from a key is taken from the one bounded cache behind
 ``core.form_tree``, one tree per (shape key, letters) made of its subtrees'
 own entries: the basis's trees, and the tree polynomials that
@@ -27,20 +29,25 @@ instance is thus made of the basis's own tree objects, and its basis
 lookup hits by identity; equality stays structural, so a tree the cache
 has let go, or one built elsewhere, is still found.
 
-A basis is its element list, their ``index``, and one map from a (shape
-key, letters) pair to its element: the cached tree for ``MonomialBasis``,
-the straightened word for ``rightcomm.RCBasis``.  ``basis.vector`` reads
-the basis's own combinations by ``index``, a tree polynomial being one for
-``MonomialBasis``, and anything else by its pairs through one memo per
-basis, filled as each pair is first read: a compiled instance's triples,
-or for ``RCBasis`` a tree polynomial's terms.  The normal form is the
-combination of the basis's own elements, read off the vector, as a
-target's is in ``check``, so each target is read once.  Membership is
-decided by exact forward elimination, and every positive answer carries a
-certificate that re-expands to the target.  ``SpanChecker`` builds a
-normal form only for a target and for a generator that becomes a pivot,
-the only ones a certificate names; ``on_demand`` feeds one only when an
-answer needs it.
+A basis is its element list, their ``index``, and one column table per
+shape key, from each letter order of the key's trees to the column of its
+element (the cached tree for ``MonomialBasis``, the straightened word for
+``rightcomm.RCBasis``), filled in one go the first time the key is read.
+``basis.vector`` reads the basis's own combinations by ``index``, a tree
+polynomial being one for ``MonomialBasis``, and anything else by its
+(shape key, letters) pairs in those tables: a compiled instance's
+triples, or for ``RCBasis`` a tree polynomial's terms.  A vector stream
+resolves a family row's key to its table once, so each of its instances
+costs one table lookup per term, with no shape key hashed and no element
+built; a pair outside the basis is refused with the element it names.
+The normal form is the combination of the basis's own elements, read off
+the vector, as a target's is in ``check``, so each target is read once.
+Membership is decided by exact forward elimination, and every positive
+answer carries a certificate that re-expands to the target.
+``SpanChecker`` builds a normal form only for a target and for a
+generator that becomes a pivot, the only ones a certificate names, and
+keeps every other generator as its vector; ``on_demand`` feeds one only
+when an answer needs it.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -159,33 +166,11 @@ def _basis_variables(degree: int, variables: Iterable[Variable]) -> tuple[Variab
     return variables
 
 
-class _Columns(dict):
-    """The ``_slots`` of a basis: (shape key, letters) -> column of the basis
-    element that ``element(key, letters)`` names, kept as ``vector`` first
-    reads the pair, so at most one entry per planar monomial of the degree.
-    A pair outside the basis is not kept, so it fails alike every time.
-    ``element`` is not a bound method of the basis: that would close a
-    reference cycle that only the cyclic collector frees."""
-
-    __slots__ = ("element", "index")
-
-    def __init__(self, element: Callable[[tuple, tuple], Hashable], index: dict):
-        super().__init__()
-        self.element, self.index = element, index
-
-    def __missing__(self, pair: tuple) -> int:
-        element = self.element(*pair)
-        column = self.index.get(element)
-        if column is None:
-            raise DimensionMismatch(f"monomial {element!r} is outside this basis")
-        self[pair] = column
-        return column
-
-
 class MonomialBasis:
     """The full multilinear monomial basis at one degree over fixed variables:
-    its element list ``monomials``, their ``index``, and the ``_slots`` memo
-    from a compiled term's (shape key, letters) to its column."""
+    its element list ``monomials``, shape by shape and letter order by
+    letter order, their ``index``, and ``_tables``, the column table of each
+    shape key read so far, from a letter order to its column."""
 
     _normal_type = Polynomial  # the class of a normal form
 
@@ -202,20 +187,64 @@ class MonomialBasis:
         self.degree = degree
         self.variables = variables
         self.shapes = enumerate_shapes(self.signature, degree)
-        perms = list(itertools.permutations(v.name for v in sorted(variables)))
-        self.monomials = [_tree(shape, perm) for shape in self.shapes for perm in perms]
+        self._orders = list(itertools.permutations(v.name for v in sorted(variables)))
+        self.monomials = [_tree(shape, perm) for shape in self.shapes for perm in self._orders]
         self.index = {m: i for i, m in enumerate(self.monomials)}
-        self._slots = _Columns(_tree, self.index)
+        self._tables: dict[tuple, dict[tuple, int]] = {}
 
     def __len__(self) -> int:
         return len(self.monomials)
 
+    # the basis element of a tree, named when a pair is refused: the tree
+    # itself here, its straightened word in ``RCBasis``
+    _element = staticmethod(lambda m: m)
+
+    def _fill(self, key: tuple) -> dict[tuple, int]:
+        """The column table of a shape key, by arithmetic: its position in
+        ``shapes`` times n!, plus the letter order's position; empty for a
+        key outside the basis."""
+        if key not in self.shapes:
+            return {}
+        return dict(zip(self._orders, itertools.count(self.shapes.index(key) * len(self._orders))))
+
+    def _columns(self, key: tuple) -> dict[tuple, int]:
+        """The column table of ``key``, filled on its first read and kept."""
+        table = self._tables.get(key)
+        if table is None:
+            table = self._tables[key] = self._fill(key)
+        return table
+
+    def _column(self, key: tuple, letters: tuple) -> int:
+        """The column of a pair; one outside the basis is refused, naming
+        its element."""
+        column = self._columns(key).get(letters)
+        if column is None:
+            element = self._element(_tree(key, letters))
+            raise DimensionMismatch(f"monomial {element!r} is outside this basis")
+        return column
+
+    def _reader(self, rows: list[tuple]) -> Callable[[tuple], Vec]:
+        """The function from a letter order to the vector of the instance
+        that compiled ``rows`` read there, each row's key resolved to its
+        column table here, once."""
+        resolved = [(self._columns(key), get, c) for key, get, c in rows]
+
+        def vector(perm: tuple) -> Vec:
+            try:
+                return accumulate({}, ((table[get(perm)], c) for table, get, c in resolved))
+            except KeyError:  # a pair outside the basis: the term-by-term read names it
+                return self.vector([(key, get(perm), c) for key, get, c in rows])
+
+        return vector
+
     def vector(self, p) -> Vec:
-        """The column vector of ``p``: a normal form's terms are looked up in
-        ``index``, and anything else is read by its (shape key, letters)
-        pairs in ``_slots``, a compiled instance's as given, a tree
-        polynomial's from its terms, a bare tree as its one term with
-        coefficient 1, with no other polynomial built."""
+        """The column vector of ``p``: a vector is itself, a normal form's
+        terms are looked up in ``index``, and anything else is read by its
+        (shape key, letters) pairs in the column tables, a compiled
+        instance's as given, a tree polynomial's from its terms, a bare tree
+        as its one term with coefficient 1, with no other polynomial built."""
+        if isinstance(p, dict):
+            return p
         if not isinstance(p, list):
             if isinstance(p, self._normal_type):
                 vec: Vec = {}
@@ -227,8 +256,8 @@ class MonomialBasis:
                 return vec
             terms = {p: 1} if isinstance(p, Monomial) else p.terms
             p = [(*read_tree(m), c) for m, c in terms.items()]
-        slots = self._slots
-        return accumulate({}, ((slots[key, letters], c) for key, letters, c in p))
+        column = self._column
+        return accumulate({}, ((column(key, letters), c) for key, letters, c in p))
 
     def normal(self, p, vec: Vec | None = None):
         """The form of ``p`` whose terms are basis elements: ``p`` itself if
@@ -250,12 +279,12 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
     permutations of the letters (the letters in order first), in stream
     order; any degree but the letters' or one below raises ``AlgebraError``.
 
-    A family is (tags, permutations, rows) compiled once, read in step by
-    ``compiled_instances``: its k-th instance is tagged ``tags[k]`` and has
-    a term (shape key, ``get(perm)``, coefficient) per row (shape key,
-    ``items_at`` getter ``get``, coefficient) of its k-th rows, ``perm``
-    being its k-th permutation.  At the identity's degree the one family is
-    its relabelings.  One degree lower, over one binary operation, there is
+    A family is (tags, permutations, row lists) compiled once, read in step
+    by ``_instances``: its k-th instance is tagged ``tags[k]`` and has a
+    term (shape key, ``get(perm)``, coefficient) per row (shape key,
+    ``items_at`` getter ``get``, coefficient) of its row lists taken in
+    turn, ``perm`` being its k-th permutation.  At the identity's degree
+    the one family is its relabelings.  One degree lower, over one binary operation, there is
     one family per variable, the product ``perm[0]perm[1]`` in its slot and
     ``perm[2:]`` in the others, then one of the identity over ``perm[1:]``
     times ``perm[0]``, on the right and then on the left at each ``perm``."""
@@ -274,7 +303,7 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
             raise DimensionMismatch(f"identity of degree {d} has {len(src)} variables")
         (op,) = ops
 
-    terms = [(*read_tree(m), c) for m, c in identity.lhs.terms.items()]
+    terms = identity.read()
 
     def rows(slot: dict, glued: str | None = None, side: str | None = None) -> list[tuple]:
         """Each term with every variable ``w`` read as the letter at
@@ -294,7 +323,7 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
 
     if d == n:
         slot = {w.name: i for i, w in enumerate(src)}
-        return [([f"{label}({','.join(p)})" for p in perms], perms, itertools.repeat(rows(slot)))]
+        return [([f"{label}({','.join(p)})" for p in perms], perms, [rows(slot)])]
     times = "" if all(len(x) == 1 for x in perms[0]) else "*"
     product = node_key(op, (LEAF_KEY, LEAF_KEY))
     families = []
@@ -303,13 +332,12 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
         slot = {w.name: 2 + j for j, w in enumerate(src[:v_idx] + src[v_idx + 1:])}
         args = items_at([*range(1, v_idx + 1), 0, *range(v_idx + 1, d)])
         tags = [f"{label}({','.join(args(g))})" for g in glued]
-        families.append((tags, perms, itertools.repeat(rows(slot, v.name))))
+        families.append((tags, perms, [rows(slot, v.name)]))
     slot = {w.name: 1 + j for j, w in enumerate(src)}
     tags = [tag for p in perms for args in [",".join(p[1:])]
             for tag in (f"{label}({args})*{p[0]}", f"{p[0]}*{label}({args})")]
     twice = [p for p in perms for _ in (0, 1)]
-    sides = itertools.cycle([rows(slot, side="right"), rows(slot, side="left")])
-    return families + [(tags, twice, sides)]
+    return families + [(tags, twice, [rows(slot, side="right"), rows(slot, side="left")])]
 
 
 def _same_count(identity: Identity, n: int) -> None:
@@ -317,6 +345,20 @@ def _same_count(identity: Identity, n: int) -> None:
     variables."""
     if len(identity.variables) != n:
         raise DimensionMismatch(f"identity has {len(identity.variables)} variables, got {n}")
+
+
+def _instances(identities: Iterable[Identity], variables: Sequence[Variable],
+               one_per_family: bool, read: Callable[[list], Callable]):
+    """The one loop over ``_families``: (tag, ``read(rows)(perm)``) for each
+    instance, ``read`` being called once per row list of a family."""
+    names = tuple(v.name for v in variables)
+    perms = [names] if one_per_family else list(itertools.permutations(names))
+    for idx, ident in enumerate(identities):
+        named = ident if ident.name else ident.renamed(f"g{idx}")
+        for tags, letters, row_lists in _families(named, perms):
+            readers = itertools.cycle([read(rows) for rows in row_lists])
+            for tag, perm, instance in zip(tags, letters, readers):
+                yield tag, instance(perm)
 
 
 def compiled_instances(identities: Iterable[Identity], variables: Sequence[Variable],
@@ -331,16 +373,20 @@ def compiled_instances(identities: Iterable[Identity], variables: Sequence[Varia
     A compiled instance is a list of (shape key, letters, coefficient)
     triples, one per term in the order its tree polynomial lists them: the
     ``Monomial.shape_key`` and leaf names of the term's tree.  Each identity
-    is compiled once per call into its ``_families``, and this is the one
-    loop that reads them, so an instance costs one getter call per term and
-    builds no tree; a basis's ``vector`` reads it."""
-    names = tuple(v.name for v in variables)
-    perms = [names] if one_per_family else list(itertools.permutations(names))
-    for idx, ident in enumerate(identities):
-        named = ident if ident.name else ident.renamed(f"g{idx}")
-        for tags, letters, compiled in _families(named, perms):
-            for tag, perm, rows in zip(tags, letters, compiled):
-                yield tag, [(key, get(perm), c) for key, get, c in rows]
+    is compiled once per call into its ``_families``, so an instance costs
+    one getter call per term and builds no tree; a basis's ``vector`` reads
+    it."""
+    return _instances(identities, variables, one_per_family,
+                      lambda rows: lambda perm: [(key, get(perm), c) for key, get, c in rows])
+
+
+def instance_vectors(identities: Iterable[Identity], variables: Sequence[Variable],
+                     basis: MonomialBasis, *, one_per_family: bool = False):
+    """Yield (tag, ``basis.vector`` of the compiled instance) for every
+    instance that ``compiled_instances`` yields, in its order, with no pair
+    list built: each family row's shape key is resolved to its column table
+    once.  A pair outside the basis raises what ``basis.vector`` raises."""
+    return _instances(identities, variables, one_per_family, basis._reader)
 
 
 def iter_relabelings(identity: Identity, variables: Sequence[Variable]):
@@ -377,11 +423,7 @@ class SpanCertificate:
         return self.combination() == self.target
 
     def lines(self) -> list[str]:
-        out = []
-        for tag in self.support():
-            c = self.coefficients[tag]
-            out.append(f"{c} * {tag}")
-        return out
+        return [f"{self.coefficients[tag]} * {tag}" for tag in self.support()]
 
     def __repr__(self) -> str:
         return f"<certificate with {len(self.coefficients)} terms>"
@@ -403,14 +445,15 @@ class SpanChecker:
     """A reusable elimination table for one generator set in one basis.
 
     ``generators`` are (tag, generator) pairs, a generator being anything the
-    basis reads: a polynomial, or a compiled instance.  Each is fed to the
-    table as its ``basis.vector``; targets and certificates are in the
-    basis's normal form.  Only the generators that become pivots can be
-    named by a certificate, so only theirs is built, when the pivot is
-    stored; ``generators`` builds the others' on demand.  ``on_demand``
-    feeds none up front: ``check`` reads only until the target reduces, or
-    to the end for a "no"; ``rank`` and ``generators`` read to the end.
-    Pivots are first come, first kept, so every answer is the full table's."""
+    basis reads: a polynomial, a compiled instance, or a column vector.
+    Each is fed to the table as its ``basis.vector`` and kept as that
+    vector; targets and certificates are in the basis's normal form.  Only
+    the generators that become pivots can be named by a certificate, so
+    only theirs is built, when the pivot is stored; ``generators`` builds
+    the others' on demand.  ``on_demand`` feeds none up front: ``check``
+    reads only until the target reduces, or to the end for a "no"; ``rank``
+    and ``generators`` read to the end.  Pivots are first come, first kept,
+    so every answer is the full table's."""
 
     def __init__(self, generators, basis):
         self._open(iter(generators), basis)
@@ -418,12 +461,13 @@ class SpanChecker:
 
     @classmethod
     def on_demand(cls, identities, variables, basis, instances=None) -> "SpanChecker":
-        """A checker over ``compiled_instances(identities, variables)``, or
-        ``instances`` if the caller keeps that stream, read as answers need.
-        Input the constructor would refuse is read, and refused, at once."""
+        """A checker over ``instance_vectors(identities, variables, basis)``,
+        or ``instances`` if the caller keeps that stream, read as answers
+        need.  Input the constructor would refuse is read, and refused, at
+        once."""
         identities, variables = tuple(identities), tuple(variables)
         if instances is None:
-            instances = compiled_instances(identities, variables)
+            instances = instance_vectors(identities, variables, basis)
         checker = cls.__new__(cls)
         checker._open(iter(instances), basis)
         if not _reads_cleanly(identities, variables, basis):
@@ -432,22 +476,22 @@ class SpanChecker:
 
     def _open(self, stream, basis) -> None:
         self.basis, self._unread, self.table = basis, stream, PivotTable()
-        self._kept: dict[Hashable, object] = {}  # tag -> as given, or normal form once a pivot
+        self._kept: dict[Hashable, object] = {}  # tag -> vector, or normal form once a pivot
 
     def _read(self, lead: int | None = None) -> bool:
         """Feed generators until one is the pivot at column ``lead``; False at the end."""
-        normal = self.basis.normal
+        vector = self.basis.vector
         for tag, g in self._unread:
-            vec = self.basis.vector(g)
+            vec = vector(g)
             if not vec:
                 continue
             if tag in self._kept:
-                if normal(self._kept[tag]) == normal(g):
+                if vector(self._kept[tag]) == vec:
                     continue
                 raise AlgebraError(f"duplicate generator tag {tag!r}")
-            self._kept[tag] = g
+            self._kept[tag] = vec
             if self.table.add(vec, tag):
-                self._kept[tag] = normal(g, vec)
+                self._kept[tag] = self.basis.normal(g, vec)
                 if lead in self.table.pivots:
                     return True
         return False
@@ -478,8 +522,8 @@ class SpanChecker:
 
 
 def _reads_cleanly(identities, variables, basis) -> bool:
-    """Whether feeding ``compiled_instances(identities, variables)`` to
-    ``basis`` cannot raise: no two tags are equal, and a family reads the
+    """Whether reading ``instance_vectors(identities, variables, basis)``
+    cannot raise: no two tags are equal, and a family reads the
     same shape keys at every permutation, so all of it lands in the basis
     if what it reads at the letters in order does.  A read that does not
     raises the constructor's own error, since the stream reaches the same
@@ -490,8 +534,8 @@ def _reads_cleanly(identities, variables, basis) -> bool:
     if (len(set(names)) < len(names) or len(set(letters)) < len(letters)
             or any(ch in word for word in [*names, *letters] for ch in "(),*")):
         return False
-    for _, instance in compiled_instances(identities, variables, one_per_family=True):
-        basis.vector(instance)
+    for _ in instance_vectors(identities, variables, basis, one_per_family=True):
+        pass
     return True
 
 
@@ -510,6 +554,11 @@ class EquivalenceResult:
     def __bool__(self) -> bool:
         return self.equivalent
 
+    def verify(self) -> bool:
+        """A verified "yes": every result is a certificate that re-expands to
+        its target."""
+        return all(r.ok and r.verify() for r in [*self.forward.values(), *self.backward.values()])
+
 
 def sets_equivalent(
     a: Sequence[Identity], b: Sequence[Identity], degree: int, variables
@@ -521,7 +570,8 @@ def sets_equivalent(
     side, as ``compiled_instances(..., one_per_family=True)`` yields them: an
     identity of degree ``degree`` over the variables in order, keyed by its
     name, and one a degree lower as the first lifting of each family, keyed
-    by its tag; each side's ``SpanChecker.on_demand`` reads only what they need.
+    by its tag, each read as its ``instance_vectors`` vector; each side's
+    ``SpanChecker.on_demand`` reads only what they need.
     """
     variables = tuple(variables)
     signature = set().union(*(ident.signature for ident in [*a, *b]))
@@ -533,8 +583,8 @@ def sets_equivalent(
             name if ident.degree == degree else tag: checker.check(target)
             for idx, ident in enumerate(mine)
             for name in [ident.name or f"{prefix}{idx}"]
-            for tag, target in compiled_instances([ident.renamed(name)], variables,
-                                                  one_per_family=True)
+            for tag, target in instance_vectors([ident.renamed(name)], variables, basis,
+                                                one_per_family=True)
         }
 
     return EquivalenceResult(side(a, span_b, "a"), side(b, span_a, "b"))

@@ -35,6 +35,7 @@ place of letters.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from fractions import Fraction
 from functools import lru_cache
@@ -594,7 +595,7 @@ def apply_op(op: OpSymbol, args: Sequence[PolyLike]) -> Polynomial:
 class Identity:
     """A polynomial asserted identically zero, with its variables and signature."""
 
-    __slots__ = ("lhs", "variables", "signature", "name", "_degree")
+    __slots__ = ("lhs", "variables", "signature", "name", "_degree", "_read")
 
     def __init__(
         self,
@@ -614,7 +615,7 @@ class Identity:
         self.variables = variables
         self.signature = frozenset(signature) if signature is not None else lhs.signature()
         self.name = name
-        self._degree = None
+        self._degree = self._read = None
 
     @property
     def degree(self) -> int:
@@ -623,6 +624,13 @@ class Identity:
         if self._degree is None:
             self._degree = self.lhs.degree()
         return self._degree
+
+    def read(self) -> list[tuple]:
+        """(shape key, leaf names, coefficient) of each lhs term, in its
+        order, read by ``read_tree`` on first use and kept."""
+        if self._read is None:
+            self._read = [(*read_tree(m), c) for m, c in self.lhs.terms.items()]
+        return self._read
 
     def is_multilinear(self) -> bool:
         if not self.lhs.is_multilinear():
@@ -633,7 +641,12 @@ class Identity:
         return used == {v.name for v in self.variables}
 
     def renamed(self, name: str) -> "Identity":
-        return Identity(self.lhs, self.variables, self.signature, name)
+        """This identity under another name, sharing its ``read``, which is
+        read here if it has not been."""
+        self.read()
+        out = copy.copy(self)
+        out.name = name
+        return out
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Identity) and self.lhs == other.lhs

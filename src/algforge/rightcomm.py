@@ -47,13 +47,13 @@ brute-force orbit closure.
 the straightening of span generators and targets happens here and nowhere
 else.  A basis reads a compiled instance, (shape key, letters, coefficient)
 triples, and a tree polynomial, by the (shape key, letters) pair of each
-term, and straightens with no tree built: the element of a pair is one
-``.get`` of its shape key on the ``by_shape`` table and one ``_word`` read
-of its letters, and the basis's one column memo, shared with
-``MonomialBasis``, keeps the column of each pair it has read, so a pair
-that recurs across instances and targets is one lookup.  A key that misses
-the table (another operation or degree) is straightened as its tree, which
-keeps the tree's error.
+term, and straightens with no tree or word built: the column tables of
+``MonomialBasis`` are filled here, a shape key's in one go the first time
+it is read, by one orbit ``min`` per letter order looked up in a per-type
+dict from canonical letters to column.  A pair that misses the tables is
+named by its word, and a key outside the ``by_shape`` table (another
+operation or degree) is straightened as its tree, which keeps the tree's
+error.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ from .consequence import (
     MonomialBasis,
     SpanChecker,
     _basis_variables,
-    _Columns,
-    compiled_instances,
     enumerate_shapes,
+    instance_vectors,
 )
 
 MAX_DEGREE = 5
@@ -298,7 +297,9 @@ class RCBasis(MonomialBasis):
     """All canonical words of one degree over fixed variables, sorted.  The
     element of a (shape key, letters) pair, a compiled term's or a tree's,
     is its straightened word, so a ``SpanChecker`` over it takes raw
-    instances and targets."""
+    instances and targets.  A shape key's column table maps each letter
+    order to the column of its orbit's least letters in ``_words``, one
+    dict per type from a canonical letter sequence to its column."""
 
     _normal_type = RCPolynomial
 
@@ -309,25 +310,32 @@ class RCBasis(MonomialBasis):
         self.op = op
         self.degree = degree
         self.variables = variables
-        lettered = list(itertools.permutations(sorted(v.name for v in variables)))
+        self._orders = list(itertools.permutations(sorted(v.name for v in variables)))
         types = _types(op, degree)
+        self._by_shape = types.by_shape
         self.monomials: list[RCWord] = []
+        self._words: list[dict[tuple, int]] = []
         for t, perms in enumerate(types.perms, start=1):
             # a type's words: the letter sequences least among their orbit's
-            self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in lettered
-                               if all(w <= letters_of(w) for letters_of in perms)]
+            words = [w for w in self._orders if all(w <= letters_of(w) for letters_of in perms)]
+            self._words.append(dict(zip(words, itertools.count(len(self.monomials)))))
+            self.monomials += [RCWord(op if degree > 1 else _LEAF, degree, t, w) for w in words]
         self.index = {w: i for i, w in enumerate(self.monomials)}
-        self._slots = _Columns(partial(_compiled_word, op, types.by_shape), self.index)
+        self._tables = {}
 
+    def _fill(self, key: tuple) -> dict[tuple, int]:
+        """The column table of a shape key: each letter order's orbit least
+        letters looked up in its type's ``_words``; empty for a key outside
+        the ``by_shape`` table."""
+        entry = self._by_shape.get(key)
+        if entry is None:
+            return {}
+        type_index, perms = entry
+        words = self._words[type_index - 1]
+        return {w: words[min([letters_of(w) for letters_of in perms])] for w in self._orders}
 
-def _compiled_word(op: OpSymbol, by_shape: dict, key: tuple, letters: tuple) -> RCWord:
-    """The word of a (shape key, letters) pair; a shape outside the
-    ``by_shape`` table (another operation or degree) straightens, or fails,
-    as its tree."""
-    entry = by_shape.get(key)
-    if entry is None:
-        return rc_straighten(form_tree(key, letters))
-    return _word(op, entry, letters)
+    # a refused pair names its word, or fails as its tree does
+    _element = staticmethod(rc_straighten)
 
 
 def symmetry_order(op: OpSymbol, degree: int, type_index: int) -> int:
@@ -343,4 +351,4 @@ def build_jordan_checker(
     basis straightens."""
     variables = tuple(variables)
     basis = RCBasis(product, len(variables), variables)
-    return SpanChecker(compiled_instances([rj, ro], variables), basis)
+    return SpanChecker(instance_vectors([rj, ro], variables, basis), basis)

@@ -30,6 +30,7 @@ from algforge.consequence import (
     SpanChecker,
     UnsupportedLift,
     compiled_instances,
+    instance_vectors,
     kernel_of_expansion,
     iter_relabelings,
     sets_equivalent,
@@ -37,7 +38,7 @@ from algforge.consequence import (
 from algforge.fixtures import BINARY, TERNARY, fixture
 from algforge.leibniz import expand_ternary
 from algforge.parsing import parse_file, parse_product
-from algforge.rightcomm import RCBasis, build_jordan_checker
+from algforge.rightcomm import RCBasis, build_jordan_checker, rc_expand, rc_straighten
 
 from helpers import (
     iter_lifted,
@@ -117,8 +118,9 @@ def test_both_bases_refuse_a_repeated_variable(make):
 
 @pytest.mark.parametrize("kind", ["planar", "rc"])
 def test_a_dropped_basis_and_its_checker_are_freed_without_the_cyclic_collector(kind):
-    # the column memo must not refer back to its basis, or only the cyclic
-    # collector could free a basis once dropped
+    # the column tables, and a vector stream's resolved rows, must not refer
+    # back to their basis, or only the cyclic collector could free a basis
+    # once dropped
     gc.disable()
     try:
         if kind == "planar":
@@ -128,7 +130,7 @@ def test_a_dropped_basis_and_its_checker_are_freed_without_the_cyclic_collector(
         else:
             checker = build_jordan_checker(fixture("rj"), fixture("ro"), V5, BINARY)
             target = next(p for _, p in iter_lifted(fixture("rj"), 5, V5))
-        assert checker.check(target).ok and checker.basis._slots
+        assert checker.check(target).ok and checker.basis._tables
         refs = [weakref.ref(checker), weakref.ref(checker.basis)]
         basis = checker = None
         assert [ref() for ref in refs] == [None, None]
@@ -202,12 +204,15 @@ def test_lifts_by_relabeling_equal_lifts_by_substitution(name, letters):
 
 def test_a_lift_reads_each_term_of_its_identity_once(monkeypatch):
     # one family per variable and two of products by a letter, all compiled
-    # from one read of the identity's terms
-    reads, read_tree = [], consequence.read_tree
-    monkeypatch.setattr(consequence, "read_tree", lambda m: reads.append(m) or read_tree(m))
-    rj = fixture("rj")
-    assert len(list(compiled_instances([rj], V5))) == (len(rj.variables) + 2) * 120
-    assert sorted(reads) == sorted(rj.lhs.terms)
+    # from one read of the identity's terms, which the identity keeps for
+    # later calls and shares with its renamed copies
+    rj = Identity(fixture("rj").lhs, fixture("rj").variables, name="rj")
+    assert rj.degree == 4  # read before counting
+    reads, read_tree = [], core.read_tree
+    monkeypatch.setattr(core, "read_tree", lambda m: reads.append(m) or read_tree(m))
+    for ident in (rj, rj, rj.renamed("rj2")):
+        assert len(list(compiled_instances([ident], V5))) == (len(rj.variables) + 2) * 120
+    assert sorted(map(id, reads)) == sorted(map(id, rj.lhs.terms))
 
 
 def test_lifting_nothing_gives_nothing():
@@ -870,3 +875,84 @@ def test_an_on_demand_checker_answers_as_the_eager_one(kind, data):
             assert got.witness == want.witness
     assert lazy.rank == eager.rank
     _same_checker(lazy, eager)
+
+
+def _reader_case(data):
+    """A random basis at degree 3 to 5 and identities whose instances it
+    holds: relabelings, and for a binary operation one-step lifts."""
+    degree = data.draw(st.integers(3, 5))
+    letters = data.draw(st.sampled_from(["abcde", ["a", "b", "ab", "c", "d"]]))
+    vs = variables(data.draw(st.permutations(letters))[:degree])
+    kind = data.draw(st.sampled_from(["rc", "planar"] + ["ternary"] * (degree % 2)))
+    if kind == "ternary":
+        return MonomialBasis([_BR], degree, vs), [_identity(data, [_BR], degree, None)]
+    op = _MUL if kind == "rc" else data.draw(st.sampled_from([_MUL, _DOT]))
+    basis = RCBasis(op, degree, vs) if kind == "rc" else MonomialBasis([op], degree, vs)
+    idents = [_identity(data, [op], degree, data.draw(st.sampled_from(["s", None]))),
+              _identity(data, [op], degree - 1, data.draw(st.sampled_from(["l", None])))]
+    return basis, data.draw(st.permutations(idents))
+
+
+def _by_index(basis, pairs):
+    """The oracle for a compiled instance's vector: its trees, straightened
+    for ``RCBasis``, looked up in ``index`` with no column table read."""
+    p = Polynomial({form_tree(key, letters): c for key, letters, c in pairs})
+    return basis.vector(rc_expand(p) if isinstance(basis, RCBasis) else p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_vector_stream_reads_each_compiled_instance_as_the_basis_does(data):
+    basis, idents = _reader_case(data)
+    vs = basis.variables
+    for one_per_family in (False, True):
+        got = list(instance_vectors(idents, vs, basis, one_per_family=one_per_family))
+        want = list(compiled_instances(idents, vs, one_per_family=one_per_family))
+        assert [tag for tag, _ in got] == [tag for tag, _ in want]
+        assert [typed_items(vec) for _, vec in got] == [
+            typed_items(basis.vector(pairs)) for _, pairs in want]
+        assert [typed_items(vec) for _, vec in got] == [
+            typed_items(_by_index(basis, pairs)) for _, pairs in want]
+    fed = SpanChecker(instance_vectors(idents, vs, basis), basis)
+    paired = SpanChecker(compiled_instances(idents, vs), basis)
+    assert list(fed.table.pivots.items()) == list(paired.table.pivots.items())
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_the_vector_stream_refuses_a_pair_outside_the_basis_as_the_basis_does(data):
+    basis, idents = _reader_case(data)
+    vs = basis.variables
+    if data.draw(st.booleans()):  # other letters
+        vs = variables(["x", "y", "z", "w", "v"][:len(vs)])
+    else:  # another operation, of the same arity
+        swap = {_MUL: _DOT, _DOT: _MUL, _BR: _TR_2}
+        idents = [Identity(core.rename_ops(ident.lhs, swap), name=ident.name)
+                  for ident in idents]
+    _, pairs = next(compiled_instances(idents, vs))
+    element = form_tree(*pairs[0][:2])
+    if isinstance(basis, RCBasis):
+        element = rc_straighten(element)
+    want = (DimensionMismatch, f"monomial {element!r} is outside this basis")
+    for one_per_family in (False, True):
+        assert _refusal(lambda: list(instance_vectors(
+            idents, vs, basis, one_per_family=one_per_family))) == want
+        assert _refusal(lambda: [basis.vector(pairs) for _, pairs in compiled_instances(
+            idents, vs, one_per_family=one_per_family)]) == want
+
+
+def test_a_tampered_certificate_fails_the_verified_equivalence_claim(monkeypatch):
+    from algforge import checks
+
+    def tampered(*args):
+        res = sets_equivalent(*args)
+        cert = next(iter(res.backward.values()))
+        tag = next(iter(cert.coefficients))
+        cert.coefficients[tag] += 1
+        assert res.equivalent and not res.verify()
+        return res
+
+    name = "two-identity and four-identity sets are equivalent at degree 5"
+    assert [c.ok for c in checks.section_lem33().claims if c.name == name] == [True]
+    monkeypatch.setattr(checks, "sets_equivalent", tampered)
+    assert [c.ok for c in checks.section_lem33().claims if c.name == name] == [False]
