@@ -214,15 +214,6 @@ class MonomialBasis:
             table = self._tables[key] = self._fill(key)
         return table
 
-    def _column(self, key: tuple, letters: tuple) -> int:
-        """The column of a pair; one outside the basis is refused, naming
-        its element."""
-        column = self._columns(key).get(letters)
-        if column is None:
-            element = self._element(_tree(key, letters))
-            raise DimensionMismatch(f"monomial {element!r} is outside this basis")
-        return column
-
     def _reader(self, rows: list[tuple]) -> Callable[[tuple], Vec]:
         """The function from a letter order to the vector of the instance
         that compiled ``rows`` read there, each row's key resolved to its
@@ -242,7 +233,8 @@ class MonomialBasis:
         terms are looked up in ``index``, and anything else is read by its
         (shape key, letters) pairs in the column tables, a compiled
         instance's as given, a tree polynomial's from its terms, a bare tree
-        as its one term with coefficient 1, with no other polynomial built."""
+        as its one term with coefficient 1, with no other polynomial built.
+        The first pair outside the basis is refused, naming its element."""
         if isinstance(p, dict):
             return p
         if not isinstance(p, list):
@@ -256,8 +248,13 @@ class MonomialBasis:
                 return vec
             terms = {p: 1} if isinstance(p, Monomial) else p.terms
             p = [(*read_tree(m), c) for m, c in terms.items()]
-        column = self._column
-        return accumulate({}, ((column(key, letters), c) for key, letters, c in p))
+        tables = self._columns
+        try:
+            return accumulate({}, ((tables(key)[letters], c) for key, letters, c in p))
+        except KeyError:
+            key, letters = next((k, w) for k, w, _ in p if w not in tables(k))
+            element = self._element(_tree(key, letters))
+            raise DimensionMismatch(f"monomial {element!r} is outside this basis") from None
 
     def normal(self, p, vec: Vec | None = None):
         """The form of ``p`` whose terms are basis elements: ``p`` itself if
@@ -279,15 +276,15 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
     permutations of the letters (the letters in order first), in stream
     order; any degree but the letters' or one below raises ``AlgebraError``.
 
-    A family is (tags, permutations, row lists) compiled once, read in step
-    by ``_instances``: its k-th instance is tagged ``tags[k]`` and has a
-    term (shape key, ``get(perm)``, coefficient) per row (shape key,
-    ``items_at`` getter ``get``, coefficient) of its row lists taken in
-    turn, ``perm`` being its k-th permutation.  At the identity's degree
-    the one family is its relabelings.  One degree lower, over one binary operation, there is
-    one family per variable, the product ``perm[0]perm[1]`` in its slot and
-    ``perm[2:]`` in the others, then one of the identity over ``perm[1:]``
-    times ``perm[0]``, on the right and then on the left at each ``perm``."""
+    A family is (tags, row lists) compiled once, read by ``_instances`` at
+    each ``perm`` in turn, each of its row lists in turn: the instance
+    tagged next has a term (shape key, ``get(perm)``, coefficient) per row
+    (shape key, ``items_at`` getter ``get``, coefficient) of the row list.
+    At the identity's degree the one family is its relabelings.  One degree
+    lower, over one binary operation, there is one family per variable, the
+    product ``perm[0]perm[1]`` in its slot and ``perm[2:]`` in the others,
+    then one of the identity over ``perm[1:]`` times ``perm[0]``, on the
+    right and then on the left at each ``perm``."""
     n, d, src, label = len(perms[0]), identity.degree, identity.variables, identity.name
     if d == n:
         _same_count(identity, n)
@@ -323,7 +320,7 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
 
     if d == n:
         slot = {w.name: i for i, w in enumerate(src)}
-        return [([f"{label}({','.join(p)})" for p in perms], perms, [rows(slot)])]
+        return [([f"{label}({','.join(p)})" for p in perms], [rows(slot)])]
     times = "" if all(len(x) == 1 for x in perms[0]) else "*"
     product = node_key(op, (LEAF_KEY, LEAF_KEY))
     families = []
@@ -332,12 +329,11 @@ def _families(identity: Identity, perms: list[tuple[str, ...]]) -> list[tuple]:
         slot = {w.name: 2 + j for j, w in enumerate(src[:v_idx] + src[v_idx + 1:])}
         args = items_at([*range(1, v_idx + 1), 0, *range(v_idx + 1, d)])
         tags = [f"{label}({','.join(args(g))})" for g in glued]
-        families.append((tags, perms, [rows(slot, v.name)]))
+        families.append((tags, [rows(slot, v.name)]))
     slot = {w.name: 1 + j for j, w in enumerate(src)}
     tags = [tag for p in perms for args in [",".join(p[1:])]
             for tag in (f"{label}({args})*{p[0]}", f"{p[0]}*{label}({args})")]
-    twice = [p for p in perms for _ in (0, 1)]
-    return families + [(tags, twice, [rows(slot, side="right"), rows(slot, side="left")])]
+    return families + [(tags, [rows(slot, side="right"), rows(slot, side="left")])]
 
 
 def _same_count(identity: Identity, n: int) -> None:
@@ -355,9 +351,9 @@ def _instances(identities: Iterable[Identity], variables: Sequence[Variable],
     perms = [names] if one_per_family else list(itertools.permutations(names))
     for idx, ident in enumerate(identities):
         named = ident if ident.name else ident.renamed(f"g{idx}")
-        for tags, letters, row_lists in _families(named, perms):
-            readers = itertools.cycle([read(rows) for rows in row_lists])
-            for tag, perm, instance in zip(tags, letters, readers):
+        for tags, row_lists in _families(named, perms):
+            readers = [read(rows) for rows in row_lists]
+            for tag, (perm, instance) in zip(tags, itertools.product(perms, readers)):
                 yield tag, instance(perm)
 
 
@@ -534,8 +530,7 @@ def _reads_cleanly(identities, variables, basis) -> bool:
     if (len(set(names)) < len(names) or len(set(letters)) < len(letters)
             or any(ch in word for word in [*names, *letters] for ch in "(),*")):
         return False
-    for _ in instance_vectors(identities, variables, basis, one_per_family=True):
-        pass
+    list(instance_vectors(identities, variables, basis, one_per_family=True))
     return True
 
 

@@ -312,7 +312,6 @@ class RCBasis(MonomialBasis):
         self.variables = variables
         self._orders = list(itertools.permutations(sorted(v.name for v in variables)))
         types = _types(op, degree)
-        self._by_shape = types.by_shape
         self.monomials: list[RCWord] = []
         self._words: list[dict[tuple, int]] = []
         for t, perms in enumerate(types.perms, start=1):
@@ -327,7 +326,7 @@ class RCBasis(MonomialBasis):
         """The column table of a shape key: each letter order's orbit least
         letters looked up in its type's ``_words``; empty for a key outside
         the ``by_shape`` table."""
-        entry = self._by_shape.get(key)
+        entry = _types(self.op, self.degree).by_shape.get(key)
         if entry is None:
             return {}
         type_index, perms = entry
