@@ -46,8 +46,8 @@ Membership is decided by exact forward elimination, and every positive
 answer carries a certificate that re-expands to the target.
 ``SpanChecker`` builds a normal form only for a target and for a
 generator that becomes a pivot, the only ones a certificate names, and
-keeps every other generator as its vector; ``on_demand`` feeds one only
-when an answer needs it.
+keeps every other generator as given, a vector stream's as its vector;
+``on_demand`` feeds one only when an answer needs it.
 
 Instance tags are printed the way the combinations are usually written,
 e.g. ``rj(ce,b,d,a)`` for a product substituted into the first argument and
@@ -442,8 +442,8 @@ class SpanChecker:
 
     ``generators`` are (tag, generator) pairs, a generator being anything the
     basis reads: a polynomial, a compiled instance, or a column vector.
-    Each is fed to the table as its ``basis.vector`` and kept as that
-    vector; targets and certificates are in the basis's normal form.  Only
+    Each is fed to the table as its ``basis.vector`` and kept as given;
+    targets and certificates are in the basis's normal form.  Only
     the generators that become pivots can be named by a certificate, so
     only theirs is built, when the pivot is stored; ``generators`` builds
     the others' on demand.  ``on_demand`` feeds none up front: ``check``
@@ -472,7 +472,7 @@ class SpanChecker:
 
     def _open(self, stream, basis) -> None:
         self.basis, self._unread, self.table = basis, stream, PivotTable()
-        self._kept: dict[Hashable, object] = {}  # tag -> vector, or normal form once a pivot
+        self._kept: dict[Hashable, object] = {}  # tag -> as given, or normal form once a pivot
 
     def _read(self, lead: int | None = None) -> bool:
         """Feed generators until one is the pivot at column ``lead``; False at the end."""
@@ -485,7 +485,7 @@ class SpanChecker:
                 if vector(self._kept[tag]) == vec:
                     continue
                 raise AlgebraError(f"duplicate generator tag {tag!r}")
-            self._kept[tag] = vec
+            self._kept[tag] = g
             if self.table.add(vec, tag):
                 self._kept[tag] = self.basis.normal(g, vec)
                 if lead in self.table.pivots:

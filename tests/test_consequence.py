@@ -913,9 +913,11 @@ def test_the_vector_stream_reads_each_compiled_instance_as_the_basis_does(data):
             typed_items(basis.vector(pairs)) for _, pairs in want]
         assert [typed_items(vec) for _, vec in got] == [
             typed_items(_by_index(basis, pairs)) for _, pairs in want]
-    fed = SpanChecker(instance_vectors(idents, vs, basis), basis)
-    paired = SpanChecker(compiled_instances(idents, vs), basis)
-    assert list(fed.table.pivots.items()) == list(paired.table.pivots.items())
+    # a checker takes either stream alike; over the full streams, whose
+    # vectors are equal above, elimination of random Fractions takes up to
+    # a minute
+    fed = SpanChecker(instance_vectors(idents, vs, basis, one_per_family=True), basis)
+    _same_checker(fed, SpanChecker(compiled_instances(idents, vs, one_per_family=True), basis))
 
 
 @settings(max_examples=30, deadline=None)
